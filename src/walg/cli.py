@@ -6,7 +6,7 @@
 
 Exit code 0 iff every requested check passes.  The JSON report has a
 stable field order; the human-readable tables are rendered from the same
-data.  WALG_THREADS bounds parallelism of independent kernel builds.
+data.
 """
 
 from __future__ import annotations
@@ -113,7 +113,6 @@ class Case:
         self._hb = {}
         self._sctx_zero = None
         self._hb_zero = {}
-        self.threads = _threads_from_env()
 
     def _load_algebra(self, name: str):
         m = _SLN.match(name)
@@ -151,7 +150,7 @@ class Case:
 
     def hb_at(self, n: int):
         if n not in self._hb:
-            self._hb[n] = h_basis(n, self.sctx, threads=self.threads)
+            self._hb[n] = h_basis(n, self.sctx)
         return self._hb[n]
 
     def zero_ell_pair(self, n: int):
@@ -160,16 +159,8 @@ class Case:
             t = self.sctx.triple
             self._sctx_zero = SliceContext(self.lie, t, [], ell_label="zero")
         if n not in self._hb_zero:
-            self._hb_zero[n] = h_basis(n, self._sctx_zero,
-                                       threads=self.threads)
+            self._hb_zero[n] = h_basis(n, self._sctx_zero)
         return self._sctx_zero, self._hb_zero[n]
-
-
-def _threads_from_env() -> int:
-    try:
-        return max(1, int(os.environ.get("WALG_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +256,7 @@ def check_ell_independence(case: Case):
         lag = liealg.lagrangian_auto(case.lie, case.sctx.grading, case.sctx.chi)
         other = SliceContext(case.lie, case.sctx.triple, lag,
                              ell_label="lagrangian-auto")
-        hb_other = h_basis(n, other, threads=case.threads)
+        hb_other = h_basis(n, other)
         rep = whittaker.ell_comparison(case.sctx, other, n, case.hb_at(n),
                                        hb_other)
     else:

@@ -13,10 +13,10 @@ import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from walg import linalg
-from walg.errors import (DecompositionFailure, DegenerateKillingForm,
-                         DegenerateOmega, JacobiViolation, NonIntegerEigenvalue,
-                         NotInsideGm1, NotIsotropic, NotNilpotent, NoTripleFound,
-                         WalgError)
+from walg.errors import (ConfigError, DecompositionFailure,
+                         DegenerateKillingForm, DegenerateOmega,
+                         JacobiViolation, NonIntegerEigenvalue, NotInsideGm1,
+                         NotIsotropic, NotNilpotent, NoTripleFound, WalgError)
 from walg.linalg import (QQ, SparseMatrix, Subspace, Vector, add_vec, dot,
                          is_zero_vec, kernel, rank, scale_vec, solve, sub_vec,
                          sum_and_intersection, unit_vec, vec, zero_vec)
@@ -721,15 +721,31 @@ def algebra_from_dict(data: dict) -> Tuple[LieAlgebra, dict]:
     "value": [[k, "num/den"], ...]}, ...]} with 0-based indices; optional
     "nilpotent" and "ell" entries are passed through unparsed.
     """
-    labels = data["labels"]
-    table: Dict[Tuple[int, int], Dict[int, QQ]] = {}
-    for item in data.get("brackets", []):
-        i, j = int(item["i"]), int(item["j"])
-        table[(i, j)] = {int(k): QQ(str(c)) for k, c in item["value"]}
+    if not isinstance(data, dict):
+        raise ConfigError("algebra data must be a JSON object")
+    try:
+        labels = data["labels"]
+        if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+            raise ConfigError("algebra 'labels' must be a list of strings")
+        table: Dict[Tuple[int, int], Dict[int, QQ]] = {}
+        for item in data.get("brackets", []):
+            i, j = int(item["i"]), int(item["j"])
+            table[(i, j)] = {int(k): QQ(str(c)) for k, c in item["value"]}
+    except KeyError as exc:
+        raise ConfigError(f"algebra data is missing key {exc}") from exc
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"malformed algebra data: {exc}") from exc
     extras = {k: data[k] for k in ("nilpotent", "ell") if k in data}
     return LieAlgebra(labels, table), extras
 
 
 def load_algebra_file(path: str) -> Tuple[LieAlgebra, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return algebra_from_dict(json.load(fh))
+    """Read an algebra file; unreadable or malformed input is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read algebra file '{path}': {exc.strerror}") from exc
+    except ValueError as exc:  # json.JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"algebra file '{path}' is not valid JSON: {exc}") from exc
+    return algebra_from_dict(data)

@@ -139,11 +139,9 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
 
 
-def _rref(rows_as_dicts: List[Dict[int, QQ]], ncols: int, nrows: int,
-          dense_threshold: Optional[int] = None):
+def _rref(rows_as_dicts: List[Dict[int, QQ]], ncols: int, nrows: int):
     """Dispatch to the dense or sparse elimination kernel."""
-    thr = DENSE_THRESHOLD if dense_threshold is None else dense_threshold
-    if nrows <= thr and ncols <= thr:
+    if nrows <= DENSE_THRESHOLD and ncols <= DENSE_THRESHOLD:
         dense = []
         for r in rows_as_dicts:
             row = [QQ(0)] * ncols

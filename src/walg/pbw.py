@@ -6,7 +6,7 @@ generators spanning a complement of the subalgebra `a` come first and the
 that order, canonical forms in the quotient module Q_ell are obtained by
 chopping trailing a-factors (see walg.whittaker).
 
-Monomial/term layout is shared with walg._kernels; straightening products
+Monomial/term layout is shared with walg.backend; straightening products
 are memoized per basis and the cache can be disabled without changing any
 result.
 """

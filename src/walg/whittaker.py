@@ -10,8 +10,6 @@ generators on the finite filtration pieces F_n Q.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence
 
 from walg import poisson
@@ -189,7 +187,7 @@ class HBasis:
         return table
 
 
-def h_basis(n_max: int, sctx: SliceContext, threads: Optional[int] = None) -> HBasis:
+def h_basis(n_max: int, sctx: SliceContext) -> HBasis:
     """F_n H for n <= n_max as joint kernels of the n_ell ad-matrices.
 
     Kernel bases are extended degree by degree so that the basis of
@@ -197,12 +195,7 @@ def h_basis(n_max: int, sctx: SliceContext, threads: Optional[int] = None) -> HB
     """
     qb = QDegreeBasis(sctx, n_max)
     gens = sctx.pair.n_graded
-    threads = threads if threads is not None else _default_threads()
-    if threads > 1 and len(gens) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            mats = list(ex.map(lambda g: ad_action_matrix(g[0], qb, sctx), gens))
-    else:
-        mats = [ad_action_matrix(g[0], qb, sctx) for g in gens]
+    mats = [ad_action_matrix(g[0], qb, sctx) for g in gens]
     elements: List[UEAElement] = []
     degrees: List[int] = []
     gr_dims: List[int] = []
@@ -233,13 +226,6 @@ def h_basis(n_max: int, sctx: SliceContext, threads: Optional[int] = None) -> HB
     for d in degrees:
         gr_dims[d] += 1
     return HBasis(sctx, n_max, qb, elements, degrees, gr_dims, subspaces, mats)
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("WALG_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def h_multiply(a: UEAElement, b: UEAElement, hb: HBasis) -> UEAElement:

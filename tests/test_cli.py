@@ -101,6 +101,23 @@ def test_main_exit_codes(tmp_path):
                  "--ell", "zero", "--checks", "poisson"]) == 2
 
 
+@pytest.mark.parametrize("content", [
+    '{"labels": ["e", "h", "f"], "brackets": [',
+    '[["e", "h", "f"]]',
+    '{"brackets": []}',
+    None,
+], ids=["truncated", "not-object", "no-labels", "directory"])
+def test_main_bad_algebra_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "alg.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    assert main(["run", "--algebra", str(path), "--nilpotent", "regular"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_main_describe(capsys):
     assert main(["describe", "--algebra", "sl3", "--nilpotent", "minimal",
                  "--ell", "lagrangian-auto"]) == 0

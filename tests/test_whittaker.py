@@ -258,13 +258,6 @@ def test_ell_comparison_zero_into_lagrangians(sl3_min_zero, sl3_min_lag,
     assert rep1.dims1 == rep1.dims2 == rep2.dims2 == [1, 0, 1, 2, 2, 2, 5]
 
 
-def test_h_basis_thread_parity(sl3_min_lag, sl3_hb_lag):
-    hb2 = W.h_basis(6, sl3_min_lag, threads=2)
-    assert hb2.gr_dims == sl3_hb_lag.gr_dims
-    assert [x.terms for x in hb2.elements] == \
-        [x.terms for x in sl3_hb_lag.elements]
-
-
 def test_multiplication_table_sl2(sl2_ctx):
     hb = W.h_basis(8, sl2_ctx)
     table = hb.multiplication_table()
