@@ -4,9 +4,10 @@
              --max-degree 6 --checks theorem,poisson,cohomology --out report.json
     walg describe --algebra sl3 --nilpotent minimal
 
-Exit code 0 iff every requested check passes.  The JSON report has a
-stable field order; the human-readable tables are rendered from the same
-data.
+Exit code 0 iff every requested check passes, 1 if a check fails, 2 for
+bad input and 3 for an internal error (a bug; the failing check's report
+entry carries the traceback tail).  The JSON report has a stable field
+order; the human-readable tables are rendered from the same data.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from walg.whittaker import h_basis
 
 CHECK_NAMES = ("structure", "decomposition", "theorem", "poisson",
                "cohomology", "whittaker", "center", "ell-independence")
+
+#: innermost traceback frames kept in an internal-error report entry
+TRACEBACK_FRAMES = 5
 
 _SLN = re.compile(r"^sl(\d+)$")
 _PARTITION = re.compile(r"^\[\s*\d+\s*(,\s*\d+\s*)*\]$")
@@ -190,7 +194,7 @@ def check_theorem(case: Case):
     gens = [{"degree": d, "form": str(el), "nu": str(whittaker.nu_map(el, case.sctx))}
             for d, el in zip(hb.degrees, hb.elements)]
     table = {f"{i},{j}": [str(c) for c in coeffs]
-             for (i, j), coeffs in sorted(hb.multiplication_table().items())}
+             for (i, j), coeffs in sorted(rep.table.items())}
     return True, {"gr_dims": rep.gr_dims, "slice_dims": rep.slice_dims,
                   "multiplicative_pairs": rep.mult_pairs,
                   "generators": gens, "multiplication_table": table}, None
@@ -317,6 +321,10 @@ def run(config: JobConfig) -> dict:
             details = {"error": type(exc).__name__, "message": str(exc)}
             witness = getattr(exc, "dims", None) or {
                 "degree": getattr(exc, "degree", None)}
+        except Exception as exc:  # a bug: report it and run the other checks
+            ok = False
+            details = _internal_error(exc)
+            witness = None
         entry = {"name": name, "status": "pass" if ok else "fail",
                  "details": details}
         if witness is not None:
@@ -328,6 +336,17 @@ def run(config: JobConfig) -> dict:
     timing["total"] = round(time.perf_counter() - t_start, 6)
     report["timing"] = timing
     return report
+
+
+def _internal_error(exc: Exception) -> dict:
+    """Report details for an exception that is not a WalgError."""
+    import traceback  # only a job that hit a bug pays for this import
+
+    frames = traceback.extract_tb(exc.__traceback__)[-TRACEBACK_FRAMES:]
+    return {"error": "internal", "type": type(exc).__name__,
+            "message": str(exc),
+            "traceback": [f"{os.path.basename(f.filename)}:{f.lineno} in {f.name}"
+                          for f in frames]}
 
 
 def describe_case(sctx: SliceContext, max_degree: int) -> dict:
@@ -431,6 +450,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     fh.write("\n")
             if not args.quiet:
                 print(render_report(report))
+            if any(entry["details"].get("error") == "internal"
+                   for entry in report["checks"]):
+                return 3
             return 0 if report["status"] == "pass" else 1
         config = JobConfig(algebra=args.algebra, nilpotent=args.nilpotent,
                            ell=args.ell, max_degree=args.max_degree)
@@ -445,6 +467,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, WalgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"error: internal: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

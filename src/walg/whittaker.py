@@ -10,6 +10,7 @@ generators on the finite filtration pieces F_n Q.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Dict, List, Optional, Sequence
 
 from walg import poisson
@@ -131,14 +132,133 @@ def left_action_matrix(x: Sequence, qb: QDegreeBasis,
     return SparseMatrix(cnt, cnt, entries)
 
 
+def _sparse(row: Sequence) -> Dict[int, QQ]:
+    return {j: c for j, c in enumerate(row) if c}
+
+
+class _Echelon:
+    """Reduced echelon of a growing list of linearly independent sparse vectors.
+
+    Each row is (pivot, vector, combination): the vector has a unit entry at
+    its pivot and a zero at every other row's pivot, and it equals the
+    combination (index -> coefficient) of the added vectors.  A new row
+    takes the top column of its residual as pivot, so every row's support
+    ends at its pivot.  A vector in the span is the sum of the rows scaled
+    by its own entries at their pivots, so reading its coordinates needs no
+    elimination.
+    """
+
+    __slots__ = ("rows", "added", "_int_combs")
+
+    def __init__(self):
+        self.rows: List[tuple] = []
+        self.added: List[tuple] = []      # `_int_form` of each added vector
+        # `_int_form` of each row's combination, rebuilt by the first
+        # read-off after `extend`
+        self._int_combs = None
+
+    def reduce(self, w: Dict[int, QQ]):
+        """(coefficients on the rows, residual) of the sparse vector w."""
+        residual = dict(w)
+        coeffs = []
+        for p, row, _ in self.rows:
+            c = residual.get(p, ZERO)
+            coeffs.append(c)
+            if c:
+                _axpy(residual, -c, row)
+        return coeffs, residual
+
+    def extend(self, w: Dict[int, QQ]) -> bool:
+        """Add w unless it lies in the span already; whether it was added."""
+        coeffs, residual = self.reduce(w)
+        if not residual:
+            return False
+        comb = {len(self.added): ONE}
+        for c, (_, _, comb_r) in zip(coeffs, self.rows):
+            if c:
+                _axpy(comb, -c, comb_r)
+        p = max(residual)
+        inv = ONE / residual[p]
+        row = {j: v * inv for j, v in residual.items()}
+        comb = {i: v * inv for i, v in comb.items()}
+        for _, row_s, comb_s in self.rows:
+            a = row_s.get(p)
+            if a is not None:
+                _axpy(row_s, -a, row)
+                _axpy(comb_s, -a, comb)
+        self.rows.append((p, row, comb))
+        self.added.append(_int_form(w))
+        self._int_combs = None
+        return True
+
+    def coordinates(self, w: Dict[int, QQ]) -> Optional[Vector]:
+        """Coefficients x of w on the added vectors, or None if w is outside
+        their span.  x is read off at the pivots and returned only after
+        sum x_k added_k == w is verified by substitution."""
+        if self._int_combs is None:
+            self._int_combs = [_int_form(comb) for _, _, comb in self.rows]
+        scale, xs = _combine([(w[p], ic) for (p, _, _), ic
+                              in zip(self.rows, self._int_combs) if p in w])
+        x = tuple(QQ(xs.get(k, 0), scale) for k in range(len(self.added)))
+        scale, back = _combine([(xk, a) for xk, a in zip(x, self.added) if xk])
+        back = {j: v for j, v in back.items() if v}
+        if back.keys() == w.keys() and all(
+                back[j] * c.denominator == c.numerator * scale
+                for j, c in w.items()):
+            return x
+        if self.reduce(w)[1]:
+            return None
+        raise AssertionError("echelon read-off produced invalid coordinates")
+
+
+def _axpy(y: Dict[int, QQ], a: QQ, x: Dict[int, QQ]):
+    """y += a * x in place, dropping zeros."""
+    for j, v in x.items():
+        s = y.get(j, ZERO) + a * v
+        if s:
+            y[j] = s
+        else:
+            del y[j]
+
+
+def _int_form(v: Dict[int, QQ]):
+    """(den, ints) with v == ints / den and den > 0 an integer."""
+    den = 1
+    for c in v.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    return den, {j: c.numerator * (den // c.denominator) for j, c in v.items()}
+
+
+def _combine(terms):
+    """sum of c * v over (c, `_int_form` of v) pairs as (scale, ints), where
+    the sum is ints / scale; integer arithmetic only."""
+    scale = 1
+    for c, (den, _) in terms:
+        d = c.denominator * den
+        scale = scale * d // gcd(scale, d)
+    out: Dict[int, int] = {}
+    for c, (den, ints) in terms:
+        m = c.numerator * (scale // (c.denominator * den))
+        for j, v in ints.items():
+            out[j] = out.get(j, 0) + m * v
+    return scale, out
+
+
 class HBasis:
-    """Degreewise basis of H_ell with prefix-stable representatives."""
+    """Degreewise basis of H_ell with prefix-stable representatives.
+
+    `express` and `contains` read coordinates off one reduced echelon of
+    the representatives' F_{n_max} Q coordinates, built by `h_basis` while
+    it chose them; no call runs an elimination.  The representatives are
+    linearly independent, so the coordinates of an element of H on them are
+    unique: the read-off returns what solving the column system would.
+    """
 
     __slots__ = ("sctx", "n_max", "qb", "elements", "degrees", "gr_dims",
-                 "_subspaces", "_matrices")
+                 "_subspaces", "_echelon")
 
     def __init__(self, sctx, n_max, qb, elements, degrees, gr_dims, subspaces,
-                 matrices):
+                 echelon):
         self.sctx = sctx
         self.n_max = n_max
         self.qb = qb
@@ -146,45 +266,57 @@ class HBasis:
         self.degrees = degrees            # degree at which each entered
         self.gr_dims = gr_dims            # list, dim gr_n H for n <= n_max
         self._subspaces = subspaces       # n -> Subspace of F_n Q coordinates
-        self._matrices = matrices         # ad matrices of the n_ell generators
+        self._echelon = echelon           # _Echelon of the elements' coordinates
+
+    def _check_degree(self, n: int):
+        if not 0 <= n <= self.n_max:
+            raise DegreeOverflow(f"degree {n} outside computed range 0..{self.n_max}")
 
     def dim_f(self, n: int) -> int:
         return sum(self.gr_dims[:n + 1])
 
     def subspace_at(self, n: int) -> Subspace:
+        """F_n H as the canonical Subspace of F_n Q coordinates."""
+        self._check_degree(n)
         return self._subspaces[n]
 
     def elements_up_to(self, n: int) -> List[UEAElement]:
         return self.elements[:self.dim_f(n)]
 
     def contains(self, u: UEAElement, n: Optional[int] = None) -> bool:
+        """Whether u lies in F_n H (n defaults to n_max).
+
+        u must lie in F_n Q (`DegreeOverflow` otherwise); since
+        F_n H = H intersected with F_n Q, the rest is a read-off from the
+        echelon of all representatives.
+        """
         n = self.n_max if n is None else n
+        self._check_degree(n)
         row = self.qb.coords(u, upto=n)
-        return self._subspaces[n].contains(row)
+        return self._echelon.coordinates(_sparse(row)) is not None
 
     def express(self, u: UEAElement) -> Vector:
         """Coefficients of u on the stored H-basis representatives."""
         deg = u.kazhdan_degree()
-        n = 0 if deg is None else deg
-        if n > self.n_max:
-            raise DegreeOverflow(f"degree {n} beyond computed range {self.n_max}")
-        cols = [self.qb.coords(el) for el in self.elements]
-        M = SparseMatrix.from_columns(cols, rows=len(self.qb.monomials))
-        x = solve(M, self.qb.coords(u))
+        self._check_degree(0 if deg is None else deg)
+        x = self._echelon.coordinates(_sparse(self.qb.coords(u)))
         if x is None:
             raise WalgError("element does not lie in the computed H span")
         return x
 
+    def product_pairs(self, bound: Optional[int] = None):
+        """(i, j) of the basis pairs with deg_i + deg_j <= bound (default n_max)."""
+        bound = self.n_max if bound is None else bound
+        for i, di in enumerate(self.degrees):
+            for j, dj in enumerate(self.degrees):
+                if di + dj <= bound:
+                    yield i, j
+
     def multiplication_table(self, bound: Optional[int] = None):
         """(i, j) -> coefficient vector of elem_i * elem_j on the basis."""
-        bound = self.n_max if bound is None else bound
-        table = {}
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                if self.degrees[i] + self.degrees[j] <= bound:
-                    prod = h_multiply(a, b, self)
-                    table[(i, j)] = self.express(prod)
-        return table
+        return {(i, j): self.express(h_multiply(self.elements[i],
+                                                self.elements[j], self))
+                for i, j in self.product_pairs(bound)}
 
 
 def h_basis(n_max: int, sctx: SliceContext) -> HBasis:
@@ -198,9 +330,8 @@ def h_basis(n_max: int, sctx: SliceContext) -> HBasis:
     mats = [ad_action_matrix(g[0], qb, sctx) for g in gens]
     elements: List[UEAElement] = []
     degrees: List[int] = []
-    gr_dims: List[int] = []
     subspaces: Dict[int, Subspace] = {}
-    chosen_rows: List[Vector] = []
+    echelon = _Echelon()
     for n in range(n_max + 1):
         cnt = qb.dim_f(n)
         stacked_entries = {}
@@ -213,19 +344,15 @@ def h_basis(n_max: int, sctx: SliceContext) -> HBasis:
         K = kernel(SparseMatrix(off, cnt, stacked_entries)) if gens else \
             Subspace(cnt, [unit_vec(cnt, j) for j in range(cnt)])
         subspaces[n] = K
-        padded = [tuple(r) + (ZERO,) * (cnt - len(r)) for r in chosen_rows]
-        span = Subspace(cnt, padded)
         for v in K.basis:
-            if not span.contains(v):
-                padded.append(v)
-                span = Subspace(cnt, padded)
-                chosen_rows.append(v)
+            if echelon.extend(_sparse(v)):
                 elements.append(qb.element(v))
                 degrees.append(n)
     gr_dims = [0] * (n_max + 1)
     for d in degrees:
         gr_dims[d] += 1
-    return HBasis(sctx, n_max, qb, elements, degrees, gr_dims, subspaces, mats)
+    return HBasis(sctx, n_max, qb, elements, degrees, gr_dims, subspaces,
+                  echelon)
 
 
 def h_multiply(a: UEAElement, b: UEAElement, hb: HBasis) -> UEAElement:
@@ -256,7 +383,11 @@ def nu_map(a: UEAElement, sctx: SliceContext,
 
 
 class TheoremReport:
-    __slots__ = ("n_max", "gr_dims", "slice_dims", "injective", "mult_pairs", "ok")
+    """`table` maps each in-range basis pair (i, j) to the coefficients of
+    elem_i * elem_j on the basis, as `HBasis.multiplication_table(n_max)`."""
+
+    __slots__ = ("n_max", "gr_dims", "slice_dims", "injective", "mult_pairs",
+                 "table", "ok")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -272,7 +403,8 @@ def verify_theorem(n_max: int, sctx: SliceContext,
 
     For every n <= n_max: dim gr_n H equals the slice Hilbert dimension
     and nu is injective on gr_n H; nu is multiplicative on all basis pairs
-    with product degree in range.
+    with product degree in range.  Each such product is formed once, and
+    its coefficients on the basis are kept as the report's `table`.
     """
     if hb is None:
         hb = h_basis(n_max, sctx)
@@ -303,22 +435,21 @@ def verify_theorem(n_max: int, sctx: SliceContext,
         injective.append(ok)
         if not ok:
             raise TheoremFailure(f"nu not injective on gr_{n} H", degree=n)
-    mult_pairs = 0
-    for i, a in enumerate(hb.elements):
-        for j, b in enumerate(hb.elements):
-            if hb.degrees[i] + hb.degrees[j] > n_max:
-                continue
-            prod = h_multiply(a, b, hb)
-            lhs = nu_map(prod, sctx, hb.degrees[i] + hb.degrees[j])
-            rhs = nu_map(a, sctx) * nu_map(b, sctx)
-            if lhs != rhs:
-                raise TheoremFailure(
-                    f"nu not multiplicative on basis pair ({i},{j})",
-                    degree=hb.degrees[i] + hb.degrees[j])
-            mult_pairs += 1
+    nus = [nu_map(a, sctx) for a in hb.elements]
+    table = {}
+    for i, j in hb.product_pairs(n_max):
+        prod = h_multiply(hb.elements[i], hb.elements[j], hb)
+        lhs = nu_map(prod, sctx, hb.degrees[i] + hb.degrees[j])
+        rhs = nus[i] * nus[j]
+        if lhs != rhs:
+            raise TheoremFailure(
+                f"nu not multiplicative on basis pair ({i},{j})",
+                degree=hb.degrees[i] + hb.degrees[j])
+        table[(i, j)] = hb.express(prod)
     return TheoremReport(n_max=n_max, gr_dims=hb.gr_dims,
                          slice_dims=slice_dims[:n_max + 1],
-                         injective=injective, mult_pairs=mult_pairs, ok=True)
+                         injective=injective, mult_pairs=len(table),
+                         table=table, ok=True)
 
 
 def gr_commutator_vs_poisson(a: UEAElement, b: UEAElement, hb: HBasis) -> bool:
@@ -577,16 +708,13 @@ def ell_comparison(sctx1: SliceContext, sctx2: SliceContext, n_max: int,
                 != hb1.dim_f(n):
             raise ComparisonFailure("map not injective on F_n H", degree=n)
     mult_pairs = 0
-    for i, a in enumerate(hb1.elements):
-        for j, b in enumerate(hb1.elements):
-            if hb1.degrees[i] + hb1.degrees[j] > n_max:
-                continue
-            lhs = transport(h_multiply(a, b, hb1))
-            rhs = q_canonical_form(images[i] * images[j], sctx2)
-            if lhs != rhs:
-                raise ComparisonFailure(
-                    f"map fails to intertwine products on pair ({i},{j})")
-            mult_pairs += 1
+    for i, j in hb1.product_pairs(n_max):
+        lhs = transport(h_multiply(hb1.elements[i], hb1.elements[j], hb1))
+        rhs = q_canonical_form(images[i] * images[j], sctx2)
+        if lhs != rhs:
+            raise ComparisonFailure(
+                f"map fails to intertwine products on pair ({i},{j})")
+        mult_pairs += 1
     return ComparisonReport(n_max=n_max, dims1=hb1.gr_dims, dims2=hb2.gr_dims,
                             bijective=[True] * (n_max + 1),
                             mult_pairs=mult_pairs, ok=True)

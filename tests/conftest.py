@@ -92,3 +92,8 @@ def sl4():
 def sl4_211(sl4):
     e, h, f = partition_triple(4, [2, 1, 1])
     return build_context(sl4, e, "zero", h=h, f=f)
+
+
+@pytest.fixture(scope="session")
+def sl4_hb_211(sl4_211):
+    return h_basis(4, sl4_211)

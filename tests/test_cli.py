@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from walg import cli
 from walg.cli import CHECK_NAMES, JobConfig, main, render_report, run
-from walg.errors import ConfigError
+from walg.errors import ConfigError, TheoremFailure
 
 
 def strip_timing(report):
@@ -195,3 +196,48 @@ def test_degree_override_above_ceiling_rejected():
                        checks=["theorem"], degree_overrides={"theorem": 8})
     with pytest.raises(ConfigError):
         run(config)
+
+
+def _raise_assertion(case):
+    raise AssertionError("solve produced an invalid solution")
+
+
+def test_internal_error_becomes_report_entry(tmp_path, monkeypatch):
+    monkeypatch.setitem(cli.CHECKS, "structure", _raise_assertion)
+    out = tmp_path / "r.json"
+    code = main(["run", "--algebra", "sl2", "--nilpotent", "regular",
+                 "--max-degree", "4", "--checks", "structure,theorem",
+                 "--out", str(out), "--quiet"])
+    assert code == 3
+    report = json.loads(out.read_text())
+    assert report["status"] == "fail"
+    entry, theorem = report["checks"]
+    assert entry["name"] == "structure" and entry["status"] == "fail"
+    details = entry["details"]
+    assert details["error"] == "internal"
+    assert details["type"] == "AssertionError"
+    assert details["message"] == "solve produced an invalid solution"
+    assert details["traceback"][-1].endswith("in _raise_assertion")
+    # the remaining checks still run
+    assert theorem["name"] == "theorem" and theorem["status"] == "pass"
+
+
+def test_walg_error_in_check_still_exits_1(monkeypatch):
+    def fail(case):
+        raise TheoremFailure("nu not injective", degree=2)
+
+    monkeypatch.setitem(cli.CHECKS, "theorem", fail)
+    assert main(["run", "--algebra", "sl2", "--nilpotent", "regular",
+                 "--max-degree", "4", "--checks", "theorem", "--quiet"]) == 1
+
+
+def test_internal_error_outside_checks_exits_3(monkeypatch, capsys):
+    def broken_case(config):
+        raise IndexError("list index out of range\nsecond line")
+
+    monkeypatch.setattr(cli, "Case", broken_case)
+    assert main(["run", "--algebra", "sl2", "--nilpotent", "regular",
+                 "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: internal: IndexError: list index out of range " \
+                  "second line\n"

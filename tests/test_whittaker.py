@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from walg import whittaker as W
-from walg.errors import ComparisonFailure, DegreeOverflow
-from walg.linalg import SparseMatrix, Subspace, rank
+from walg.errors import ComparisonFailure, DegreeOverflow, WalgError
+from walg.linalg import SparseMatrix, Subspace, kernel, rank, solve
 from walg.pbw import casimir
 from walg.poisson import KazhdanPolynomial
 
@@ -288,3 +288,133 @@ def test_nested_ell_chain_sl4(sl4, sl4_211):
     assert W.ell_comparison(sl4_211, ctx1, 4, hb0, hb1).ok
     assert W.ell_comparison(ctx1, ctxL, 4, hb1, hbL).ok
     assert W.ell_comparison(sl4_211, ctxL, 4, hb0, hbL).ok
+
+
+# -- read-off from the echelon against the elimination it replaces ---------
+
+def solve_express(hb, u):
+    """Coordinates of u on the representatives by one `solve` per call."""
+    cols = [hb.qb.coords(el) for el in hb.elements]
+    M = SparseMatrix.from_columns(cols, rows=len(hb.qb.monomials))
+    return solve(M, hb.qb.coords(u))
+
+
+def subspace_contains(hb, u, n):
+    return hb.subspace_at(n).contains(hb.qb.coords(u, upto=n))
+
+
+def rebuilt_span_h_basis(n_max, sctx):
+    """(elements, degrees) chosen by rebuilding a Subspace after each one."""
+    qb = W.QDegreeBasis(sctx, n_max)
+    mats = [W.ad_action_matrix(g[0], qb, sctx) for g in sctx.pair.n_graded]
+    chosen, elements, degrees = [], [], []
+    for n in range(n_max + 1):
+        cnt = qb.dim_f(n)
+        entries, off = {}, 0
+        for M in mats:
+            for (r, c), v in M.entries.items():
+                if r < cnt and c < cnt:
+                    entries[(off + r, c)] = v
+            off += cnt
+        K = kernel(SparseMatrix(off, cnt, entries))
+        padded = [tuple(r) + (F(0),) * (cnt - len(r)) for r in chosen]
+        span = Subspace(cnt, padded)
+        for v in K.basis:
+            if not span.contains(v):
+                padded.append(v)
+                span = Subspace(cnt, padded)
+                chosen.append(v)
+                elements.append(qb.element(v))
+                degrees.append(n)
+    return elements, degrees
+
+
+def random_combinations(hb, n, count, seed):
+    rng = random.Random(seed)
+    B = hb.sctx.basis
+    out = []
+    for _ in range(count):
+        u = B.zero()
+        for el in hb.elements_up_to(n):
+            u = u + F(rng.randint(-3, 3)) * el
+        out.append(u)
+    return out
+
+
+def non_members(hb):
+    """Elements of Q outside H: generator images, alone and added to H."""
+    sctx = hb.sctx
+    B = sctx.basis
+    gens = [W.q_canonical_form(B.generator(k), sctx)
+            for k in range(B.n_complement)]
+    outside = [g for g in gens if not subspace_contains(
+        hb, g, g.kazhdan_degree())]
+    assert outside
+    return outside + [g + el for g in outside for el in hb.elements[:3]]
+
+
+@pytest.mark.parametrize("hb_name", ["sl3_hb_lag", "sl4_hb_211"])
+def test_express_matches_solve(request, hb_name):
+    hb = request.getfixturevalue(hb_name)
+    products = [W.h_multiply(hb.elements[i], hb.elements[j], hb)
+                for i, j in hb.product_pairs(4)]
+    for u in products + random_combinations(hb, 4, 10, seed=31):
+        assert hb.express(u) == solve_express(hb, u)
+    for u in non_members(hb):
+        assert solve_express(hb, u) is None
+        with pytest.raises(WalgError):
+            hb.express(u)
+
+
+@pytest.mark.parametrize("hb_name", ["sl3_hb_lag", "sl4_hb_211"])
+def test_contains_matches_subspace(request, hb_name):
+    hb = request.getfixturevalue(hb_name)
+    candidates = (hb.elements_up_to(4) + random_combinations(hb, 4, 5, seed=32)
+                  + non_members(hb))
+    for u in candidates:
+        for n in range(5):
+            try:
+                expected = subspace_contains(hb, u, n)
+            except DegreeOverflow:
+                with pytest.raises(DegreeOverflow):
+                    hb.contains(u, n)
+                continue
+            assert hb.contains(u, n) == expected
+
+
+@pytest.mark.parametrize("ctx_name,n_max", [("sl3_min_lag", 6),
+                                            ("sl4_211", 4)])
+def test_h_basis_matches_rebuilt_span(request, ctx_name, n_max):
+    sctx = request.getfixturevalue(ctx_name)
+    hb = W.h_basis(n_max, sctx)
+    assert (hb.elements, hb.degrees) == rebuilt_span_h_basis(n_max, sctx)
+
+
+def test_theorem_table_is_multiplication_table(sl3_min_lag, sl3_hb_lag,
+                                               sl2_ctx, sl2_hb):
+    for sctx, hb in ((sl3_min_lag, sl3_hb_lag), (sl2_ctx, sl2_hb)):
+        rep = W.verify_theorem(hb.n_max, sctx, hb)
+        assert rep.table == hb.multiplication_table()
+        assert rep.mult_pairs == len(rep.table)
+
+
+def test_degree_beyond_range_overflows(sl2_ctx):
+    hb = W.h_basis(2, sl2_ctx)
+    with pytest.raises(DegreeOverflow):
+        hb.contains(hb.elements[0], 4)
+    with pytest.raises(DegreeOverflow):
+        hb.subspace_at(3)
+    with pytest.raises(DegreeOverflow):
+        hb.contains(hb.elements[0], -1)
+    with pytest.raises(DegreeOverflow):
+        hb.subspace_at(-1)
+    assert hb.contains(hb.elements[0], 2)
+
+
+def test_express_substitution_check(sl2_ctx):
+    assert W.h_basis(4, sl2_ctx).express(sl2_ctx.basis.one()) == (F(1), F(0))
+    hb = W.h_basis(4, sl2_ctx)
+    _, _, comb = hb._echelon.rows[1]
+    comb[1] *= 2
+    with pytest.raises(AssertionError):
+        hb.express(hb.elements[1])
