@@ -12,13 +12,12 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from walg import linalg
 from walg.errors import (ConfigError, DecompositionFailure,
                          DegenerateKillingForm, DegenerateOmega,
                          JacobiViolation, NonIntegerEigenvalue, NotInsideGm1,
                          NotIsotropic, NotNilpotent, NoTripleFound, WalgError)
 from walg.linalg import (QQ, SparseMatrix, Subspace, Vector, add_vec, dot,
-                         is_zero_vec, kernel, rank, scale_vec, solve, sub_vec,
+                         is_zero_vec, kernel, rank, scale_vec, solve,
                          sum_and_intersection, unit_vec, vec, zero_vec)
 
 
@@ -33,8 +32,8 @@ class LieAlgebra:
 
     __slots__ = ("dim", "labels", "table", "_ad", "_killing")
 
-    def __init__(self, labels: Sequence[str], table: Dict[Tuple[int, int], Dict[int, QQ]],
-                 validate: bool = True):
+    def __init__(self, labels: Sequence[str],
+                 table: Dict[Tuple[int, int], Dict[int, QQ]]):
         self.dim = len(labels)
         self.labels = tuple(labels)
         clean: Dict[Tuple[int, int], Dict[int, QQ]] = {}
@@ -47,11 +46,10 @@ class LieAlgebra:
         self.table = clean
         self._ad: Optional[List[Dict[Tuple[int, int], QQ]]] = None
         self._killing: Optional[Tuple[Tuple[QQ, ...], ...]] = None
-        if validate:
-            self._check_jacobi()
-            if rank(self.killing_matrix_sparse()) != self.dim:
-                raise DegenerateKillingForm(
-                    f"Killing form of '{','.join(labels)}' algebra is degenerate")
+        self._check_jacobi()
+        if rank(self.killing_matrix_sparse()) != self.dim:
+            raise DegenerateKillingForm(
+                f"Killing form of '{','.join(labels)}' algebra is degenerate")
 
     # -- brackets -----------------------------------------------------------
 
@@ -370,12 +368,6 @@ class GradedDecomposition:
             for v in self.piece(i).basis:
                 out.append((v, i))
         return out
-
-    def weight_of(self, v: Sequence) -> Optional[int]:
-        for i, sp in self.pieces.items():
-            if sp.contains(v):
-                return i
-        return None
 
 
 def ad_h_grading(L: LieAlgebra, triple: Sl2Triple) -> GradedDecomposition:

@@ -101,12 +101,6 @@ class SparseMatrix:
             out[r][c] = v
         return out
 
-    def dense_rows(self) -> List[List[QQ]]:
-        out = [[QQ(0)] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
     def apply(self, x: Sequence) -> Vector:
         """Matrix-vector product Mx."""
         if len(x) != self.cols:
@@ -117,10 +111,6 @@ class SparseMatrix:
             if xc:
                 out[r] += v * xc
         return tuple(out)
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.cols, self.rows,
-                            {(c, r): v for (r, c), v in self.entries.items()})
 
     def stack(self, other: "SparseMatrix") -> "SparseMatrix":
         """Vertical stack; column counts must agree."""
@@ -218,19 +208,35 @@ def rank(M: SparseMatrix) -> int:
 
 def kernel(M: SparseMatrix) -> Subspace:
     """Exact null space; dim = cols - rank."""
+    return prefix_kernels(M, [M.cols])[0]
+
+
+def prefix_kernels(M: SparseMatrix, prefixes: Sequence[int]) -> List[Subspace]:
+    """Null space of M restricted to its first c columns, for each c in prefixes.
+
+    One elimination serves every prefix: the kernel vector of a free
+    column f is supported on columns <= f, since a pivot row reaches f
+    only from a pivot left of it, so those with f < c span the kernel of
+    the first c columns.
+    """
+    for c in prefixes:
+        if not 0 <= c <= M.cols:
+            raise AmbientMismatch(f"column prefix {c} outside 0..{M.cols}")
+    top = max(prefixes, default=0)
     pivots, rows = _rref(M.row_dicts(), M.cols, M.rows)
     pivot_set = set(pivots)
-    free = [j for j in range(M.cols) if j not in pivot_set]
-    vectors = []
-    for f in free:
-        v = [QQ(0)] * M.cols
-        v[f] = QQ(1)
+    free = []
+    for f in range(top):
+        if f in pivot_set:
+            continue
+        v = [QQ(0)] * f + [QQ(1)]
         for p, row in zip(pivots, rows):
             c = row.get(f)
             if c:
                 v[p] = -c
-        vectors.append(v)
-    return Subspace(M.cols, vectors)
+        free.append(v)
+    return [Subspace(c, [v + [QQ(0)] * (c - len(v)) for v in free if len(v) <= c])
+            for c in prefixes]
 
 
 def solve(M: SparseMatrix, b: Sequence) -> Optional[Vector]:

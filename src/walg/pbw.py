@@ -126,6 +126,33 @@ class PBWBasis:
         """Kazhdan degree: sum of exp * (weight + 2) over the factors."""
         return sum(e * (self.weights[i] + 2) for i, e in mono)
 
+    def chi_reduce(self, terms: Terms) -> Terms:
+        """Replace every a-factor of each monomial by its chi-value.
+
+        a-generators come last, so these are the trailing factors; the
+        result involves complement generators only.
+        """
+        nc = self.n_complement
+        out: Terms = {}
+        for mono, c in terms.items():
+            head = []
+            for i, e in mono:
+                if i < nc:
+                    head.append((i, e))
+                else:
+                    c = c * self.chi_vals[i] ** e
+                    if not c:
+                        break
+            if not c:
+                continue
+            key = tuple(head)
+            s = out.get(key, 0) + c
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+        return out
+
     def generator(self, k: int) -> "UEAElement":
         return UEAElement(self, {((k, 1),): QQ(1)})
 

@@ -157,11 +157,6 @@ class KazhdanPolynomial:
         degs = {self.mono_degree(m) for m in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_part(self, n: int) -> "KazhdanPolynomial":
-        return KazhdanPolynomial(
-            self.chart, {m: c for m, c in self.terms.items()
-                         if self.mono_degree(m) == n})
-
     def partial(self, idx: int) -> "KazhdanPolynomial":
         out: Terms = {}
         for m, c in self.terms.items():
@@ -310,27 +305,7 @@ def restrict_to_chi_plus_a_perp(F: KazhdanPolynomial,
     """Substitute the a-coordinates by their chi-values."""
     if F.chart.kind != "full":
         raise ChartMismatch("restriction starts from the full chart")
-    comp = complement_chart(basis)
-    nc = basis.n_complement
-    out: Terms = {}
-    for m, c in F.terms.items():
-        keep = []
-        for i, e in m:
-            if i < nc:
-                keep.append((i, e))
-            else:
-                c = c * basis.chi_vals[i] ** e
-                if not c:
-                    break
-        if not c:
-            continue
-        key = tuple(keep)
-        s = out.get(key, ZERO) + c
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-    return KazhdanPolynomial(comp, out)
+    return KazhdanPolynomial(complement_chart(basis), basis.chi_reduce(F.terms))
 
 
 def extend_to_full(F: KazhdanPolynomial, basis: PBWBasis,

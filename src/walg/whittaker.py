@@ -3,9 +3,11 @@
 Canonical forms: with the adapted PBW order (a-generators last), reducing
 an element of Ug modulo the left ideal generated by x - chi(x), x in a,
 is literal suffix chopping: every trailing a-factor of a straightened
-monomial is replaced by its chi-value.  H_ell is then computed degree by
-degree as the joint kernel of the ad-action matrices of the n_ell
-generators on the finite filtration pieces F_n Q.
+monomial is replaced by its chi-value.  H_ell is the joint kernel of the
+ad-action matrices of the n_ell generators on F_n Q.  The monomial order
+lists F_n Q as a prefix, so one elimination of the stacked matrices at the
+top degree gives every F_n H (and likewise every Wh(F_n Q)), read off by
+prefix.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from walg import poisson
 from walg.context import SliceContext
 from walg.errors import (CenterCheckFailure, ComparisonFailure, DegreeOverflow,
                          TheoremFailure, WalgError)
-from walg.linalg import (QQ, SparseMatrix, Subspace, Vector, kernel, rank,
-                         solve, unit_vec)
-from walg.pbw import Monomial, UEAElement, casimir, convert_element
+from walg.linalg import (QQ, SparseMatrix, Subspace, Vector, prefix_kernels,
+                         rank, solve)
+from walg.pbw import UEAElement, casimir, convert_element
 from walg.poisson import KazhdanPolynomial
 
 ZERO = QQ(0)
@@ -28,27 +30,7 @@ ONE = QQ(1)
 
 def q_canonical_form(u: UEAElement, sctx: SliceContext) -> UEAElement:
     """Image of u in Q_ell as its canonical complement-monomial form."""
-    basis = sctx.basis
-    nc = basis.n_complement
-    out: Dict[Monomial, QQ] = {}
-    for mono, c in u.terms.items():
-        head = []
-        for i, e in mono:
-            if i < nc:
-                head.append((i, e))
-            else:
-                c = c * basis.chi_vals[i] ** e
-                if not c:
-                    break
-        if not c:
-            continue
-        key = tuple(head)
-        s = out.get(key, ZERO) + c
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-    return UEAElement(basis, out)
+    return UEAElement(sctx.basis, sctx.basis.chi_reduce(u.terms))
 
 
 class QDegreeBasis:
@@ -77,7 +59,8 @@ class QDegreeBasis:
             raise WalgError("Q degree basis disagrees with the Hilbert series")
 
     def dim_f(self, k: int) -> int:
-        return self.counts[min(k, self.n)]
+        """dim F_k Q; F_k Q = 0 for k < 0."""
+        return self.counts[min(k, self.n)] if k >= 0 else 0
 
     def coords(self, u: UEAElement, upto: Optional[int] = None) -> Vector:
         cnt = self.dim_f(upto) if upto is not None else len(self.monomials)
@@ -273,7 +256,8 @@ class HBasis:
             raise DegreeOverflow(f"degree {n} outside computed range 0..{self.n_max}")
 
     def dim_f(self, n: int) -> int:
-        return sum(self.gr_dims[:n + 1])
+        """dim F_n H; F_n H = 0 for n < 0."""
+        return sum(self.gr_dims[:max(n + 1, 0)])
 
     def subspace_at(self, n: int) -> Subspace:
         """F_n H as the canonical Subspace of F_n Q coordinates."""
@@ -319,31 +303,35 @@ class HBasis:
                 for i, j in self.product_pairs(bound)}
 
 
+def _filtered_kernels(mats: Sequence[SparseMatrix], qb: QDegreeBasis,
+                      degrees: Sequence[int]) -> List[Subspace]:
+    """Joint kernel of mats on F_n Q for each n in degrees, from one elimination.
+
+    Each kernel is the canonical Subspace of F_n Q coordinates; with no
+    matrices it is the whole of F_n Q.
+    """
+    cols = len(qb.monomials)
+    stacked = {(k * cols + r, c): v for k, M in enumerate(mats)
+               for (r, c), v in M.entries.items()}
+    return prefix_kernels(SparseMatrix(len(mats) * cols, cols, stacked),
+                          [qb.dim_f(n) for n in degrees])
+
+
 def h_basis(n_max: int, sctx: SliceContext) -> HBasis:
     """F_n H for n <= n_max as joint kernels of the n_ell ad-matrices.
 
-    Kernel bases are extended degree by degree so that the basis of
-    F_{n-1} H is literally a prefix of the basis of F_n H.
+    One elimination of the stacked ad-matrices on F_{n_max} Q gives every
+    F_n H, read off by prefix.  Kernel bases are extended degree by degree
+    so that the basis of F_{n-1} H is literally a prefix of the basis of
+    F_n H.
     """
     qb = QDegreeBasis(sctx, n_max)
-    gens = sctx.pair.n_graded
-    mats = [ad_action_matrix(g[0], qb, sctx) for g in gens]
+    mats = [ad_action_matrix(g[0], qb, sctx) for g in sctx.pair.n_graded]
     elements: List[UEAElement] = []
     degrees: List[int] = []
-    subspaces: Dict[int, Subspace] = {}
+    subspaces = _filtered_kernels(mats, qb, range(n_max + 1))
     echelon = _Echelon()
-    for n in range(n_max + 1):
-        cnt = qb.dim_f(n)
-        stacked_entries = {}
-        off = 0
-        for M in mats:
-            for (r, c), v in M.entries.items():
-                if r < cnt and c < cnt:
-                    stacked_entries[(off + r, c)] = v
-            off += cnt
-        K = kernel(SparseMatrix(off, cnt, stacked_entries)) if gens else \
-            Subspace(cnt, [unit_vec(cnt, j) for j in range(cnt)])
-        subspaces[n] = K
+    for n, K in enumerate(subspaces):
         for v in K.basis:
             if echelon.extend(_sparse(v)):
                 elements.append(qb.element(v))
@@ -477,21 +465,16 @@ def gr_commutator_vs_poisson(a: UEAElement, b: UEAElement, hb: HBasis) -> bool:
 
 def whittaker_vectors(n: int, sctx: SliceContext,
                       qb: Optional[QDegreeBasis] = None) -> Subspace:
-    """Wh(F_n Q) = {v : (x - chi(x)) v = 0 mod I, x in m} (Lagrangian case)."""
+    """Wh(F_n Q) = {v : (x - chi(x)) v = 0 mod I, x in m} (Lagrangian case).
+
+    The Subspace of F_n Q coordinates, for any degree basis qb reaching n.
+    """
     if not sctx.is_lagrangian:
         raise WalgError("Whittaker vectors are computed in the Lagrangian case")
     if qb is None:
         qb = QDegreeBasis(sctx, n)
-    cnt = qb.dim_f(n)
-    stacked = {}
-    off = 0
-    for x, _ in sctx.pair.a_graded:
-        M = left_action_matrix(x, qb, sctx)
-        for (r, c), v in M.entries.items():
-            if r < cnt and c < cnt:
-                stacked[(off + r, c)] = v
-        off += cnt
-    return kernel(SparseMatrix(off, cnt, stacked))
+    mats = [left_action_matrix(x, qb, sctx) for x, _ in sctx.pair.a_graded]
+    return _filtered_kernels(mats, qb, [n])[0]
 
 
 class CohomologyReport:

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from walg import cli
+from walg import cli, whittaker
 from walg.cli import CHECK_NAMES, JobConfig, main, render_report, run
 from walg.errors import ConfigError, TheoremFailure
+from walg.linalg import Subspace, unit_vec
 
 
 def strip_timing(report):
@@ -241,3 +242,26 @@ def test_internal_error_outside_checks_exits_3(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == "error: internal: IndexError: list index out of range " \
                   "second line\n"
+
+
+def test_whittaker_failure_witness_is_first_failing_degree(tmp_path,
+                                                           monkeypatch):
+    wrong_from = 3
+    true_whittaker_vectors = whittaker.whittaker_vectors
+
+    def whole_space_from_k(n, sctx, qb=None):
+        """Wh(F_n Q) correct below degree k, all of F_n Q from k up."""
+        if n < wrong_from:
+            return true_whittaker_vectors(n, sctx, qb)
+        cnt = qb.dim_f(n)
+        return Subspace(cnt, [unit_vec(cnt, j) for j in range(cnt)])
+
+    monkeypatch.setattr(whittaker, "whittaker_vectors", whole_space_from_k)
+    out = tmp_path / "r.json"
+    code = main(["run", "--algebra", "sl3", "--nilpotent", "minimal",
+                 "--ell", "lagrangian-auto", "--max-degree", "5",
+                 "--checks", "whittaker", "--out", str(out), "--quiet"])
+    assert code == 1
+    (entry,) = json.loads(out.read_text())["checks"]
+    assert entry["status"] == "fail"
+    assert entry["witness"] == {"degree": wrong_from}

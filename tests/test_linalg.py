@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from walg import backend
 from walg.errors import AmbientMismatch
-from walg.linalg import (SparseMatrix, Subspace, kernel, rank, solve,
-                         sum_and_intersection)
+from walg.linalg import (SparseMatrix, Subspace, kernel, prefix_kernels, rank,
+                         solve, sum_and_intersection)
 
 
 def test_kernel_zero_map():
@@ -128,6 +128,32 @@ def test_kernel_properties(nrows, ncols, data):
     assert K.dim + rank(M) == ncols
     for v in K.basis:
         assert all(c == 0 for c in M.apply(v))
+
+
+def first_columns(M, c):
+    return SparseMatrix(M.rows, c, {(r, j): v for (r, j), v in M.entries.items()
+                                    if j < c})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 7), st.data())
+def test_prefix_kernels_match_kernel_of_first_columns(nrows, ncols, data):
+    """One elimination of M gives the kernel of each of its column prefixes."""
+    entry = st.one_of(st.just(F(0)), small_fraction)
+    rows = [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    M = SparseMatrix.from_rows(rows)
+    prefixes = data.draw(st.lists(st.integers(0, ncols), max_size=4))
+    got = prefix_kernels(M, prefixes)
+    assert got == [kernel(first_columns(M, c)) for c in prefixes]
+    assert prefix_kernels(M, [M.cols])[0] == kernel(M)
+
+
+def test_prefix_kernels_reject_prefix_beyond_columns():
+    M = SparseMatrix.from_rows([[1, 2]])
+    with pytest.raises(AmbientMismatch):
+        prefix_kernels(M, [3])
+    with pytest.raises(AmbientMismatch):
+        prefix_kernels(M, [-1])
 
 
 @settings(max_examples=40, deadline=None)

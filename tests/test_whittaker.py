@@ -411,6 +411,17 @@ def test_degree_beyond_range_overflows(sl2_ctx):
     assert hb.contains(hb.elements[0], 2)
 
 
+def test_negative_degrees_are_empty(sl2_ctx):
+    """F_k Q = F_k H = 0 for k < 0."""
+    hb = W.h_basis(4, sl2_ctx)
+    top = hb.elements[-1]
+    assert top.kazhdan_degree() == 4
+    with pytest.raises(DegreeOverflow):
+        hb.qb.coords(top, upto=-1)
+    assert hb.qb.dim_f(-1) == 0
+    assert hb.elements_up_to(-2) == []
+
+
 def test_express_substitution_check(sl2_ctx):
     assert W.h_basis(4, sl2_ctx).express(sl2_ctx.basis.one()) == (F(1), F(0))
     hb = W.h_basis(4, sl2_ctx)
