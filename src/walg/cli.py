@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 
 from walg import liealg, whittaker
 from walg.context import SliceContext, build_context
-from walg.errors import ConfigError, WalgError
+from walg.errors import AmbientMismatch, ConfigError, WalgError
 from walg.linalg import vec
 from walg.whittaker import h_basis
 
@@ -84,14 +84,13 @@ class JobConfig:
                     " (max_degree is a ceiling)")
 
 
-def _parse_vector_list(text: str, dim: int):
-    """Semicolon-separated vectors of comma-separated rationals."""
-    vectors = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            vectors.append(vec([Fraction(x) for x in chunk.split(",")], dim))
-    return vectors
+def _parse_vectors(rows, dim: int, what: str):
+    """Each row of rationals (numbers or "p/q" strings) as a vector of length
+    dim; a malformed row is a ConfigError."""
+    try:
+        return [vec([Fraction(str(x)) for x in row], dim) for row in rows]
+    except (ValueError, ZeroDivisionError, TypeError, AmbientMismatch) as exc:
+        raise ConfigError(f"cannot parse {what}: {exc}") from exc
 
 
 class Case:
@@ -105,17 +104,18 @@ class Case:
         e, h, f = triple_vectors
         ell = config.ell
         if ell == "file":
-            ell_vectors = [vec(v, self.lie.dim) for v in extras.get("ell", [])]
+            ell_vectors = _parse_vectors(extras.get("ell", []), self.lie.dim,
+                                         "ell of the algebra file")
             self.sctx = build_context(self.lie, e, ell_vectors, h=h, f=f)
         elif ell in ("zero", "lagrangian-auto"):
             self.sctx = build_context(self.lie, e, ell, h=h, f=f)
         else:
-            self.sctx = build_context(self.lie, e,
-                                      _parse_vector_list(ell, self.lie.dim),
-                                      h=h, f=f)
+            # semicolon-separated vectors of comma-separated rationals
+            rows = [chunk.split(",") for chunk in ell.split(";") if chunk.strip()]
+            self.sctx = build_context(
+                self.lie, e, _parse_vectors(rows, self.lie.dim, f"ell '{ell}'"),
+                h=h, f=f)
         self._hb = {}
-        self._sctx_zero = None
-        self._hb_zero = {}
 
     def _load_algebra(self, name: str):
         m = _SLN.match(name)
@@ -133,7 +133,8 @@ class Case:
         n = int(m.group(1)) if m else None
         if spec is None:
             if "nilpotent" in extras:
-                e = vec([Fraction(str(x)) for x in extras["nilpotent"]], self.lie.dim)
+                e, = _parse_vectors([extras["nilpotent"]], self.lie.dim,
+                                    "nilpotent of the algebra file")
                 t = liealg.complete_sl2_triple(self.lie, e)
                 return "file", (t.e, t.h, t.f)
             raise ConfigError("no nilpotent given (flag or input file)")
@@ -144,10 +145,8 @@ class Case:
         if _PARTITION.match(spec) and n:
             parts = [int(x) for x in spec.strip("[] ").split(",")]
             return spec, liealg.partition_triple(n, parts)
-        try:
-            e = vec([Fraction(x) for x in spec.split(",")], self.lie.dim)
-        except (ValueError, WalgError) as exc:
-            raise ConfigError(f"cannot parse nilpotent '{spec}': {exc}") from exc
+        e, = _parse_vectors([spec.split(",")], self.lie.dim,
+                            f"nilpotent '{spec}'")
         t = liealg.complete_sl2_triple(self.lie, e)
         return "vector", (t.e, t.h, t.f)
 
@@ -155,15 +154,6 @@ class Case:
         if n not in self._hb:
             self._hb[n] = h_basis(n, self.sctx)
         return self._hb[n]
-
-    def zero_ell_pair(self, n: int):
-        """(context, H-basis) for ell = 0, used by ell-independence."""
-        if self._sctx_zero is None:
-            t = self.sctx.triple
-            self._sctx_zero = SliceContext(self.lie, t, [], ell_label="zero")
-        if n not in self._hb_zero:
-            self._hb_zero[n] = h_basis(n, self._sctx_zero)
-        return self._sctx_zero, self._hb_zero[n]
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +253,13 @@ def check_ell_independence(case: Case):
     if case.sctx.symp.ell.dim == 0:
         # compare against the canonical Lagrangian instead
         lag = liealg.lagrangian_auto(case.lie, case.sctx.grading, case.sctx.chi)
-        other = SliceContext(case.lie, case.sctx.triple, lag,
-                             ell_label="lagrangian-auto")
+        other = SliceContext(case.lie, case.sctx.triple, lag)
         hb_other = h_basis(n, other)
         rep = whittaker.ell_comparison(case.sctx, other, n, case.hb_at(n),
                                        hb_other)
     else:
-        zero_ctx, zero_hb = case.zero_ell_pair(n)
-        rep = whittaker.ell_comparison(zero_ctx, case.sctx, n, zero_hb,
+        zero = SliceContext(case.lie, case.sctx.triple, [])
+        rep = whittaker.ell_comparison(zero, case.sctx, n, h_basis(n, zero),
                                        case.hb_at(n))
     return True, rep.as_dict(), None
 
@@ -357,14 +346,14 @@ def _internal_error(exc: Exception) -> dict:
 def describe_case(sctx: SliceContext, max_degree: int) -> dict:
     L = sctx.lie
     grading = {str(i): sp.dim for i, sp in sctx.grading.pieces.items()}
-    ell_labels = [L.label_of_vector(v) or list(map(str, v))
-                  for v in sctx.symp.ell.basis]
+    ell_names = [L.label_of_vector(v) or list(map(str, v))
+                 for v in sctx.symp.ell.basis]
     return {
         "dim": L.dim,
         "labels": list(L.labels),
         "grading_dims": grading,
         "dim_g_minus1": sctx.grading.piece(-1).dim,
-        "ell": ell_labels,
+        "ell": ell_names,
         "lagrangian": sctx.is_lagrangian,
         "dim_a": sctx.pair.a.dim,
         "dim_n_ell": sctx.pair.n_ell.dim,

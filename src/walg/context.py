@@ -19,10 +19,10 @@ from walg.pbw import PBWBasis
 class SliceContext:
     __slots__ = ("lie", "triple", "grading", "chi", "symp", "pair", "kerf",
                  "kerf_graded", "basis", "full_chart", "comp_chart",
-                 "slice_data", "reduction", "ell_label")
+                 "slice_data", "reduction")
 
     def __init__(self, lie: LieAlgebra, triple: Sl2Triple,
-                 ell_spec: Sequence[Sequence], ell_label: str = ""):
+                 ell_spec: Sequence[Sequence]):
         self.lie = lie
         self.triple = triple
         self.grading = liealg.ad_h_grading(lie, triple)
@@ -41,7 +41,6 @@ class SliceContext:
         self.reduction = poisson.ReductionData(
             self.basis, self.slice_data, self.pair.a_graded,
             self.symp.is_lagrangian)
-        self.ell_label = ell_label
 
     def _graded_kerf(self) -> List[Tuple[Vector, int]]:
         """Weight-homogeneous basis of Ker ad f, weights descending."""
@@ -83,14 +82,10 @@ def build_context(lie: LieAlgebra, e: Sequence, ell: Optional[object] = None,
         triple = liealg.complete_sl2_triple(lie, e)
     grading = liealg.ad_h_grading(lie, triple)
     chi_fn = liealg.chi(lie, triple)
-    label = ""
     if ell is None or ell == "zero":
         ell_spec: List = []
-        label = "zero"
     elif ell == "lagrangian-auto":
         ell_spec = liealg.lagrangian_auto(lie, grading, chi_fn)
-        label = "lagrangian-auto"
     else:
         ell_spec = list(ell)
-        label = "explicit"
-    return SliceContext(lie, triple, ell_spec, ell_label=label)
+    return SliceContext(lie, triple, ell_spec)

@@ -42,9 +42,6 @@ def unit_vec(dim: int, k: int) -> Vector:
 def add_vec(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
-def sub_vec(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
 def scale_vec(c, v: Vector) -> Vector:
     c = QQ(c)
     return tuple(c * a for a in v)

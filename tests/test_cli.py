@@ -265,3 +265,48 @@ def test_whittaker_failure_witness_is_first_failing_degree(tmp_path,
     (entry,) = json.loads(out.read_text())["checks"]
     assert entry["status"] == "fail"
     assert entry["witness"] == {"degree": wrong_from}
+
+
+def test_ell_independence_failure_witness_is_first_failing_degree(monkeypatch):
+    true_convert = whittaker.convert_element
+
+    def drop_degree_2(u, target):
+        """The transport with every degree-2 representative sent to 0."""
+        return target.zero() if u.kazhdan_degree() == 2 else true_convert(u, target)
+
+    monkeypatch.setattr(whittaker, "convert_element", drop_degree_2)
+    config = JobConfig(algebra="sl3", nilpotent="minimal", ell="lagrangian-auto",
+                       max_degree=4, checks=["ell-independence"])
+    (entry,) = run(config)["checks"]
+    assert entry["status"] == "fail"
+    assert entry["witness"] == {"degree": 2}
+    assert main(["run", "--algebra", "sl3", "--nilpotent", "minimal",
+                 "--ell", "lagrangian-auto", "--max-degree", "4",
+                 "--checks", "ell-independence", "--quiet"]) == 1
+
+
+SL3_DIVIDE_BY_ZERO = "1/0," + ",".join(["0"] * 7)
+SL2_FILE = {"labels": ["e", "h", "f"],
+            "brackets": [{"i": 0, "j": 1, "value": [[0, "-2"]]},
+                         {"i": 0, "j": 2, "value": [[1, "1"]]},
+                         {"i": 1, "j": 2, "value": [[2, "-2"]]}]}
+
+
+@pytest.mark.parametrize("args, doc", [
+    (["--nilpotent", "minimal", "--ell", "1,x"], None),
+    (["--nilpotent", "minimal", "--ell", SL3_DIVIDE_BY_ZERO], None),
+    (["--nilpotent", SL3_DIVIDE_BY_ZERO], None),
+    ([], {"nilpotent": ["x", 0, 0]}),
+    (["--ell", "file"], {"nilpotent": ["1", "0", "0"], "ell": [["1/0", 0, 0]]}),
+], ids=["ell-not-a-number", "ell-divide-by-zero", "nilpotent-divide-by-zero",
+        "file-nilpotent-not-a-number", "file-ell-divide-by-zero"])
+def test_main_malformed_coordinates_exit_2(tmp_path, capsys, args, doc):
+    algebra = "sl3"
+    if doc is not None:
+        path = tmp_path / "sl2.json"
+        path.write_text(json.dumps(dict(SL2_FILE, **doc)))
+        algebra = str(path)
+    assert main(["run", "--algebra", algebra, *args, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and not err.startswith("error: internal")
+    assert err.count("\n") == 1

@@ -1,16 +1,25 @@
-"""Source hygiene: every name a module under src/walg imports is used there.
+"""Source hygiene under src/walg: no unused imports, no unreferenced definitions.
 
-Stdlib only (`ast`).  A name counts as used when it is read anywhere in the
-module, including inside string annotations such as `-> "SparseMatrix"`.
+Stdlib only.  An imported name counts as used when it is read anywhere in
+the module, including inside string annotations such as `-> "SparseMatrix"`.
+A function, class or method counts as referenced when its name occurs as a
+whole word in src/, tests/ or perfbench/ outside its own def line; the
+search is textual because perfbench calls into walg from code strings.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "walg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "walg"
 MODULES = sorted(SRC.glob("*.py"))
+SEARCHED = sorted(p for d in ("src", "tests", "perfbench")
+                  for p in (ROOT / d).rglob("*.py"))
+WORD = re.compile(r"\w+")
 
 
 def imported_names(tree):
@@ -67,3 +76,44 @@ def test_finds_unused_and_string_annotation_uses():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def definitions(source):
+    """(name, line) of every function, class and method, dunders excepted."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)) \
+                and not (node.name.startswith("__") and node.name.endswith("__")):
+            yield node.name, node.lineno
+
+
+def unreferenced_definitions(checked, searched):
+    """Names defined in the `checked` sources that occur as a whole word in
+    the `searched` sources only on their own def lines.
+
+    Both map a path to its text, and `searched` includes `checked`.
+    """
+    counts = Counter(w for text in searched.values() for w in WORD.findall(text))
+    on_def_lines = Counter()
+    for text in checked.values():
+        lines = text.splitlines()
+        for name, line in definitions(text):
+            on_def_lines[name] += WORD.findall(lines[line - 1]).count(name)
+    return sorted(name for name, k in on_def_lines.items() if counts[name] == k)
+
+
+def test_finds_unreferenced_definitions():
+    lib = ("class A:\n"
+           "    def used(self): return 1\n"
+           "    def unused(self): return used\n"
+           "    def __init__(self): pass\n"
+           "def helper(): return A\n"
+           "def dead(): pass\n")
+    sources = {"lib.py": lib, "run.py": 'CODE = "lib.helper()"\n'}
+    assert unreferenced_definitions({"lib.py": lib}, sources) == ["dead", "unused"]
+
+
+def test_no_unreferenced_definitions():
+    searched = {p: p.read_text(encoding="utf-8") for p in SEARCHED}
+    checked = {p: searched[p] for p in MODULES}
+    assert unreferenced_definitions(checked, searched) == []

@@ -258,6 +258,18 @@ def test_ell_comparison_zero_into_lagrangians(sl3_min_zero, sl3_min_lag,
     assert rep1.dims1 == rep1.dims2 == rep2.dims2 == [1, 0, 1, 2, 2, 2, 5]
 
 
+def test_ell_comparison_detects_a_map_that_breaks_products(
+        monkeypatch, sl3_min_zero, sl3_min_lag, sl3_hb_zero, sl3_hb_lag):
+    """Doubling every transported element keeps it an injective filtered map
+    into H, but not an algebra map: the product clause must still fail."""
+    true_convert = W.convert_element
+    monkeypatch.setattr(W, "convert_element",
+                        lambda u, t: 2 * true_convert(u, t))
+    with pytest.raises(ComparisonFailure,
+                       match=r"fails to intertwine products on pair \(0,0\)"):
+        W.ell_comparison(sl3_min_zero, sl3_min_lag, 6, sl3_hb_zero, sl3_hb_lag)
+
+
 def test_multiplication_table_sl2(sl2_ctx):
     hb = W.h_basis(8, sl2_ctx)
     table = hb.multiplication_table()
@@ -279,8 +291,8 @@ def test_nested_ell_chain_sl4(sl4, sl4_211):
     triple = sl4_211.triple
     lag = lagrangian_auto(sl4, sl4_211.grading, sl4_211.chi)
     assert len(lag) == 2
-    ctx1 = SliceContext(sl4, triple, [lag[0]], ell_label="partial")
-    ctxL = SliceContext(sl4, triple, lag, ell_label="lagrangian")
+    ctx1 = SliceContext(sl4, triple, [lag[0]])
+    ctxL = SliceContext(sl4, triple, lag)
     hb0 = W.h_basis(4, sl4_211)
     hb1 = W.h_basis(4, ctx1)
     hbL = W.h_basis(4, ctxL)
