@@ -180,8 +180,8 @@ def check_theorem(case: Case):
     n = case.config.check_degree("theorem")
     hb = case.hb_at(n)
     rep = whittaker.verify_theorem(n, case.sctx, hb)
-    gens = [{"degree": d, "form": str(el), "nu": str(whittaker.nu_map(el, case.sctx))}
-            for d, el in zip(hb.degrees, hb.elements)]
+    gens = [{"degree": d, "form": str(el), "nu": str(nu)}
+            for d, el, nu in zip(hb.degrees, hb.elements, rep.nus)]
     table = {f"{i},{j}": [str(c) for c in coeffs]
              for (i, j), coeffs in sorted(rep.table.items())}
     return True, {"gr_dims": rep.gr_dims, "slice_dims": rep.slice_dims,
@@ -310,6 +310,8 @@ def run(config: JobConfig) -> dict:
         t0 = time.perf_counter()
         try:
             ok, details, witness = CHECKS[name](case)
+        except ConfigError:  # bad input, not a failed check: exit 2
+            raise
         except WalgError as exc:
             ok = False
             details = {"error": type(exc).__name__, "message": str(exc)}

@@ -99,4 +99,8 @@ class ComparisonFailure(WalgError):
 
 
 class CenterCheckFailure(WalgError):
-    """Casimir image fails an invariance / nonvanishing check."""
+    """Casimir image fails a check; `degree` is the image's Kazhdan degree."""
+
+    def __init__(self, message, degree):
+        self.degree = degree
+        super().__init__(message)

@@ -11,8 +11,10 @@ Three charts appear:
 
 The reduced bracket on the slice follows the Hamiltonian-reduction recipe:
 lift through the projection from chi + m^perp by the unique invariant
-extension (a per-degree linear solve), extend arbitrarily to g*, bracket,
-restrict back.
+extension, extend arbitrarily to g*, bracket, restrict back.  Restriction
+is an algebra isomorphism on invariants, so the lift is the substitution
+F -> F(T_1, ..., T_r) of the lifts of the r slice coordinates, each found
+once by a linear solve in its own degree.
 """
 
 from __future__ import annotations
@@ -498,74 +500,18 @@ def _mono_index(monos: Sequence[Monomial]) -> Dict[Monomial, int]:
 def invariant_lift(F: KazhdanPolynomial, red: "ReductionData") -> KazhdanPolynomial:
     """The unique Ad*M-invariant polynomial on chi + m^perp restricting to F.
 
-    Solves degree by degree: within Kazhdan degree n the unknown is a
-    combination of complement monomials of degree n, constrained to be
-    killed by every m-generator derivation and to restrict to F on the
-    slice.  The solution is certified by a symbolic flow pullback.
+    Restriction is an algebra isomorphism from the invariants onto C[S]
+    (Gan-Ginzburg), so the lift is F(T_1, ..., T_r) for the certified
+    lifts T_k of the slice coordinates; it must restrict back to F.
     """
-    basis = red.basis
     if not red.is_lagrangian:
         raise LiftFailure("invariant lift requires a Lagrangian ell")
     if F.chart != red.slice_data.chart:
         raise ChartMismatch("lift input must live on the slice chart")
-    comp = red.comp_chart
-    total = KazhdanPolynomial.zero(comp)
-    by_degree: Dict[int, KazhdanPolynomial] = {}
-    for m, c in F.terms.items():
-        n = F.mono_degree(m)
-        by_degree.setdefault(n, KazhdanPolynomial.zero(F.chart))
-        by_degree[n] = by_degree[n] + KazhdanPolynomial(F.chart, {m: c})
-    comp_degs = [v.degree for v in comp.variables]
-    slice_degs = red.slice_data.degrees
-    for n, Fn in sorted(by_degree.items()):
-        monos = monomials_of_degree(comp_degs, n)
-        if not monos:
-            raise LiftFailure(f"no complement monomials in degree {n}")
-        cols = len(monos)
-        rows: List[Dict[int, QQ]] = []
-        rhs: List[QQ] = []
-        # invariance rows, one block per m-generator
-        for x, w in red.m_graded:
-            img_degree = n + w
-            target = monomials_of_degree(comp_degs, img_degree) if img_degree >= 0 else []
-            t_index = _mono_index(target)
-            block = [dict() for _ in range(len(target))]
-            for j, mono in enumerate(monos):
-                dmu = red.derivation(x, KazhdanPolynomial(comp, {mono: ONE}))
-                for m2, c2 in dmu.terms.items():
-                    if c2:
-                        block[t_index[m2]][j] = c2
-            rows.extend(block)
-            rhs.extend([ZERO] * len(target))
-        # restriction rows
-        target_s = monomials_of_degree(slice_degs, n)
-        s_index = _mono_index(target_s)
-        block = [dict() for _ in range(len(target_s))]
-        for j, mono in enumerate(monos):
-            numono = red.slice_data.restrict(KazhdanPolynomial(comp, {mono: ONE}))
-            for m2, c2 in numono.terms.items():
-                block[s_index[m2]][j] = c2
-        rows.extend(block)
-        rhs_slice = [ZERO] * len(target_s)
-        for m2, c2 in Fn.terms.items():
-            rhs_slice[s_index[m2]] = c2
-        rhs.extend(rhs_slice)
-        entries = {}
-        for r, row in enumerate(rows):
-            for cidx, v in row.items():
-                entries[(r, cidx)] = v
-        M = SparseMatrix(len(rows), cols, entries)
-        x_sol = solve(M, rhs)
-        if x_sol is None:
-            raise LiftFailure(f"no invariant lift in degree {n}")
-        total = total + KazhdanPolynomial(comp, {mono: x_sol[j]
-                                                 for j, mono in enumerate(monos)})
-    for x, _ in red.m_graded:
-        flow = red.flow(x)
-        parts = flow.pullback_formal(total)
-        if set(parts) - {0} or parts.get(0, KazhdanPolynomial.zero(comp)) != total:
-            raise LiftFailure("lift is not flow-invariant")
-    return total
+    lift = F.substitute(red.coordinate_lifts(), red.comp_chart)
+    if red.slice_data.restrict(lift) != F:
+        raise LiftFailure("lift does not restrict back to its input")
+    return lift
 
 
 def slice_poisson_bracket(F1: KazhdanPolynomial, F2: KazhdanPolynomial,
@@ -593,7 +539,7 @@ class ReductionData:
     """
 
     __slots__ = ("basis", "comp_chart", "slice_data", "m_graded",
-                 "is_lagrangian", "_flows", "_deriv_images")
+                 "is_lagrangian", "_lifts", "_deriv_images")
 
     def __init__(self, basis: PBWBasis, slice_data: SliceData,
                  m_graded: Sequence[Tuple[Vector, int]], is_lagrangian: bool):
@@ -602,14 +548,53 @@ class ReductionData:
         self.slice_data = slice_data
         self.m_graded = tuple(m_graded)
         self.is_lagrangian = is_lagrangian
-        self._flows: Dict[Tuple, CoadjointFlow] = {}
+        self._lifts: Optional[List[KazhdanPolynomial]] = None
         self._deriv_images: Dict[Tuple, List[KazhdanPolynomial]] = {}
 
-    def flow(self, x: Sequence) -> CoadjointFlow:
-        key = tuple(QQ(v) for v in x)
-        if key not in self._flows:
-            self._flows[key] = CoadjointFlow(self.basis, key)
-        return self._flows[key]
+    def coordinate_lifts(self) -> List[KazhdanPolynomial]:
+        """The invariant lifts T_k of the slice coordinates t_k, computed once.
+
+        T_k is the combination of complement monomials of degree d_k that
+        every m-generator derivation kills and that restricts to t_k.  Each
+        T_k is certified by the formal pullback of every m-generator flow;
+        a flow pulls back by an algebra automorphism, so every polynomial
+        in the T_k is invariant too.
+        """
+        if self._lifts is not None:
+            return self._lifts
+        comp = self.comp_chart
+        slice_degs = self.slice_data.degrees
+        lifts = []
+        for k, n in enumerate(slice_degs):
+            monos = monomials_of_degree(comp.degrees, n)
+            # restriction rows, then one block of invariance rows per m-generator
+            indices = [_mono_index(monomials_of_degree(slice_degs, n))] + [
+                _mono_index(monomials_of_degree(comp.degrees, n + w))
+                for _, w in self.m_graded]
+            entries: Dict[Tuple[int, int], QQ] = {}
+            for j, mono in enumerate(monos):
+                poly = KazhdanPolynomial(comp, {mono: ONE})
+                images = [self.slice_data.restrict(poly)] + [
+                    self.derivation(x, poly) for x, _ in self.m_graded]
+                offset = 0
+                for index, image in zip(indices, images):
+                    for m2, c2 in image.terms.items():
+                        entries[(offset + index[m2], j)] = c2
+                    offset += len(index)
+            rows = sum(map(len, indices))
+            rhs = [ZERO] * rows
+            rhs[indices[0][((k, 1),)]] = ONE
+            x_sol = solve(SparseMatrix(rows, len(monos), entries), rhs)
+            if x_sol is None:
+                raise LiftFailure(f"no invariant lift of t{k + 1} in degree {n}")
+            lifts.append(KazhdanPolynomial(comp, dict(zip(monos, x_sol))))
+        for x, _ in self.m_graded:
+            flow = CoadjointFlow(self.basis, x)
+            for k, T in enumerate(lifts):
+                if flow.pullback_formal(T) != {0: T}:
+                    raise LiftFailure(f"lift of t{k + 1} is not flow-invariant")
+        self._lifts = lifts
+        return lifts
 
     def derivation_images(self, x: Sequence) -> List[KazhdanPolynomial]:
         """Images D_x(y_p) = ([x, v_p] mod (a - chi)) for complement p."""

@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Sequence
 
 from walg import poisson
 from walg.context import SliceContext
-from walg.errors import (CenterCheckFailure, ComparisonFailure, DegreeOverflow,
-                         TheoremFailure, WalgError)
+from walg.errors import (CenterCheckFailure, ComparisonFailure, ConfigError,
+                         DegreeOverflow, TheoremFailure, WalgError)
 from walg.linalg import (QQ, SparseMatrix, Subspace, Vector, prefix_kernels,
                          rank, solve)
 from walg.pbw import UEAElement, casimir, convert_element
@@ -371,11 +371,12 @@ def nu_map(a: UEAElement, sctx: SliceContext,
 
 
 class TheoremReport:
-    """`table` maps each in-range basis pair (i, j) to the coefficients of
+    """`nus[i]` is nu of the i-th basis element at its own degree; `table`
+    maps each in-range basis pair (i, j) to the coefficients of
     elem_i * elem_j on the basis, as `HBasis.multiplication_table(n_max)`."""
 
     __slots__ = ("n_max", "gr_dims", "slice_dims", "injective", "mult_pairs",
-                 "table", "ok")
+                 "nus", "table", "ok")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -392,7 +393,8 @@ def verify_theorem(n_max: int, sctx: SliceContext,
     For every n <= n_max: dim gr_n H equals the slice Hilbert dimension
     and nu is injective on gr_n H; nu is multiplicative on all basis pairs
     with product degree in range.  Each such product is formed once, and
-    its coefficients on the basis are kept as the report's `table`.
+    its coefficients on the basis are kept as the report's `table`; nu of
+    each basis element is taken once, at its degree, and kept as `nus`.
     """
     if hb is None:
         hb = h_basis(n_max, sctx)
@@ -403,6 +405,7 @@ def verify_theorem(n_max: int, sctx: SliceContext,
                 raise TheoremFailure(
                     f"dim gr_{n} H = {hb.gr_dims[n]} != {slice_dims[n]} = dim C[S]_{n}",
                     degree=n)
+    nus = [nu_map(a, sctx, d) for a, d in zip(hb.elements, hb.degrees)]
     injective = []
     sdegs = sctx.slice_data.degrees
     for n in range(n_max + 1):
@@ -414,16 +417,14 @@ def verify_theorem(n_max: int, sctx: SliceContext,
         mindex = {m: i for i, m in enumerate(monos)}
         rows = []
         for i in idxs:
-            p = nu_map(hb.elements[i], sctx, n)
             row = [ZERO] * len(monos)
-            for m, c in p.terms.items():
+            for m, c in nus[i].terms.items():
                 row[mindex[m]] = c
             rows.append(row)
         ok = rank(SparseMatrix.from_rows(rows, cols=len(monos))) == len(idxs)
         injective.append(ok)
         if not ok:
             raise TheoremFailure(f"nu not injective on gr_{n} H", degree=n)
-    nus = [nu_map(a, sctx) for a in hb.elements]
     table = {}
     for i, j in hb.product_pairs(n_max):
         prod = h_multiply(hb.elements[i], hb.elements[j], hb)
@@ -437,7 +438,7 @@ def verify_theorem(n_max: int, sctx: SliceContext,
     return TheoremReport(n_max=n_max, gr_dims=hb.gr_dims,
                          slice_dims=slice_dims[:n_max + 1],
                          injective=injective, mult_pairs=len(table),
-                         table=table, ok=True)
+                         nus=nus, table=table, ok=True)
 
 
 def gr_commutator_vs_poisson(a: UEAElement, b: UEAElement, hb: HBasis) -> bool:
@@ -625,22 +626,29 @@ class CenterReport:
 
 def center_injects(n_max: int, sctx: SliceContext,
                    hb: Optional[HBasis] = None) -> CenterReport:
-    """The Casimir image lies in H, is nonconstant, with nonzero nu-image."""
+    """The Casimir image lies in H, is nonconstant, with nonzero nu-image.
+
+    A degree n_max below the image's Kazhdan degree is a ConfigError.
+    """
     omega = casimir(sctx.basis)
     img = q_canonical_form(omega, sctx)
     deg = img.kazhdan_degree()
     if deg is None or all(not m for m in img.terms):
-        raise CenterCheckFailure("Casimir image is constant in Q")
+        raise CenterCheckFailure("Casimir image is constant in Q", deg)
+    if deg > n_max:
+        raise ConfigError(f"the center check needs degree >= {deg}, the Kazhdan "
+                          f"degree of the Casimir image; got {n_max}")
     for x, _ in sctx.pair.n_graded:
         xe = sctx.basis.element_from_ambient(x)
         if not q_canonical_form(xe * img - img * xe, sctx).is_zero():
-            raise CenterCheckFailure("Casimir image is not ad n_ell invariant")
-    if hb is not None:
-        if deg > hb.n_max or not hb.contains(img, deg):
-            raise CenterCheckFailure("Casimir image outside the computed H basis")
+            raise CenterCheckFailure("Casimir image is not ad n_ell invariant",
+                                     deg)
+    if hb is not None and not hb.contains(img, deg):
+        raise CenterCheckFailure("Casimir image outside the computed H basis",
+                                 deg)
     nu = nu_map(img, sctx, deg)
     if nu.is_zero():
-        raise CenterCheckFailure("Casimir image has zero nu-image")
+        raise CenterCheckFailure("Casimir image has zero nu-image", deg)
     return CenterReport(str(img), deg, str(nu), True)
 
 

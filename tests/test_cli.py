@@ -310,3 +310,30 @@ def test_main_malformed_coordinates_exit_2(tmp_path, capsys, args, doc):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and not err.startswith("error: internal")
     assert err.count("\n") == 1
+
+
+def test_center_below_casimir_degree_exits_2(capsys):
+    """The Casimir image has Kazhdan degree 4: degree 3 is bad input."""
+    assert main(["run", "--algebra", "sl3", "--nilpotent", "minimal",
+                 "--ell", "lagrangian-auto", "--checks", "center",
+                 "--max-degree", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: ") and not err.startswith("error: internal")
+    assert err.count("\n") == 1
+    assert "4" in err and "3" in err
+
+
+def test_center_outside_h_witness_is_casimir_degree(tmp_path, monkeypatch):
+    monkeypatch.setattr(whittaker.HBasis, "contains", lambda self, u, n: False)
+    out = tmp_path / "r.json"
+    code = main(["run", "--algebra", "sl3", "--nilpotent", "minimal",
+                 "--ell", "lagrangian-auto", "--checks", "center",
+                 "--max-degree", "4", "--out", str(out), "--quiet"])
+    assert code == 1
+    (entry,) = json.loads(out.read_text())["checks"]
+    assert entry["status"] == "fail"
+    assert entry["details"]["message"] == \
+        "Casimir image outside the computed H basis"
+    assert entry["witness"] == {"degree": 4}

@@ -1,10 +1,13 @@
-"""Source hygiene under src/walg: no unused imports, no unreferenced definitions.
+"""Source hygiene under src/walg: no unused imports, no unreferenced
+definitions, and no floating-point arithmetic.
 
 Stdlib only.  An imported name counts as used when it is read anywhere in
 the module, including inside string annotations such as `-> "SparseMatrix"`.
 A function, class or method counts as referenced when its name occurs as a
 whole word in src/, tests/ or perfbench/ outside its own def line; the
 search is textual because perfbench calls into walg from code strings.
+Arithmetic is exact (Fraction and int), so a float or complex literal, or
+a read of the name `float`, is an error.
 """
 
 import ast
@@ -117,3 +120,31 @@ def test_no_unreferenced_definitions():
     searched = {p: p.read_text(encoding="utf-8") for p in SEARCHED}
     checked = {p: searched[p] for p in MODULES}
     assert unreferenced_definitions(checked, searched) == []
+
+
+def inexact_uses(source):
+    """(text, line) of every float or complex literal and every read of
+    the name `float`."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value,
+                                                          (float, complex)):
+            yield repr(node.value), node.lineno
+        elif isinstance(node, ast.Name) and node.id == "float" \
+                and isinstance(node.ctx, ast.Load):
+            yield "float", node.lineno
+
+
+def test_finds_inexact_arithmetic():
+    source = ("from fractions import Fraction\n"
+              "HALF = Fraction(1, 2)\n"
+              "def f(x):\n"
+              "    return float(x) + 0.5\n"
+              "g = 1e3 * 2j\n"
+              "note = 'float 0.5'\n")
+    assert sorted(inexact_uses(source)) == [
+        ("0.5", 4), ("1000.0", 5), ("2j", 5), ("float", 4)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_exact_arithmetic_only(path):
+    assert list(inexact_uses(path.read_text(encoding="utf-8"))) == []

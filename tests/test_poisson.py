@@ -8,7 +8,7 @@ import pytest
 
 from walg import poisson as P
 from walg.errors import ChartMismatch, LiftFailure
-from walg.linalg import Subspace, sum_and_intersection
+from walg.linalg import SparseMatrix, Subspace, solve, sum_and_intersection
 
 
 def var(chart, i, c=1):
@@ -296,3 +296,106 @@ def test_transversality_at_random_slice_points(sl2_ctx, sl3_min_lag):
             moved = Subspace(L.dim, [L.bracket(point, u) for u in image_f.basis])
             _, meet = sum_and_intersection(moved, sctx.kerf)
             assert meet.dim == 0
+
+
+def per_degree_lift(F, red):
+    """Reference lift, independent of the coordinate lifts: for each Kazhdan
+    degree n of F, one solve for the combination of complement monomials of
+    degree n that every m-generator derivation kills and that restricts to
+    the degree-n part of F."""
+    comp = red.comp_chart
+    comp_degs = comp.degrees
+    slice_degs = red.slice_data.degrees
+    by_degree = {}
+    for m, c in F.terms.items():
+        by_degree.setdefault(F.mono_degree(m), {})[m] = c
+    total = P.KazhdanPolynomial.zero(comp)
+    for n, Fn in sorted(by_degree.items()):
+        monos = P.monomials_of_degree(comp_degs, n)
+        rows, rhs = [], []
+        for x, w in red.m_graded:
+            target = P.monomials_of_degree(comp_degs, n + w)
+            index = {m: i for i, m in enumerate(target)}
+            block = [dict() for _ in target]
+            for j, mono in enumerate(monos):
+                image = red.derivation(x, P.KazhdanPolynomial(comp, {mono: 1}))
+                for m2, c2 in image.terms.items():
+                    block[index[m2]][j] = c2
+            rows.extend(block)
+            rhs.extend([0] * len(target))
+        target = P.monomials_of_degree(slice_degs, n)
+        index = {m: i for i, m in enumerate(target)}
+        block = [dict() for _ in target]
+        for j, mono in enumerate(monos):
+            image = red.slice_data.restrict(P.KazhdanPolynomial(comp, {mono: 1}))
+            for m2, c2 in image.terms.items():
+                block[index[m2]][j] = c2
+        rows.extend(block)
+        rhs.extend(Fn.get(m, 0) for m in target)
+        M = SparseMatrix(len(rows), len(monos),
+                         {(r, j): v for r, row in enumerate(rows)
+                          for j, v in row.items()})
+        sol = solve(M, rhs)
+        assert sol is not None, n
+        total = total + P.KazhdanPolynomial(comp, dict(zip(monos, sol)))
+    return total
+
+
+def random_slice_polynomial(chart, rng, max_degree):
+    """A random combination of up to 4 monomials of degree <= max_degree,
+    possibly with a constant term."""
+    monos = P.enumerate_monomials(chart.degrees, max_degree)
+    terms = {m: F(rng.randint(-5, 5), rng.randint(1, 3))
+             for m in rng.sample(monos, min(4, len(monos)))}
+    return P.KazhdanPolynomial(chart, terms)
+
+
+@pytest.mark.parametrize("name, max_degree", [("sl2_ctx", 12),
+                                              ("sl3_min_lag", 7)])
+def test_invariant_lift_matches_per_degree_solve(request, name, max_degree):
+    sctx = request.getfixturevalue(name)
+    red = sctx.reduction
+    chart = sctx.slice_data.chart
+    rng = random.Random(17)
+    cases = [P.KazhdanPolynomial.constant(chart, F(-3, 2)),
+             P.KazhdanPolynomial.zero(chart)]
+    cases += [random_slice_polynomial(chart, rng, max_degree) for _ in range(8)]
+    assert any(() in G.terms and not G.is_homogeneous() for G in cases[2:])
+    for G in cases:
+        lift = P.invariant_lift(G, red)
+        assert lift == per_degree_lift(G, red), str(G)
+        assert sctx.slice_data.restrict(lift) == G
+
+
+def test_coordinate_lifts_computed_once(sl3_min_lag):
+    red = sl3_min_lag.reduction
+    lifts = red.coordinate_lifts()
+    assert red.coordinate_lifts() is lifts
+    chart = sl3_min_lag.slice_data.chart
+    assert [sl3_min_lag.slice_data.restrict(T) for T in lifts] == \
+        [var(chart, k) for k in range(len(chart))]
+
+
+def test_corrupted_coordinate_lift_raises(sl3_min_lag, monkeypatch):
+    red = sl3_min_lag.reduction
+    chart = sl3_min_lag.slice_data.chart
+    doubled = [2 * T for T in red.coordinate_lifts()]
+    monkeypatch.setattr(P.ReductionData, "coordinate_lifts",
+                        lambda self: doubled)
+    for k in range(len(chart)):
+        with pytest.raises(LiftFailure):
+            P.invariant_lift(var(chart, k), red)
+    with pytest.raises(LiftFailure):
+        P.invariant_lift(var(chart, 0) * var(chart, 1) + 1, red)
+
+
+def test_coordinate_lifts_certified_by_flows(sl3_min_lag, monkeypatch):
+    """With the invariance rows dropped, the solve still restricts to t_k,
+    but the flow pullback rejects the non-invariant solution."""
+    red = sl3_min_lag.reduction
+    fresh = P.ReductionData(red.basis, red.slice_data, red.m_graded,
+                            red.is_lagrangian)
+    monkeypatch.setattr(P.ReductionData, "derivation",
+                        lambda self, x, G: P.KazhdanPolynomial.zero(self.comp_chart))
+    with pytest.raises(LiftFailure, match="not flow-invariant"):
+        fresh.coordinate_lifts()
