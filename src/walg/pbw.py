@@ -30,7 +30,7 @@ class PBWBasis:
 
     __slots__ = ("lie", "vectors", "weights", "labels", "n_complement",
                  "bracket", "chi_vals", "_inv_rows", "cache_enabled",
-                 "_cache_left", "_cache_right")
+                 "_cache_left", "_cache_right", "charts")
 
     def __init__(self, lie: LieAlgebra, graded_vectors: Sequence[Tuple[Vector, int]],
                  n_complement: int, chi_fn: Optional[CharacterChi] = None,
@@ -54,6 +54,8 @@ class PBWBasis:
         self.cache_enabled = cache_enabled
         self._cache_left: Optional[dict] = {} if cache_enabled else None
         self._cache_right: Optional[dict] = {} if cache_enabled else None
+        # polynomial charts on these generators, by kind (see walg.poisson)
+        self.charts: dict = {}
 
     @classmethod
     def adapted(cls, lie: LieAlgebra, grading: GradedDecomposition,

@@ -15,6 +15,12 @@ extension, extend arbitrarily to g*, bracket, restrict back.  Restriction
 is an algebra isomorphism on invariants, so the lift is the substitution
 F -> F(T_1, ..., T_r) of the lifts of the r slice coordinates, each found
 once by a linear solve in its own degree.
+
+Both maps between charts are algebra maps, `nu` (complement chart -> slice
+chart) and the lift (slice chart -> complement chart), so both are one
+`Substitution`: built once per context, it keeps the image of every
+monomial it has met and forms a new one from its prefix by one product.
+Each chart is one object per PBW basis, so chart checks pass by identity.
 """
 
 from __future__ import annotations
@@ -50,8 +56,8 @@ class Chart:
         self.degrees = tuple(v.degree for v in variables)
 
     def __eq__(self, other):
-        return (isinstance(other, Chart) and self.kind == other.kind
-                and self.variables == other.variables)
+        return self is other or (isinstance(other, Chart) and self.kind == other.kind
+                                 and self.variables == other.variables)
 
     def __len__(self):
         return len(self.variables)
@@ -60,16 +66,23 @@ class Chart:
         return f"Chart({self.kind}, {[v.name for v in self.variables]})"
 
 
+def _basis_chart(basis: PBWBasis, kind: str, size: int) -> Chart:
+    """The chart on the first `size` generators, one object per basis, so
+    that chart checks between polynomials of one job pass by identity."""
+    chart = basis.charts.get(kind)
+    if chart is None:
+        chart = basis.charts[kind] = Chart(
+            kind, [PolyVar(basis.labels[k], k, basis.weights[k], basis.weights[k] + 2)
+                   for k in range(size)])
+    return chart
+
+
 def full_chart(basis: PBWBasis) -> Chart:
-    return Chart("full", [PolyVar(basis.labels[k], k, basis.weights[k],
-                                  basis.weights[k] + 2)
-                          for k in range(basis.lie.dim)])
+    return _basis_chart(basis, "full", basis.lie.dim)
 
 
 def complement_chart(basis: PBWBasis) -> Chart:
-    return Chart("complement", [PolyVar(basis.labels[k], k, basis.weights[k],
-                                        basis.weights[k] + 2)
-                                for k in range(basis.n_complement)])
+    return _basis_chart(basis, "complement", basis.n_complement)
 
 
 class KazhdanPolynomial:
@@ -95,7 +108,7 @@ class KazhdanPolynomial:
         return cls(chart, {((idx, 1),): QQ(coeff)})
 
     def _check(self, other):
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise ChartMismatch(f"{self.chart!r} vs {other.chart!r}")
 
     def __add__(self, other):
@@ -126,16 +139,7 @@ class KazhdanPolynomial:
             c = QQ(other)
             return KazhdanPolynomial(self.chart, {m: c * v for m, v in self.terms.items()})
         self._check(other)
-        out: Terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = out.get(m, ZERO) + c1 * c2
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
-        return KazhdanPolynomial(self.chart, out)
+        return KazhdanPolynomial(self.chart, poly_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -176,19 +180,6 @@ class KazhdanPolynomial:
                     break
         return KazhdanPolynomial(self.chart, out)
 
-    def substitute(self, images: Sequence["KazhdanPolynomial"],
-                   target: Chart) -> "KazhdanPolynomial":
-        """Composition: replace variable i by images[i] (all on `target`)."""
-        out = KazhdanPolynomial.zero(target)
-        for m, c in self.terms.items():
-            acc = KazhdanPolynomial.constant(target, c)
-            for i, e in m:
-                img = images[i]
-                for _ in range(e):
-                    acc = acc * img
-            out = out + acc
-        return out
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -222,6 +213,71 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     for i, e in m2:
         d[i] = d.get(i, 0) + e
     return tuple(sorted(d.items()))
+
+
+def poly_mul(t1: Terms, t2: Terms) -> Terms:
+    """Product of two polynomials given by their terms, as a new dict."""
+    out: Terms = {}
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            m = mono_mul(m1, m2)
+            s = out.get(m, ZERO) + c1 * c2
+            if s:
+                out[m] = s
+            elif m in out:
+                del out[m]
+    return out
+
+
+class Substitution:
+    """The algebra map C[source] -> C[target] sending variable i to images[i].
+
+    An algebra map is fixed by the images of the monomials.  Each is built
+    once, as the image of its prefix (the monomial with one power of its
+    last variable removed) times that variable's image, and kept for the
+    life of the map; `products` counts these multiplications.  A call sums
+    c_m * image(m) into a fresh dict, so memoized dicts are never handed
+    out or changed.
+    """
+
+    __slots__ = ("source", "target", "images", "products", "_memo")
+
+    def __init__(self, source: Chart, images: Sequence[KazhdanPolynomial],
+                 target: Chart):
+        if len(images) != len(source):
+            raise ChartMismatch(f"{len(images)} images for the {len(source)} "
+                                f"variables of {source!r}")
+        for img in images:
+            if img.chart != target:
+                raise ChartMismatch(f"image on {img.chart!r}, expected {target!r}")
+        self.source = source
+        self.target = target
+        self.images = images
+        self.products = 0
+        self._memo: Dict[Monomial, Terms] = {(): {(): ONE}}
+
+    def _image(self, m: Monomial) -> Terms:
+        img = self._memo.get(m)
+        if img is None:
+            i, e = m[-1]
+            prefix = m[:-1] if e == 1 else m[:-1] + ((i, e - 1),)
+            img = poly_mul(self._image(prefix), self.images[i].terms)
+            self.products += 1
+            self._memo[m] = img
+        return img
+
+    def __call__(self, F: KazhdanPolynomial) -> KazhdanPolynomial:
+        if F.chart is not self.source and F.chart != self.source:
+            raise ChartMismatch(f"{F.chart!r} is not the source chart {self.source!r}")
+        out: Terms = {}
+        for m, c in F.terms.items():
+            for m2, c2 in self._image(m).items():
+                s = out.get(m2, ZERO) + c * c2
+                if s:
+                    out[m2] = s
+                elif m2 in out:
+                    del out[m2]
+        return KazhdanPolynomial(self.target, out)
 
 
 def symbol(u: UEAElement, n: int, chart: Chart) -> KazhdanPolynomial:
@@ -338,10 +394,11 @@ class SliceData:
     """Graded coordinates on S = chi + Phi(Ker ad f).
 
     `nu_images[p]` is the restriction of the complement coordinate y_p to
-    the slice: sum_k kappa(z_k, v_p)/kappa(e,f) t_k.
+    the slice: sum_k kappa(z_k, v_p)/kappa(e,f) t_k; `nu` is the
+    substitution they define.
     """
 
-    __slots__ = ("kerf_graded", "degrees", "chart", "nu_images", "basis")
+    __slots__ = ("kerf_graded", "degrees", "chart", "nu_images", "nu", "basis")
 
     def __init__(self, basis: PBWBasis, kerf_graded: Sequence[Tuple[Vector, int]],
                  kappa_ef: QQ):
@@ -361,12 +418,11 @@ class SliceData:
                     terms[((k, 1),)] = c
             images.append(KazhdanPolynomial(self.chart, terms))
         self.nu_images = tuple(images)
+        self.nu = Substitution(complement_chart(basis), self.nu_images, self.chart)
 
     def restrict(self, F: KazhdanPolynomial) -> KazhdanPolynomial:
         """nu: C[chi + a^perp] -> C[S] (restriction along the inclusion)."""
-        if F.chart.kind != "complement":
-            raise ChartMismatch("nu restricts complement-chart polynomials")
-        return F.substitute(self.nu_images, self.chart)
+        return self.nu(F)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +564,7 @@ def invariant_lift(F: KazhdanPolynomial, red: "ReductionData") -> KazhdanPolynom
         raise LiftFailure("invariant lift requires a Lagrangian ell")
     if F.chart != red.slice_data.chart:
         raise ChartMismatch("lift input must live on the slice chart")
-    lift = F.substitute(red.coordinate_lifts(), red.comp_chart)
+    lift = red.lift_map()(F)
     if red.slice_data.restrict(lift) != F:
         raise LiftFailure("lift does not restrict back to its input")
     return lift
@@ -539,7 +595,7 @@ class ReductionData:
     """
 
     __slots__ = ("basis", "comp_chart", "slice_data", "m_graded",
-                 "is_lagrangian", "_lifts", "_deriv_images")
+                 "is_lagrangian", "_lifts", "_lift_map", "_deriv_images")
 
     def __init__(self, basis: PBWBasis, slice_data: SliceData,
                  m_graded: Sequence[Tuple[Vector, int]], is_lagrangian: bool):
@@ -549,6 +605,7 @@ class ReductionData:
         self.m_graded = tuple(m_graded)
         self.is_lagrangian = is_lagrangian
         self._lifts: Optional[List[KazhdanPolynomial]] = None
+        self._lift_map: Optional[Substitution] = None
         self._deriv_images: Dict[Tuple, List[KazhdanPolynomial]] = {}
 
     def coordinate_lifts(self) -> List[KazhdanPolynomial]:
@@ -595,6 +652,15 @@ class ReductionData:
                     raise LiftFailure(f"lift of t{k + 1} is not flow-invariant")
         self._lifts = lifts
         return lifts
+
+    def lift_map(self) -> Substitution:
+        """The substitution F -> F(T_1, ..., T_r) on the slice chart, built
+        once for the list `coordinate_lifts()` returns."""
+        lifts = self.coordinate_lifts()
+        if self._lift_map is None or self._lift_map.images is not lifts:
+            self._lift_map = Substitution(self.slice_data.chart, lifts,
+                                          self.comp_chart)
+        return self._lift_map
 
     def derivation_images(self, x: Sequence) -> List[KazhdanPolynomial]:
         """Images D_x(y_p) = ([x, v_p] mod (a - chi)) for complement p."""

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from walg.liealg import (highest_root_triple, make_lie_algebra, make_sln,
-                         partition_triple)
+                         partition_triple, sln_matrix_to_coords)
 from walg.context import build_context
 from walg.linalg import unit_vec
 from walg.whittaker import h_basis
@@ -55,6 +55,16 @@ def sl3_min_lag2(sl3):
     e, h, f = highest_root_triple(3)
     i32 = sl3.labels.index("E32")
     return build_context(sl3, e, [unit_vec(8, i32)], h=h, f=f)
+
+
+@pytest.fixture(scope="session")
+def sl3_min_conj(sl3):
+    """The sl3 minimal nilpotent E_13 conjugated by (1 + E_32)(1 - E_21),
+    with the triple completed by the Jacobson-Morozov solver.  Off the
+    standard coordinates, `nu` sends some complement coordinate to a sum of
+    several slice coordinates."""
+    e = sln_matrix_to_coords(3, [[0, -1, 1], [0, 1, -1], [0, 1, -1]])
+    return build_context(sl3, e, "lagrangian-auto")
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walg import poisson as P
+from walg import whittaker as W
 from walg.errors import ChartMismatch, LiftFailure
 from walg.linalg import SparseMatrix, Subspace, solve, sum_and_intersection
 
@@ -399,3 +402,101 @@ def test_coordinate_lifts_certified_by_flows(sl3_min_lag, monkeypatch):
                         lambda self, x, G: P.KazhdanPolynomial.zero(self.comp_chart))
     with pytest.raises(LiftFailure, match="not flow-invariant"):
         fresh.coordinate_lifts()
+
+
+def substitute_reference(G, images, target):
+    """Reference composition: expand every monomial of G by repeated
+    products of the images, with no memo."""
+    out = P.KazhdanPolynomial.zero(target)
+    for m, c in G.terms.items():
+        acc = P.KazhdanPolynomial.constant(target, c)
+        for i, e in m:
+            for _ in range(e):
+                acc = acc * images[i]
+        out = out + acc
+    return out
+
+
+def polynomials(chart, max_degree):
+    """Mixed-degree polynomials on `chart`, the zero polynomial and
+    constants included."""
+    monos = P.enumerate_monomials(chart.degrees, max_degree)
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    return st.dictionaries(st.sampled_from(monos), coeff, max_size=5).map(
+        lambda terms: P.KazhdanPolynomial(chart, terms))
+
+
+def test_conjugated_fixture_has_multi_term_nu_images(sl3_min_conj):
+    assert max(len(img.terms) for img in sl3_min_conj.slice_data.nu_images) >= 2
+
+
+@pytest.mark.parametrize("name", ["sl3_min_lag", "sl3_min_conj"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_substitutions_match_reference(request, name, data):
+    sctx = request.getfixturevalue(name)
+    sd, red = sctx.slice_data, sctx.reduction
+    comp = sctx.comp_chart
+    for G in (P.KazhdanPolynomial.zero(comp), P.KazhdanPolynomial.constant(comp, F(-7, 3)),
+              data.draw(polynomials(comp, 6))):
+        assert sd.restrict(G) == substitute_reference(G, sd.nu_images, sd.chart)
+    lifts = red.coordinate_lifts()
+    for G in (P.KazhdanPolynomial.zero(sd.chart), P.KazhdanPolynomial.constant(sd.chart, 2),
+              data.draw(polynomials(sd.chart, 6))):
+        assert red.lift_map()(G) == substitute_reference(G, lifts, comp)
+
+
+def test_restrict_results_do_not_alias_the_memo(sl3_min_conj):
+    sd = sl3_min_conj.slice_data
+    comp = sl3_min_conj.comp_chart
+    cases = [P.KazhdanPolynomial.constant(comp, 1), var(comp, 1),
+             var(comp, 1) * var(comp, 2) * var(comp, 1)]
+    for G in cases:
+        expected = substitute_reference(G, sd.nu_images, sd.chart)
+        got = sd.restrict(G)
+        assert got == expected
+        for m in list(got.terms):
+            got.terms[m] = F(99)
+        got.terms[((0, 7),)] = F(1)
+        assert sd.restrict(G) == expected
+
+
+def test_restrict_rejects_another_complement_chart(sl2_ctx, sl3_min_lag):
+    y0 = var(sl2_ctx.comp_chart, 0)
+    with pytest.raises(ChartMismatch):
+        sl3_min_lag.slice_data.restrict(y0 * y0)
+
+
+def test_substitution_checks_its_charts(sl2_ctx, sl3_min_lag):
+    sd = sl3_min_lag.slice_data
+    source = sl3_min_lag.comp_chart
+    with pytest.raises(ChartMismatch):
+        P.Substitution(source, sd.nu_images[:-1], sd.chart)
+    foreign = [var(sl2_ctx.slice_data.chart, 0)] * len(source)
+    with pytest.raises(ChartMismatch):
+        P.Substitution(source, foreign, sd.chart)
+
+
+def test_invariant_lift_matches_per_degree_solve_off_standard_coordinates(sl3_min_conj):
+    red = sl3_min_conj.reduction
+    chart = sl3_min_conj.slice_data.chart
+    rng = random.Random(18)
+    cases = [P.KazhdanPolynomial.constant(chart, F(5, 2))]
+    cases += [random_slice_polynomial(chart, rng, 7) for _ in range(6)]
+    for G in cases:
+        assert P.invariant_lift(G, red) == per_degree_lift(G, red), str(G)
+
+
+def test_verify_theorem_builds_each_monomial_image_once(sl3_min_lag, sl3_hb_lag,
+                                                         monkeypatch):
+    """A fresh nu builds each complement monomial's image at most once: at
+    most one product per monomial of degree <= 6, none on a second run.
+    Expanding every monomial on every call would take 390 products here."""
+    sctx = sl3_min_lag
+    fresh = P.SliceData(sctx.basis, sctx.kerf_graded, sctx.chi.kappa_ef)
+    monkeypatch.setattr(sctx, "slice_data", fresh)
+    W.verify_theorem(6, sctx, sl3_hb_lag)
+    built = fresh.nu.products
+    assert 0 < built <= len(P.enumerate_monomials(sctx.comp_chart.degrees, 6)) - 1
+    W.verify_theorem(6, sctx, sl3_hb_lag)
+    assert fresh.nu.products == built
