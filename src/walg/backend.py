@@ -16,6 +16,7 @@ Data layout (shared with the rest of the package):
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 _ONE = Fraction(1)
@@ -155,10 +156,13 @@ def mul_terms_rl(t1, t2, bracket, cache):
 # ---------------------------------------------------------------------------
 # Fraction-free elimination.
 #
-# Rows enter as dicts col -> Fraction (sparse) or lists (dense).  The core
-# clears denominators, eliminates with integer cross-multiplication and a
-# per-row gcd normalization to keep growth polynomial, then rescales the
-# canonical reduced echelon rows back to Fractions with unit pivots.
+# Rows enter as dicts col -> Fraction.  The kernel clears denominators,
+# eliminates with integer cross-multiplication and a per-row gcd
+# normalization to keep growth polynomial, then rescales the canonical
+# reduced echelon rows back to Fractions with unit pivots.  Rows wait in
+# buckets keyed by their leading column: the smallest non-empty bucket
+# holds every row that meets the next pivot column, so a pivot step
+# touches only that bucket.
 # ---------------------------------------------------------------------------
 
 
@@ -193,6 +197,20 @@ def _normalize(row):
     return row
 
 
+def _clear(row, prow, col):
+    """Primitive integer row p*row - a*prow, with col cleared (p = prow[col],
+    a = row[col])."""
+    p, a = prow[col], row[col]
+    new = {j: p * v for j, v in row.items()}
+    for j, v in prow.items():
+        w = new.get(j, 0) - a * v
+        if w:
+            new[j] = w
+        else:
+            del new[j]
+    return _normalize(new)
+
+
 def rref_sparse(rows, ncols):
     """Canonical reduced row echelon form of sparse Fraction rows.
 
@@ -200,137 +218,47 @@ def rref_sparse(rows, ncols):
     increasing and cleared above as well as below; zero rows are dropped.
     The result depends only on the row space.
     """
-    work = [_int_row(r) for r in rows]
-    work = [r for r in work if r]
+    buckets = {}
+    for r in rows:
+        r = _int_row(r)
+        if r:
+            buckets.setdefault(min(r), []).append(r)
+    heap = list(buckets)
+    heapify(heap)
     pivots = []
     pivot_rows = []
-    while work:
-        col = min(min(r) for r in work)
-        best = None
-        for idx, r in enumerate(work):
-            if col in r and (best is None or len(r) < len(work[best])):
-                best = idx
-        prow = work.pop(best)
-        p = prow[col]
-        nxt = []
-        for r in work:
-            a = r.get(col)
-            if a is None:
-                nxt.append(r)
+    while heap:
+        col = heappop(heap)
+        bucket = buckets.pop(col)
+        prow = min(bucket, key=len)
+        for r in bucket:
+            if r is prow:
                 continue
-            new = {}
-            for j, v in r.items():
-                w = p * v - a * prow.get(j, 0)
-                if w:
-                    new[j] = w
-            for j, v in prow.items():
-                if j not in r:
-                    w = -a * v
-                    if w:
-                        new[j] = w
-            if new:
-                nxt.append(_normalize(new))
-        work = nxt
+            r = _clear(r, prow, col)
+            if r:
+                lead = min(r)
+                if lead in buckets:
+                    buckets[lead].append(r)
+                else:
+                    buckets[lead] = [r]
+                    heappush(heap, lead)
         pivots.append(col)
         pivot_rows.append(prow)
-    # clear above pivots, still over the integers
+    # clear above pivots, bottom up, still over the integers: the rows below
+    # are already reduced, so clearing one pivot column brings in no other
+    reduced = {}
     for i in range(len(pivot_rows) - 1, -1, -1):
-        col = pivots[i]
-        prow = pivot_rows[i]
-        p = prow[col]
-        for i2 in range(i):
-            r = pivot_rows[i2]
-            a = r.get(col)
-            if a is None:
-                continue
-            new = {}
-            for j, v in r.items():
-                w = p * v - a * prow.get(j, 0)
-                if w:
-                    new[j] = w
-            for j, v in prow.items():
-                if j not in r:
-                    w = -a * v
-                    if w:
-                        new[j] = w
-            pivot_rows[i2] = _normalize(new)
+        r = pivot_rows[i]
+        for col in [j for j in r if j in reduced]:
+            r = _clear(r, reduced[col], col)
+        reduced[pivots[i]] = pivot_rows[i] = r
     out = []
-    for i, prow in enumerate(pivot_rows):
-        p = prow[pivots[i]]
+    for col, prow in zip(pivots, pivot_rows):
+        p = prow[col]
         out.append({j: Fraction(v, p) for j, v in prow.items()})
     return pivots, out
 
 
 def rref_dense(rows, ncols):
-    """Dense variant of `rref_sparse` for small matrices; same contract.
-
-    Takes rows as length-`ncols` sequences, keeps full integer rows and
-    eliminates column by column; faster than dict juggling when nearly
-    every entry is populated.
-    """
-    work = []
-    for r in rows:
-        lcm = 1
-        for c in r:
-            if c:
-                d = c.denominator
-                lcm = lcm * d // gcd(lcm, d)
-        ints = [c.numerator * (lcm // c.denominator) for c in r]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        if g:
-            work.append(ints)
-    pivots = []
-    pivot_rows = []
-    for col in range(ncols):
-        best = None
-        for idx, r in enumerate(work):
-            if r[col]:
-                best = idx
-                break
-        if best is None:
-            continue
-        prow = work.pop(best)
-        p = prow[col]
-        nxt = []
-        for r in work:
-            a = r[col]
-            if a:
-                r = [p * v - a * w for v, w in zip(r, prow)]
-                g = 0
-                for v in r:
-                    g = gcd(g, v)
-                if g > 1:
-                    r = [v // g for v in r]
-                if not g:
-                    continue
-            nxt.append(r)
-        work = nxt
-        pivots.append(col)
-        pivot_rows.append(prow)
-        if not work:
-            break
-    for i in range(len(pivot_rows) - 1, -1, -1):
-        col = pivots[i]
-        prow = pivot_rows[i]
-        p = prow[col]
-        for i2 in range(i):
-            r = pivot_rows[i2]
-            a = r[col]
-            if not a:
-                continue
-            r = [p * v - a * w for v, w in zip(r, prow)]
-            g = 0
-            for v in r:
-                g = gcd(g, v)
-            if g > 1:
-                r = [v // g for v in r]
-            pivot_rows[i2] = r
-    out = []
-    for i, prow in enumerate(pivot_rows):
-        p = prow[pivots[i]]
-        out.append({j: Fraction(v, p) for j, v in enumerate(prow) if v})
-    return pivots, out
+    """`rref_sparse` of rows given as length-`ncols` sequences."""
+    return rref_sparse([{j: c for j, c in enumerate(r) if c} for r in rows], ncols)

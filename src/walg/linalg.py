@@ -2,7 +2,7 @@
 
 Scalars are `fractions.Fraction` (the stdlib type already maintains the
 reduced-form invariants we need).  Matrices are sparse maps (row, col) ->
-coefficient with a dense elimination path below `DENSE_THRESHOLD`;
+coefficient, eliminated by the one sparse kernel `backend.rref_sparse`;
 subspaces store canonical reduced-echelon bases so that equality of
 subspaces is equality of representations.
 """
@@ -16,10 +16,6 @@ from walg import backend
 from walg.errors import AmbientMismatch
 
 QQ = Fraction
-
-#: below this size (rows and cols) elimination runs on dense integer rows
-DENSE_THRESHOLD = 64
-
 Vector = Tuple[QQ, ...]
 
 
@@ -126,19 +122,6 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
 
 
-def _rref(rows_as_dicts: List[Dict[int, QQ]], ncols: int, nrows: int):
-    """Dispatch to the dense or sparse elimination kernel."""
-    if nrows <= DENSE_THRESHOLD and ncols <= DENSE_THRESHOLD:
-        dense = []
-        for r in rows_as_dicts:
-            row = [QQ(0)] * ncols
-            for j, v in r.items():
-                row[j] = v
-            dense.append(row)
-        return backend.rref_dense(dense, ncols)
-    return backend.rref_sparse(rows_as_dicts, ncols)
-
-
 class Subspace:
     """Subspace of QQ^n held by its canonical reduced-echelon basis.
 
@@ -149,12 +132,23 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis", "_pivots")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence]):
-        rows = []
-        for v in vectors:
-            v = vec(v, ambient_dim)
-            if any(v):
-                rows.append({j: c for j, c in enumerate(v) if c})
-        pivots, reduced = _rref(rows, ambient_dim, len(rows))
+        self._span(ambient_dim, [{j: c for j, c in enumerate(vec(v, ambient_dim)) if c}
+                                 for v in vectors])
+
+    @classmethod
+    def from_sparse(cls, ambient_dim: int, rows: Iterable[Dict[int, QQ]]) -> "Subspace":
+        """The span of sparse rows, dicts column -> Fraction; empty rows are
+        dropped, and a column outside 0..ambient_dim-1 raises AmbientMismatch."""
+        rows = [r for r in rows if r]
+        for r in rows:
+            if min(r) < 0 or max(r) >= ambient_dim:
+                raise AmbientMismatch(f"a row has a column outside 0..{ambient_dim - 1}")
+        space = cls.__new__(cls)
+        space._span(ambient_dim, rows)
+        return space
+
+    def _span(self, ambient_dim: int, rows: List[Dict[int, QQ]]):
+        pivots, reduced = backend.rref_sparse(rows, ambient_dim)
         basis = []
         for r in reduced:
             row = [QQ(0)] * ambient_dim
@@ -170,7 +164,6 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: Sequence) -> bool:
-        v = vec(v, self.ambient_dim)
         return self.coords_of(v) is not None
 
     def coords_of(self, v: Sequence) -> Optional[Vector]:
@@ -199,7 +192,7 @@ class Subspace:
 
 
 def rank(M: SparseMatrix) -> int:
-    pivots, _ = _rref(M.row_dicts(), M.cols, M.rows)
+    pivots, _ = backend.rref_sparse(M.row_dicts(), M.cols)
     return len(pivots)
 
 
@@ -220,19 +213,15 @@ def prefix_kernels(M: SparseMatrix, prefixes: Sequence[int]) -> List[Subspace]:
         if not 0 <= c <= M.cols:
             raise AmbientMismatch(f"column prefix {c} outside 0..{M.cols}")
     top = max(prefixes, default=0)
-    pivots, rows = _rref(M.row_dicts(), M.cols, M.rows)
+    pivots, rows = backend.rref_sparse(M.row_dicts(), M.cols)
     pivot_set = set(pivots)
-    free = []
-    for f in range(top):
-        if f in pivot_set:
-            continue
-        v = [QQ(0)] * f + [QQ(1)]
-        for p, row in zip(pivots, rows):
-            c = row.get(f)
-            if c:
+    free = {f: {f: QQ(1)} for f in range(top) if f not in pivot_set}
+    for p, row in zip(pivots, rows):
+        for f, c in row.items():
+            v = free.get(f)
+            if v is not None:
                 v[p] = -c
-        free.append(v)
-    return [Subspace(c, [v + [QQ(0)] * (c - len(v)) for v in free if len(v) <= c])
+    return [Subspace.from_sparse(c, [v for f, v in free.items() if f < c])
             for c in prefixes]
 
 
@@ -247,7 +236,7 @@ def solve(M: SparseMatrix, b: Sequence) -> Optional[Vector]:
     for i, bv in enumerate(b):
         if bv:
             aug[i][M.cols] = bv
-    pivots, rows = _rref(aug, M.cols + 1, M.rows)
+    pivots, rows = backend.rref_sparse(aug, M.cols + 1)
     if M.cols in pivots:
         return None
     x = [QQ(0)] * M.cols

@@ -215,9 +215,9 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(d.items()))
 
 
-def poly_mul(t1: Terms, t2: Terms) -> Terms:
-    """Product of two polynomials given by their terms, as a new dict."""
-    out: Terms = {}
+def add_product(out: Terms, t1: Terms, t2: Terms) -> Terms:
+    """Add the product of the polynomials t1 and t2 into the terms `out`, in
+    place, and return `out`."""
     for m1, c1 in t1.items():
         for m2, c2 in t2.items():
             m = mono_mul(m1, m2)
@@ -227,6 +227,11 @@ def poly_mul(t1: Terms, t2: Terms) -> Terms:
             elif m in out:
                 del out[m]
     return out
+
+
+def poly_mul(t1: Terms, t2: Terms) -> Terms:
+    """Product of two polynomials given by their terms, as a new dict."""
+    return add_product({}, t1, t2)
 
 
 class Substitution:
@@ -346,16 +351,14 @@ def lie_poisson_bracket(F1: KazhdanPolynomial, F2: KazhdanPolynomial,
     if chart.kind != "full":
         raise ChartMismatch("Lie-Poisson bracket lives on the full g* chart")
     F1._check(F2)
-    out = KazhdanPolynomial.zero(chart)
-    d = len(chart)
-    parts1 = {p: F1.partial(p) for p in range(d)}
-    parts2 = {p: F2.partial(p) for p in range(d)}
+    out: Terms = {}
+    parts1 = [F1.partial(p).terms for p in range(len(chart))]
+    parts2 = [F2.partial(p).terms for p in range(len(chart))]
     for (p, q), entry in basis.bracket.items():
-        lin = KazhdanPolynomial(chart, {((k, 1),): c for k, c in entry})
-        term = parts1[p] * parts2[q] - parts1[q] * parts2[p]
-        if not term.is_zero():
-            out = out + term * lin
-    return out
+        # (d_p F1 d_q F2 - d_q F1 d_p F2) * [x_p, x_q]
+        add_product(out, poly_mul(parts1[p], parts2[q]), {((k, 1),): c for k, c in entry})
+        add_product(out, poly_mul(parts1[q], parts2[p]), {((k, 1),): -c for k, c in entry})
+    return KazhdanPolynomial(chart, out)
 
 
 def restrict_to_chi_plus_a_perp(F: KazhdanPolynomial,
@@ -374,15 +377,14 @@ def extend_to_full(F: KazhdanPolynomial, basis: PBWBasis,
     (y_q - chi(y_q)) * twist terms for every a-coordinate, which vanish on
     chi + a^perp, to exercise extension-independence.
     """
-    chart = full_chart(basis)
-    out = KazhdanPolynomial(chart, dict(F.terms))
-    if twist is not None and not twist.is_zero():
-        tw = KazhdanPolynomial(chart, dict(twist.terms))
+    out = dict(F.terms)
+    if twist is not None:
         for q in range(basis.n_complement, basis.lie.dim):
-            van = (KazhdanPolynomial.variable(chart, q)
-                   - KazhdanPolynomial.constant(chart, basis.chi_vals[q]))
-            out = out + van * tw
-    return out
+            van = {((q, 1),): ONE}
+            if basis.chi_vals[q]:
+                van[()] = -basis.chi_vals[q]
+            add_product(out, van, twist.terms)
+    return KazhdanPolynomial(full_chart(basis), out)
 
 
 # ---------------------------------------------------------------------------
@@ -687,12 +689,8 @@ class ReductionData:
 
     def derivation(self, x: Sequence, F: KazhdanPolynomial) -> KazhdanPolynomial:
         """The infinitesimal action of x on C[chi + a^perp] (a derivation)."""
-        images = self.derivation_images(x)
-        out = KazhdanPolynomial.zero(self.comp_chart)
-        for p, img in enumerate(images):
-            if img.is_zero():
-                continue
-            dp = F.partial(p)
-            if not dp.is_zero():
-                out = out + dp * img
-        return out
+        out: Terms = {}
+        for p, img in enumerate(self.derivation_images(x)):
+            if img.terms:
+                add_product(out, F.partial(p).terms, img.terms)
+        return KazhdanPolynomial(self.comp_chart, out)

@@ -102,18 +102,6 @@ def test_result_independent_of_row_order():
         assert rank(M1) == rank(M2)
 
 
-def test_dense_and_sparse_kernels_agree():
-    rng = random.Random(11)
-    for _ in range(25):
-        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
-        rows = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
-                for _ in range(nrows)]
-        got_d = backend.rref_dense(rows, ncols)
-        got_s = backend.rref_sparse(
-            [{j: v for j, v in enumerate(r) if v} for r in rows], ncols)
-        assert got_d == got_s
-
-
 small_fraction = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
@@ -182,12 +170,91 @@ def test_modular_dimension_law(n, data):
     assert U.contains_subspace(T) and V.contains_subspace(T)
 
 
-def test_dense_threshold_is_configurable(monkeypatch):
-    """Forcing either elimination path gives the same canonical results."""
-    from walg import linalg
-    M = SparseMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    expected_k, expected_r = kernel(M), rank(M)
-    for thr in (0, 1000):
-        monkeypatch.setattr(linalg, "DENSE_THRESHOLD", thr)
-        assert kernel(M) == expected_k
-        assert rank(M) == expected_r
+def gauss_jordan(rows, ncols):
+    """Reference reduced echelon form by plain Fraction Gauss-Jordan
+    elimination: (pivot columns, unit-pivot rows as dicts)."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        k = len(pivots)
+        i = next((i for i in range(k, len(m)) if m[i][col]), None)
+        if i is None:
+            continue
+        m[k], m[i] = m[i], m[k]
+        m[k] = [v / m[k][col] for v in m[k]]
+        for i2 in range(len(m)):
+            c = m[i2][col]
+            if i2 != k and c:
+                m[i2] = [a - c * b for a, b in zip(m[i2], m[k])]
+        pivots.append(col)
+    return pivots, [{j: v for j, v in enumerate(m[k]) if v} for k in range(len(pivots))]
+
+
+def sparse(rows):
+    return [{j: v for j, v in enumerate(r) if v} for r in rows]
+
+
+@st.composite
+def bucket_matrices(draw):
+    """(dense rows, ncols) that stress the leading-column buckets.
+
+    Base rows optionally share one leading column; the other rows are small
+    integer combinations of them, so inputs are tall and rank-deficient, with
+    many rows in one bucket, duplicate and zero rows, and rows that reduce to
+    zero.  Few rows over many columns, or none at all, give wide and empty
+    inputs.
+    """
+    ncols = draw(st.integers(0, 8))
+    lead = draw(st.integers(0, max(ncols - 1, 0)))
+    entry = st.one_of(st.just(F(0)), small_fraction)
+    base = []
+    for _ in range(draw(st.integers(0, 4))):
+        r = [draw(entry) for _ in range(ncols)]
+        if ncols and draw(st.booleans()):
+            r[:lead + 1] = [F(0)] * lead + [draw(small_fraction.filter(bool))]
+        base.append(r)
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 10))):
+        coeffs = [draw(st.integers(-2, 2)) for _ in base]
+        rows.append([sum((c * b[j] for c, b in zip(coeffs, base)), F(0))
+                     for j in range(ncols)])
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(bucket_matrices())
+def test_rref_sparse_matches_gauss_jordan(matrix):
+    """The bucketed kernel gives the reduced echelon form of plain
+    Gauss-Jordan elimination."""
+    rows, ncols = matrix
+    assert backend.rref_sparse(sparse(rows), ncols) == gauss_jordan(rows, ncols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bucket_matrices())
+def test_rref_dense_adapter_matches_sparse(matrix):
+    rows, ncols = matrix
+    assert backend.rref_dense(rows, ncols) == backend.rref_sparse(sparse(rows), ncols)
+
+
+def test_from_sparse_rejects_column_outside_ambient():
+    with pytest.raises(AmbientMismatch):
+        Subspace.from_sparse(3, [{0: F(1)}, {3: F(1)}])
+    with pytest.raises(AmbientMismatch):
+        Subspace.from_sparse(3, [{-1: F(1)}])
+
+
+def test_from_sparse_drops_empty_rows():
+    assert Subspace.from_sparse(3, [{}, {1: F(2)}, {}]) == Subspace(3, [[0, 1, 0]])
+    assert Subspace.from_sparse(2, [{}]).dim == 0
+    assert Subspace.from_sparse(0, []) == Subspace(0, [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(bucket_matrices())
+def test_from_sparse_matches_dense_constructor(matrix):
+    rows, ncols = matrix
+    assert Subspace.from_sparse(ncols, sparse(rows)) == Subspace(ncols, rows)
