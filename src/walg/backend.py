@@ -8,18 +8,28 @@ Data layout (shared with the rest of the package):
 
 * monomial  -- tuple of (generator index, exponent) pairs, indices strictly
   increasing, exponents >= 1; the empty tuple is the unit monomial.
-* terms     -- dict monomial -> Fraction, no zero coefficients.
-* bracket   -- dict (i, j) -> tuple of (k, Fraction) pairs for i < j,
-  giving [x_i, x_j]; missing keys mean the bracket vanishes.
+* terms     -- dict monomial -> exact rational (int or Fraction), no zero
+  coefficients; a whole number may be either type, and equal values
+  compare and hash equal.
+* bracket   -- dict (i, j) -> tuple of (k, coefficient) pairs for i < j,
+  giving [x_i, x_j]; missing keys mean the bracket vanishes.  A constant
+  is an int when it is a whole number, so on an integral basis every
+  straightening step is integer arithmetic.
 * caches    -- plain dicts, or None to disable memoization; results are
   identical either way.
+
+`mul_terms` straightens integer numerators: it scales each operand to
+(den, integer terms) by `int_form`, straightens the integers, and divides
+by the product of the two denominators once per output term (`_divide`).
+The memoized straightenings then hold whatever the bracket gives: ints on
+an integral basis, and exact Fractions where a constant is not integral.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-_ONE = Fraction(1)
+_ONE = 1
 
 
 def backend_name():
@@ -115,12 +125,35 @@ def _terms_times_gen(terms, g, bracket, cache):
     return out
 
 
+def int_form(v):
+    """(den, ints) with v == ints / den: den > 0 is the least common
+    denominator of the values of the dict v, ints their numerators over it."""
+    den = 1
+    for c in v.values():
+        d = c.denominator
+        if d != 1:
+            den = den * d // gcd(den, d)
+    return den, {k: c.numerator * (den // c.denominator) for k, c in v.items()}
+
+
+def _divide(terms, den):
+    """terms / den, each quotient an int when it is a whole number."""
+    if den == 1:
+        return terms
+    return {k: c // den if not c % den else Fraction(c, den)
+            for k, c in terms.items()}
+
+
 def mul_terms(t1, t2, bracket, cache):
     """PBW product of two straightened term dicts.
 
     Folds the factors of each left monomial onto t2 from the right, so
     straightening proceeds left-to-right through the concatenated word.
+    Both operands are first scaled to integer numerators, and the product
+    is divided by their common denominators once, at the end.
     """
+    den1, t1 = int_form(t1)
+    den2, t2 = int_form(t2)
     out = {}
     for mono, c in t1.items():
         if not mono:
@@ -133,7 +166,7 @@ def mul_terms(t1, t2, bracket, cache):
                 acc = _gen_times_terms(idx, acc, bracket, cache)
         for n, c2 in acc.items():
             _acc(out, n, c * c2)
-    return out
+    return _divide(out, den1 * den2)
 
 
 def mul_terms_rl(t1, t2, bracket, cache):
@@ -168,21 +201,7 @@ def mul_terms_rl(t1, t2, bracket, cache):
 
 def _int_row(row):
     """Scale a sparse Fraction row to a primitive integer row."""
-    lcm = 1
-    for c in row.values():
-        d = c.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    out = {}
-    g = 0
-    for j, c in row.items():
-        v = c.numerator * (lcm // c.denominator)
-        if v:
-            out[j] = v
-            g = gcd(g, v)
-    if g > 1:
-        for j in out:
-            out[j] //= g
-    return out
+    return _normalize({j: v for j, v in int_form(row)[1].items() if v})
 
 
 def _normalize(row):

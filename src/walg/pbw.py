@@ -25,6 +25,11 @@ Monomial = Tuple[Tuple[int, int], ...]
 Terms = Dict[Monomial, QQ]
 
 
+def _exact(c):
+    """The rational c as an int when it is a whole number."""
+    return c.numerator if c.denominator == 1 else c
+
+
 class PBWBasis:
     """Ordered, ad h homogeneous generating set of Ug adapted to (a, chi)."""
 
@@ -48,9 +53,9 @@ class PBWBasis:
         self._inv_rows = self._invert_basis_matrix()
         self.bracket = self._structure_constants()
         if chi_fn is None:
-            self.chi_vals = (QQ(0),) * lie.dim
+            self.chi_vals = (0,) * lie.dim
         else:
-            self.chi_vals = tuple(chi_fn(v) for v in self.vectors)
+            self.chi_vals = tuple(_exact(chi_fn(v)) for v in self.vectors)
         self.cache_enabled = cache_enabled
         self._cache_left: Optional[dict] = {} if cache_enabled else None
         self._cache_right: Optional[dict] = {} if cache_enabled else None
@@ -106,7 +111,7 @@ class PBWBasis:
             for j in range(i + 1, d):
                 w = self.lie.bracket(self.vectors[i], self.vectors[j])
                 c = self.coords(w)
-                entry = tuple((k, c[k]) for k in range(d) if c[k])
+                entry = tuple((k, _exact(c[k])) for k in range(d) if c[k])
                 if entry:
                     wt = self.weights[i] + self.weights[j]
                     for k, _ in entry:
@@ -194,7 +199,7 @@ class UEAElement:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, QQ(0)) + c
+            s = out.get(m, 0) + c
             if s:
                 out[m] = s
             elif m in out:
@@ -325,15 +330,33 @@ def casimir(basis: PBWBasis) -> UEAElement:
 
 
 def convert_element(u: UEAElement, target: PBWBasis) -> UEAElement:
-    """Rewrite u over another PBW basis of the same ambient algebra."""
+    """Rewrite u over another PBW basis of the same ambient algebra.
+
+    Each monomial's image is built once per call, as the image of its
+    prefix (one power of its last generator removed) times that
+    generator's image over `target`, and summed into one dict in place.
+    """
     if u.basis.lie is not target.lie:
         raise WalgError("conversion requires the same underlying algebra")
-    images = [target.element_from_ambient(v) for v in u.basis.vectors]
-    out = target.zero()
+    images = [target.element_from_ambient(v).terms for v in u.basis.vectors]
+    memo: Dict[Monomial, Terms] = {(): {(): 1}}
+
+    def image(m: Monomial) -> Terms:
+        img = memo.get(m)
+        if img is None:
+            i, e = m[-1]
+            prefix = m[:-1] if e == 1 else m[:-1] + ((i, e - 1),)
+            img = backend.mul_terms(image(prefix), images[i], target.bracket,
+                                    target._cache_left)
+            memo[m] = img
+        return img
+
+    out: Terms = {}
     for m, c in u.terms.items():
-        acc = target.one() * c
-        for idx, exp in m:
-            for _ in range(exp):
-                acc = acc * images[idx]
-        out = out + acc
-    return out
+        for n, c2 in image(m).items():
+            s = out.get(n, 0) + c * c2
+            if s:
+                out[n] = s
+            elif n in out:
+                del out[n]
+    return UEAElement(target, out)

@@ -13,9 +13,9 @@ prefix.
 from __future__ import annotations
 
 from math import gcd
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from walg import poisson
+from walg import backend, poisson
 from walg.context import SliceContext
 from walg.errors import (CenterCheckFailure, ComparisonFailure, ConfigError,
                          DegreeOverflow, TheoremFailure, WalgError)
@@ -135,8 +135,8 @@ class _Echelon:
 
     def __init__(self):
         self.rows: List[tuple] = []
-        self.added: List[tuple] = []      # `_int_form` of each added vector
-        # `_int_form` of each row's combination, rebuilt by the first
+        self.added: List[tuple] = []      # `int_form` of each added vector
+        # `int_form` of each row's combination, rebuilt by the first
         # read-off after `extend`
         self._int_combs = None
 
@@ -170,7 +170,7 @@ class _Echelon:
                 _axpy(row_s, -a, row)
                 _axpy(comb_s, -a, comb)
         self.rows.append((p, row, comb))
-        self.added.append(_int_form(w))
+        self.added.append(backend.int_form(w))
         self._int_combs = None
         return True
 
@@ -179,7 +179,8 @@ class _Echelon:
         their span.  x is read off at the pivots and returned only after
         sum x_k added_k == w is verified by substitution."""
         if self._int_combs is None:
-            self._int_combs = [_int_form(comb) for _, _, comb in self.rows]
+            self._int_combs = [backend.int_form(comb)
+                               for _, _, comb in self.rows]
         scale, xs = _combine([(w[p], ic) for (p, _, _), ic
                               in zip(self.rows, self._int_combs) if p in w])
         x = tuple(QQ(xs.get(k, 0), scale) for k in range(len(self.added)))
@@ -204,17 +205,9 @@ def _axpy(y: Dict[int, QQ], a: QQ, x: Dict[int, QQ]):
             del y[j]
 
 
-def _int_form(v: Dict[int, QQ]):
-    """(den, ints) with v == ints / den and den > 0 an integer."""
-    den = 1
-    for c in v.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    return den, {j: c.numerator * (den // c.denominator) for j, c in v.items()}
-
-
 def _combine(terms):
-    """sum of c * v over (c, `_int_form` of v) pairs as (scale, ints), where
-    the sum is ints / scale; integer arithmetic only."""
+    """sum of c * v over (c, `backend.int_form` of v) pairs as (scale, ints),
+    where the sum is ints / scale; integer arithmetic only."""
     scale = 1
     for c, (den, _) in terms:
         d = c.denominator * den
@@ -230,11 +223,12 @@ def _combine(terms):
 class HBasis:
     """Degreewise basis of H_ell with prefix-stable representatives.
 
-    `express` and `contains` read coordinates off one reduced echelon of
-    the representatives' F_{n_max} Q coordinates, built by `h_basis` while
-    it chose them; no call runs an elimination.  The representatives are
-    linearly independent, so the coordinates of an element of H on them are
-    unique: the read-off returns what solving the column system would.
+    `coordinates`, `express` and `contains` read coordinates off one
+    reduced echelon of the representatives' F_{n_max} Q coordinates, built
+    by `h_basis` while it chose them; no call runs an elimination.  The
+    representatives are linearly independent, so the coordinates of an
+    element of H on them are unique: the read-off returns what solving the
+    column system would.
     """
 
     __slots__ = ("sctx", "n_max", "qb", "elements", "degrees", "gr_dims",
@@ -267,23 +261,27 @@ class HBasis:
     def elements_up_to(self, n: int) -> List[UEAElement]:
         return self.elements[:self.dim_f(n)]
 
-    def contains(self, u: UEAElement, n: Optional[int] = None) -> bool:
-        """Whether u lies in F_n H (n defaults to n_max).
+    def coordinates(self, u: UEAElement, n: int) -> Optional[Vector]:
+        """Coefficients of u on the representatives if u lies in F_n H,
+        else None.
 
         u must lie in F_n Q (`DegreeOverflow` otherwise); since
-        F_n H = H intersected with F_n Q, the rest is a read-off from the
+        F_n H = H intersected with F_n Q, the rest is one read-off from the
         echelon of all representatives.
         """
-        n = self.n_max if n is None else n
         self._check_degree(n)
         row = self.qb.coords(u, upto=n)
-        return self._echelon.coordinates(_sparse(row)) is not None
+        return self._echelon.coordinates(_sparse(row))
+
+    def contains(self, u: UEAElement, n: Optional[int] = None) -> bool:
+        """Whether u lies in F_n H (n defaults to n_max)."""
+        return self.coordinates(u, self.n_max if n is None else n) is not None
 
     def express(self, u: UEAElement) -> Vector:
         """Coefficients of u on the stored H-basis representatives."""
         deg = u.kazhdan_degree()
         self._check_degree(0 if deg is None else deg)
-        x = self._echelon.coordinates(_sparse(self.qb.coords(u)))
+        x = self.coordinates(u, self.n_max)
         if x is None:
             raise WalgError("element does not lie in the computed H span")
         return x
@@ -298,8 +296,7 @@ class HBasis:
 
     def multiplication_table(self, bound: Optional[int] = None):
         """(i, j) -> coefficient vector of elem_i * elem_j on the basis."""
-        return {(i, j): self.express(h_multiply(self.elements[i],
-                                                self.elements[j], self))
+        return {(i, j): h_product(self.elements[i], self.elements[j], self)[1]
                 for i, j in self.product_pairs(bound)}
 
 
@@ -343,10 +340,14 @@ def h_basis(n_max: int, sctx: SliceContext) -> HBasis:
                   echelon)
 
 
-def h_multiply(a: UEAElement, b: UEAElement, hb: HBasis) -> UEAElement:
-    """Product in H_ell: multiply representatives in Ug, reduce mod I_ell.
+def h_product(a: UEAElement, b: UEAElement,
+              hb: HBasis) -> Tuple[UEAElement, Vector]:
+    """Product in H_ell and its coefficients on the representatives.
 
-    Verifies that the result lies in the computed F_{deg a + deg b} H span.
+    Multiplies the representatives in Ug and reduces mod I_ell.  One
+    read-off of the product's F_{deg a + deg b} Q coordinates both checks
+    that it lies in the computed F_{deg a + deg b} H and gives its
+    coefficients.
     """
     da = a.kazhdan_degree() or 0
     db = b.kazhdan_degree() or 0
@@ -354,9 +355,16 @@ def h_multiply(a: UEAElement, b: UEAElement, hb: HBasis) -> UEAElement:
         raise DegreeOverflow(
             f"product degree {da + db} exceeds computed range {hb.n_max}")
     prod = q_canonical_form(a * b, hb.sctx)
-    if not hb.contains(prod, da + db):
+    x = hb.coordinates(prod, da + db)
+    if x is None:
         raise WalgError("H is not closed under multiplication (bug)")
-    return prod
+    return prod, x
+
+
+def h_multiply(a: UEAElement, b: UEAElement, hb: HBasis) -> UEAElement:
+    """Product in H_ell, verified to lie in the computed
+    F_{deg a + deg b} H span (see `h_product`)."""
+    return h_product(a, b, hb)[0]
 
 
 def nu_map(a: UEAElement, sctx: SliceContext,
@@ -427,14 +435,14 @@ def verify_theorem(n_max: int, sctx: SliceContext,
             raise TheoremFailure(f"nu not injective on gr_{n} H", degree=n)
     table = {}
     for i, j in hb.product_pairs(n_max):
-        prod = h_multiply(hb.elements[i], hb.elements[j], hb)
+        prod, x = h_product(hb.elements[i], hb.elements[j], hb)
         lhs = nu_map(prod, sctx, hb.degrees[i] + hb.degrees[j])
         rhs = nus[i] * nus[j]
         if lhs != rhs:
             raise TheoremFailure(
                 f"nu not multiplicative on basis pair ({i},{j})",
                 degree=hb.degrees[i] + hb.degrees[j])
-        table[(i, j)] = hb.express(prod)
+        table[(i, j)] = x
     return TheoremReport(n_max=n_max, gr_dims=hb.gr_dims,
                          slice_dims=slice_dims[:n_max + 1],
                          injective=injective, mult_pairs=len(table),
@@ -704,7 +712,7 @@ def ell_comparison(sctx1: SliceContext, sctx2: SliceContext, n_max: int,
         images.append(img)
     mult_pairs = 0
     for i, j in hb1.product_pairs(n_max):
-        x = hb1.express(h_multiply(hb1.elements[i], hb1.elements[j], hb1))
+        x = h_product(hb1.elements[i], hb1.elements[j], hb1)[1]
         lhs = {}
         for xk, img in zip(x, images):
             if xk:

@@ -7,7 +7,10 @@ A function, class or method counts as referenced when its name occurs as a
 whole word in src/, tests/ or perfbench/ outside its own def line; the
 search is textual because perfbench calls into walg from code strings.
 Arithmetic is exact (Fraction and int), so a float or complex literal, or
-a read of the name `float`, is an error.
+a read of the name `float`, is an error.  PBW straightening runs on
+integer numerators, so the straightening functions of `walg.backend` may
+not name `Fraction` or `QQ`; only the rescale helper `_divide` mints
+Fractions.
 """
 
 import ast
@@ -148,3 +151,43 @@ def test_finds_inexact_arithmetic():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_exact_arithmetic_only(path):
     assert list(inexact_uses(path.read_text(encoding="utf-8"))) == []
+
+
+STRAIGHTENING = ("gen_times_mono", "mono_times_gen", "_gen_times_terms",
+                 "_terms_times_gen", "mul_terms")
+RATIONAL_NAMES = ("Fraction", "QQ")
+
+
+def rational_uses(source, functions):
+    """(function, line) of every use of `Fraction` or `QQ`, as a name or an
+    attribute, inside the top-level functions named in `functions`."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name) and n.id in RATIONAL_NAMES or \
+                        isinstance(n, ast.Attribute) and n.attr in RATIONAL_NAMES:
+                    yield node.name, n.lineno
+
+
+def test_finds_rational_uses():
+    source = ("from fractions import Fraction\n"
+              "import fractions\n"
+              "def mul_terms(t):\n"
+              "    def inner(c):\n"
+              "        return fractions.Fraction(c)\n"
+              "    return {m: Fraction(c, 2) for m, c in t.items()}\n"
+              "def gen_times_mono(g):\n"
+              "    return QQ(g)\n"
+              "def _divide(t, den):\n"
+              "    return {m: Fraction(c, den) for m, c in t.items()}\n"
+              "ONE = Fraction(1)\n")
+    assert sorted(rational_uses(source, STRAIGHTENING)) == [
+        ("gen_times_mono", 8), ("mul_terms", 5), ("mul_terms", 6)]
+
+
+def test_straightening_is_fraction_free():
+    source = (SRC / "backend.py").read_text(encoding="utf-8")
+    defined = {node.name for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef)}
+    assert set(STRAIGHTENING) <= defined
+    assert list(rational_uses(source, STRAIGHTENING)) == []

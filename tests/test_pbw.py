@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walg import poisson
+from walg import backend, poisson
+from walg.context import build_context
 from walg.errors import DegreeTooLow
 from walg.pbw import (PBWBasis, UEAElement, casimir, commutator,
                       convert_element, kazhdan_degree, pbw_multiply,
@@ -226,3 +227,142 @@ def test_confluence_property(sl2_ctx, w1, w2, c):
         prod = u * v
         if not prod.is_zero():
             assert prod.kazhdan_degree() <= u.kazhdan_degree() + v.kazhdan_degree()
+
+
+# ---------------------------------------------------------------------------
+# integer straightening against a Fraction reference
+# ---------------------------------------------------------------------------
+
+# the sl4 [2,2] nilpotent of the seeded conjugate benchmark job; four
+# structure constants of its adapted basis are half-integers
+SL4_22_CONJUGATE = (1, 0, 2, 0, -4, 1, 2, 0, 0, -4, 0, 0, 0, 0, 0)
+
+
+@pytest.fixture(scope="module")
+def sl4_22_conj(sl4):
+    return build_context(sl4, SL4_22_CONJUGATE, "lagrangian-auto")
+
+
+def mul_terms_reference(t1, t2, bracket):
+    """PBW product of term dicts, straightened left to right in Fraction
+    arithmetic throughout: the oracle for `backend.mul_terms`, which
+    straightens integer numerators and rescales once."""
+    bracket = {key: tuple((k, F(c)) for k, c in entry)
+               for key, entry in bracket.items()}
+    memo = {}
+
+    def acc(out, mono, c):
+        s = out.get(mono, F(0)) + c
+        if s:
+            out[mono] = s
+        else:
+            out.pop(mono, None)
+
+    def gen_times_mono(g, mono):
+        if not mono:
+            return {((g, 1),): F(1)}
+        if (g, mono) in memo:
+            return memo[(g, mono)]
+        i, e = mono[0]
+        if g < i:
+            out = {((g, 1),) + mono: F(1)}
+        elif g == i:
+            out = {((g, e + 1),) + mono[1:]: F(1)}
+        else:
+            rest = ((i, e - 1),) + mono[1:] if e > 1 else mono[1:]
+            out = {}
+            for n1, c1 in gen_times_mono(g, rest).items():
+                for n2, c2 in gen_times_mono(i, n1).items():
+                    acc(out, n2, c1 * c2)
+            for k, c in bracket.get((i, g), ()):
+                for n1, c1 in gen_times_mono(k, rest).items():
+                    acc(out, n1, -c * c1)
+        memo[(g, mono)] = out
+        return out
+
+    out = {}
+    for mono, c in t1.items():
+        cur = {m: F(v) for m, v in t2.items()}
+        for idx, exp in reversed(mono):
+            for _ in range(exp):
+                nxt = {}
+                for m, v in cur.items():
+                    for n, c1 in gen_times_mono(idx, m).items():
+                        acc(nxt, n, v * c1)
+                cur = nxt
+        for n, v in cur.items():
+            acc(out, n, F(c) * v)
+    return out
+
+
+def pbw_terms(dim):
+    """Term dicts over `dim` generators with rational coefficients of
+    denominator at most 6: the zero element, unit multiples and sums of up
+    to three ordered monomials of length at most four."""
+    factor = st.tuples(st.integers(0, dim - 1), st.integers(1, 2))
+    mono = st.lists(factor, max_size=3, unique_by=lambda f: f[0]).map(
+        lambda fs: tuple(sorted(fs))).filter(
+        lambda m: sum(e for _, e in m) <= 4)
+    coeff = st.fractions(min_value=-4, max_value=4,
+                         max_denominator=6).filter(bool)
+    return st.one_of(st.just({}), st.just({(): F(1)}),
+                     coeff.map(lambda c: {(): c}),
+                     st.dictionaries(mono, coeff, max_size=3))
+
+
+@pytest.mark.parametrize("ctx_name", ["sl3_min_lag", "sl4_22_conj"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mul_terms_matches_fraction_reference(request, ctx_name, data):
+    B = request.getfixturevalue(ctx_name).basis
+    t1 = data.draw(pbw_terms(B.lie.dim))
+    t2 = data.draw(pbw_terms(B.lie.dim))
+    out = backend.mul_terms(t1, t2, B.bracket, {})
+    assert out == mul_terms_reference(t1, t2, B.bracket)
+    assert backend.mul_terms(t1, t2, B.bracket, None) == out
+    assert all(c for c in out.values())
+    if ctx_name == "sl3_min_lag":
+        # an integral basis: every whole coefficient comes back as an int
+        assert all(type(c) is int for c in out.values() if c.denominator == 1)
+
+
+def test_half_integer_basis_is_not_integral(sl4_22_conj):
+    consts = [c for entry in sl4_22_conj.basis.bracket.values()
+              for _, c in entry]
+    assert any(F(c).denominator == 2 for c in consts)
+
+
+def test_integral_basis_caches_ints(sl3_min_lag):
+    sctx = sl3_min_lag
+    fresh = PBWBasis.adapted(sctx.lie, sctx.grading, sctx.pair, sctx.chi)
+    g = fresh.generator
+    u = F(1, 2) * g(7) * g(5) + F(-2, 3) * g(6)
+    v = F(3, 4) * g(0) * g(1) + F(5) * g(2) * g(3) + F(1, 6) * fresh.one()
+    prod = u * v
+    assert fresh._cache_left
+    assert all(type(c) is int for out in fresh._cache_left.values()
+               for c in out.values())
+    assert prod.terms == mul_terms_reference(u.terms, v.terms, fresh.bracket)
+
+
+def convert_element_reference(u, target):
+    """`convert_element` as a sum of products of generator images, one
+    factor at a time."""
+    images = [target.element_from_ambient(v) for v in u.basis.vectors]
+    out = target.zero()
+    for m, c in u.terms.items():
+        acc = target.one() * c
+        for idx, exp in m:
+            for _ in range(exp):
+                acc = acc * images[idx]
+        out = out + acc
+    return out
+
+
+def test_convert_matches_reference(sl3_min_zero, sl3_min_lag):
+    rng = random.Random(10)
+    for src, dst in ((sl3_min_zero, sl3_min_lag), (sl3_min_lag, sl3_min_zero)):
+        for _ in range(10):
+            u = random_element(src.basis, rng, max_len=4, n_terms=3)
+            assert convert_element(u, dst.basis) == \
+                convert_element_reference(u, dst.basis)

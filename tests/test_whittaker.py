@@ -441,3 +441,27 @@ def test_express_substitution_check(sl2_ctx):
     comb[1] *= 2
     with pytest.raises(AssertionError):
         hb.express(hb.elements[1])
+
+
+def test_one_read_off_per_product(monkeypatch, sl3_min_zero, sl3_hb_zero,
+                                  sl3_min_lag, sl3_hb_lag):
+    """Each H product's membership and coordinates come from one read-off."""
+    calls = []
+    read_off = W._Echelon.coordinates
+
+    def counted(self, w):
+        calls.append(w)
+        return read_off(self, w)
+
+    monkeypatch.setattr(W._Echelon, "coordinates", counted)
+    rep = W.verify_theorem(6, sl3_min_lag, sl3_hb_lag)
+    assert len(calls) == rep.mult_pairs > 0
+    calls.clear()
+    table = sl3_hb_lag.multiplication_table()
+    assert len(calls) == len(table) == rep.mult_pairs
+    calls.clear()
+    # one membership check per transported representative, then one
+    # read-off per product
+    cmp = W.ell_comparison(sl3_min_zero, sl3_min_lag, 6, sl3_hb_zero,
+                           sl3_hb_lag)
+    assert len(calls) == len(sl3_hb_zero.elements) + cmp.mult_pairs
