@@ -216,18 +216,22 @@ def _normalize(row):
     return row
 
 
-def _clear(row, prow, col):
-    """Primitive integer row p*row - a*prow, with col cleared (p = prow[col],
-    a = row[col])."""
-    p, a = prow[col], row[col]
-    new = {j: p * v for j, v in row.items()}
-    for j, v in prow.items():
+def lincomb(p, x, a, y):
+    """p*x - a*y for sparse integer rows, zeros dropped."""
+    new = {j: p * v for j, v in x.items()}
+    for j, v in y.items():
         w = new.get(j, 0) - a * v
         if w:
             new[j] = w
         else:
             del new[j]
-    return _normalize(new)
+    return new
+
+
+def _clear(row, prow, col):
+    """Primitive integer row p*row - a*prow, with col cleared (p = prow[col],
+    a = row[col])."""
+    return _normalize(lincomb(prow[col], row, row[col], prow))
 
 
 def rref_sparse(rows, ncols):

@@ -227,21 +227,40 @@ def sln_matrix_to_coords(n: int, M: Sequence[Sequence]) -> Vector:
 
 
 def make_sln(n: int) -> LieAlgebra:
-    """sl_n over Q with matrix-unit basis; brackets from commutators."""
+    """sl_n over Q with matrix-unit basis; brackets from commutators.
+
+    Each basis matrix has at most two nonzero entries, all integers, so a
+    commutator is formed over those entries alone.
+    """
     labels, mats = sln_basis_matrices(n)
     d = len(labels)
-
-    def mul(A, B):
-        return [[sum((A[i][k] * B[k][j] for k in range(n)), QQ(0))
-                 for j in range(n)] for i in range(n)]
+    nonzero = [[(r, c, v.numerator) for r, row in enumerate(M)
+                for c, v in enumerate(row) if v] for M in mats]
+    # coordinate index of each off-diagonal matrix unit; H_1 comes after the
+    # upper units, and the H_i coordinate of a traceless diagonal D is
+    # D_11 + ... + D_ii (see `sln_matrix_to_coords`)
+    unit = {(r, c): k for k, nz in enumerate(nonzero) for r, c, _ in nz
+            if r != c}
+    h1 = n * (n - 1) // 2
 
     table = {}
     for i in range(d):
         for j in range(i + 1, d):
-            AB = mul(mats[i], mats[j])
-            BA = mul(mats[j], mats[i])
-            C = [[AB[r][c] - BA[r][c] for c in range(n)] for r in range(n)]
-            coords = sln_matrix_to_coords(n, C)
+            C: Dict[Tuple[int, int], int] = {}
+            for A, B, sign in ((nonzero[i], nonzero[j], 1),
+                               (nonzero[j], nonzero[i], -1)):
+                for r, k, a in A:
+                    for k2, c, b in B:
+                        if k == k2:
+                            C[(r, c)] = C.get((r, c), 0) + sign * a * b
+            coords = [0] * d
+            acc = 0
+            for k in range(n - 1):
+                acc += C.get((k, k), 0)
+                coords[h1 + k] = acc
+            for rc, v in C.items():
+                if rc[0] != rc[1]:
+                    coords[unit[rc]] = v
             entry = {k: v for k, v in enumerate(coords) if v}
             if entry:
                 table[(i, j)] = entry

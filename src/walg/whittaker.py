@@ -12,6 +12,7 @@ prefix.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -62,13 +63,28 @@ class QDegreeBasis:
         """dim F_k Q; F_k Q = 0 for k < 0."""
         return self.counts[min(k, self.n)] if k >= 0 else 0
 
-    def coords(self, u: UEAElement, upto: Optional[int] = None) -> Vector:
-        cnt = self.dim_f(upto) if upto is not None else len(self.monomials)
-        row = [ZERO] * cnt
+    def _size(self, upto: Optional[int]) -> int:
+        return len(self.monomials) if upto is None else self.dim_f(upto)
+
+    def sparse_coords(self, u: UEAElement,
+                      upto: Optional[int] = None) -> Dict[int, QQ]:
+        """Nonzero coordinates of u on the F_upto Q monomials (all of F_n Q
+        by default), index -> coefficient; DegreeOverflow for a term
+        outside them."""
+        cnt = self._size(upto)
+        index = self.index
+        out = {}
         for m, c in u.terms.items():
-            i = self.index.get(m)
+            i = index.get(m)
             if i is None or i >= cnt:
                 raise DegreeOverflow("element outside the computed degree range")
+            out[i] = c
+        return out
+
+    def coords(self, u: UEAElement, upto: Optional[int] = None) -> Vector:
+        """`sparse_coords` as a dense tuple."""
+        row = [ZERO] * self._size(upto)
+        for i, c in self.sparse_coords(u, upto).items():
             row[i] = c
         return tuple(row)
 
@@ -120,104 +136,116 @@ def _sparse(row: Sequence) -> Dict[int, QQ]:
 
 
 class _Echelon:
-    """Reduced echelon of a growing list of linearly independent sparse vectors.
+    """Reduced echelon of a growing list of linearly independent sparse
+    vectors, on integer numerators.
 
-    Each row is (pivot, vector, combination): the vector has a unit entry at
-    its pivot and a zero at every other row's pivot, and it equals the
-    combination (index -> coefficient) of the added vectors.  A new row
-    takes the top column of its residual as pivot, so every row's support
-    ends at its pivot.  A vector in the span is the sum of the rows scaled
-    by its own entries at their pivots, so reading its coordinates needs no
-    elimination.
+    Each row is (pivot, row, comb), two int dicts over one shared
+    denominator, the row's own pivot entry row[pivot] > 0: the vector
+    row / row[pivot] has a unit entry at its pivot and a zero at every other
+    row's pivot, and it equals the combination comb / row[pivot]
+    (index -> coefficient) of the added vectors.  Rows change only by the
+    fraction-free step `_eliminate`, which keeps row and comb jointly
+    primitive.  A new row takes the top column of its residual as pivot, so
+    every row's support ends at its pivot.  A vector in the span is the sum
+    of the rows scaled by its own entries at their pivots, so reading its
+    coordinates needs no elimination; only that read-off leaves the
+    integers.
     """
 
-    __slots__ = ("rows", "added", "_int_combs")
+    __slots__ = ("rows", "added")
 
     def __init__(self):
         self.rows: List[tuple] = []
         self.added: List[tuple] = []      # `int_form` of each added vector
-        # `int_form` of each row's combination, rebuilt by the first
-        # read-off after `extend`
-        self._int_combs = None
 
-    def reduce(self, w: Dict[int, QQ]):
-        """(coefficients on the rows, residual) of the sparse vector w."""
-        residual = dict(w)
-        coeffs = []
-        for p, row, _ in self.rows:
-            c = residual.get(p, ZERO)
-            coeffs.append(c)
-            if c:
-                _axpy(residual, -c, row)
-        return coeffs, residual
+    def reduce(self, w):
+        """(residual, combination) of the sparse rational vector w, as int
+        dicts.
 
-    def extend(self, w: Dict[int, QQ]) -> bool:
+        The residual is zero at every pivot and empty iff w lies in the
+        span; it is the combination of the added vectors and of w itself
+        (index `len(added)`, with a positive coefficient).
+        """
+        den, residual = backend.int_form(w)
+        comb = {len(self.added): den}
+        for p, row, comb_r in self.rows:
+            if p in residual:
+                residual, comb = _eliminate(residual, comb, row, comb_r, p)
+        return residual, comb
+
+    def extend(self, w) -> bool:
         """Add w unless it lies in the span already; whether it was added."""
-        coeffs, residual = self.reduce(w)
-        if not residual:
+        row, comb = self.reduce(w)
+        if not row:
             return False
-        comb = {len(self.added): ONE}
-        for c, (_, _, comb_r) in zip(coeffs, self.rows):
-            if c:
-                _axpy(comb, -c, comb_r)
-        p = max(residual)
-        inv = ONE / residual[p]
-        row = {j: v * inv for j, v in residual.items()}
-        comb = {i: v * inv for i, v in comb.items()}
-        for _, row_s, comb_s in self.rows:
-            a = row_s.get(p)
-            if a is not None:
-                _axpy(row_s, -a, row)
-                _axpy(comb_s, -a, comb)
-        self.rows.append((p, row, comb))
+        p = max(row)
+        if row[p] < 0:
+            row = {j: -v for j, v in row.items()}
+            comb = {k: -v for k, v in comb.items()}
+        rows = self.rows
+        for i, (q, row_s, comb_s) in enumerate(rows):
+            if p in row_s:
+                rows[i] = (q,) + _eliminate(row_s, comb_s, row, comb, p)
+        rows.append((p, row, comb))
         self.added.append(backend.int_form(w))
-        self._int_combs = None
         return True
 
     def coordinates(self, w: Dict[int, QQ]) -> Optional[Vector]:
         """Coefficients x of w on the added vectors, or None if w is outside
         their span.  x is read off at the pivots and returned only after
         sum x_k added_k == w is verified by substitution."""
-        if self._int_combs is None:
-            self._int_combs = [backend.int_form(comb)
-                               for _, _, comb in self.rows]
-        scale, xs = _combine([(w[p], ic) for (p, _, _), ic
-                              in zip(self.rows, self._int_combs) if p in w])
+        scale, xs = _combine([(w[p], (row[p], comb))
+                              for p, row, comb in self.rows if p in w])
         x = tuple(QQ(xs.get(k, 0), scale) for k in range(len(self.added)))
-        scale, back = _combine([(xk, a) for xk, a in zip(x, self.added) if xk])
-        back = {j: v for j, v in back.items() if v}
-        if back.keys() == w.keys() and all(
-                back[j] * c.denominator == c.numerator * scale
-                for j, c in w.items()):
+        if _equals(_combine([(xk, a) for xk, a in zip(x, self.added) if xk]),
+                   w):
             return x
-        if self.reduce(w)[1]:
+        if self.reduce(w)[0]:
             return None
         raise AssertionError("echelon read-off produced invalid coordinates")
 
 
-def _axpy(y: Dict[int, QQ], a: QQ, x: Dict[int, QQ]):
-    """y += a * x in place, dropping zeros."""
-    for j, v in x.items():
-        s = y.get(j, ZERO) + a * v
-        if s:
-            y[j] = s
-        else:
-            del y[j]
+def _eliminate(row: Dict, comb: Dict, prow: Dict, pcomb: Dict, col: int):
+    """(row, comb) with col cleared by the pivot row (prow, pcomb):
+    p*(row, comb) - a*(prow, pcomb) for p = prow[col] > 0, a = row[col],
+    divided by the gcd of all its entries."""
+    p, a = prow[col], row[col]
+    row = backend.lincomb(p, row, a, prow)
+    comb = backend.lincomb(p, comb, a, pcomb)
+    g = 0
+    for v in chain(row.values(), comb.values()):
+        g = gcd(g, v)
+        if g == 1:
+            return row, comb
+    for d in (row, comb):
+        for j in d:
+            d[j] //= g
+    return row, comb
 
 
 def _combine(terms):
-    """sum of c * v over (c, `backend.int_form` of v) pairs as (scale, ints),
+    """sum of c * v over (c, (den, ints)) pairs with v = ints / den and
+    den > 0, as `backend.int_form` gives them, returned as (scale, ints)
     where the sum is ints / scale; integer arithmetic only."""
     scale = 1
     for c, (den, _) in terms:
         d = c.denominator * den
         scale = scale * d // gcd(scale, d)
-    out: Dict[int, int] = {}
+    out: Dict = {}
     for c, (den, ints) in terms:
         m = c.numerator * (scale // (c.denominator * den))
         for j, v in ints.items():
             out[j] = out.get(j, 0) + m * v
     return scale, out
+
+
+def _equals(combined, w: Dict) -> bool:
+    """Whether ints / scale, for (scale, ints) = combined, is the sparse
+    rational vector w; compared by cross-multiplication."""
+    scale, ints = combined
+    ints = {j: v for j, v in ints.items() if v}
+    return ints.keys() == w.keys() and all(
+        ints[j] * c.denominator == c.numerator * scale for j, c in w.items())
 
 
 class HBasis:
@@ -270,8 +298,7 @@ class HBasis:
         echelon of all representatives.
         """
         self._check_degree(n)
-        row = self.qb.coords(u, upto=n)
-        return self._echelon.coordinates(_sparse(row))
+        return self._echelon.coordinates(self.qb.sparse_coords(u, upto=n))
 
     def contains(self, u: UEAElement, n: Optional[int] = None) -> bool:
         """Whether u lies in F_n H (n defaults to n_max)."""
@@ -406,14 +433,19 @@ def verify_theorem(n_max: int, sctx: SliceContext,
     """
     if hb is None:
         hb = h_basis(n_max, sctx)
+    elif hb.n_max < n_max:
+        raise DegreeOverflow(
+            f"degree {n_max} outside computed range 0..{hb.n_max}")
+    gr_dims = hb.gr_dims[:n_max + 1]
     slice_dims = sctx.hilbert_slice(n_max)
-    if hb.gr_dims != slice_dims[:n_max + 1]:
+    if gr_dims != slice_dims[:n_max + 1]:
         for n in range(n_max + 1):
-            if hb.gr_dims[n] != slice_dims[n]:
+            if gr_dims[n] != slice_dims[n]:
                 raise TheoremFailure(
-                    f"dim gr_{n} H = {hb.gr_dims[n]} != {slice_dims[n]} = dim C[S]_{n}",
+                    f"dim gr_{n} H = {gr_dims[n]} != {slice_dims[n]} = dim C[S]_{n}",
                     degree=n)
-    nus = [nu_map(a, sctx, d) for a, d in zip(hb.elements, hb.degrees)]
+    nus = [nu_map(a, sctx, d)
+           for a, d in zip(hb.elements_up_to(n_max), hb.degrees)]
     injective = []
     sdegs = sctx.slice_data.degrees
     for n in range(n_max + 1):
@@ -443,7 +475,7 @@ def verify_theorem(n_max: int, sctx: SliceContext,
                 f"nu not multiplicative on basis pair ({i},{j})",
                 degree=hb.degrees[i] + hb.degrees[j])
         table[(i, j)] = x
-    return TheoremReport(n_max=n_max, gr_dims=hb.gr_dims,
+    return TheoremReport(n_max=n_max, gr_dims=gr_dims,
                          slice_dims=slice_dims[:n_max + 1],
                          injective=injective, mult_pairs=len(table),
                          nus=nus, table=table, ok=True)
@@ -683,9 +715,9 @@ def ell_comparison(sctx1: SliceContext, sctx2: SliceContext, n_max: int,
     images before it, so the first dependent image names the first degree
     where injectivity fails.  With equal graded dimensions the map is then
     bijective in every degree.  The map is linear, so the image of
-    e_i e_j = sum_k x_k e_k is sum_k x_k image_k; it must equal the
-    product of the images straightened over sctx2.  hb1 and hb2, when
-    given, are the H-bases at n_max.
+    e_i e_j = sum_k x_k e_k is sum_k x_k image_k, summed over the images'
+    integer forms; it must equal the product of the images straightened
+    over sctx2.  hb1 and hb2, when given, are the H-bases at n_max.
     """
     if not sctx2.symp.ell.contains_subspace(sctx1.symp.ell):
         raise ComparisonFailure("ell1 is not contained in ell2")
@@ -698,6 +730,7 @@ def ell_comparison(sctx1: SliceContext, sctx2: SliceContext, n_max: int,
         raise ComparisonFailure(
             f"dim F_{n}H differs: {hb1.dim_f(n)} vs {hb2.dim_f(n)}", degree=n)
     images = []
+    image_ints = []
     echelon = _Echelon()
     for el, d in zip(hb1.elements, hb1.degrees):
         img = q_canonical_form(convert_element(el, sctx2.basis), sctx2)
@@ -707,18 +740,16 @@ def ell_comparison(sctx1: SliceContext, sctx2: SliceContext, n_max: int,
                                     degree=d)
         if not hb2.contains(img, d):
             raise ComparisonFailure("image not in H_{ell2}", degree=d)
-        if not echelon.extend(_sparse(hb2.qb.coords(img))):
+        if not echelon.extend(hb2.qb.sparse_coords(img)):
             raise ComparisonFailure("map not injective on F_n H", degree=d)
         images.append(img)
+        image_ints.append(backend.int_form(img.terms))
     mult_pairs = 0
     for i, j in hb1.product_pairs(n_max):
         x = h_product(hb1.elements[i], hb1.elements[j], hb1)[1]
-        lhs = {}
-        for xk, img in zip(x, images):
-            if xk:
-                _axpy(lhs, xk, img.terms)
+        lhs = _combine([(xk, f) for xk, f in zip(x, image_ints) if xk])
         rhs = q_canonical_form(images[i] * images[j], sctx2)
-        if UEAElement(sctx2.basis, lhs) != rhs:
+        if not _equals(lhs, rhs.terms):
             raise ComparisonFailure(
                 f"map fails to intertwine products on pair ({i},{j})")
         mult_pairs += 1

@@ -10,7 +10,10 @@ Arithmetic is exact (Fraction and int), so a float or complex literal, or
 a read of the name `float`, is an error.  PBW straightening runs on
 integer numerators, so the straightening functions of `walg.backend` may
 not name `Fraction` or `QQ`; only the rescale helper `_divide` mints
-Fractions.
+Fractions.  The same holds for the elimination of the `H` read-off echelon
+(`_Echelon.reduce`, `_Echelon.extend` and their row step `_eliminate` in
+`walg.whittaker`); only `_Echelon.coordinates`, which hands out rational
+coordinates, may.
 """
 
 import ast
@@ -155,18 +158,31 @@ def test_exact_arithmetic_only(path):
 
 STRAIGHTENING = ("gen_times_mono", "mono_times_gen", "_gen_times_terms",
                  "_terms_times_gen", "mul_terms")
+ECHELON_ELIMINATION = ("_Echelon.reduce", "_Echelon.extend", "_eliminate")
 RATIONAL_NAMES = ("Fraction", "QQ")
+
+
+def functions_of(source):
+    """(name, node) of every top-level function, and of every method of a
+    top-level class as `Class.method`."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
 
 
 def rational_uses(source, functions):
     """(function, line) of every use of `Fraction` or `QQ`, as a name or an
-    attribute, inside the top-level functions named in `functions`."""
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.FunctionDef) and node.name in functions:
+    attribute, inside the functions named in `functions`."""
+    for name, node in functions_of(source):
+        if name in functions:
             for n in ast.walk(node):
                 if isinstance(n, ast.Name) and n.id in RATIONAL_NAMES or \
                         isinstance(n, ast.Attribute) and n.attr in RATIONAL_NAMES:
-                    yield node.name, n.lineno
+                    yield name, n.lineno
 
 
 def test_finds_rational_uses():
@@ -185,9 +201,34 @@ def test_finds_rational_uses():
         ("gen_times_mono", 8), ("mul_terms", 5), ("mul_terms", 6)]
 
 
+def test_finds_rational_uses_in_methods():
+    source = ("class _Echelon:\n"
+              "    def reduce(self, w: QQ):\n"
+              "        return w\n"
+              "    def extend(self, w):\n"
+              "        return {j: QQ(v) for j, v in w.items()}\n"
+              "    def coordinates(self, w):\n"
+              "        return Fraction(1)\n"
+              "def _eliminate(row):\n"
+              "    x: QQ = 1\n"
+              "    return fractions.Fraction(x)\n"
+              "class Other:\n"
+              "    def extend(self):\n"
+              "        return QQ(0)\n")
+    assert sorted(rational_uses(source, ECHELON_ELIMINATION)) == [
+        ("_Echelon.extend", 5), ("_Echelon.reduce", 2), ("_eliminate", 9),
+        ("_eliminate", 10)]
+
+
 def test_straightening_is_fraction_free():
     source = (SRC / "backend.py").read_text(encoding="utf-8")
     defined = {node.name for node in ast.parse(source).body
                if isinstance(node, ast.FunctionDef)}
     assert set(STRAIGHTENING) <= defined
     assert list(rational_uses(source, STRAIGHTENING)) == []
+
+
+def test_echelon_elimination_is_fraction_free():
+    source = (SRC / "whittaker.py").read_text(encoding="utf-8")
+    assert set(ECHELON_ELIMINATION) <= {name for name, _ in functions_of(source)}
+    assert list(rational_uses(source, ECHELON_ELIMINATION)) == []

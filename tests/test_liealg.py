@@ -11,7 +11,8 @@ from walg.liealg import (Sl2Triple, ad_h_grading, chi, complete_sl2_triple,
                          decomposition_check, highest_root_triple, ker_ad_f,
                          killing_form, lagrangian_auto, make_lie_algebra,
                          make_nilpotent_pair, make_sln, partition_triple,
-                         sln_basis_matrices, structure_checks, symplectic_data)
+                         sln_basis_matrices, sln_matrix_to_coords,
+                         structure_checks, symplectic_data)
 from walg.linalg import Subspace, unit_vec, vec
 
 from conftest import sl2_algebra
@@ -38,6 +39,37 @@ def test_broken_sl2_violates_jacobi():
 @pytest.mark.parametrize("n,dim", [(2, 3), (3, 8), (4, 15)])
 def test_sln_dimensions(n, dim):
     assert make_sln(n).dim == dim
+
+
+def sln_table_reference(n):
+    """The sl_n bracket table from dense `Fraction` matrix commutators, the
+    construction `make_sln` replaced."""
+    labels, mats = sln_basis_matrices(n)
+
+    def mul(A, B):
+        return [[sum((A[i][k] * B[k][j] for k in range(n)), F(0))
+                 for j in range(n)] for i in range(n)]
+
+    table = {}
+    for i in range(len(labels)):
+        for j in range(i + 1, len(labels)):
+            AB = mul(mats[i], mats[j])
+            BA = mul(mats[j], mats[i])
+            C = [[AB[r][c] - BA[r][c] for c in range(n)] for r in range(n)]
+            entry = {k: v for k, v in enumerate(sln_matrix_to_coords(n, C))
+                     if v}
+            if entry:
+                table[(i, j)] = entry
+    return table
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sln_table_matches_dense_commutators(n):
+    table = make_sln(n).table
+    ref = sln_table_reference(n)
+    assert list(table) == list(ref)
+    assert [list(e.items()) for e in table.values()] == \
+        [list(e.items()) for e in ref.values()]
 
 
 def test_sln_rejects_small_n():

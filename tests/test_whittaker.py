@@ -4,8 +4,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from walg import whittaker as W
+from walg import backend, whittaker as W
 from walg.errors import ComparisonFailure, DegreeOverflow, WalgError
 from walg.linalg import SparseMatrix, Subspace, kernel, rank, solve
 from walg.pbw import casimir
@@ -465,3 +467,166 @@ def test_one_read_off_per_product(monkeypatch, sl3_min_zero, sl3_hb_zero,
     cmp = W.ell_comparison(sl3_min_zero, sl3_min_lag, 6, sl3_hb_zero,
                            sl3_hb_lag)
     assert len(calls) == len(sl3_hb_zero.elements) + cmp.mult_pairs
+
+
+def test_verify_theorem_on_a_larger_basis(sl3_min_lag, sl3_hb_lag):
+    """An H basis computed past n_max is checked and reported up to n_max."""
+    small = W.verify_theorem(4, sl3_min_lag, W.h_basis(4, sl3_min_lag))
+    big = W.verify_theorem(4, sl3_min_lag, sl3_hb_lag)
+    assert big.gr_dims == small.gr_dims == big.slice_dims == [1, 0, 1, 2, 2]
+    assert big.nus == small.nus
+    assert (big.injective, big.mult_pairs) == (small.injective,
+                                               small.mult_pairs)
+    pad = (F(0),) * (len(sl3_hb_lag.elements) - len(small.nus))
+    assert big.table == {k: x + pad for k, x in small.table.items()}
+
+
+def test_verify_theorem_needs_the_degree(sl3_min_lag):
+    with pytest.raises(DegreeOverflow):
+        W.verify_theorem(5, sl3_min_lag, W.h_basis(3, sl3_min_lag))
+
+
+# -- the integer echelon against the Fraction one it replaces ----------------
+
+def axpy(y, a, x):
+    """y += a * x in place, dropping zeros."""
+    for j, v in x.items():
+        s = y.get(j, F(0)) + a * v
+        if s:
+            y[j] = s
+        else:
+            y.pop(j, None)
+
+
+class FractionEchelon:
+    """The echelon on `Fraction` rows with unit pivots that `W._Echelon`
+    replaced: rows are (pivot, vector, combination)."""
+
+    def __init__(self):
+        self.rows = []
+        self.added = []
+
+    def reduce(self, w):
+        residual = dict(w)
+        coeffs = []
+        for p, row, _ in self.rows:
+            c = residual.get(p, F(0))
+            coeffs.append(c)
+            if c:
+                axpy(residual, -c, row)
+        return coeffs, residual
+
+    def extend(self, w):
+        coeffs, residual = self.reduce(w)
+        if not residual:
+            return False
+        comb = {len(self.added): F(1)}
+        for c, (_, _, comb_r) in zip(coeffs, self.rows):
+            if c:
+                axpy(comb, -c, comb_r)
+        p = max(residual)
+        inv = 1 / residual[p]
+        row = {j: v * inv for j, v in residual.items()}
+        comb = {i: v * inv for i, v in comb.items()}
+        for _, row_s, comb_s in self.rows:
+            a = row_s.get(p)
+            if a is not None:
+                axpy(row_s, -a, row)
+                axpy(comb_s, -a, comb)
+        self.rows.append((p, row, comb))
+        self.added.append(dict(w))
+        return True
+
+    def coordinates(self, w):
+        xs = {}
+        for p, _, comb in self.rows:
+            if p in w:
+                axpy(xs, w[p], comb)
+        x = tuple(xs.get(k, F(0)) for k in range(len(self.added)))
+        back = {}
+        for xk, a in zip(x, self.added):
+            axpy(back, xk, a)
+        return x if back == w else None
+
+
+rationals = st.builds(F, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 3))
+
+
+def combination(coeffs, vectors):
+    out = {}
+    for c, v in zip(coeffs, vectors):
+        axpy(out, c, v)
+    return out
+
+
+@st.composite
+def vector_streams(draw):
+    """(vectors to add, vectors to read off): random sparse rational
+    vectors mixed with zero, duplicate and dependent ones."""
+    ncols = draw(st.integers(1, 8))
+    sparse = st.dictionaries(st.integers(0, ncols - 1), rationals,
+                             min_size=1, max_size=ncols).map(
+        lambda d: {j: c for j, c in d.items() if c})
+    small = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+    def dependent(pool):
+        k = draw(st.integers(1, min(3, len(pool))))
+        return combination(draw(st.lists(small, min_size=k, max_size=k)),
+                           draw(st.lists(st.sampled_from(pool), min_size=k,
+                                         max_size=k)))
+
+    added = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["random"] * 3 + ["zero", "duplicate",
+                                                      "dependent"]))
+        if kind == "zero":
+            added.append({})
+        elif kind == "random" or not added:
+            added.append(draw(sparse))
+        elif kind == "duplicate":
+            added.append(dict(draw(st.sampled_from(added))))
+        else:
+            added.append(dependent(added))
+    queries = [draw(sparse) for _ in range(2)] + [{}]
+    if added:
+        queries += [dependent(added) for _ in range(3)]
+    return added, queries
+
+
+def as_rationals(v, den):
+    return {j: F(c, den) for j, c in v.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_streams())
+def test_integer_echelon_matches_fraction_echelon(stream):
+    added, queries = stream
+    ech, ref = W._Echelon(), FractionEchelon()
+    for w in added:
+        assert ech.extend(w) == ref.extend(w)
+        assert [p for p, _, _ in ech.rows] == [p for p, _, _ in ref.rows]
+        for (p, row, comb), (_, ref_row, ref_comb) in zip(ech.rows, ref.rows):
+            assert row[p] > 0
+            assert as_rationals(row, row[p]) == ref_row
+            assert as_rationals(comb, row[p]) == ref_comb
+    for w in queries:
+        assert ech.coordinates(w) == ref.coordinates(w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.just(F(0)), rationals),
+                          st.dictionaries(st.tuples(st.integers(0, 3)),
+                                          rationals, max_size=4)),
+                max_size=6),
+       rationals)
+def test_transported_sum_matches_fraction_sum(terms, bump):
+    """The integer sum sum_k x_k image_k of `ell_comparison` against the
+    `Fraction` accumulation it replaced."""
+    terms = [(x, {m: c for m, c in img.items() if c}) for x, img in terms]
+    expected = combination(*zip(*terms)) if terms else {}
+    total = W._combine([(x, backend.int_form(img)) for x, img in terms if x])
+    assert W._equals(total, expected)
+    if bump:
+        m = next(iter(expected), ((4,),))
+        assert not W._equals(total, combination([1, 1],
+                                                [expected, {m: bump}]))
