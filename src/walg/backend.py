@@ -136,6 +136,22 @@ def int_form(v):
     return den, {k: c.numerator * (den // c.denominator) for k, c in v.items()}
 
 
+def combine(terms):
+    """sum of c * v over (c, (den, ints)) pairs with v = ints / den and
+    den > 0, as `int_form` gives them, returned as (scale, ints) where the
+    sum is ints / scale; integer arithmetic only, and zero sums are kept."""
+    scale = 1
+    for c, (den, _) in terms:
+        d = c.denominator * den
+        scale = scale * d // gcd(scale, d)
+    out = {}
+    for c, (den, ints) in terms:
+        m = c.numerator * (scale // (c.denominator * den))
+        for j, v in ints.items():
+            out[j] = out.get(j, 0) + m * v
+    return scale, out
+
+
 def _divide(terms, den):
     """terms / den, each quotient an int when it is a whole number."""
     if den == 1:

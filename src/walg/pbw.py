@@ -140,19 +140,17 @@ class PBWBasis:
         result involves complement generators only.
         """
         nc = self.n_complement
+        chi_vals = self.chi_vals
         out: Terms = {}
         for mono, c in terms.items():
-            head = []
-            for i, e in mono:
-                if i < nc:
-                    head.append((i, e))
-                else:
-                    c = c * self.chi_vals[i] ** e
-                    if not c:
-                        break
+            k = len(mono)
+            while k and mono[k - 1][0] >= nc:
+                i, e = mono[k - 1]
+                c = c * chi_vals[i] ** e
+                k -= 1
             if not c:
                 continue
-            key = tuple(head)
+            key = mono[:k] if k < len(mono) else mono
             s = out.get(key, 0) + c
             if s:
                 out[key] = s

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from walg import backend
 from walg.errors import (ChartMismatch, LiftFailure, NotNilpotentCoadjoint,
                          WalgError)
 from walg.linalg import QQ, SparseMatrix, Vector, solve, vec
@@ -221,7 +222,7 @@ def add_product(out: Terms, t1: Terms, t2: Terms) -> Terms:
     for m1, c1 in t1.items():
         for m2, c2 in t2.items():
             m = mono_mul(m1, m2)
-            s = out.get(m, ZERO) + c1 * c2
+            s = out.get(m, 0) + c1 * c2
             if s:
                 out[m] = s
             elif m in out:
@@ -240,12 +241,14 @@ class Substitution:
     An algebra map is fixed by the images of the monomials.  Each is built
     once, as the image of its prefix (the monomial with one power of its
     last variable removed) times that variable's image, and kept for the
-    life of the map; `products` counts these multiplications.  A call sums
-    c_m * image(m) into a fresh dict, so memoized dicts are never handed
-    out or changed.
+    life of the map as an integer form (den, ints) with value ints / den;
+    `products` counts these multiplications.  A call sums c_m * image(m)
+    over one common denominator into a fresh dict and divides once, so
+    memoized dicts are never handed out or changed.
     """
 
-    __slots__ = ("source", "target", "images", "products", "_memo")
+    __slots__ = ("source", "target", "images", "products", "_int_images",
+                 "_memo")
 
     def __init__(self, source: Chart, images: Sequence[KazhdanPolynomial],
                  target: Chart):
@@ -259,14 +262,17 @@ class Substitution:
         self.target = target
         self.images = images
         self.products = 0
-        self._memo: Dict[Monomial, Terms] = {(): {(): ONE}}
+        self._int_images = [backend.int_form(img.terms) for img in images]
+        self._memo: Dict[Monomial, Tuple[int, Terms]] = {(): (1, {(): 1})}
 
-    def _image(self, m: Monomial) -> Terms:
+    def _image(self, m: Monomial) -> Tuple[int, Terms]:
         img = self._memo.get(m)
         if img is None:
             i, e = m[-1]
             prefix = m[:-1] if e == 1 else m[:-1] + ((i, e - 1),)
-            img = poly_mul(self._image(prefix), self.images[i].terms)
+            den, ints = self._image(prefix)
+            den_i, ints_i = self._int_images[i]
+            img = (den * den_i, poly_mul(ints, ints_i))
             self.products += 1
             self._memo[m] = img
         return img
@@ -274,15 +280,9 @@ class Substitution:
     def __call__(self, F: KazhdanPolynomial) -> KazhdanPolynomial:
         if F.chart is not self.source and F.chart != self.source:
             raise ChartMismatch(f"{F.chart!r} is not the source chart {self.source!r}")
-        out: Terms = {}
-        for m, c in F.terms.items():
-            for m2, c2 in self._image(m).items():
-                s = out.get(m2, ZERO) + c * c2
-                if s:
-                    out[m2] = s
-                elif m2 in out:
-                    del out[m2]
-        return KazhdanPolynomial(self.target, out)
+        scale, ints = backend.combine([(c, self._image(m))
+                                       for m, c in F.terms.items()])
+        return KazhdanPolynomial(self.target, backend._divide(ints, scale))
 
 
 def symbol(u: UEAElement, n: int, chart: Chart) -> KazhdanPolynomial:

@@ -3,7 +3,12 @@
 Canonical forms: with the adapted PBW order (a-generators last), reducing
 an element of Ug modulo the left ideal generated by x - chi(x), x in a,
 is literal suffix chopping: every trailing a-factor of a straightened
-monomial is replaced by its chi-value.  H_ell is the joint kernel of the
+monomial is replaced by its chi-value.  Products in Q are taken by left
+action: the ideal is a left ideal, so q(g w) = q(g q(w)) for a generator
+g, and a monomial acts by one generator step after its suffix, every
+intermediate kept in canonical Q form (`_LeftAction`).  The products in
+H, the ad-action matrices and the natural maps between the Q_ell all run
+on that one kernel.  H_ell is the joint kernel of the
 ad-action matrices of the n_ell generators on F_n Q.  The monomial order
 lists F_n Q as a prefix, so one elimination of the stacked matrices at the
 top degree gives every F_n H (and likewise every Wh(F_n Q)), read off by
@@ -22,7 +27,7 @@ from walg.errors import (CenterCheckFailure, ComparisonFailure, ConfigError,
                          DegreeOverflow, TheoremFailure, WalgError)
 from walg.linalg import (QQ, SparseMatrix, Subspace, Vector, prefix_kernels,
                          rank, solve)
-from walg.pbw import UEAElement, casimir, convert_element
+from walg.pbw import UEAElement, casimir
 from walg.poisson import KazhdanPolynomial
 
 ZERO = QQ(0)
@@ -32,6 +37,103 @@ ONE = QQ(1)
 def q_canonical_form(u: UEAElement, sctx: SliceContext) -> UEAElement:
     """Image of u in Q_ell as its canonical complement-monomial form."""
     return UEAElement(sctx.basis, sctx.basis.chi_reduce(u.terms))
+
+
+# ---------------------------------------------------------------------------
+# The left action on Q.
+#
+# I_ell is a left ideal, so q(g w) = q(g q(w)) for every generator g: a PBW
+# monomial m = g s (g its first factor) acts on Q by one generator step
+# after its suffix s.  A `_LeftAction` keeps the images q(m base) of the
+# monomials it meets, each built from the image of its suffix, for one
+# `base`; it lives for one product, one matrix or one transport pass.
+# Images are integer forms (den, ints) with value ints / den: a step
+# multiplies integer numerators, and only the result is divided, once.
+# ---------------------------------------------------------------------------
+
+
+def _linear(terms):
+    """The combination sum c x_k of generators with term dict `terms`, as a
+    step (den, ((k, c), ...)) on integer numerators."""
+    den, ints = backend.int_form(terms)
+    return den, tuple((m[0][0], c) for m, c in ints.items())
+
+
+def _generator_steps(basis) -> List[tuple]:
+    """The step of each generator x_g by itself: left multiplication."""
+    return [(1, ((g, 1),)) for g in range(basis.lie.dim)]
+
+
+def _step(basis, gens, ints):
+    """q(L w) for L = sum c x_k over the (k, c) pairs `gens` and w the terms
+    `ints`, on numerators: one `_gen_times_terms` per generator of L."""
+    bracket, cache = basis.bracket, basis._cache_left
+    if len(gens) == 1 and gens[0][1] == 1:
+        return basis.chi_reduce(
+            backend._gen_times_terms(gens[0][0], ints, bracket, cache))
+    out: Dict = {}
+    for k, c in gens:
+        for n, v in backend._gen_times_terms(k, ints, bracket, cache).items():
+            backend._acc(out, n, c * v)
+    return basis.chi_reduce(out)
+
+
+def _value(combined) -> Dict:
+    """The terms ints / scale of (scale, ints), zeros dropped."""
+    scale, ints = combined
+    return backend._divide({m: v for m, v in ints.items() if v}, scale)
+
+
+class _LeftAction:
+    """q(m base) for PBW monomials m, the generator x_g of m acting by the
+    step steps[g] (see `_step`): image(()) = q(base) and
+    image(g s) = q(L_g image(s)), each built once, from its suffix."""
+
+    __slots__ = ("basis", "steps", "memo")
+
+    def __init__(self, basis, steps: Sequence[tuple], base: Dict):
+        self.basis = basis
+        self.steps = steps
+        self.memo = {(): backend.int_form(basis.chi_reduce(base))}
+
+    def image(self, m):
+        """q(m base) as an integer form (den, ints)."""
+        img = self.memo.get(m)
+        if img is None:
+            g, e = m[0]
+            den, ints = self.image(((g, e - 1),) + m[1:] if e > 1 else m[1:])
+            step_den, gens = self.steps[g]
+            img = self.memo[m] = (step_den * den, _step(self.basis, gens, ints))
+        return img
+
+    def apply(self, terms: Dict) -> Dict:
+        """q(u base) for the element u with term dict `terms`."""
+        return _value(backend.combine([(c, self.image(m))
+                                       for m, c in terms.items()]))
+
+
+def q_product(a: UEAElement, b: UEAElement, sctx: SliceContext) -> UEAElement:
+    """q(a b), by the left action of the monomials of a on q(b)."""
+    basis = sctx.basis
+    act = _LeftAction(basis, _generator_steps(basis), b.terms)
+    return UEAElement(basis, act.apply(a.terms))
+
+
+def q_transport(elements: Sequence[UEAElement], sctx1: SliceContext,
+                sctx2: SliceContext) -> List[UEAElement]:
+    """The natural map Q_{ell1} -> Q_{ell2} (I_{ell1} inside I_{ell2}) on
+    `elements`, given over the PBW basis of sctx1.
+
+    One left action serves all of them: a generator of the first basis
+    acts by its expression over the second, on q(1).
+    """
+    source, target = sctx1.basis, sctx2.basis
+    if source.lie is not target.lie:
+        raise WalgError("the natural map needs the same underlying algebra")
+    steps = [_linear(target.element_from_ambient(v).terms)
+             for v in source.vectors]
+    act = _LeftAction(target, steps, {(): 1})
+    return [UEAElement(target, act.apply(u.terms)) for u in elements]
 
 
 class QDegreeBasis:
@@ -99,16 +201,23 @@ def q_degree_basis(n: int, sctx: SliceContext) -> QDegreeBasis:
 
 def ad_action_matrix(x: Sequence, qb: QDegreeBasis,
                      sctx: SliceContext) -> SparseMatrix:
-    """Matrix of v -> q([x, v~]) on the degree basis; strictly lowers degree."""
+    """Matrix of v -> q([x, v~]) on the degree basis; strictly lowers degree.
+
+    The column of v is q(x v), one step, minus q(v x), the left action of v
+    on x; F_n Q is closed under suffixes, so that memo takes one step per
+    column too.
+    """
     basis = sctx.basis
-    xe = basis.element_from_ambient(x)
+    xe = basis.element_from_ambient(x).terms
+    den, gens = _linear(xe)
+    right = _LeftAction(basis, _generator_steps(basis), xe)
     cnt = len(qb.monomials)
     entries = {}
     for j, mono in enumerate(qb.monomials):
-        v = UEAElement(basis, {mono: ONE})
-        img = q_canonical_form(xe * v - v * xe, sctx)
+        img = _value(backend.combine([(1, (den, _step(basis, gens, {mono: 1}))),
+                                      (-1, right.image(mono))]))
         deg_in = basis.monomial_degree(mono)
-        for m, c in img.terms.items():
+        for m, c in img.items():
             if basis.monomial_degree(m) >= deg_in:
                 raise WalgError("ad action failed to lower the Kazhdan degree")
             entries[(qb.index[m], j)] = c
@@ -117,16 +226,17 @@ def ad_action_matrix(x: Sequence, qb: QDegreeBasis,
 
 def left_action_matrix(x: Sequence, qb: QDegreeBasis,
                        sctx: SliceContext) -> SparseMatrix:
-    """Matrix of v -> q((x - chi(x)) v~) on the degree basis."""
+    """Matrix of v -> q((x - chi(x)) v~) on the degree basis, one step per
+    column."""
     basis = sctx.basis
-    xe = basis.element_from_ambient(x)
+    den, gens = _linear(basis.element_from_ambient(x).terms)
     cx = sctx.chi(x)
     cnt = len(qb.monomials)
     entries = {}
     for j, mono in enumerate(qb.monomials):
-        v = UEAElement(basis, {mono: ONE})
-        img = q_canonical_form(xe * v, sctx) - cx * v
-        for m, c in img.terms.items():
+        img = _value(backend.combine([(1, (den, _step(basis, gens, {mono: 1}))),
+                                      (-cx, (1, {mono: 1}))]))
+        for m, c in img.items():
             entries[(qb.index[m], j)] = c
     return SparseMatrix(cnt, cnt, entries)
 
@@ -223,20 +333,8 @@ def _eliminate(row: Dict, comb: Dict, prow: Dict, pcomb: Dict, col: int):
     return row, comb
 
 
-def _combine(terms):
-    """sum of c * v over (c, (den, ints)) pairs with v = ints / den and
-    den > 0, as `backend.int_form` gives them, returned as (scale, ints)
-    where the sum is ints / scale; integer arithmetic only."""
-    scale = 1
-    for c, (den, _) in terms:
-        d = c.denominator * den
-        scale = scale * d // gcd(scale, d)
-    out: Dict = {}
-    for c, (den, ints) in terms:
-        m = c.numerator * (scale // (c.denominator * den))
-        for j, v in ints.items():
-            out[j] = out.get(j, 0) + m * v
-    return scale, out
+# the integer sum of the read-off and of the transported products
+_combine = backend.combine
 
 
 def _equals(combined, w: Dict) -> bool:
@@ -371,7 +469,7 @@ def h_product(a: UEAElement, b: UEAElement,
               hb: HBasis) -> Tuple[UEAElement, Vector]:
     """Product in H_ell and its coefficients on the representatives.
 
-    Multiplies the representatives in Ug and reduces mod I_ell.  One
+    The product is taken in Q by left action (`q_product`).  One
     read-off of the product's F_{deg a + deg b} Q coordinates both checks
     that it lies in the computed F_{deg a + deg b} H and gives its
     coefficients.
@@ -381,7 +479,7 @@ def h_product(a: UEAElement, b: UEAElement,
     if da + db > hb.n_max:
         raise DegreeOverflow(
             f"product degree {da + db} exceeds computed range {hb.n_max}")
-    prod = q_canonical_form(a * b, hb.sctx)
+    prod = q_product(a, b, hb.sctx)
     x = hb.coordinates(prod, da + db)
     if x is None:
         raise WalgError("H is not closed under multiplication (bug)")
@@ -494,7 +592,7 @@ def gr_commutator_vs_poisson(a: UEAElement, b: UEAElement, hb: HBasis) -> bool:
     db = b.kazhdan_degree() or 0
     if da + db > hb.n_max:
         raise DegreeOverflow("commutator degree outside computed range")
-    comm = q_canonical_form(a * b - b * a, hb.sctx)
+    comm = q_product(a, b, sctx) - q_product(b, a, sctx)
     cd = comm.kazhdan_degree()
     if cd is not None and cd > da + db - 2:
         raise WalgError("commutator violates the filtration degree law")
@@ -680,7 +778,7 @@ def center_injects(n_max: int, sctx: SliceContext,
                           f"degree of the Casimir image; got {n_max}")
     for x, _ in sctx.pair.n_graded:
         xe = sctx.basis.element_from_ambient(x)
-        if not q_canonical_form(xe * img - img * xe, sctx).is_zero():
+        if not (q_product(xe, img, sctx) - q_product(img, xe, sctx)).is_zero():
             raise CenterCheckFailure("Casimir image is not ad n_ell invariant",
                                      deg)
     if hb is not None and not hb.contains(img, deg):
@@ -708,16 +806,15 @@ def ell_comparison(sctx1: SliceContext, sctx2: SliceContext, n_max: int,
                    hb2: Optional[HBasis] = None) -> ComparisonReport:
     """The natural map H_{ell1} -> H_{ell2} for ell1 inside ell2.
 
-    Each representative is transported once: rewritten over the PBW basis
-    of sctx2 and reduced mod the larger ideal.  The images of F_n H_{ell1}
-    are a prefix of the images, so each image is checked at its own degree
-    d: it lies in F_d Q and in H_{ell2}, and it is independent of the
-    images before it, so the first dependent image names the first degree
-    where injectivity fails.  With equal graded dimensions the map is then
+    The representatives are transported in one pass (`q_transport`).  The
+    images of F_n H_{ell1} are a prefix of the images, so each image is
+    checked at its own degree d: it lies in F_d Q and in H_{ell2}, and it
+    is independent of the images before it, so the first dependent image
+    names the first degree where injectivity fails.  With equal graded dimensions the map is then
     bijective in every degree.  The map is linear, so the image of
     e_i e_j = sum_k x_k e_k is sum_k x_k image_k, summed over the images'
-    integer forms; it must equal the product of the images straightened
-    over sctx2.  hb1 and hb2, when given, are the H-bases at n_max.
+    integer forms; it must equal the product of the images in Q_{ell2}.
+    hb1 and hb2, when given, are the H-bases at n_max.
     """
     if not sctx2.symp.ell.contains_subspace(sctx1.symp.ell):
         raise ComparisonFailure("ell1 is not contained in ell2")
@@ -729,11 +826,10 @@ def ell_comparison(sctx1: SliceContext, sctx2: SliceContext, n_max: int,
         n = next(n for n in range(n_max + 1) if hb1.dim_f(n) != hb2.dim_f(n))
         raise ComparisonFailure(
             f"dim F_{n}H differs: {hb1.dim_f(n)} vs {hb2.dim_f(n)}", degree=n)
-    images = []
+    images = q_transport(hb1.elements, sctx1, sctx2)
     image_ints = []
     echelon = _Echelon()
-    for el, d in zip(hb1.elements, hb1.degrees):
-        img = q_canonical_form(convert_element(el, sctx2.basis), sctx2)
+    for img, d in zip(images, hb1.degrees):
         # the filtration first: `contains` needs img inside F_d Q
         if (img.kazhdan_degree() or 0) > d:
             raise ComparisonFailure("map does not respect the filtration",
@@ -742,13 +838,12 @@ def ell_comparison(sctx1: SliceContext, sctx2: SliceContext, n_max: int,
             raise ComparisonFailure("image not in H_{ell2}", degree=d)
         if not echelon.extend(hb2.qb.sparse_coords(img)):
             raise ComparisonFailure("map not injective on F_n H", degree=d)
-        images.append(img)
         image_ints.append(backend.int_form(img.terms))
     mult_pairs = 0
     for i, j in hb1.product_pairs(n_max):
         x = h_product(hb1.elements[i], hb1.elements[j], hb1)[1]
         lhs = _combine([(xk, f) for xk, f in zip(x, image_ints) if xk])
-        rhs = q_canonical_form(images[i] * images[j], sctx2)
+        rhs = q_product(images[i], images[j], sctx2)
         if not _equals(lhs, rhs.terms):
             raise ComparisonFailure(
                 f"map fails to intertwine products on pair ({i},{j})")

@@ -99,6 +99,14 @@ def sl4():
 
 
 @pytest.fixture(scope="session")
+def sl4_22_conj(sl4):
+    """The sl4 [2,2] nilpotent of the seeded conjugate benchmark job; four
+    structure constants of its adapted basis are half-integers."""
+    return build_context(sl4, (1, 0, 2, 0, -4, 1, 2, 0, 0, -4, 0, 0, 0, 0, 0),
+                         "lagrangian-auto")
+
+
+@pytest.fixture(scope="session")
 def sl4_211(sl4):
     e, h, f = partition_triple(4, [2, 1, 1])
     return build_context(sl4, e, "zero", h=h, f=f)

@@ -268,13 +268,14 @@ def test_whittaker_failure_witness_is_first_failing_degree(tmp_path,
 
 
 def test_ell_independence_failure_witness_is_first_failing_degree(monkeypatch):
-    true_convert = whittaker.convert_element
+    true_transport = whittaker.q_transport
 
-    def drop_degree_2(u, target):
+    def drop_degree_2(elements, sctx1, sctx2):
         """The transport with every degree-2 representative sent to 0."""
-        return target.zero() if u.kazhdan_degree() == 2 else true_convert(u, target)
+        return [sctx2.basis.zero() if u.kazhdan_degree() == 2 else img
+                for u, img in zip(elements, true_transport(elements, sctx1, sctx2))]
 
-    monkeypatch.setattr(whittaker, "convert_element", drop_degree_2)
+    monkeypatch.setattr(whittaker, "q_transport", drop_degree_2)
     config = JobConfig(algebra="sl3", nilpotent="minimal", ell="lagrangian-auto",
                        max_degree=4, checks=["ell-independence"])
     (entry,) = run(config)["checks"]

@@ -13,7 +13,10 @@ not name `Fraction` or `QQ`; only the rescale helper `_divide` mints
 Fractions.  The same holds for the elimination of the `H` read-off echelon
 (`_Echelon.reduce`, `_Echelon.extend` and their row step `_eliminate` in
 `walg.whittaker`); only `_Echelon.coordinates`, which hands out rational
-coordinates, may.
+coordinates, may.  And for the kernels on integer forms (den, ints): the
+left action on Q in `walg.whittaker`, the memoized images and the sum of
+`poisson.Substitution`, and `backend.combine`, the sum over one common
+scale behind both; they leave the integers only through `_divide`.
 """
 
 import ast
@@ -159,6 +162,14 @@ def test_exact_arithmetic_only(path):
 STRAIGHTENING = ("gen_times_mono", "mono_times_gen", "_gen_times_terms",
                  "_terms_times_gen", "mul_terms")
 ECHELON_ELIMINATION = ("_Echelon.reduce", "_Echelon.extend", "_eliminate")
+# module -> its integer-form kernels: the left action on Q, the
+# substitution's memo and sum, and the sum over a common scale they share
+INTEGER_FORM_KERNELS = {
+    "whittaker.py": ("_linear", "_step", "_value", "_LeftAction.__init__",
+                     "_LeftAction.image", "_LeftAction.apply"),
+    "poisson.py": ("Substitution._image", "Substitution.__call__"),
+    "backend.py": ("combine",),
+}
 RATIONAL_NAMES = ("Fraction", "QQ")
 
 
@@ -232,3 +243,35 @@ def test_echelon_elimination_is_fraction_free():
     source = (SRC / "whittaker.py").read_text(encoding="utf-8")
     assert set(ECHELON_ELIMINATION) <= {name for name, _ in functions_of(source)}
     assert list(rational_uses(source, ECHELON_ELIMINATION)) == []
+
+
+def test_finds_rational_uses_in_integer_form_kernels():
+    source = ("class _LeftAction:\n"
+              "    def __init__(self, base):\n"
+              "        self.memo = {(): (1, base)}\n"
+              "    def image(self, m):\n"
+              "        return self.memo.get(m, (QQ(1), {}))\n"
+              "    def apply(self, terms):\n"
+              "        return {m: Fraction(c) for m, c in terms.items()}\n"
+              "def _step(basis, gens, ints):\n"
+              "    return {m: fractions.Fraction(c) for m, c in ints.items()}\n"
+              "class Substitution:\n"
+              "    def __call__(self, F):\n"
+              "        return sum(F.terms.values(), QQ(0))\n"
+              "    def _image(self, m):\n"
+              "        return (1, {})\n"
+              "def _divide(terms, den):\n"
+              "    return {m: Fraction(c, den) for m, c in terms.items()}\n")
+    kernels = (INTEGER_FORM_KERNELS["whittaker.py"]
+               + INTEGER_FORM_KERNELS["poisson.py"])
+    assert sorted(rational_uses(source, kernels)) == [
+        ("Substitution.__call__", 12), ("_LeftAction.apply", 7),
+        ("_LeftAction.image", 5), ("_step", 9)]
+
+
+@pytest.mark.parametrize("module", sorted(INTEGER_FORM_KERNELS))
+def test_integer_form_kernels_are_fraction_free(module):
+    source = (SRC / module).read_text(encoding="utf-8")
+    functions = INTEGER_FORM_KERNELS[module]
+    assert set(functions) <= {name for name, _ in functions_of(source)}
+    assert list(rational_uses(source, functions)) == []

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walg import backend, poisson
-from walg.context import build_context
 from walg.errors import DegreeTooLow
 from walg.pbw import (PBWBasis, UEAElement, casimir, commutator,
                       convert_element, kazhdan_degree, pbw_multiply,
@@ -232,16 +231,6 @@ def test_confluence_property(sl2_ctx, w1, w2, c):
 # ---------------------------------------------------------------------------
 # integer straightening against a Fraction reference
 # ---------------------------------------------------------------------------
-
-# the sl4 [2,2] nilpotent of the seeded conjugate benchmark job; four
-# structure constants of its adapted basis are half-integers
-SL4_22_CONJUGATE = (1, 0, 2, 0, -4, 1, 2, 0, 0, -4, 0, 0, 0, 0, 0)
-
-
-@pytest.fixture(scope="module")
-def sl4_22_conj(sl4):
-    return build_context(sl4, SL4_22_CONJUGATE, "lagrangian-auto")
-
 
 def mul_terms_reference(t1, t2, bracket):
     """PBW product of term dicts, straightened left to right in Fraction

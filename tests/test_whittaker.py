@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walg import backend, whittaker as W
+from walg import backend, poisson, whittaker as W
+from walg.context import build_context
 from walg.errors import ComparisonFailure, DegreeOverflow, WalgError
 from walg.linalg import SparseMatrix, Subspace, kernel, rank, solve
-from walg.pbw import casimir
+from walg.pbw import UEAElement, casimir, convert_element
 from walg.poisson import KazhdanPolynomial
 
 
@@ -264,9 +265,9 @@ def test_ell_comparison_detects_a_map_that_breaks_products(
         monkeypatch, sl3_min_zero, sl3_min_lag, sl3_hb_zero, sl3_hb_lag):
     """Doubling every transported element keeps it an injective filtered map
     into H, but not an algebra map: the product clause must still fail."""
-    true_convert = W.convert_element
-    monkeypatch.setattr(W, "convert_element",
-                        lambda u, t: 2 * true_convert(u, t))
+    true_transport = W.q_transport
+    monkeypatch.setattr(W, "q_transport", lambda els, s1, s2: [
+        2 * img for img in true_transport(els, s1, s2)])
     with pytest.raises(ComparisonFailure,
                        match=r"fails to intertwine products on pair \(0,0\)"):
         W.ell_comparison(sl3_min_zero, sl3_min_lag, 6, sl3_hb_zero, sl3_hb_lag)
@@ -630,3 +631,177 @@ def test_transported_sum_matches_fraction_sum(terms, bump):
         m = next(iter(expected), ((4,),))
         assert not W._equals(total, combination([1, 1],
                                                 [expected, {m: bump}]))
+
+
+# -- the left action on Q against the Ug route -------------------------------
+
+KERNEL_CONTEXTS = ["sl3_min_lag", "sl3_min_zero", "sl4_22_conj"]
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def pbw_elements(basis):
+    """Elements of Ug over `basis`, a-generators included: zero, the unit,
+    rational constants and sums of up to three ordered monomials of length
+    at most four, with coefficients of denominator at most 6."""
+    factor = st.tuples(st.integers(0, basis.lie.dim - 1), st.integers(1, 2))
+    mono = st.lists(factor, max_size=3, unique_by=lambda f: f[0]).map(
+        lambda fs: tuple(sorted(fs))).filter(
+        lambda m: sum(e for _, e in m) <= 4)
+    coeff = small_rationals.filter(bool)
+    terms = st.one_of(st.just({}), st.just({(): F(1)}),
+                      coeff.map(lambda c: {(): c}),
+                      st.dictionaries(mono, coeff, max_size=3))
+    return terms.map(lambda t: UEAElement(basis, t))
+
+
+@pytest.mark.parametrize("ctx_name", KERNEL_CONTEXTS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_q_product_matches_ug_route(request, ctx_name, data):
+    sctx = request.getfixturevalue(ctx_name)
+    B = sctx.basis
+    a = data.draw(pbw_elements(B))
+    b = data.draw(pbw_elements(B))
+    assert W.q_product(a, b, sctx).terms == W.q_canonical_form(a * b, sctx).terms
+    # H products: the operands are canonical Q elements
+    qa, qb = W.q_canonical_form(a, sctx), W.q_canonical_form(b, sctx)
+    assert W.q_product(qa, qb, sctx).terms == \
+        W.q_canonical_form(qa * qb, sctx).terms
+    assert W.q_product(B.one(), b, sctx) == qb
+    assert W.q_product(a, B.one(), sctx) == qa
+    assert W.q_product(a, B.zero(), sctx).is_zero()
+    assert W.q_product(B.zero(), b, sctx).is_zero()
+
+
+@pytest.mark.parametrize("ctx_name", KERNEL_CONTEXTS)
+def test_q_product_of_representatives_matches_ug_route(request, ctx_name):
+    sctx = request.getfixturevalue(ctx_name)
+    hb = W.h_basis(4, sctx)
+    for i, j in hb.product_pairs():
+        a, b = hb.elements[i], hb.elements[j]
+        assert W.q_product(a, b, sctx).terms == \
+            W.q_canonical_form(a * b, sctx).terms
+
+
+def ad_action_matrix_ug(x, qb, sctx):
+    """`W.ad_action_matrix` by straightening x v - v x in Ug."""
+    basis = sctx.basis
+    xe = basis.element_from_ambient(x)
+    entries = {}
+    for j, mono in enumerate(qb.monomials):
+        v = UEAElement(basis, {mono: F(1)})
+        for m, c in W.q_canonical_form(xe * v - v * xe, sctx).terms.items():
+            entries[(qb.index[m], j)] = c
+    return entries
+
+
+def left_action_matrix_ug(x, qb, sctx):
+    """`W.left_action_matrix` by straightening x v in Ug."""
+    basis = sctx.basis
+    xe = basis.element_from_ambient(x)
+    entries = {}
+    for j, mono in enumerate(qb.monomials):
+        v = UEAElement(basis, {mono: F(1)})
+        img = W.q_canonical_form(xe * v, sctx) - sctx.chi(x) * v
+        for m, c in img.terms.items():
+            entries[(qb.index[m], j)] = c
+    return entries
+
+
+@pytest.mark.parametrize("ctx_name, n", [("sl3_min_lag", 6), ("sl3_min_zero", 6),
+                                         ("sl4_22_conj", 4)])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_action_matrices_match_ug_route(request, ctx_name, n, data):
+    """Columns by one generator step against Ug straightening, for random
+    rational x in n_ell (the ad action) and in a (the left action)."""
+    sctx = request.getfixturevalue(ctx_name)
+    dim = sctx.lie.dim
+    qb = W.QDegreeBasis(sctx, n)
+
+    def combination(vectors):
+        cs = data.draw(st.lists(small_rationals, min_size=len(vectors),
+                                max_size=len(vectors)))
+        return tuple(sum((c * v[k] for c, v in zip(cs, vectors)), F(0))
+                     for k in range(dim))
+
+    x = combination([v for v, _ in sctx.pair.n_graded])
+    assert W.ad_action_matrix(x, qb, sctx).entries == \
+        ad_action_matrix_ug(x, qb, sctx)
+    y = combination([v for v, _ in sctx.pair.a_graded])
+    assert W.left_action_matrix(y, qb, sctx).entries == \
+        left_action_matrix_ug(y, qb, sctx)
+
+
+@pytest.fixture(scope="module")
+def sl4_22_conj_zero(sl4, sl4_22_conj):
+    t = sl4_22_conj.triple
+    return build_context(sl4, t.e, "zero", h=t.h, f=t.f)
+
+
+@pytest.mark.parametrize("src, dst", [("sl3_min_zero", "sl3_min_lag"),
+                                      ("sl3_min_lag", "sl3_min_zero"),
+                                      ("sl4_22_conj_zero", "sl4_22_conj"),
+                                      ("sl3_min_conj", "sl3_min_lag")])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_q_transport_matches_ug_route(request, src, dst, data):
+    """One transport pass over several elements against rewriting each
+    over the target basis in Ug and reducing it there.  q(u) over the
+    second basis is defined for every u in Ug, so the last pair, two
+    nilpotents of one algebra, is a valid case too: there two generators
+    of the first basis have coefficients in thirds over the second."""
+    sctx1, sctx2 = request.getfixturevalue(src), request.getfixturevalue(dst)
+    us = [data.draw(pbw_elements(sctx1.basis)) for _ in range(3)]
+    us.append(sctx1.basis.one())
+    images = W.q_transport(us, sctx1, sctx2)
+    assert [img.terms for img in images] == [
+        W.q_canonical_form(convert_element(u, sctx2.basis), sctx2).terms
+        for u in us]
+
+
+def test_q_transport_needs_one_algebra(sl2_ctx, sl3_min_lag):
+    with pytest.raises(WalgError):
+        W.q_transport([sl2_ctx.basis.one()], sl2_ctx, sl3_min_lag)
+
+
+def substitution_reference(sub, G):
+    """`Substitution.__call__` before integer forms: monomial images built
+    from their prefixes in Fraction arithmetic, and summed with Fraction
+    accumulation."""
+    memo = {(): {(): F(1)}}
+
+    def image(m):
+        if m not in memo:
+            i, e = m[-1]
+            prefix = m[:-1] if e == 1 else m[:-1] + ((i, e - 1),)
+            memo[m] = poisson.poly_mul(image(prefix), sub.images[i].terms)
+        return memo[m]
+
+    out = {}
+    for m, c in G.terms.items():
+        for m2, c2 in image(m).items():
+            s = out.get(m2, F(0)) + c * c2
+            if s:
+                out[m2] = s
+            elif m2 in out:
+                del out[m2]
+    return KazhdanPolynomial(sub.target, out)
+
+
+def chart_polynomials(chart, max_degree):
+    monos = poisson.enumerate_monomials(chart.degrees, max_degree)
+    return st.one_of(
+        st.just({}), small_rationals.map(lambda c: {(): c}),
+        st.dictionaries(st.sampled_from(monos), small_rationals, max_size=5)
+    ).map(lambda terms: KazhdanPolynomial(chart, terms))
+
+
+@pytest.mark.parametrize("ctx_name", ["sl3_min_conj", "sl4_22_conj"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_substitution_matches_fraction_reference(request, ctx_name, data):
+    sctx = request.getfixturevalue(ctx_name)
+    for sub in (sctx.slice_data.nu, sctx.reduction.lift_map()):
+        G = data.draw(chart_polynomials(sub.source, 6))
+        assert sub(G).terms == substitution_reference(sub, G).terms
