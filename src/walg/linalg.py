@@ -123,13 +123,15 @@ class SparseMatrix:
 
 
 class Subspace:
-    """Subspace of QQ^n held by its canonical reduced-echelon basis.
+    """Subspace of QQ^n held by its canonical reduced-echelon rows.
 
-    Two Subspace values are equal as sets iff their stored bases are
-    identical tuples, so == is a genuine subspace-equality test.
+    `rows` are sparse dicts column -> Fraction, each with a unit at its
+    pivot (`pivots`, increasing) and a zero at every other row's pivot.
+    They depend only on the subspace, so == is a genuine subspace-equality
+    test.  `basis` gives the rows as dense tuples, built once on demand.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_pivots")
+    __slots__ = ("ambient_dim", "pivots", "rows", "_basis")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence]):
         self._span(ambient_dim, [{j: c for j, c in enumerate(vec(v, ambient_dim)) if c}
@@ -149,43 +151,42 @@ class Subspace:
 
     def _span(self, ambient_dim: int, rows: List[Dict[int, QQ]]):
         pivots, reduced = backend.rref_sparse(rows, ambient_dim)
-        basis = []
-        for r in reduced:
-            row = [QQ(0)] * ambient_dim
-            for j, c in r.items():
-                row[j] = c
-            basis.append(tuple(row))
         self.ambient_dim = ambient_dim
-        self.basis = tuple(basis)
-        self._pivots = tuple(pivots)
+        self.pivots = tuple(pivots)
+        self.rows = tuple(reduced)
+        self._basis = None
+
+    @property
+    def basis(self) -> Tuple[Vector, ...]:
+        if self._basis is None:
+            zero = QQ(0)
+            self._basis = tuple(tuple(r.get(j, zero) for j in range(self.ambient_dim))
+                                for r in self.rows)
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def contains(self, v: Sequence) -> bool:
-        return self.coords_of(v) is not None
-
-    def coords_of(self, v: Sequence) -> Optional[Vector]:
-        """Coefficients of v on the stored basis, or None if outside."""
-        v = list(vec(v, self.ambient_dim))
-        coords = []
-        for row, p in zip(self.basis, self._pivots):
-            c = v[p]
-            coords.append(c)
+        w = {j: c for j, c in enumerate(vec(v, self.ambient_dim)) if c}
+        for row, p in zip(self.rows, self.pivots):
+            c = w.get(p)
             if c:
-                for j in range(self.ambient_dim):
-                    v[j] -= c * row[j]
-        if any(v):
-            return None
-        return tuple(coords)
+                for j, a in row.items():
+                    s = w.get(j, 0) - c * a
+                    if s:
+                        w[j] = s
+                    else:
+                        del w[j]
+        return not w
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(b) for b in other.basis)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+                and self.rows == other.rows)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of QQ^{self.ambient_dim})"
@@ -202,27 +203,41 @@ def kernel(M: SparseMatrix) -> Subspace:
 
 
 def prefix_kernels(M: SparseMatrix, prefixes: Sequence[int]) -> List[Subspace]:
-    """Null space of M restricted to its first c columns, for each c in prefixes.
+    """Null space of M restricted to its first c columns, for each c in prefixes."""
+    return joint_prefix_kernels([M], M.cols, prefixes)
 
-    One elimination serves every prefix: the kernel vector of a free
-    column f is supported on columns <= f, since a pivot row reaches f
-    only from a pivot left of it, so those with f < c span the kernel of
-    the first c columns.
+
+def joint_prefix_kernels(mats: Sequence[SparseMatrix], ncols: int,
+                         prefixes: Sequence[int]) -> List[Subspace]:
+    """Joint null space of mats, each with ncols columns, restricted to the
+    first c columns, for each c in prefixes; with no mats, all of QQ^c.
+
+    One elimination of the stacked rows serves every prefix: the kernel
+    vector of a free column f is supported on columns <= f, since a pivot
+    row reaches f only from a pivot left of it, so those with f < c span
+    the kernel of the first c columns.  By increasing c, the canonical rows
+    of each kernel are those of the one before, re-eliminated with the
+    kernel vectors of the free columns in between.
     """
     for c in prefixes:
-        if not 0 <= c <= M.cols:
-            raise AmbientMismatch(f"column prefix {c} outside 0..{M.cols}")
+        if not 0 <= c <= ncols:
+            raise AmbientMismatch(f"column prefix {c} outside 0..{ncols}")
     top = max(prefixes, default=0)
-    pivots, rows = backend.rref_sparse(M.row_dicts(), M.cols)
+    pivots, reduced = backend.rref_sparse(
+        [r for M in mats for r in M.row_dicts()], ncols)
     pivot_set = set(pivots)
     free = {f: {f: QQ(1)} for f in range(top) if f not in pivot_set}
-    for p, row in zip(pivots, rows):
+    for p, row in zip(pivots, reduced):
         for f, c in row.items():
             v = free.get(f)
             if v is not None:
                 v[p] = -c
-    return [Subspace.from_sparse(c, [v for f, v in free.items() if f < c])
-            for c in prefixes]
+    spaces, rows, lo = {}, (), 0
+    for c in sorted(set(prefixes)):
+        space = spaces[c] = Subspace.from_sparse(c, rows + tuple(
+            v for f, v in free.items() if lo <= f < c))
+        rows, lo = space.rows, c
+    return [spaces[c] for c in prefixes]
 
 
 def solve(M: SparseMatrix, b: Sequence) -> Optional[Vector]:
@@ -252,29 +267,21 @@ def sum_and_intersection(U: Subspace, V: Subspace) -> Tuple[Subspace, Subspace]:
     """(U + V, U `intersect` V); dims satisfy the modular law."""
     if U.ambient_dim != V.ambient_dim:
         raise AmbientMismatch("subspaces live in different ambient spaces")
-    n = U.ambient_dim
-    total = Subspace(n, list(U.basis) + list(V.basis))
+    n, du = U.ambient_dim, U.dim
+    total = Subspace.from_sparse(n, U.rows + V.rows)
     # x in both spans: B_U^T a = B_V^T b; kernel of [B_U^T | -B_V^T]
-    du, dv = U.dim, V.dim
-    entries = {}
-    for k, row in enumerate(U.basis):
-        for j, c in enumerate(row):
-            if c:
-                entries[(j, k)] = c
-    for k, row in enumerate(V.basis):
-        for j, c in enumerate(row):
-            if c:
-                entries[(j, du + k)] = -c
-    M = SparseMatrix(n, du + dv, entries)
+    entries = {(j, k): c for k, row in enumerate(U.rows) for j, c in row.items()}
+    entries.update({(j, du + k): -c for k, row in enumerate(V.rows)
+                    for j, c in row.items()})
     meet_vectors = []
-    for w in kernel(M).basis:
-        x = [QQ(0)] * n
-        for k in range(du):
-            if w[k]:
-                for j in range(n):
-                    x[j] += w[k] * U.basis[k][j]
+    for w in kernel(SparseMatrix(n, du + V.dim, entries)).rows:
+        x: Dict[int, QQ] = {}
+        for k, a in w.items():
+            if k < du:
+                for j, c in U.rows[k].items():
+                    x[j] = x.get(j, 0) + a * c
         meet_vectors.append(x)
-    meet = Subspace(n, meet_vectors)
+    meet = Subspace.from_sparse(n, meet_vectors)
     if total.dim + meet.dim != U.dim + V.dim:
         raise AssertionError("dimension law violated in sum_and_intersection")
     return total, meet

@@ -608,7 +608,7 @@ class ReductionData:
         self.is_lagrangian = is_lagrangian
         self._lifts: Optional[List[KazhdanPolynomial]] = None
         self._lift_map: Optional[Substitution] = None
-        self._deriv_images: Dict[Tuple, List[KazhdanPolynomial]] = {}
+        self._deriv_images: Dict[int, Tuple[Sequence, List[KazhdanPolynomial]]] = {}
 
     def coordinate_lifts(self) -> List[KazhdanPolynomial]:
         """The invariant lifts T_k of the slice coordinates t_k, computed once.
@@ -665,15 +665,17 @@ class ReductionData:
         return self._lift_map
 
     def derivation_images(self, x: Sequence) -> List[KazhdanPolynomial]:
-        """Images D_x(y_p) = ([x, v_p] mod (a - chi)) for complement p."""
-        key = tuple(QQ(v) for v in x)
-        if key not in self._deriv_images:
+        """Images D_x(y_p) = ([x, v_p] mod (a - chi)) for complement p,
+        memoized by the object x: a lookup hashes no Fraction, and the entry
+        keeps x alive, so no other object takes its id."""
+        hit = self._deriv_images.get(id(x))
+        if hit is None:
             basis = self.basis
             L = basis.lie
             nc = basis.n_complement
             images = []
             for p in range(nc):
-                c = basis.coords(L.bracket(key, basis.vectors[p]))
+                c = basis.coords(L.bracket(x, basis.vectors[p]))
                 terms: Terms = {}
                 const = ZERO
                 for q in range(L.dim):
@@ -684,8 +686,8 @@ class ReductionData:
                     else:
                         const += c[q] * basis.chi_vals[q]
                 images.append(KazhdanPolynomial(self.comp_chart, terms) + const)
-            self._deriv_images[key] = images
-        return self._deriv_images[key]
+            hit = self._deriv_images[id(x)] = (x, images)
+        return hit[1]
 
     def derivation(self, x: Sequence, F: KazhdanPolynomial) -> KazhdanPolynomial:
         """The infinitesimal action of x on C[chi + a^perp] (a derivation)."""

@@ -8,25 +8,25 @@ action: the ideal is a left ideal, so q(g w) = q(g q(w)) for a generator
 g, and a monomial acts by one generator step after its suffix, every
 intermediate kept in canonical Q form (`_LeftAction`).  The products in
 H, the ad-action matrices and the natural maps between the Q_ell all run
-on that one kernel.  H_ell is the joint kernel of the
-ad-action matrices of the n_ell generators on F_n Q.  The monomial order
-lists F_n Q as a prefix, so one elimination of the stacked matrices at the
-top degree gives every F_n H (and likewise every Wh(F_n Q)), read off by
-prefix.
+on that one kernel.  H_ell is the joint kernel on F_n Q of the
+ad-action matrices of vectors that generate n_ell, those independent
+modulo [n_ell, n_ell].  The monomial order lists F_n Q as a prefix, so one
+elimination of their stacked rows at the top degree gives every F_n H (and
+likewise every Wh(F_n Q)), read off by prefix as sparse canonical rows.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from walg import backend, poisson
 from walg.context import SliceContext
 from walg.errors import (CenterCheckFailure, ComparisonFailure, ConfigError,
                          DegreeOverflow, TheoremFailure, WalgError)
-from walg.linalg import (QQ, SparseMatrix, Subspace, Vector, prefix_kernels,
-                         rank, solve)
+from walg.linalg import (QQ, SparseMatrix, Subspace, Vector,
+                         joint_prefix_kernels, rank, solve)
 from walg.pbw import UEAElement, casimir
 from walg.poisson import KazhdanPolynomial
 
@@ -46,7 +46,8 @@ def q_canonical_form(u: UEAElement, sctx: SliceContext) -> UEAElement:
 # monomial m = g s (g its first factor) acts on Q by one generator step
 # after its suffix s.  A `_LeftAction` keeps the images q(m base) of the
 # monomials it meets, each built from the image of its suffix, for one
-# `base`; it lives for one product, one matrix or one transport pass.
+# `base`: one right factor of the products in H, one matrix or one
+# transport pass.
 # Images are integer forms (den, ints) with value ints / den: a step
 # multiplies integer numerators, and only the result is divided, once.
 # ---------------------------------------------------------------------------
@@ -190,9 +191,11 @@ class QDegreeBasis:
             row[i] = c
         return tuple(row)
 
-    def element(self, row: Sequence) -> UEAElement:
-        terms = {self.monomials[i]: QQ(c) for i, c in enumerate(row) if c}
-        return UEAElement(self.sctx.basis, terms)
+    def element(self, row: Dict[int, QQ]) -> UEAElement:
+        """The element with sparse coordinates `row`, index -> coefficient."""
+        monos = self.monomials
+        return UEAElement(self.sctx.basis,
+                          {monos[i]: c for i, c in sorted(row.items()) if c})
 
 
 def q_degree_basis(n: int, sctx: SliceContext) -> QDegreeBasis:
@@ -239,10 +242,6 @@ def left_action_matrix(x: Sequence, qb: QDegreeBasis,
         for m, c in img.items():
             entries[(qb.index[m], j)] = c
     return SparseMatrix(cnt, cnt, entries)
-
-
-def _sparse(row: Sequence) -> Dict[int, QQ]:
-    return {j: c for j, c in enumerate(row) if c}
 
 
 class _Echelon:
@@ -421,75 +420,93 @@ class HBasis:
 
     def multiplication_table(self, bound: Optional[int] = None):
         """(i, j) -> coefficient vector of elem_i * elem_j on the basis."""
-        return {(i, j): h_product(self.elements[i], self.elements[j], self)[1]
-                for i, j in self.product_pairs(bound)}
+        return {(i, j): _read_off(prod, self.degrees[i] + self.degrees[j], self)
+                for i, j, prod in _products(self.product_pairs(bound),
+                                            self.elements, self.sctx)}
 
 
-def _filtered_kernels(mats: Sequence[SparseMatrix], qb: QDegreeBasis,
-                      degrees: Sequence[int]) -> List[Subspace]:
-    """Joint kernel of mats on F_n Q for each n in degrees, from one elimination.
+def n_ell_generators(sctx: SliceContext) -> List[Vector]:
+    """The n_graded vectors, in order, independent modulo [n_ell, n_ell]
+    and the vectors chosen before them.
 
-    Each kernel is the canonical Subspace of F_n Q coordinates; with no
-    matrices it is the whole of F_n Q.
+    n_ell is nilpotent, so vectors spanning n_ell / [n_ell, n_ell] generate
+    it; and what ad x and ad y kill, ad [x, y] kills, so the joint kernel of
+    their ad-actions is the n_ell-invariants.
     """
-    cols = len(qb.monomials)
-    stacked = {(k * cols + r, c): v for k, M in enumerate(mats)
-               for (r, c), v in M.entries.items()}
-    return prefix_kernels(SparseMatrix(len(mats) * cols, cols, stacked),
-                          [qb.dim_f(n) for n in degrees])
+    L = sctx.lie
+    vectors = [v for v, _ in sctx.pair.n_graded]
+    derived = [L.bracket(u, v) for i, u in enumerate(vectors) for v in vectors[i + 1:]]
+    chosen: List[Vector] = []
+    for v in vectors:
+        if not Subspace(L.dim, derived + chosen).contains(v):
+            chosen.append(v)
+    return chosen
 
 
 def h_basis(n_max: int, sctx: SliceContext) -> HBasis:
-    """F_n H for n <= n_max as joint kernels of the n_ell ad-matrices.
+    """F_n H for n <= n_max as joint kernels of the ad-matrices of the
+    generators of n_ell (`n_ell_generators`).
 
-    One elimination of the stacked ad-matrices on F_{n_max} Q gives every
-    F_n H, read off by prefix.  Kernel bases are extended degree by degree
-    so that the basis of F_{n-1} H is literally a prefix of the basis of
-    F_n H.
+    One elimination of their stacked rows on F_{n_max} Q gives every F_n H,
+    read off by prefix.  Representatives are chosen degree by degree, so
+    that those of F_{n-1} H are literally a prefix of those of F_n H: a
+    canonical row of F_n H joins the echelon unless the rows before it span
+    it.  A row that F_{n-1} H has too lies in their span, so only the rows
+    that are new or changed since the degree before are tried.
     """
     qb = QDegreeBasis(sctx, n_max)
-    mats = [ad_action_matrix(g[0], qb, sctx) for g in sctx.pair.n_graded]
-    elements: List[UEAElement] = []
-    degrees: List[int] = []
-    subspaces = _filtered_kernels(mats, qb, range(n_max + 1))
+    mats = [ad_action_matrix(x, qb, sctx) for x in n_ell_generators(sctx)]
+    subspaces = joint_prefix_kernels(mats, len(qb.monomials),
+                                     qb.counts[:n_max + 1])
+    elements, degrees = [], []
     echelon = _Echelon()
+    before: Dict[int, Dict[int, QQ]] = {}
     for n, K in enumerate(subspaces):
-        for v in K.basis:
-            if echelon.extend(_sparse(v)):
-                elements.append(qb.element(v))
+        rows = dict(zip(K.pivots, K.rows))
+        for p, row in rows.items():
+            if before.get(p) != row and echelon.extend(row):
+                elements.append(qb.element(row))
                 degrees.append(n)
-    gr_dims = [0] * (n_max + 1)
-    for d in degrees:
-        gr_dims[d] += 1
+        before = rows
+    gr_dims = [degrees.count(n) for n in range(n_max + 1)]
     return HBasis(sctx, n_max, qb, elements, degrees, gr_dims, subspaces,
                   echelon)
 
 
-def h_product(a: UEAElement, b: UEAElement,
-              hb: HBasis) -> Tuple[UEAElement, Vector]:
-    """Product in H_ell and its coefficients on the representatives.
+def _products(pairs, elements: Sequence[UEAElement], sctx: SliceContext):
+    """(i, j, q(e_i e_j)) over the (i, j) in `pairs`, in their order, for
+    the e_k in `elements`: one left action per right factor e_j serves all
+    of its pairs."""
+    basis = sctx.basis
+    steps = _generator_steps(basis)
+    acts: Dict[int, _LeftAction] = {}
+    for i, j in pairs:
+        act = acts.get(j)
+        if act is None:
+            act = acts[j] = _LeftAction(basis, steps, elements[j].terms)
+        yield i, j, UEAElement(basis, act.apply(elements[i].terms))
 
-    The product is taken in Q by left action (`q_product`).  One
-    read-off of the product's F_{deg a + deg b} Q coordinates both checks
-    that it lies in the computed F_{deg a + deg b} H and gives its
-    coefficients.
-    """
+
+def _read_off(prod: UEAElement, d: int, hb: HBasis) -> Vector:
+    """The coefficients of prod, a product in F_d H, on the representatives:
+    one read-off both checks that it lies there and gives them."""
+    x = hb.coordinates(prod, d)
+    if x is None:
+        raise WalgError("H is not closed under multiplication (bug)")
+    return x
+
+
+def h_multiply(a: UEAElement, b: UEAElement, hb: HBasis) -> UEAElement:
+    """Product in H_ell, taken in Q by left action (`q_product`) and
+    verified by one read-off to lie in the computed F_{deg a + deg b} H."""
     da = a.kazhdan_degree() or 0
     db = b.kazhdan_degree() or 0
     if da + db > hb.n_max:
         raise DegreeOverflow(
             f"product degree {da + db} exceeds computed range {hb.n_max}")
     prod = q_product(a, b, hb.sctx)
-    x = hb.coordinates(prod, da + db)
-    if x is None:
-        raise WalgError("H is not closed under multiplication (bug)")
-    return prod, x
-
-
-def h_multiply(a: UEAElement, b: UEAElement, hb: HBasis) -> UEAElement:
-    """Product in H_ell, verified to lie in the computed
-    F_{deg a + deg b} H span (see `h_product`)."""
-    return h_product(a, b, hb)[0]
+    _read_off(prod, da + db, hb)
+    return prod
 
 
 def nu_map(a: UEAElement, sctx: SliceContext,
@@ -548,30 +565,20 @@ def verify_theorem(n_max: int, sctx: SliceContext,
     sdegs = sctx.slice_data.degrees
     for n in range(n_max + 1):
         idxs = [i for i, d in enumerate(hb.degrees) if d == n]
-        if not idxs:
-            injective.append(True)
-            continue
-        monos = poisson.monomials_of_degree(sdegs, n)
-        mindex = {m: i for i, m in enumerate(monos)}
-        rows = []
-        for i in idxs:
-            row = [ZERO] * len(monos)
-            for m, c in nus[i].terms.items():
-                row[mindex[m]] = c
-            rows.append(row)
-        ok = rank(SparseMatrix.from_rows(rows, cols=len(monos))) == len(idxs)
+        mindex = {m: k for k, m in enumerate(poisson.monomials_of_degree(sdegs, n))}
+        entries = {(r, mindex[m]): c for r, i in enumerate(idxs)
+                   for m, c in nus[i].terms.items()}
+        ok = rank(SparseMatrix(len(idxs), len(mindex), entries)) == len(idxs)
         injective.append(ok)
         if not ok:
             raise TheoremFailure(f"nu not injective on gr_{n} H", degree=n)
     table = {}
-    for i, j in hb.product_pairs(n_max):
-        prod, x = h_product(hb.elements[i], hb.elements[j], hb)
-        lhs = nu_map(prod, sctx, hb.degrees[i] + hb.degrees[j])
-        rhs = nus[i] * nus[j]
-        if lhs != rhs:
+    for i, j, prod in _products(hb.product_pairs(n_max), hb.elements, sctx):
+        d = hb.degrees[i] + hb.degrees[j]
+        x = _read_off(prod, d, hb)
+        if nu_map(prod, sctx, d) != nus[i] * nus[j]:
             raise TheoremFailure(
-                f"nu not multiplicative on basis pair ({i},{j})",
-                degree=hb.degrees[i] + hb.degrees[j])
+                f"nu not multiplicative on basis pair ({i},{j})", degree=d)
         table[(i, j)] = x
     return TheoremReport(n_max=n_max, gr_dims=gr_dims,
                          slice_dims=slice_dims[:n_max + 1],
@@ -613,7 +620,7 @@ def whittaker_vectors(n: int, sctx: SliceContext,
     if qb is None:
         qb = QDegreeBasis(sctx, n)
     mats = [left_action_matrix(x, qb, sctx) for x, _ in sctx.pair.a_graded]
-    return _filtered_kernels(mats, qb, [n])[0]
+    return joint_prefix_kernels(mats, len(qb.monomials), [qb.dim_f(n)])[0]
 
 
 class CohomologyReport:
@@ -652,28 +659,17 @@ def ce_blocks(i_max: int, n_max: int, sctx: SliceContext):
     red = sctx.reduction
 
     ncols_mat = SparseMatrix.from_columns([v for v, _ in gens], rows=L.dim)
-
-    def n_coords(w: Sequence) -> Vector:
-        c = solve(ncols_mat, w)
-        if c is None:
-            raise WalgError("n_ell is not closed under bracket")
-        return c
-
-    bracket_nn = {}
-    for a in range(nn):
-        for b in range(a + 1, nn):
-            bracket_nn[(a, b)] = n_coords(L.bracket(gens[a][0], gens[b][0]))
+    bracket_nn = {(a, b): solve(ncols_mat, L.bracket(gens[a][0], gens[b][0]))
+                  for a in range(nn) for b in range(a + 1, nn)}
+    if None in bracket_nn.values():
+        raise WalgError("n_ell is not closed under bracket")
 
     def cochain_basis(i: int, n: int):
-        out = []
-        for S in combinations(range(nn), i):
-            dual = sum(-gens[s][1] for s in S)
-            rem = n - dual
-            if rem < 0:
-                continue
-            for mono in poisson.monomials_of_degree(comp_degs, rem):
-                out.append((S, mono))
-        return out
+        # a dual generator of weight w counts -w, so the monomial has degree
+        # n + sum w; none when that is negative
+        return [(S, mono) for S in combinations(range(nn), i)
+                for mono in poisson.monomials_of_degree(
+                    comp_degs, n + sum(gens[s][1] for s in S))]
 
     def insert_sign(s, rest):
         if s in rest:
@@ -684,15 +680,7 @@ def ce_blocks(i_max: int, n_max: int, sctx: SliceContext):
 
     def differential(i: int, dom, cod):
         cod_index = {bm: k for k, bm in enumerate(cod)}
-        entries = {}
-
-        def acc(r, j, v):
-            s = entries.get((r, j), ZERO) + v
-            if s:
-                entries[(r, j)] = s
-            elif (r, j) in entries:
-                del entries[(r, j)]
-
+        entries: Dict = {}
         for j, (S, mono) in enumerate(dom):
             poly = KazhdanPolynomial(sctx.comp_chart, {mono: ONE})
             # T = S + {x}, coefficient (-1)^pos(x) n_x . mono
@@ -705,7 +693,7 @@ def ce_blocks(i_max: int, n_max: int, sctx: SliceContext):
                     r = cod_index.get((T, m2))
                     if r is None:
                         raise WalgError("differential left the graded block")
-                    acc(r, j, sign * c2)
+                    backend._acc(entries, (r, j), sign * c2)
             # contract a bracket [n_a, n_b] back into S
             for T in combinations(range(nn), i + 1):
                 for l in range(i + 1):
@@ -721,7 +709,8 @@ def ce_blocks(i_max: int, n_max: int, sctx: SliceContext):
                             r = cod_index.get((T, mono))
                             if r is None:
                                 raise WalgError("differential left the graded block")
-                            acc(r, j, ((-1) ** (l + m)) * sign2 * c)
+                            backend._acc(entries, (r, j),
+                                         ((-1) ** (l + m)) * sign2 * c)
         return SparseMatrix(len(cod), len(dom), entries)
 
     blocks = {}
@@ -840,10 +829,11 @@ def ell_comparison(sctx1: SliceContext, sctx2: SliceContext, n_max: int,
             raise ComparisonFailure("map not injective on F_n H", degree=d)
         image_ints.append(backend.int_form(img.terms))
     mult_pairs = 0
-    for i, j in hb1.product_pairs(n_max):
-        x = h_product(hb1.elements[i], hb1.elements[j], hb1)[1]
+    for (i, j, prod), (_, _, rhs) in zip(
+            _products(hb1.product_pairs(n_max), hb1.elements, sctx1),
+            _products(hb1.product_pairs(n_max), images, sctx2)):
+        x = _read_off(prod, hb1.degrees[i] + hb1.degrees[j], hb1)
         lhs = _combine([(xk, f) for xk, f in zip(x, image_ints) if xk])
-        rhs = q_product(images[i], images[j], sctx2)
         if not _equals(lhs, rhs.terms):
             raise ComparisonFailure(
                 f"map fails to intertwine products on pair ({i},{j})")

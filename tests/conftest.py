@@ -113,5 +113,11 @@ def sl4_211(sl4):
 
 
 @pytest.fixture(scope="session")
+def sl4_regular(sl4):
+    e, h, f = partition_triple(4, [4])
+    return build_context(sl4, e, "zero", h=h, f=f)
+
+
+@pytest.fixture(scope="session")
 def sl4_hb_211(sl4_211):
     return h_basis(4, sl4_211)

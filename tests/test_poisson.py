@@ -404,6 +404,20 @@ def test_coordinate_lifts_certified_by_flows(sl3_min_lag, monkeypatch):
         fresh.coordinate_lifts()
 
 
+def test_derivation_images_memoized_by_generator(sl3_min_lag):
+    """The images of a generator are built once and kept for that object;
+    an equal vector given as another object gets equal images."""
+    red = sl3_min_lag.reduction
+    fresh = P.ReductionData(red.basis, red.slice_data, red.m_graded,
+                            red.is_lagrangian)
+    x = red.m_graded[0][0]
+    images = fresh.derivation_images(x)
+    assert fresh.derivation_images(x) is images
+    assert fresh.derivation_images(list(x)) == images
+    other = red.m_graded[1][0]
+    assert fresh.derivation_images(other) != images
+
+
 def substitute_reference(G, images, target):
     """Reference composition: expand every monomial of G by repeated
     products of the images, with no memo."""

@@ -319,10 +319,12 @@ def subspace_contains(hb, u, n):
 
 
 def rebuilt_span_h_basis(n_max, sctx):
-    """(elements, degrees) chosen by rebuilding a Subspace after each one."""
+    """(elements, degrees, subspaces) from the joint kernel of the ad-matrices
+    of every n_graded vector on each F_n Q, elements chosen by rebuilding a
+    Subspace after each one."""
     qb = W.QDegreeBasis(sctx, n_max)
     mats = [W.ad_action_matrix(g[0], qb, sctx) for g in sctx.pair.n_graded]
-    chosen, elements, degrees = [], [], []
+    chosen, elements, degrees, subspaces = [], [], [], []
     for n in range(n_max + 1):
         cnt = qb.dim_f(n)
         entries, off = {}, 0
@@ -332,6 +334,7 @@ def rebuilt_span_h_basis(n_max, sctx):
                     entries[(off + r, c)] = v
             off += cnt
         K = kernel(SparseMatrix(off, cnt, entries))
+        subspaces.append(K)
         padded = [tuple(r) + (F(0),) * (cnt - len(r)) for r in chosen]
         span = Subspace(cnt, padded)
         for v in K.basis:
@@ -339,9 +342,9 @@ def rebuilt_span_h_basis(n_max, sctx):
                 padded.append(v)
                 span = Subspace(cnt, padded)
                 chosen.append(v)
-                elements.append(qb.element(v))
+                elements.append(qb.element(dict(enumerate(v))))
                 degrees.append(n)
-    return elements, degrees
+    return elements, degrees, subspaces
 
 
 def random_combinations(hb, n, count, seed):
@@ -398,11 +401,47 @@ def test_contains_matches_subspace(request, hb_name):
 
 
 @pytest.mark.parametrize("ctx_name,n_max", [("sl3_min_lag", 6),
+                                            ("sl3_min_zero", 7),
                                             ("sl4_211", 4)])
 def test_h_basis_matches_rebuilt_span(request, ctx_name, n_max):
+    """The kernel of the generators of n_ell is the kernel of all of n_ell,
+    with the same representatives and canonical subspaces."""
     sctx = request.getfixturevalue(ctx_name)
     hb = W.h_basis(n_max, sctx)
-    assert (hb.elements, hb.degrees) == rebuilt_span_h_basis(n_max, sctx)
+    subspaces = [hb.subspace_at(n) for n in range(n_max + 1)]
+    assert (hb.elements, hb.degrees, subspaces) == \
+        rebuilt_span_h_basis(n_max, sctx)
+
+
+def bracket_closure(L, vectors):
+    """The Lie subalgebra generated by vectors."""
+    span = Subspace(L.dim, vectors)
+    while True:
+        grown = Subspace(L.dim, list(span.basis) + [
+            L.bracket(u, v) for u in vectors for v in span.basis])
+        if grown == span:
+            return span
+        span = grown
+
+
+@pytest.mark.parametrize("ctx_name,count", [
+    ("sl2_ctx", 1), ("sl3_min_zero", 2), ("sl3_min_lag", 2),
+    ("sl3_min_lag2", 2), ("sl3_min_conj", 2), ("sl3_principal", 2),
+    ("sl4_22_conj", 4), ("sl4_211", 4), ("sl4_regular", 3)])
+def test_chosen_generators_generate_n_ell(request, ctx_name, count):
+    sctx = request.getfixturevalue(ctx_name)
+    gens = W.n_ell_generators(sctx)
+    assert len(gens) == count <= len(sctx.pair.n_graded)
+    assert bracket_closure(sctx.lie, gens) == sctx.pair.n_ell
+
+
+def test_one_generator_is_not_enough(monkeypatch, sl3_min_zero):
+    """Negative control: the invariants of the first generator alone are
+    more than H_ell, so gr H no longer matches the slice series."""
+    first = W.n_ell_generators(sl3_min_zero)[:1]
+    monkeypatch.setattr(W, "n_ell_generators", lambda sctx: first)
+    assert W.h_basis(6, sl3_min_zero).gr_dims[:4] == [1, 1, 3, 5]
+    assert sl3_min_zero.hilbert_slice(6)[:4] == [1, 0, 1, 2]
 
 
 def test_theorem_table_is_multiplication_table(sl3_min_lag, sl3_hb_lag,
@@ -468,6 +507,55 @@ def test_one_read_off_per_product(monkeypatch, sl3_min_zero, sl3_hb_zero,
     cmp = W.ell_comparison(sl3_min_zero, sl3_min_lag, 6, sl3_hb_zero,
                            sl3_hb_lag)
     assert len(calls) == len(sl3_hb_zero.elements) + cmp.mult_pairs
+
+
+def counting(monkeypatch, owner, name):
+    """Count the calls of owner.name from here on; returns the counter."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("ctx_name,limit", [("sl3_min_zero", 80),
+                                            ("sl3_min_lag", 72)])
+def test_h_basis_tries_only_new_or_changed_rows(monkeypatch, request,
+                                                ctx_name, limit):
+    """40 representatives up to degree 10; trying every canonical row of
+    every F_n H took 146 echelon extensions."""
+    sctx = request.getfixturevalue(ctx_name)
+    calls = counting(monkeypatch, W._Echelon, "extend")
+    hb = W.h_basis(10, sctx)
+    assert len(hb.elements) == 40
+    assert len(calls) <= limit
+
+
+def test_h_basis_stacks_one_ad_block_per_generator(monkeypatch, sl4_regular):
+    calls = counting(monkeypatch, W, "ad_action_matrix")
+    W.h_basis(4, sl4_regular)
+    assert len(calls) == 3 < len(sl4_regular.pair.n_graded) == 6
+
+
+def test_one_left_action_per_right_factor(monkeypatch, sl3_min_zero,
+                                          sl3_hb_zero, sl3_min_lag,
+                                          sl3_hb_lag):
+    calls = counting(monkeypatch, W._LeftAction, "__init__")
+    rep = W.verify_theorem(6, sl3_min_lag, sl3_hb_lag)
+    rights = {j for _, j in sl3_hb_lag.product_pairs(6)}
+    assert len(calls) == len(rights) < rep.mult_pairs
+    calls.clear()
+    sl3_hb_lag.multiplication_table()
+    assert len(calls) == len(rights)
+    calls.clear()
+    # one for the transport, then one per right factor on each side
+    W.ell_comparison(sl3_min_zero, sl3_min_lag, 6, sl3_hb_zero, sl3_hb_lag)
+    assert len(calls) == 1 + 2 * len({j for _, j in
+                                      sl3_hb_zero.product_pairs(6)})
 
 
 def test_verify_theorem_on_a_larger_basis(sl3_min_lag, sl3_hb_lag):
