@@ -15,8 +15,8 @@ Data layout (shared with the rest of the package):
   giving [x_i, x_j]; missing keys mean the bracket vanishes.  A constant
   is an int when it is a whole number, so on an integral basis every
   straightening step is integer arithmetic.
-* caches    -- plain dicts, or None to disable memoization; results are
-  identical either way.
+* caches    -- plain dicts memoizing the straightening of generator times
+  monomial, one per PBW basis and direction.
 
 `mul_terms` straightens integer numerators: it scales each operand to
 (den, integer terms) by `int_form`, straightens the integers, and divides
@@ -57,10 +57,9 @@ def gen_times_mono(g, mono, bracket, cache):
     """
     if not mono:
         return {((g, 1),): _ONE}
-    if cache is not None:
-        hit = cache.get((g, mono))
-        if hit is not None:
-            return hit
+    hit = cache.get((g, mono))
+    if hit is not None:
+        return hit
     i, e = mono[0]
     if g < i:
         out = {((g, 1),) + mono: _ONE}
@@ -76,8 +75,7 @@ def gen_times_mono(g, mono, bracket, cache):
             # [x_g, x_i] = -[x_i, x_g]
             for n1, c1 in gen_times_mono(k, rest, bracket, cache).items():
                 _acc(out, n1, -c * c1)
-    if cache is not None:
-        cache[(g, mono)] = out
+    cache[(g, mono)] = out
     return out
 
 
@@ -85,10 +83,9 @@ def mono_times_gen(mono, g, bracket, cache):
     """Straighten mono * x_g (right multiplication by a generator)."""
     if not mono:
         return {((g, 1),): _ONE}
-    if cache is not None:
-        hit = cache.get((mono, g))
-        if hit is not None:
-            return hit
+    hit = cache.get((mono, g))
+    if hit is not None:
+        return hit
     j, e = mono[-1]
     if g > j:
         out = {mono + ((g, 1),): _ONE}
@@ -104,8 +101,7 @@ def mono_times_gen(mono, g, bracket, cache):
             # [x_j, x_g] = -[x_g, x_j]
             for n1, c1 in mono_times_gen(head, k, bracket, cache).items():
                 _acc(out, n1, -c * c1)
-    if cache is not None:
-        cache[(mono, g)] = out
+    cache[(mono, g)] = out
     return out
 
 

@@ -47,7 +47,7 @@ class LieAlgebra:
         self._ad: Optional[List[Dict[Tuple[int, int], QQ]]] = None
         self._killing: Optional[Tuple[Tuple[QQ, ...], ...]] = None
         self._check_jacobi()
-        if rank(self.killing_matrix_sparse()) != self.dim:
+        if rank(SparseMatrix.from_rows(self.killing_matrix())) != self.dim:
             raise DegenerateKillingForm(
                 f"Killing form of '{','.join(labels)}' algebra is degenerate")
 
@@ -114,9 +114,6 @@ class LieAlgebra:
             self._killing = tuple(tuple(row) for row in K)
         return self._killing
 
-    def killing_matrix_sparse(self) -> SparseMatrix:
-        return SparseMatrix.from_rows(self.killing_matrix())
-
     def killing(self, x: Sequence, y: Sequence) -> QQ:
         K = self.killing_matrix()
         t = QQ(0)
@@ -162,15 +159,6 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(dim {self.dim})"
-
-
-def make_lie_algebra(labels: Sequence[str], bracket_table) -> LieAlgebra:
-    """Validated Lie algebra from a bracket table on pairs i < j."""
-    return LieAlgebra(labels, bracket_table)
-
-
-def killing_form(L: LieAlgebra):
-    return L.killing_matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -284,26 +272,6 @@ class Sl2Triple:
             raise NoTripleFound("[e,f] != h")
 
 
-def _is_nilpotent_ad(L: LieAlgebra, x: Sequence) -> bool:
-    A = L.ad_sparse(x).entries
-    cur = dict(A)
-    for _ in range(2 * L.dim + 1):
-        if not cur:
-            return True
-        nxt: Dict[Tuple[int, int], QQ] = {}
-        for (r, c), v in cur.items():
-            for (r2, c2), w in A.items():
-                if c == r2:
-                    key = (r, c2)
-                    s = nxt.get(key, QQ(0)) + v * w
-                    if s:
-                        nxt[key] = s
-                    elif key in nxt:
-                        del nxt[key]
-        cur = nxt
-    return not cur
-
-
 def complete_sl2_triple(L: LieAlgebra, e: Sequence) -> Sl2Triple:
     """Extend a nonzero ad-nilpotent e to an sl2-triple.
 
@@ -314,51 +282,19 @@ def complete_sl2_triple(L: LieAlgebra, e: Sequence) -> Sl2Triple:
     e = vec(e, L.dim)
     if is_zero_vec(e):
         raise NotNilpotent("e = 0 is rejected; the orbit must be nonzero")
-    if not _is_nilpotent_ad(L, e):
-        raise NotNilpotent("ad e is not nilpotent")
     ade = L.ad_sparse(e)
-    ade2 = _compose(ade, ade, L.dim)
-    y = solve(ade2, scale_vec(-2, e))
+    if ade.nilpotent_powers() is None:
+        raise NotNilpotent("ad e is not nilpotent")
+    y = solve(ade @ ade, scale_vec(-2, e))
     if y is None:
         raise NoTripleFound("(ad e)^2 y = -2e has no solution")
     h = L.bracket(e, y)
-    adh = L.ad_sparse(h)
-    two_id = {(i, i): QQ(2) for i in range(L.dim)}
-    top = SparseMatrix(L.dim, L.dim, _add_entries(adh.entries, two_id))
-    stacked = top.stack(ade)
+    stacked = L.ad_sparse(h).shift(2).stack(ade)
     b = list(zero_vec(L.dim)) + list(h)
     f = solve(stacked, b)
     if f is None:
         raise NoTripleFound("no f with [h,f] = -2f and [e,f] = h")
     return Sl2Triple(L, e, h, f)
-
-
-def _compose(A: SparseMatrix, B: SparseMatrix, dim: int) -> SparseMatrix:
-    cols: Dict[int, Dict[int, QQ]] = {}
-    for (r, c), v in B.entries.items():
-        cols.setdefault(c, {})[r] = v
-    entries: Dict[Tuple[int, int], QQ] = {}
-    for c, bcol in cols.items():
-        acc: Dict[int, QQ] = {}
-        for mid, bv in bcol.items():
-            for (r, c2), av in A.entries.items():
-                if c2 == mid:
-                    acc[r] = acc.get(r, QQ(0)) + av * bv
-        for r, v in acc.items():
-            if v:
-                entries[(r, c)] = v
-    return SparseMatrix(dim, dim, entries)
-
-
-def _add_entries(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, QQ(0)) + v
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
-    return out
 
 
 class GradedDecomposition:
@@ -395,14 +331,11 @@ def ad_h_grading(L: LieAlgebra, triple: Sl2Triple) -> GradedDecomposition:
     pieces: Dict[int, Subspace] = {}
     total = 0
     bound = 2 * L.dim
-    i = 0
     scan = [0]
     for k in range(1, bound + 1):
         scan.extend((k, -k))
     for i in scan:
-        shift = {(r, r): QQ(-i) for r in range(L.dim)}
-        M = SparseMatrix(L.dim, L.dim, _add_entries(adh.entries, shift))
-        ker = kernel(M)
+        ker = kernel(adh.shift(-i))
         if ker.dim:
             pieces[i] = ker
             total += ker.dim

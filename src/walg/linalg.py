@@ -5,6 +5,13 @@ reduced-form invariants we need).  Matrices are sparse maps (row, col) ->
 coefficient, eliminated by the one sparse kernel `backend.rref_sparse`;
 subspaces store canonical reduced-echelon bases so that equality of
 subspaces is equality of representations.
+
+`SparseMatrix` is the one matrix type: besides `apply` (M x) and `stack`
+it has the product `A @ B`, the scalar shift `shift(c)` (M + c I),
+`inverse()` (one elimination of [M | I], None when M is singular) and
+`nilpotent_powers()` (M, M^2, ... up to the last nonzero power, None
+when M^n != 0 for n x n M).  No other module multiplies, inverts or
+eliminates matrices by hand.
 """
 
 from __future__ import annotations
@@ -67,6 +74,13 @@ class SparseMatrix:
         self.entries = clean
 
     @classmethod
+    def _of(cls, rows: int, cols: int, entries: Dict[Tuple[int, int], QQ]) -> "SparseMatrix":
+        """A matrix on entries already known to be nonzero Fractions in bounds."""
+        M = cls.__new__(cls)
+        M.rows, M.cols, M.entries = rows, cols, entries
+        return M
+
+    @classmethod
     def from_rows(cls, rows: Sequence[Sequence], cols: Optional[int] = None) -> "SparseMatrix":
         nrows = len(rows)
         ncols = cols if cols is not None else (len(rows[0]) if nrows else 0)
@@ -113,6 +127,70 @@ class SparseMatrix:
         for (r, c), v in other.entries.items():
             entries[(r + self.rows, c)] = v
         return SparseMatrix(self.rows + other.rows, self.cols, entries)
+
+    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
+        """The matrix product; the inner dimensions must agree."""
+        if self.cols != other.rows:
+            raise AmbientMismatch(f"product of {self.rows}x{self.cols} and "
+                                  f"{other.rows}x{other.cols}")
+        right: Dict[int, List[Tuple[int, QQ]]] = {}
+        for (k, c), b in other.entries.items():
+            right.setdefault(k, []).append((c, b))
+        out: Dict[Tuple[int, int], QQ] = {}
+        for (r, k), a in self.entries.items():
+            for c, b in right.get(k, ()):
+                key = (r, c)
+                s = out.get(key, 0) + a * b
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+        return SparseMatrix._of(self.rows, other.cols, out)
+
+    def _require_square(self, what: str):
+        if self.rows != self.cols:
+            raise AmbientMismatch(f"{what} of a non-square {self.rows}x{self.cols} matrix")
+
+    def shift(self, c) -> "SparseMatrix":
+        """M + c I for square M."""
+        self._require_square("shift")
+        c = QQ(c)
+        out = dict(self.entries)
+        if c:
+            for r in range(self.rows):
+                s = out.get((r, r), 0) + c
+                if s:
+                    out[(r, r)] = s
+                else:
+                    del out[(r, r)]
+        return SparseMatrix._of(self.rows, self.cols, out)
+
+    def inverse(self) -> Optional["SparseMatrix"]:
+        """M^-1 for square M by one elimination of [M | I], or None if M is
+        singular."""
+        self._require_square("inverse")
+        n = self.rows
+        aug = self.row_dicts()
+        for r in range(n):
+            aug[r][n + r] = QQ(1)
+        pivots, rows = backend.rref_sparse(aug, 2 * n)
+        if pivots[:n] != list(range(n)):
+            return None
+        return SparseMatrix._of(n, n, {(r, c - n): v for r, row in enumerate(rows)
+                                       for c, v in row.items() if c >= n})
+
+    def nilpotent_powers(self) -> Optional[List["SparseMatrix"]]:
+        """[M, M^2, ..., M^k] with M^(k+1) = 0 for nilpotent square M, or None
+        if M is not nilpotent: an n x n nilpotent matrix has M^n = 0."""
+        self._require_square("nilpotent powers")
+        powers: List[SparseMatrix] = []
+        cur = self
+        while cur.entries:
+            if len(powers) + 1 == self.rows:
+                return None
+            powers.append(cur)
+            cur = cur @ self
+        return powers
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.rows == other.rows

@@ -7,8 +7,7 @@ that order, canonical forms in the quotient module Q_ell are obtained by
 chopping trailing a-factors (see walg.whittaker).
 
 Monomial/term layout is shared with walg.backend; straightening products
-are memoized per basis and the cache can be disabled without changing any
-result.
+are memoized per basis.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from walg import backend
 from walg.errors import DegreeTooLow, WalgError
 from walg.liealg import (CharacterChi, GradedDecomposition, LieAlgebra,
                          NilpotentPair)
-from walg.linalg import QQ, Subspace, Vector, vec
+from walg.linalg import QQ, SparseMatrix, Subspace, Vector, vec
 
 Monomial = Tuple[Tuple[int, int], ...]
 Terms = Dict[Monomial, QQ]
@@ -34,12 +33,11 @@ class PBWBasis:
     """Ordered, ad h homogeneous generating set of Ug adapted to (a, chi)."""
 
     __slots__ = ("lie", "vectors", "weights", "labels", "n_complement",
-                 "bracket", "chi_vals", "_inv_rows", "cache_enabled",
-                 "_cache_left", "_cache_right", "charts")
+                 "bracket", "chi_vals", "_inverse", "_cache_left",
+                 "_cache_right", "charts")
 
     def __init__(self, lie: LieAlgebra, graded_vectors: Sequence[Tuple[Vector, int]],
-                 n_complement: int, chi_fn: Optional[CharacterChi] = None,
-                 cache_enabled: bool = True):
+                 n_complement: int, chi_fn: Optional[CharacterChi] = None):
         if len(graded_vectors) != lie.dim:
             raise WalgError("adapted basis must span the algebra")
         self.lie = lie
@@ -50,15 +48,16 @@ class PBWBasis:
         for k, v in enumerate(self.vectors):
             labels.append(lie.label_of_vector(v) or f"v{k}")
         self.labels = tuple(labels)
-        self._inv_rows = self._invert_basis_matrix()
+        self._inverse = SparseMatrix.from_columns(self.vectors).inverse()
+        if self._inverse is None:
+            raise WalgError("adapted basis is singular")
         self.bracket = self._structure_constants()
         if chi_fn is None:
             self.chi_vals = (0,) * lie.dim
         else:
             self.chi_vals = tuple(_exact(chi_fn(v)) for v in self.vectors)
-        self.cache_enabled = cache_enabled
-        self._cache_left: Optional[dict] = {} if cache_enabled else None
-        self._cache_right: Optional[dict] = {} if cache_enabled else None
+        self._cache_left: dict = {}
+        self._cache_right: dict = {}
         # polynomial charts on these generators, by kind (see walg.poisson)
         self.charts: dict = {}
 
@@ -83,26 +82,9 @@ class PBWBasis:
             raise WalgError("complement construction failed")
         return cls(lie, complement + a_part, len(complement), chi_fn)
 
-    def _invert_basis_matrix(self):
-        d = self.lie.dim
-        aug = []
-        for r in range(d):
-            row = [self.vectors[c][r] for c in range(d)] + \
-                  [QQ(1) if c == r else QQ(0) for c in range(d)]
-            aug.append(row)
-        pivots, rows = backend.rref_dense(aug, 2 * d)
-        if pivots[:d] != list(range(d)):
-            raise WalgError("adapted basis is singular")
-        inv = []
-        for row in rows:
-            inv.append(tuple(row.get(d + c, QQ(0)) for c in range(d)))
-        return tuple(inv)
-
     def coords(self, v: Sequence) -> Vector:
         """Coordinates of an ambient vector on the adapted basis."""
-        v = vec(v, self.lie.dim)
-        return tuple(sum((row[j] * v[j] for j in range(self.lie.dim) if v[j]), QQ(0))
-                     for row in self._inv_rows)
+        return self._inverse.apply(vec(v, self.lie.dim))
 
     def _structure_constants(self):
         d = self.lie.dim
@@ -119,13 +101,6 @@ class PBWBasis:
                             raise WalgError("bracket is not ad h homogeneous")
                     out[(i, j)] = entry
         return out
-
-    # -- caches --------------------------------------------------------------
-
-    def set_cache_enabled(self, enabled: bool):
-        self.cache_enabled = enabled
-        self._cache_left = {} if enabled else None
-        self._cache_right = {} if enabled else None
 
     # -- degree bookkeeping ---------------------------------------------------
 
@@ -278,11 +253,6 @@ class UEAElement:
     __repr__ = __str__
 
 
-def pbw_multiply(u: UEAElement, v: UEAElement) -> UEAElement:
-    """Product in PBW normal form."""
-    return u * v
-
-
 def pbw_multiply_rl(u: UEAElement, v: UEAElement) -> UEAElement:
     """Product straightened right-to-left; confluence cross-check."""
     u._check(v)
@@ -296,10 +266,6 @@ def commutator(u: UEAElement, v: UEAElement) -> UEAElement:
     return u * v - v * u
 
 
-def kazhdan_degree(u: UEAElement) -> Optional[int]:
-    return u.kazhdan_degree()
-
-
 def casimir(basis: PBWBasis) -> UEAElement:
     """Quadratic Casimir sum x_i x^i over Killing-dual bases of g.
 
@@ -307,20 +273,14 @@ def casimir(basis: PBWBasis) -> UEAElement:
     """
     L = basis.lie
     d = L.dim
-    kb = [[L.killing(basis.vectors[a], basis.vectors[b]) for b in range(d)]
-          for a in range(d)]
-    aug = [row + [QQ(1) if c == r else QQ(0) for c in range(d)]
-           for r, row in enumerate(kb)]
-    pivots, rows = backend.rref_dense(aug, 2 * d)
-    if pivots[:d] != list(range(d)):
+    inv = SparseMatrix.from_rows(
+        [[L.killing(basis.vectors[a], basis.vectors[b]) for b in range(d)]
+         for a in range(d)]).inverse()
+    if inv is None:
         raise WalgError("Killing form degenerate in casimir()")
-    inv = [[rows[r].get(d + c, QQ(0)) for c in range(d)] for r in range(d)]
     omega = basis.zero()
-    for a in range(d):
-        for b in range(d):
-            c = inv[a][b]
-            if c:
-                omega = omega + c * (basis.generator(a) * basis.generator(b))
+    for (a, b), c in sorted(inv.entries.items()):
+        omega = omega + c * (basis.generator(a) * basis.generator(b))
     for k in range(d):
         if not commutator(omega, basis.generator(k)).is_zero():
             raise WalgError("Casimir fails to be central")

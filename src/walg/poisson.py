@@ -432,41 +432,39 @@ class SliceData:
 # ---------------------------------------------------------------------------
 
 
-def _mat_mul(A, B, dim):
-    return tuple(tuple(sum((A[r][k] * B[k][c] for k in range(dim) if A[r][k]), ZERO)
-                       for c in range(dim)) for r in range(dim))
-
-
 class CoadjointFlow:
-    """exp(t ad* x) for nilpotent x, stored as exact matrix Taylor layers.
+    """exp(t ad* x) for nilpotent x, stored as exact sparse Taylor layers.
 
-    `layers[k]` is (ad x)^k / k! on the adapted basis; the pullback of the
-    coordinate function y_p under the time-t flow is
-    sum_k (-t)^k sum_q layers[k][q][p] y_q.
+    `_layers[k]` holds the entries (row, col) -> value of (ad x)^k / k! on
+    the adapted basis; the pullback of the coordinate function y_p under
+    the time-t flow is sum_k (-t)^k sum_q (ad x)^k / k! [q, p] y_q.
     """
 
-    __slots__ = ("basis", "x", "layers")
+    __slots__ = ("basis", "x", "_layers")
 
     def __init__(self, basis: PBWBasis, x: Sequence):
         L = basis.lie
         d = L.dim
         self.basis = basis
         self.x = vec(x, d)
-        cols = [basis.coords(L.bracket(self.x, basis.vectors[q])) for q in range(d)]
-        A = tuple(tuple(cols[q][r] for q in range(d)) for r in range(d))
-        layers = [tuple(tuple(ONE if r == c else ZERO for c in range(d))
-                        for r in range(d))]
-        cur = A
-        k = 1
+        A = SparseMatrix.from_columns(
+            [basis.coords(L.bracket(self.x, v)) for v in basis.vectors])
+        powers = A.nilpotent_powers()
+        if powers is None:
+            raise NotNilpotentCoadjoint("ad x is not nilpotent")
+        layers = [{(r, r): ONE for r in range(d)}]
         fact = 1
-        while any(any(row) for row in cur):
-            if k > 2 * d:
-                raise NotNilpotentCoadjoint("ad x is not nilpotent")
-            layers.append(tuple(tuple(v / fact for v in row) for row in cur))
-            cur = _mat_mul(cur, A, d)
-            k += 1
+        for k, P in enumerate(powers, 1):
             fact *= k
-        self.layers = tuple(layers)
+            layers.append({rc: v / fact for rc, v in P.entries.items()})
+        self._layers = tuple(layers)
+
+    @property
+    def layers(self) -> Tuple[Tuple[Tuple[QQ, ...], ...], ...]:
+        """The Taylor layers (ad x)^k / k! as dense matrices."""
+        d = self.basis.lie.dim
+        return tuple(tuple(tuple(layer.get((r, c), ZERO) for c in range(d))
+                           for r in range(d)) for layer in self._layers)
 
     def matrix_at(self, t) -> Tuple[Tuple[QQ, ...], ...]:
         """exp(t ad x) as an exact matrix."""
@@ -474,12 +472,9 @@ class CoadjointFlow:
         d = self.basis.lie.dim
         out = [[ZERO] * d for _ in range(d)]
         power = ONE
-        for layer in self.layers:
-            for r in range(d):
-                row = layer[r]
-                for c in range(d):
-                    if row[c]:
-                        out[r][c] += power * row[c]
+        for layer in self._layers:
+            for (r, c), v in layer.items():
+                out[r][c] += power * v
             power *= t
         return tuple(tuple(row) for row in out)
 
@@ -503,26 +498,23 @@ class CoadjointFlow:
         if chart.kind != "complement":
             raise ChartMismatch("formal pullback expects a complement-chart polynomial")
         nc = basis.n_complement
-        images: List[Dict[int, KazhdanPolynomial]] = []
-        for p in range(nc):
-            img: Dict[int, KazhdanPolynomial] = {}
-            for k, layer in enumerate(self.layers):
-                terms: Terms = {}
-                const = ZERO
-                for q in range(basis.lie.dim):
-                    v = layer[q][p]
-                    if not v:
-                        continue
-                    if k % 2 == 1:
-                        v = -v
-                    if q < nc:
-                        terms[((q, 1),)] = v
-                    else:
-                        const += v * basis.chi_vals[q]
-                poly = KazhdanPolynomial(chart, terms) + const
+        images: List[Dict[int, KazhdanPolynomial]] = [{} for _ in range(nc)]
+        for k, layer in enumerate(self._layers):
+            terms: List[Terms] = [{} for _ in range(nc)]
+            const = [ZERO] * nc
+            for (q, p), v in layer.items():
+                if p >= nc:
+                    continue
+                if k % 2 == 1:
+                    v = -v
+                if q < nc:
+                    terms[p][((q, 1),)] = v
+                else:
+                    const[p] += v * basis.chi_vals[q]
+            for p in range(nc):
+                poly = KazhdanPolynomial(chart, terms[p]) + const[p]
                 if not poly.is_zero():
-                    img[k] = poly
-            images.append(img)
+                    images[p][k] = poly
         out: Dict[int, KazhdanPolynomial] = {}
         for m, c in F.terms.items():
             acc: Dict[int, KazhdanPolynomial] = {0: KazhdanPolynomial.constant(chart, c)}
@@ -540,10 +532,6 @@ class CoadjointFlow:
             for k, p in acc.items():
                 out[k] = out.get(k, KazhdanPolynomial.zero(chart)) + p
         return {k: p for k, p in out.items() if not p.is_zero()}
-
-
-def coadjoint_flow(basis: PBWBasis, x: Sequence) -> CoadjointFlow:
-    return CoadjointFlow(basis, x)
 
 
 # ---------------------------------------------------------------------------

@@ -198,10 +198,6 @@ class QDegreeBasis:
                           {monos[i]: c for i, c in sorted(row.items()) if c})
 
 
-def q_degree_basis(n: int, sctx: SliceContext) -> QDegreeBasis:
-    return QDegreeBasis(sctx, n)
-
-
 def ad_action_matrix(x: Sequence, qb: QDegreeBasis,
                      sctx: SliceContext) -> SparseMatrix:
     """Matrix of v -> q([x, v~]) on the degree basis; strictly lowers degree.
@@ -305,7 +301,8 @@ class _Echelon:
         sum x_k added_k == w is verified by substitution."""
         scale, xs = _combine([(w[p], (row[p], comb))
                               for p, row, comb in self.rows if p in w])
-        x = tuple(QQ(xs.get(k, 0), scale) for k in range(len(self.added)))
+        x = tuple(QQ(xs[k], scale) if xs.get(k) else ZERO
+                  for k in range(len(self.added)))
         if _equals(_combine([(xk, a) for xk, a in zip(x, self.added) if xk]),
                    w):
             return x

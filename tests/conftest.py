@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from walg.liealg import (highest_root_triple, make_lie_algebra, make_sln,
+from walg.liealg import (LieAlgebra, highest_root_triple, make_sln,
                          partition_triple, sln_matrix_to_coords)
 from walg.context import build_context
 from walg.linalg import unit_vec
@@ -13,7 +13,7 @@ from walg.whittaker import h_basis
 
 def sl2_algebra():
     F = Fraction
-    return make_lie_algebra(
+    return LieAlgebra(
         ["e", "h", "f"],
         {(0, 1): {0: F(-2)}, (0, 2): {1: F(1)}, (1, 2): {2: F(-2)}})
 

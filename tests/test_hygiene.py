@@ -17,6 +17,10 @@ coordinates, may.  And for the kernels on integer forms (den, ints): the
 left action on Q in `walg.whittaker`, the memoized images and the sum of
 `poisson.Substitution`, and `backend.combine`, the sum over one common
 scale behind both; they leave the integers only through `_divide`.
+Elimination stays behind the linear-algebra layer: outside
+`walg.backend`, which holds the kernel, and `walg.linalg`, which wraps it
+in `SparseMatrix`, `Subspace`, `solve` and the kernels, no module names
+`rref_sparse` or `rref_dense`.
 """
 
 import ast
@@ -275,3 +279,41 @@ def test_integer_form_kernels_are_fraction_free(module):
     functions = INTEGER_FORM_KERNELS[module]
     assert set(functions) <= {name for name, _ in functions_of(source)}
     assert list(rational_uses(source, functions)) == []
+
+
+ELIMINATION_KERNELS = ("rref_sparse", "rref_dense")
+ELIMINATION_HOMES = ("backend.py", "linalg.py")
+
+
+def elimination_uses(source):
+    """(name, line) of every use of an elimination kernel: a read of the
+    name, an attribute, or an imported name."""
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name) and n.id in ELIMINATION_KERNELS:
+            yield n.id, n.lineno
+        elif isinstance(n, ast.Attribute) and n.attr in ELIMINATION_KERNELS:
+            yield n.attr, n.lineno
+        elif isinstance(n, ast.ImportFrom):
+            for alias in n.names:
+                if alias.name in ELIMINATION_KERNELS:
+                    yield alias.name, n.lineno
+
+
+def test_finds_elimination_uses():
+    source = ("from walg.backend import rref_dense as rd\n"
+              "from walg import backend\n"
+              "def inverse(rows):\n"
+              "    return backend.rref_sparse(rows, 4)\n"
+              "kernel = rref_sparse\n"
+              "note = 'rref_sparse is the kernel'\n"
+              "def rref_sparse_free(rows):\n"
+              "    return rows\n")
+    assert sorted(elimination_uses(source)) == [
+        ("rref_dense", 1), ("rref_sparse", 4), ("rref_sparse", 5)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name not in ELIMINATION_HOMES],
+                         ids=lambda p: p.name)
+def test_elimination_only_in_backend_and_linalg(path):
+    assert list(elimination_uses(path.read_text(encoding="utf-8"))) == []

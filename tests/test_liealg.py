@@ -7,9 +7,9 @@ import pytest
 from walg import liealg
 from walg.errors import (DegenerateKillingForm, JacobiViolation, NotIsotropic,
                          NotInsideGm1, NotNilpotent, WalgError)
-from walg.liealg import (Sl2Triple, ad_h_grading, chi, complete_sl2_triple,
-                         decomposition_check, highest_root_triple, ker_ad_f,
-                         killing_form, lagrangian_auto, make_lie_algebra,
+from walg.liealg import (LieAlgebra, Sl2Triple, ad_h_grading, chi,
+                         complete_sl2_triple, decomposition_check,
+                         highest_root_triple, ker_ad_f, lagrangian_auto,
                          make_nilpotent_pair, make_sln, partition_triple,
                          sln_basis_matrices, sln_matrix_to_coords,
                          structure_checks, symplectic_data)
@@ -25,13 +25,13 @@ def test_sl2_table_valid():
 
 def test_abelian_is_degenerate():
     with pytest.raises(DegenerateKillingForm):
-        make_lie_algebra(["x", "y"], {})
+        LieAlgebra(["x", "y"], {})
 
 
 def test_broken_sl2_violates_jacobi():
     # [e,f] = e instead of h
     with pytest.raises(JacobiViolation):
-        make_lie_algebra(["e", "h", "f"],
+        LieAlgebra(["e", "h", "f"],
                          {(0, 1): {0: F(-2)}, (0, 2): {0: F(1)},
                           (1, 2): {2: F(-2)}})
 
@@ -78,7 +78,7 @@ def test_sln_rejects_small_n():
 
 
 def test_killing_sl2_values():
-    K = killing_form(sl2_algebra())
+    K = sl2_algebra().killing_matrix()
     assert K[0][2] == 4 and K[1][1] == 8
     assert K[0][0] == 0 and K[2][2] == 0 and K[0][1] == 0
 
@@ -86,7 +86,7 @@ def test_killing_sl2_values():
 def test_killing_sl3_is_six_times_trace():
     """kappa = 2n tr(xy) on the matrix realization of sl_n."""
     L = make_sln(3)
-    K = killing_form(L)
+    K = L.killing_matrix()
     labels, mats = sln_basis_matrices(3)
 
     def tr_prod(A, B):

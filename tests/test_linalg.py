@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from walg import backend
 from walg.errors import AmbientMismatch
 from walg.linalg import (SparseMatrix, Subspace, kernel, prefix_kernels, rank,
-                         solve, sum_and_intersection)
+                         solve, sum_and_intersection, unit_vec)
+
+from conftest import sl2_algebra
 
 
 def test_kernel_zero_map():
@@ -258,3 +260,116 @@ def test_from_sparse_drops_empty_rows():
 def test_from_sparse_matches_dense_constructor(matrix):
     rows, ncols = matrix
     assert Subspace.from_sparse(ncols, sparse(rows)) == Subspace(ncols, rows)
+
+
+# -- matrix operations against plain dense Fraction arithmetic ---------------
+
+
+def dense_mul(A, B, inner, ncols):
+    """Reference product of dense row lists with the given inner and outer
+    column counts."""
+    return [[sum((a[k] * B[k][c] for k in range(inner)), F(0)) for c in range(ncols)]
+            for a in A]
+
+
+def dense_identity(n):
+    return [[F(int(r == c)) for c in range(n)] for r in range(n)]
+
+
+def dense_matrix(data, nrows, ncols):
+    entry = st.one_of(st.just(F(0)), small_fraction)
+    return [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_product_matches_dense_reference(n, k, m, data):
+    A, B = dense_matrix(data, n, k), dense_matrix(data, k, m)
+    got = SparseMatrix.from_rows(A, cols=k) @ SparseMatrix.from_rows(B, cols=m)
+    assert (got.rows, got.cols) == (n, m)
+    assert got == SparseMatrix.from_rows(dense_mul(A, B, k, m), cols=m)
+
+
+def test_product_rejects_mismatched_inner_dimensions():
+    with pytest.raises(AmbientMismatch):
+        SparseMatrix(2, 3, {}) @ SparseMatrix(2, 2, {})
+    with pytest.raises(AmbientMismatch):
+        SparseMatrix.from_rows([[1, 2]]) @ SparseMatrix.from_rows([[1, 2]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), small_fraction, st.data())
+def test_shift_matches_dense_reference(n, c, data):
+    M = dense_matrix(data, n, n)
+    shifted = [[v + (c if r == j else 0) for j, v in enumerate(row)]
+               for r, row in enumerate(M)]
+    assert SparseMatrix.from_rows(M, cols=n).shift(c) == \
+        SparseMatrix.from_rows(shifted, cols=n)
+
+
+def test_shift_cancels_diagonal_and_rejects_non_square():
+    M = SparseMatrix.from_rows([[2, 1], [0, 2]])
+    assert M.shift(-2).entries == {(0, 1): F(1)}
+    with pytest.raises(AmbientMismatch):
+        SparseMatrix(2, 3, {}).shift(1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.data())
+def test_inverse_is_two_sided_or_none_when_singular(n, singular, data):
+    rows = dense_matrix(data, n, n)
+    if singular:
+        # the last row a combination of the others: rank below n
+        coeffs = [data.draw(st.integers(-2, 2)) for _ in range(n - 1)]
+        rows[-1] = [sum((a * r[j] for a, r in zip(coeffs, rows)), F(0))
+                    for j in range(n)]
+    M = SparseMatrix.from_rows(rows, cols=n)
+    inv = M.inverse()
+    if inv is None:
+        assert rank(M) < n
+    else:
+        ident = SparseMatrix.from_rows(dense_identity(n))
+        assert M @ inv == ident and inv @ M == ident
+    if singular:
+        assert inv is None
+
+
+def test_inverse_examples():
+    assert SparseMatrix.from_rows([[1, 2], [2, 4]]).inverse() is None
+    assert SparseMatrix.from_rows([[2, 1], [1, 1]]).inverse() == \
+        SparseMatrix.from_rows([[1, -1], [-1, 2]])
+    assert SparseMatrix(0, 0, {}).inverse() == SparseMatrix(0, 0, {})
+    with pytest.raises(AmbientMismatch):
+        SparseMatrix(1, 2, {}).inverse()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_strictly_triangular_powers_and_index(n, data):
+    """A strictly upper triangular matrix is nilpotent; its powers are those
+    of the dense reference up to the last nonzero one."""
+    entry = st.one_of(st.just(F(0)), small_fraction)
+    rows = [[data.draw(entry) if j > r else F(0) for j in range(n)]
+            for r in range(n)]
+    expected, cur = [], rows
+    while any(any(row) for row in cur):
+        expected.append(SparseMatrix.from_rows(cur, cols=n))
+        cur = dense_mul(cur, rows, n, n)
+    assert len(expected) < n
+    assert SparseMatrix.from_rows(rows, cols=n).nilpotent_powers() == expected
+
+
+def test_nilpotent_index_of_a_jordan_block():
+    J = SparseMatrix(4, 4, {(0, 1): F(1), (1, 2): F(1), (2, 3): F(1)})
+    powers = J.nilpotent_powers()
+    assert len(powers) == 3  # J^4 = 0, J^3 != 0
+    assert powers[-1].entries == {(0, 3): F(1)}
+    assert SparseMatrix(3, 3, {}).nilpotent_powers() == []
+
+
+def test_ad_h_on_sl2_is_not_nilpotent():
+    L = sl2_algebra()
+    assert L.ad_sparse(unit_vec(3, 1)).nilpotent_powers() is None
+    assert len(L.ad_sparse(unit_vec(3, 0)).nilpotent_powers()) == 2
+    with pytest.raises(AmbientMismatch):
+        SparseMatrix(2, 3, {}).nilpotent_powers()

@@ -147,7 +147,7 @@ def test_flow_identity_and_inverse(sl3_min_lag):
     B = sl3_min_lag.basis
     rng = random.Random(14)
     for x, _ in sl3_min_lag.pair.n_graded:
-        fl = P.coadjoint_flow(B, x)
+        fl = P.CoadjointFlow(B, x)
         d = B.lie.dim
         for _ in range(4):
             t = F(rng.randint(-6, 6), rng.randint(1, 5))
@@ -164,16 +164,50 @@ def test_flow_identity_and_inverse(sl3_min_lag):
         assert prod == ident
 
 
+def _mat_mul(A, B, dim):
+    """Dense matrix product, the loop the flow's layers were built with."""
+    return tuple(tuple(sum((A[r][k] * B[k][c] for k in range(dim) if A[r][k]), F(0))
+                       for c in range(dim)) for r in range(dim))
+
+
+def dense_flow_layers(basis, x):
+    """(ad x)^k / k! on the adapted basis, as dense matrices, up to the last
+    nonzero power; coordinates are solved for, not read off an inverse."""
+    L = basis.lie
+    d = L.dim
+    P = SparseMatrix.from_columns(basis.vectors)
+    cols = [solve(P, L.bracket(x, v)) for v in basis.vectors]
+    A = tuple(tuple(cols[q][r] for q in range(d)) for r in range(d))
+    layers = [tuple(tuple(F(int(r == c)) for c in range(d)) for r in range(d))]
+    cur, k, fact = A, 1, 1
+    while any(any(row) for row in cur):
+        assert k <= d
+        layers.append(tuple(tuple(v / fact for v in row) for row in cur))
+        cur = _mat_mul(cur, A, d)
+        k += 1
+        fact *= k
+    return tuple(layers)
+
+
+@pytest.mark.parametrize("ctx_name", ["sl3_min_lag", "sl4_22_conj"])
+def test_flow_layers_match_dense_reference(request, ctx_name):
+    sctx = request.getfixturevalue(ctx_name)
+    for x, _ in sctx.pair.n_graded:
+        fl = P.CoadjointFlow(sctx.basis, x)
+        assert fl.layers == dense_flow_layers(sctx.basis, x)
+        assert len(fl.layers) > 1
+
+
 def test_zero_flow_is_identity(sl3_min_lag):
     B = sl3_min_lag.basis
-    fl = P.coadjoint_flow(B, (0,) * 8)
+    fl = P.CoadjointFlow(B, (0,) * 8)
     assert len(fl.layers) == 1
 
 
 def test_sl2_f_flow(sl2_ctx):
     """exp(t ad* f) moves slice points polynomially; exp(1) exp(-1) = id."""
     B = sl2_ctx.basis
-    fl = P.coadjoint_flow(B, sl2_ctx.triple.f)
+    fl = P.CoadjointFlow(B, sl2_ctx.triple.f)
     assert len(fl.layers) == 3  # ad f is nilpotent of index 3 on sl2
     row = tuple(B.chi_vals)
     moved = fl.point_at(row, F(1))
@@ -190,7 +224,7 @@ def test_flow_preserves_chi_plus_a_perp(sl3_min_lag):
     d = B.lie.dim
     chi_row = tuple(B.chi_vals)
     for x, _ in sctx.pair.n_graded:
-        fl = P.coadjoint_flow(B, x)
+        fl = P.CoadjointFlow(B, x)
         for t in (F(1), F(-2), F(3, 7)):
             for k in range(nc + 1):
                 row = list(chi_row)

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from walg.context import build_context
-from walg.liealg import make_lie_algebra
+from walg.liealg import LieAlgebra
 from walg.whittaker import (ce_cohomology, h_basis, verify_theorem,
                             whittaker_vectors)
 
@@ -22,7 +22,7 @@ def sl2_x_sl2():
         (0, 1): {0: F(-2)}, (0, 2): {1: F(1)}, (1, 2): {2: F(-2)},
         (3, 4): {3: F(-2)}, (3, 5): {4: F(1)}, (4, 5): {5: F(-2)},
     }
-    return make_lie_algebra(["e1", "h1", "f1", "e2", "h2", "f2"], table)
+    return LieAlgebra(["e1", "h1", "f1", "e2", "h2", "f2"], table)
 
 
 def test_product_regular(sl2_x_sl2):

@@ -50,17 +50,17 @@ def test_q_respects_left_action(sl3_min_lag):
 
 
 def test_q_degree_basis_sl2(sl2_ctx):
-    qb2 = W.q_degree_basis(2, sl2_ctx)
+    qb2 = W.QDegreeBasis(sl2_ctx, 2)
     assert qb2.monomials == [(), ((1, 1),)]
-    qb4 = W.q_degree_basis(4, sl2_ctx)
+    qb4 = W.QDegreeBasis(sl2_ctx, 4)
     assert set(qb4.monomials) == {(), ((1, 1),), ((1, 2),), ((0, 1),)}
     assert qb4.dim_f(4) == 4
-    qb0 = W.q_degree_basis(0, sl2_ctx)
+    qb0 = W.QDegreeBasis(sl2_ctx, 0)
     assert qb0.monomials == [()]
 
 
 def test_ad_matrix_examples(sl2_ctx):
-    qb = W.q_degree_basis(4, sl2_ctx)
+    qb = W.QDegreeBasis(sl2_ctx, 4)
     M = W.ad_action_matrix(sl2_ctx.triple.f, qb, sl2_ctx)
     # constants are killed
     j1 = qb.index[()]
