@@ -18,7 +18,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -38,15 +37,17 @@ _SLN = re.compile(r"^sl(\d+)$")
 _PARTITION = re.compile(r"^\[\s*\d+\s*(,\s*\d+\s*)*\]$")
 
 
-@dataclass
 class JobConfig:
-    algebra: str
-    nilpotent: Optional[str] = None
-    ell: str = "zero"
-    max_degree: int = 6
-    checks: List[str] = field(default_factory=lambda: ["structure", "decomposition",
-                                                       "theorem"])
-    degree_overrides: dict = field(default_factory=dict)
+    def __init__(self, algebra: str, nilpotent: Optional[str] = None,
+                 ell: str = "zero", max_degree: int = 6,
+                 checks: Sequence[str] = ("structure", "decomposition", "theorem"),
+                 degree_overrides: Optional[dict] = None):
+        self.algebra = algebra
+        self.nilpotent = nilpotent
+        self.ell = ell
+        self.max_degree = max_degree
+        self.checks: List[str] = list(checks)
+        self.degree_overrides = {} if degree_overrides is None else degree_overrides
 
     @classmethod
     def parse_checks(cls, text: str):
@@ -129,14 +130,15 @@ class Case:
         raise ConfigError(f"unknown algebra '{name}' (builtin slN or a JSON file)")
 
     def _resolve_nilpotent(self, spec: Optional[str], extras: dict):
+        """(name, (e, h, f)); h and f are None where `build_context` is to
+        complete e by the Jacobson-Morozov solver."""
         m = _SLN.match(self.config.algebra)
         n = int(m.group(1)) if m else None
         if spec is None:
             if "nilpotent" in extras:
                 e, = _parse_vectors([extras["nilpotent"]], self.lie.dim,
                                     "nilpotent of the algebra file")
-                t = liealg.complete_sl2_triple(self.lie, e)
-                return "file", (t.e, t.h, t.f)
+                return "file", (e, None, None)
             raise ConfigError("no nilpotent given (flag or input file)")
         if spec == "regular" and n:
             return "regular", liealg.partition_triple(n, [n])
@@ -147,8 +149,7 @@ class Case:
             return spec, liealg.partition_triple(n, parts)
         e, = _parse_vectors([spec.split(",")], self.lie.dim,
                             f"nilpotent '{spec}'")
-        t = liealg.complete_sl2_triple(self.lie, e)
-        return "vector", (t.e, t.h, t.f)
+        return "vector", (e, None, None)
 
     def hb_at(self, n: int):
         if n not in self._hb:

@@ -80,12 +80,12 @@ def build_context(lie: LieAlgebra, e: Sequence, ell: Optional[object] = None,
         triple = Sl2Triple(lie, e, h, f)
     else:
         triple = liealg.complete_sl2_triple(lie, e)
-    grading = liealg.ad_h_grading(lie, triple)
-    chi_fn = liealg.chi(lie, triple)
     if ell is None or ell == "zero":
         ell_spec: List = []
     elif ell == "lagrangian-auto":
-        ell_spec = liealg.lagrangian_auto(lie, grading, chi_fn)
+        # the grading and chi are kept on the triple for the context
+        ell_spec = liealg.lagrangian_auto(lie, liealg.ad_h_grading(lie, triple),
+                                          liealg.chi(lie, triple))
     else:
         ell_spec = list(ell)
     return SliceContext(lie, triple, ell_spec)

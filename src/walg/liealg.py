@@ -16,38 +16,40 @@ from walg.errors import (ConfigError, DecompositionFailure,
                          DegenerateKillingForm, DegenerateOmega,
                          JacobiViolation, NonIntegerEigenvalue, NotInsideGm1,
                          NotIsotropic, NotNilpotent, NoTripleFound, WalgError)
-from walg.linalg import (QQ, SparseMatrix, Subspace, Vector, add_vec, dot,
-                         is_zero_vec, kernel, rank, scale_vec, solve,
-                         sum_and_intersection, unit_vec, vec, zero_vec)
+from walg.linalg import (QQ, SparseMatrix, Subspace, Vector, exact, kernel,
+                         rank, scale_vec, solve, sum_and_intersection,
+                         unit_vec, vec)
 
 
 class LieAlgebra:
     """Lie algebra with a fixed basis and exact structure constants.
 
     `table` maps basis pairs (i, j) with i < j to the sparse coordinate
-    vector of [x_i, x_j]; antisymmetry is built into the storage.
-    Construction verifies the Jacobi identity on all basis triples and
-    nondegeneracy of the Killing form.
+    vector of [x_i, x_j], each constant an int when it is a whole number;
+    `_brackets[i]` maps every j with [x_i, x_j] != 0 to that vector, for
+    either order of i and j, and `_killing` holds the Killing form on the
+    basis, an int where whole.  Construction verifies the Jacobi identity on
+    all basis triples and nondegeneracy of the Killing form.
     """
 
-    __slots__ = ("dim", "labels", "table", "_ad", "_killing")
+    __slots__ = ("dim", "labels", "table", "_brackets", "_killing")
 
     def __init__(self, labels: Sequence[str],
                  table: Dict[Tuple[int, int], Dict[int, QQ]]):
         self.dim = len(labels)
         self.labels = tuple(labels)
-        clean: Dict[Tuple[int, int], Dict[int, QQ]] = {}
+        self.table: Dict[Tuple[int, int], Dict[int, QQ]] = {}
+        self._brackets: List[Dict[int, Dict[int, QQ]]] = [{} for _ in labels]
         for (i, j), v in table.items():
             if not (0 <= i < j < self.dim):
                 raise WalgError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
-            entry = {k: QQ(c) for k, c in (v.items() if isinstance(v, dict) else v) if c}
+            entry = {k: exact(QQ(c)) for k, c in (v.items() if isinstance(v, dict) else v) if c}
             if entry:
-                clean[(i, j)] = entry
-        self.table = clean
-        self._ad: Optional[List[Dict[Tuple[int, int], QQ]]] = None
-        self._killing: Optional[Tuple[Tuple[QQ, ...], ...]] = None
+                self.table[(i, j)] = self._brackets[i][j] = entry
+                self._brackets[j][i] = {k: -c for k, c in entry.items()}
         self._check_jacobi()
-        if rank(SparseMatrix.from_rows(self.killing_matrix())) != self.dim:
+        self._killing = self._killing_form()
+        if rank(SparseMatrix.from_rows(self._killing)) != self.dim:
             raise DegenerateKillingForm(
                 f"Killing form of '{','.join(labels)}' algebra is degenerate")
 
@@ -55,99 +57,87 @@ class LieAlgebra:
 
     def bracket_basis(self, i: int, j: int) -> Dict[int, QQ]:
         """[x_i, x_j] as a sparse coordinate dict, any i, j."""
-        if i == j:
-            return {}
-        if i < j:
-            return self.table.get((i, j), {})
-        return {k: -c for k, c in self.table.get((j, i), {}).items()}
+        return self._brackets[i].get(j, {})
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         """[x, y] for coordinate vectors."""
         out = [QQ(0)] * self.dim
-        xs = [(i, c) for i, c in enumerate(x) if c]
         ys = [(j, c) for j, c in enumerate(y) if c]
-        for i, xi in xs:
-            for j, yj in ys:
-                if i == j:
-                    continue
-                coeff = xi * yj
-                for k, c in self.bracket_basis(i, j).items():
-                    out[k] += coeff * c
+        for i, xi in enumerate(x):
+            if xi:
+                row = self._brackets[i]
+                for j, yj in ys:
+                    b = row.get(j)
+                    if b:
+                        coeff = xi * yj
+                        for k, c in b.items():
+                            out[k] += coeff * c
         return tuple(out)
 
     def ad_sparse(self, x: Sequence) -> SparseMatrix:
         """Matrix of ad x: column j is [x, x_j]."""
-        entries = {}
-        for j in range(self.dim):
-            col = [QQ(0)] * self.dim
-            for i, xi in enumerate(x):
-                if xi:
-                    for k, c in self.bracket_basis(i, j).items():
-                        col[k] += xi * c
-            for k, v in enumerate(col):
-                if v:
-                    entries[(k, j)] = v
+        entries: Dict[Tuple[int, int], QQ] = {}
+        for i, xi in enumerate(x):
+            if xi:
+                for j, b in self._brackets[i].items():
+                    for k, c in b.items():
+                        entries[(k, j)] = entries.get((k, j), 0) + xi * c
         return SparseMatrix(self.dim, self.dim, entries)
 
     # -- Killing form -------------------------------------------------------
 
-    def _ad_basis(self):
-        if self._ad is None:
-            self._ad = [self.ad_sparse(unit_vec(self.dim, i)).entries
-                        for i in range(self.dim)]
-        return self._ad
+    def _killing_form(self) -> Tuple[Tuple[QQ, ...], ...]:
+        """kappa(x_i, x_j) = trace(ad x_i ad x_j), the sum of
+        [x_i, x_c]_r [x_j, x_r]_c over the nonzero products only."""
+        into: Dict[Tuple[int, int], List[Tuple[int, QQ]]] = {}
+        for j, row in enumerate(self._brackets):
+            for r, b in row.items():
+                for c, w in b.items():
+                    into.setdefault((r, c), []).append((j, w))
+        K = [[0] * self.dim for _ in range(self.dim)]
+        for i, row in enumerate(self._brackets):
+            for c, b in row.items():
+                for r, v in b.items():
+                    for j, w in into.get((r, c), ()):
+                        K[i][j] += v * w
+        return tuple(tuple(exact(t) for t in row) for row in K)
 
     def killing_matrix(self) -> Tuple[Tuple[QQ, ...], ...]:
         """kappa(x_i, x_j) = trace(ad x_i ad x_j) on the basis."""
-        if self._killing is None:
-            ads = self._ad_basis()
-            K = [[QQ(0)] * self.dim for _ in range(self.dim)]
-            for i in range(self.dim):
-                for j in range(i, self.dim):
-                    t = QQ(0)
-                    for (r, c), v in ads[i].items():
-                        w = ads[j].get((c, r))
-                        if w:
-                            t += v * w
-                    K[i][j] = t
-                    K[j][i] = t
-            self._killing = tuple(tuple(row) for row in K)
-        return self._killing
+        return tuple(tuple(QQ(t) for t in row) for row in self._killing)
 
     def killing(self, x: Sequence, y: Sequence) -> QQ:
-        K = self.killing_matrix()
-        t = QQ(0)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        t += xi * K[i][j] * yj
-        return t
+        ys = [(j, exact(c)) for j, c in enumerate(y) if c]
+        return QQ(sum(exact(xi) * sum(self._killing[i][j] * yj for j, yj in ys)
+                      for i, xi in enumerate(x) if xi))
 
     # -- validation ---------------------------------------------------------
 
     def _check_jacobi(self):
-        d = self.dim
-        for i in range(d):
-            ei = unit_vec(d, i)
-            for j in range(i + 1, d):
-                ej = unit_vec(d, j)
-                bij = self.bracket_basis(i, j)
-                for k in range(j + 1, d):
-                    ek = unit_vec(d, k)
-                    acc = [QQ(0)] * d
-                    for m, c in bij.items():
-                        for t, c2 in self.bracket_basis(m, k).items():
-                            acc[t] += c * c2
-                    for m, c in self.bracket_basis(j, k).items():
-                        for t, c2 in self.bracket_basis(m, i).items():
-                            acc[t] += c * c2
-                    for m, c in self.bracket_basis(k, i).items():
-                        for t, c2 in self.bracket_basis(m, j).items():
-                            acc[t] += c * c2
-                    if any(acc):
-                        raise JacobiViolation((self.labels[i], self.labels[j],
-                                               self.labels[k]), tuple(acc))
+        """JacobiViolation on the first basis triple i < j < k, in
+        lexicographic order, with [[x_i,x_j],x_k] + [[x_j,x_k],x_i] +
+        [[x_k,x_i],x_j] != 0.  Only a triple with a nonzero double bracket
+        [[x_a,x_b],x_c] can fail, so the triples checked are read off the
+        supports: a pair (a, b) of the table, m in the support of its
+        bracket, and c with [x_m, x_c] != 0."""
+        br = self._brackets
+        triples = set()
+        for (a, b), v in self.table.items():
+            for m in v:
+                for c in br[m]:
+                    if c != a and c != b:
+                        triples.add((c, a, b) if c < a else (a, c, b) if c < b
+                                    else (a, b, c))
+        for i, j, k in sorted(triples):
+            acc: Dict[int, QQ] = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, c1 in br[a].get(b, {}).items():
+                    for t, c2 in br[m].get(c, {}).items():
+                        acc[t] = acc.get(t, 0) + c1 * c2
+            if any(acc.values()):
+                raise JacobiViolation(
+                    (self.labels[i], self.labels[j], self.labels[k]),
+                    tuple(QQ(acc.get(t, 0)) for t in range(self.dim)))
 
     def label_of_vector(self, v: Sequence) -> Optional[str]:
         """Basis label if v is +/- a coordinate vector, else None."""
@@ -256,14 +246,21 @@ def make_sln(n: int) -> LieAlgebra:
 
 
 class Sl2Triple:
-    """(e, h, f) with [h,e] = 2e, [h,f] = -2f, [e,f] = h, all exact."""
+    """(e, h, f) with [h,e] = 2e, [h,f] = -2f, [e,f] = h, all exact.
 
-    __slots__ = ("e", "h", "f")
+    A triple belongs to the algebra it is validated in; its ad h grading
+    and chi are computed once, by `ad_h_grading` and `chi`, and shared by
+    every context built on it.
+    """
+
+    __slots__ = ("e", "h", "f", "_grading", "_chi")
 
     def __init__(self, L: LieAlgebra, e: Sequence, h: Sequence, f: Sequence):
         self.e = vec(e, L.dim)
         self.h = vec(h, L.dim)
         self.f = vec(f, L.dim)
+        self._grading: Optional[GradedDecomposition] = None
+        self._chi: Optional[CharacterChi] = None
         if L.bracket(self.h, self.e) != scale_vec(2, self.e):
             raise NoTripleFound("[h,e] != 2e")
         if L.bracket(self.h, self.f) != scale_vec(-2, self.f):
@@ -280,7 +277,7 @@ def complete_sl2_triple(L: LieAlgebra, e: Sequence) -> Sl2Triple:
     [h,f] = -2f, [e,f] = h for f.  Any solution is accepted.
     """
     e = vec(e, L.dim)
-    if is_zero_vec(e):
+    if not any(e):
         raise NotNilpotent("e = 0 is rejected; the orbit must be nonzero")
     ade = L.ad_sparse(e)
     if ade.nilpotent_powers() is None:
@@ -290,7 +287,7 @@ def complete_sl2_triple(L: LieAlgebra, e: Sequence) -> Sl2Triple:
         raise NoTripleFound("(ad e)^2 y = -2e has no solution")
     h = L.bracket(e, y)
     stacked = L.ad_sparse(h).shift(2).stack(ade)
-    b = list(zero_vec(L.dim)) + list(h)
+    b = [QQ(0)] * L.dim + list(h)
     f = solve(stacked, b)
     if f is None:
         raise NoTripleFound("no f with [h,f] = -2f and [e,f] = h")
@@ -326,7 +323,10 @@ class GradedDecomposition:
 
 
 def ad_h_grading(L: LieAlgebra, triple: Sl2Triple) -> GradedDecomposition:
-    """g = (+) g(i) under ad h; raises if integer eigenvalues don't exhaust g."""
+    """g = (+) g(i) under ad h, once per triple; raises if integer
+    eigenvalues don't exhaust g."""
+    if triple._grading is not None:
+        return triple._grading
     adh = L.ad_sparse(triple.h)
     pieces: Dict[int, Subspace] = {}
     total = 0
@@ -344,34 +344,38 @@ def ad_h_grading(L: LieAlgebra, triple: Sl2Triple) -> GradedDecomposition:
     if total != L.dim:
         raise NonIntegerEigenvalue(
             f"integer ad h eigenspaces span {total} of {L.dim} dimensions")
-    return GradedDecomposition(L, pieces)
+    triple._grading = GradedDecomposition(L, pieces)
+    return triple._grading
 
 
 class CharacterChi:
-    """chi = kappa(e, .)/kappa(e, f); the point Phi(e) of g*."""
+    """chi = kappa(e, .)/kappa(e, f); the point Phi(e) of g*.
+
+    `covector` maps each j with chi(x_j) != 0 to that value."""
 
     __slots__ = ("covector", "kappa_ef")
 
     def __init__(self, L: LieAlgebra, triple: Sl2Triple):
-        K = L.killing_matrix()
         self.kappa_ef = L.killing(triple.e, triple.f)
         if not self.kappa_ef:
             raise DegenerateKillingForm("kappa(e,f) = 0 for an sl2-triple")
-        row = []
-        for j in range(L.dim):
-            v = sum((triple.e[i] * K[i][j] for i in range(L.dim) if triple.e[i]), QQ(0))
-            row.append(v / self.kappa_ef)
-        self.covector = tuple(row)
+        K = L._killing
+        es = [(i, c) for i, c in enumerate(triple.e) if c]
+        self.covector = {j: v / self.kappa_ef for j in range(L.dim)
+                         if (v := sum(c * K[i][j] for i, c in es))}
 
     def __call__(self, v: Sequence) -> QQ:
-        return dot(self.covector, vec(v, len(self.covector)))
+        return sum((c * v[j] for j, c in self.covector.items()), QQ(0))
 
 
 def chi(L: LieAlgebra, triple: Sl2Triple) -> CharacterChi:
-    c = CharacterChi(L, triple)
-    if c(triple.f) != 1:
-        raise WalgError("normalization <chi, f> = 1 failed")
-    return c
+    """chi of the triple, once per triple."""
+    if triple._chi is None:
+        c = CharacterChi(L, triple)
+        if c(triple.f) != 1:
+            raise WalgError("normalization <chi, f> = 1 failed")
+        triple._chi = c
+    return triple._chi
 
 
 class SymplecticData:
@@ -410,24 +414,11 @@ def symplectic_data(L: LieAlgebra, triple: Sl2Triple, grading: GradedDecompositi
             if chi_fn(L.bracket(u, v)):
                 raise NotIsotropic("omega does not vanish on ell")
     # ell^perp inside g(-1): kernel of the pairing rows omega(l, .)
-    if m:
-        rows = []
-        for u in ell.basis:
-            rows.append([chi_fn(L.bracket(u, b)) for b in basis])
-        if rows:
-            ker = kernel(SparseMatrix.from_rows(rows, cols=m))
-            perp_vectors = []
-            for w in ker.basis:
-                x = zero_vec(L.dim)
-                for k, c in enumerate(w):
-                    if c:
-                        x = add_vec(x, scale_vec(c, basis[k]))
-                perp_vectors.append(x)
-            ell_perp = Subspace(L.dim, perp_vectors)
-        else:
-            ell_perp = Subspace(L.dim, basis)
-    else:
-        ell_perp = Subspace(L.dim, [])
+    ker = kernel(SparseMatrix.from_rows(
+        [[chi_fn(L.bracket(u, b)) for b in basis] for u in ell.basis], cols=m))
+    ell_perp = Subspace(L.dim, [
+        [sum((c * basis[k][t] for k, c in w.items()), QQ(0)) for t in range(L.dim)]
+        for w in ker.rows])
     if ell.dim + ell_perp.dim != m:
         raise DegenerateOmega("dim ell + dim ell^perp != dim g(-1)")
     if not ell_perp.contains_subspace(ell):
@@ -484,11 +475,8 @@ def make_nilpotent_pair(L: LieAlgebra, grading: GradedDecomposition,
         raise WalgError("graded basis of a or n_ell is not independent")
     if not n_ell.contains_subspace(a):
         raise WalgError("a not contained in n_ell")
-    for u, _ in n_graded:
-        for v, _ in n_graded:
-            w = L.bracket(u, v)
-            if not n_ell.contains(w):
-                raise WalgError("n_ell not closed under bracket")
+    if not all(n_ell.contains(L.bracket(u, v)) for u, _ in n_graded for v, _ in n_graded):
+        raise WalgError("n_ell not closed under bracket")
     for u, _ in a_graded:
         for v, _ in a_graded:
             w = L.bracket(u, v)
@@ -496,10 +484,8 @@ def make_nilpotent_pair(L: LieAlgebra, grading: GradedDecomposition,
                 raise WalgError("a not closed under bracket")
             if chi_fn(w):
                 raise WalgError("chi is not a character on a")
-    for u, _ in a_graded:
-        for v, _ in n_graded:
-            if chi_fn(L.bracket(u, v)):
-                raise WalgError("chi([a, n_ell]) != 0")
+    if any(chi_fn(L.bracket(u, v)) for u, _ in a_graded for v, _ in n_graded):
+        raise WalgError("chi([a, n_ell]) != 0")
     return NilpotentPair(a, n_ell, a_graded, n_graded)
 
 
@@ -528,7 +514,7 @@ def decomposition_check(L: LieAlgebra, triple: Sl2Triple, grading: GradedDecompo
     dim a^{perp_g} = dim n_ell + dim g(0) + dim g(-1), and injectivity of
     x -> [x, e] on n_ell.
     """
-    K = L.killing_matrix()
+    K = L._killing
     rows = []
     for v in pair.a.basis:
         rows.append([sum((v[i] * K[i][j] for i in range(L.dim) if v[i]), QQ(0))
@@ -570,47 +556,26 @@ def structure_checks(L: LieAlgebra, triple: Sl2Triple, grading: GradedDecomposit
         out["jacobi"] = True
     except JacobiViolation:
         out["jacobi"] = False
-    ok = True
-    for i in range(L.dim):
-        xi = unit_vec(L.dim, i)
-        for j in range(i + 1, L.dim):
-            xj = unit_vec(L.dim, j)
-            bij = L.bracket(xi, xj)
-            for k in range(L.dim):
-                xk = unit_vec(L.dim, k)
-                if L.killing(bij, xk) != L.killing(xi, L.bracket(xj, xk)):
-                    ok = False
-    out["killing_invariance"] = ok
-    ok = True
-    for i, pi in grading.pieces.items():
-        for j, pj in grading.pieces.items():
-            target = grading.piece(i + j)
-            for u in pi.basis:
-                for v in pj.basis:
-                    w = L.bracket(u, v)
-                    if any(w) and not target.contains(w):
-                        ok = False
-    out["grading_compatibility"] = ok
-    ok = True
-    for i, pi in grading.pieces.items():
-        for j, pj in grading.pieces.items():
-            if i + j == 0:
-                continue
-            for u in pi.basis:
-                for v in pj.basis:
-                    if L.killing(u, v):
-                        ok = False
-    out["kappa_graded_pairing"] = ok
+    # kappa([x_i,x_j], x_k) and kappa(x_i, [x_j,x_k]) from the table and
+    # the rows of the Killing matrix
+    K = L._killing
+    out["killing_invariance"] = all(
+        sum(c * K[m][k] for m, c in L.bracket_basis(i, j).items())
+        == sum(K[i][m] * c for m, c in L.bracket_basis(j, k).items())
+        for i in range(L.dim) for j in range(i + 1, L.dim) for k in range(L.dim))
+    pieces = grading.pieces.items()
+    out["grading_compatibility"] = all(
+        grading.piece(i + j).contains(L.bracket(u, v))
+        for i, pi in pieces for j, pj in pieces for u in pi.basis for v in pj.basis)
+    out["kappa_graded_pairing"] = not any(
+        L.killing(u, v) for i, pi in pieces for j, pj in pieces if i + j
+        for u in pi.basis for v in pj.basis)
     out["triple_relations"] = (
         L.bracket(triple.h, triple.e) == scale_vec(2, triple.e)
         and L.bracket(triple.h, triple.f) == scale_vec(-2, triple.f)
         and L.bracket(triple.e, triple.f) == triple.h)
-    ok = True
-    for u, _ in pair.a_graded:
-        for v, _ in pair.n_graded:
-            if chi_fn(L.bracket(u, v)):
-                ok = False
-    out["chi_character_on_a"] = ok
+    out["chi_character_on_a"] = not any(
+        chi_fn(L.bracket(u, v)) for u, _ in pair.a_graded for v, _ in pair.n_graded)
     return out
 
 

@@ -34,26 +34,18 @@ def vec(entries: Iterable, dim: Optional[int] = None) -> Vector:
     return out
 
 
-def zero_vec(dim: int) -> Vector:
-    return (QQ(0),) * dim
+def exact(c):
+    """The rational c as an int when it is a whole number."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def unit_vec(dim: int, k: int) -> Vector:
     return tuple(QQ(1) if i == k else QQ(0) for i in range(dim))
 
 
-def add_vec(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
 def scale_vec(c, v: Vector) -> Vector:
     c = QQ(c)
     return tuple(c * a for a in v)
-
-def dot(u: Vector, v: Vector) -> QQ:
-    return sum((a * b for a, b in zip(u, v)), QQ(0))
-
-def is_zero_vec(v: Vector) -> bool:
-    return not any(v)
 
 
 class SparseMatrix:
@@ -247,17 +239,10 @@ class Subspace:
         return len(self.rows)
 
     def contains(self, v: Sequence) -> bool:
-        w = {j: c for j, c in enumerate(vec(v, self.ambient_dim)) if c}
-        for row, p in zip(self.rows, self.pivots):
-            c = w.get(p)
-            if c:
-                for j, a in row.items():
-                    s = w.get(j, 0) - c * a
-                    if s:
-                        w[j] = s
-                    else:
-                        del w[j]
-        return not w
+        if len(v) != self.ambient_dim:
+            raise AmbientMismatch(f"expected length {self.ambient_dim}, got {len(v)}")
+        w = {j: QQ(c) for j, c in enumerate(v) if c}
+        return not reduce_by(w, zip(self.pivots, self.rows))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(b) for b in other.basis)
@@ -268,6 +253,23 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of QQ^{self.ambient_dim})"
+
+
+def reduce_by(w: Dict[int, QQ], echelon: Iterable[Tuple[int, Dict[int, QQ]]]
+              ) -> Dict[int, QQ]:
+    """w, changed in place, minus its combination of the echelon rows
+    (pivot, row): each row has a unit at its pivot and a zero at the pivots
+    of the rows before it.  The result is empty iff w lies in their span."""
+    for p, row in echelon:
+        c = w.get(p)
+        if c:
+            for j, a in row.items():
+                s = w.get(j, 0) - c * a
+                if s:
+                    w[j] = s
+                else:
+                    del w[j]
+    return w
 
 
 def rank(M: SparseMatrix) -> int:

@@ -18,15 +18,10 @@ from walg import backend
 from walg.errors import DegreeTooLow, WalgError
 from walg.liealg import (CharacterChi, GradedDecomposition, LieAlgebra,
                          NilpotentPair)
-from walg.linalg import QQ, SparseMatrix, Subspace, Vector, vec
+from walg.linalg import QQ, SparseMatrix, Vector, exact, reduce_by, vec
 
 Monomial = Tuple[Tuple[int, int], ...]
 Terms = Dict[Monomial, QQ]
-
-
-def _exact(c):
-    """The rational c as an int when it is a whole number."""
-    return c.numerator if c.denominator == 1 else c
 
 
 class PBWBasis:
@@ -55,7 +50,7 @@ class PBWBasis:
         if chi_fn is None:
             self.chi_vals = (0,) * lie.dim
         else:
-            self.chi_vals = tuple(_exact(chi_fn(v)) for v in self.vectors)
+            self.chi_vals = tuple(exact(chi_fn(v)) for v in self.vectors)
         self._cache_left: dict = {}
         self._cache_right: dict = {}
         # polynomial charts on these generators, by kind (see walg.poisson)
@@ -68,15 +63,21 @@ class PBWBasis:
         """Complement-of-a generators first, a-generators last, weights descending."""
         if pair is None:
             return cls(lie, grading.graded_basis(descending=True), lie.dim, chi_fn)
-        complement: List[Tuple[Vector, int]] = []
-        span = [v for v, _ in pair.a_graded]
-        cur = Subspace(lie.dim, span)
-        for i in sorted(grading.weights(), reverse=True):
-            for v in grading.piece(i).basis:
-                if not cur.contains(v):
-                    complement.append((v, i))
-                    span.append(v)
-                    cur = Subspace(lie.dim, span)
+        echelon: List[Tuple[int, Dict[int, QQ]]] = []
+
+        def extend(v) -> bool:
+            """Add v to the echelon of the vectors taken so far unless it
+            lies in their span; whether it was added."""
+            w = reduce_by({j: QQ(c) for j, c in enumerate(v) if c}, echelon)
+            if w:
+                p = min(w)
+                echelon.append((p, {j: c / w[p] for j, c in w.items()}))
+            return bool(w)
+
+        for v, _ in pair.a_graded:
+            extend(v)
+        complement = [(v, i) for i in sorted(grading.weights(), reverse=True)
+                      for v in grading.piece(i).basis if extend(v)]
         a_part = sorted(pair.a_graded, key=lambda vw: -vw[1])
         if len(complement) + len(a_part) != lie.dim:
             raise WalgError("complement construction failed")
@@ -87,13 +88,28 @@ class PBWBasis:
         return self._inverse.apply(vec(v, self.lie.dim))
 
     def _structure_constants(self):
-        d = self.lie.dim
+        """[v_i, v_j] on the adapted basis, formed from the supports of v_i
+        and v_j, the table and the columns of the sparse inverse."""
+        lie, d = self.lie, self.lie.dim
+        supports = [[(a, exact(c)) for a, c in enumerate(v) if c]
+                    for v in self.vectors]
+        inverse_cols: List[List[Tuple[int, QQ]]] = [[] for _ in range(d)]
+        for (r, c), v in self._inverse.entries.items():
+            inverse_cols[c].append((r, exact(v)))
         out = {}
         for i in range(d):
             for j in range(i + 1, d):
-                w = self.lie.bracket(self.vectors[i], self.vectors[j])
-                c = self.coords(w)
-                entry = tuple((k, _exact(c[k])) for k in range(d) if c[k])
+                w: Dict[int, QQ] = {}
+                for a, x in supports[i]:
+                    for b, y in supports[j]:
+                        for k, c in lie.bracket_basis(a, b).items():
+                            w[k] = w.get(k, 0) + x * y * c
+                coords: Dict[int, QQ] = {}
+                for k, c in w.items():
+                    if c:
+                        for r, v in inverse_cols[k]:
+                            coords[r] = coords.get(r, 0) + c * v
+                entry = tuple((k, exact(c)) for k, c in sorted(coords.items()) if c)
                 if entry:
                     wt = self.weights[i] + self.weights[j]
                     for k, _ in entry:

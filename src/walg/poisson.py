@@ -25,7 +25,7 @@ Each chart is one object per PBW basis, so chart checks pass by identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from walg import backend
@@ -38,12 +38,9 @@ ZERO = QQ(0)
 ONE = QQ(1)
 
 
-@dataclass(frozen=True)
-class PolyVar:
-    name: str
-    origin: int          # adapted basis index, or slice coordinate number
-    weight: int          # ad h weight of the underlying vector
-    degree: int          # Kazhdan degree of the coordinate function
+# origin: adapted basis index, or slice coordinate number; weight: ad h
+# weight of the underlying vector; degree: Kazhdan degree of the coordinate
+PolyVar = namedtuple("PolyVar", ("name", "origin", "weight", "degree"))
 
 
 class Chart:
@@ -437,10 +434,12 @@ class CoadjointFlow:
 
     `_layers[k]` holds the entries (row, col) -> value of (ad x)^k / k! on
     the adapted basis; the pullback of the coordinate function y_p under
-    the time-t flow is sum_k (-t)^k sum_q (ad x)^k / k! [q, p] y_q.
+    the time-t flow is sum_k (-t)^k sum_q (ad x)^k / k! [q, p] y_q, and
+    `_images[p]` maps each k to that coefficient of t^k for complement p,
+    with the a-coordinates replaced by their chi-values.
     """
 
-    __slots__ = ("basis", "x", "_layers")
+    __slots__ = ("basis", "x", "_layers", "_images")
 
     def __init__(self, basis: PBWBasis, x: Sequence):
         L = basis.lie
@@ -458,6 +457,25 @@ class CoadjointFlow:
             fact *= k
             layers.append({rc: v / fact for rc, v in P.entries.items()})
         self._layers = tuple(layers)
+        chart = complement_chart(basis)
+        nc = basis.n_complement
+        self._images: List[Dict[int, KazhdanPolynomial]] = [{} for _ in range(nc)]
+        for k, layer in enumerate(self._layers):
+            terms: List[Terms] = [{} for _ in range(nc)]
+            const = [ZERO] * nc
+            for (q, p), v in layer.items():
+                if p >= nc:
+                    continue
+                if k % 2 == 1:
+                    v = -v
+                if q < nc:
+                    terms[p][((q, 1),)] = v
+                else:
+                    const[p] += v * basis.chi_vals[q]
+            for p in range(nc):
+                poly = KazhdanPolynomial(chart, terms[p]) + const[p]
+                if not poly.is_zero():
+                    self._images[p][k] = poly
 
     @property
     def layers(self) -> Tuple[Tuple[Tuple[QQ, ...], ...], ...]:
@@ -493,28 +511,10 @@ class CoadjointFlow:
         chi + a^perp: a-coordinates appearing after the flow are replaced
         by their chi-values (legal whenever the flow preserves the space).
         """
-        basis = self.basis
         chart = F.chart
         if chart.kind != "complement":
             raise ChartMismatch("formal pullback expects a complement-chart polynomial")
-        nc = basis.n_complement
-        images: List[Dict[int, KazhdanPolynomial]] = [{} for _ in range(nc)]
-        for k, layer in enumerate(self._layers):
-            terms: List[Terms] = [{} for _ in range(nc)]
-            const = [ZERO] * nc
-            for (q, p), v in layer.items():
-                if p >= nc:
-                    continue
-                if k % 2 == 1:
-                    v = -v
-                if q < nc:
-                    terms[p][((q, 1),)] = v
-                else:
-                    const[p] += v * basis.chi_vals[q]
-            for p in range(nc):
-                poly = KazhdanPolynomial(chart, terms[p]) + const[p]
-                if not poly.is_zero():
-                    images[p][k] = poly
+        images = self._images
         out: Dict[int, KazhdanPolynomial] = {}
         for m, c in F.terms.items():
             acc: Dict[int, KazhdanPolynomial] = {0: KazhdanPolynomial.constant(chart, c)}

@@ -90,6 +90,25 @@ def test_explicit_vector_nilpotent_and_ell():
     assert report["case"]["lagrangian"] is True
 
 
+def test_vector_nilpotent_triple_validated_once(monkeypatch):
+    """The Jacobson-Morozov triple of a vector nilpotent is validated once,
+    when it is completed, and not again when the context is built."""
+    from walg import liealg
+
+    calls = []
+    init = liealg.Sl2Triple.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(liealg.Sl2Triple, "__init__", counted)
+    case = cli.Case(JobConfig(algebra="sl4",
+                              nilpotent="1,0,2,0,-4,1,2,0,0,-4,0,0,0,0,0",
+                              ell="lagrangian-auto"))
+    assert len(calls) == 1 and case.nilpotent_name == "vector"
+
+
 def test_main_exit_codes(tmp_path):
     out = tmp_path / "r.json"
     code = main(["run", "--algebra", "sl2", "--nilpotent", "regular",

@@ -24,7 +24,10 @@ in `SparseMatrix`, `Subspace`, `solve` and the kernels, no module names
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -317,3 +320,19 @@ def test_finds_elimination_uses():
                          ids=lambda p: p.name)
 def test_elimination_only_in_backend_and_linalg(path):
     assert list(elimination_uses(path.read_text(encoding="utf-8"))) == []
+
+
+SPAWN_FREE_MODULES = ("dataclasses", "inspect")
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    """`import walg.cli` loads neither `dataclasses` nor `inspect`.  Every
+    `walg run` process pays for the modules the CLI imports before it does
+    any work, so every benchmark job pays for them in `setup_s`; these two
+    cost about 10-14 ms a spawn and walg needs neither."""
+    code = ("import sys, walg.cli; "
+            f"print(sorted(set({SPAWN_FREE_MODULES!r}) & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

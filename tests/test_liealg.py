@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walg import liealg
 from walg.errors import (DegenerateKillingForm, JacobiViolation, NotIsotropic,
@@ -70,6 +72,74 @@ def test_sln_table_matches_dense_commutators(n):
     assert list(table) == list(ref)
     assert [list(e.items()) for e in table.values()] == \
         [list(e.items()) for e in ref.values()]
+
+
+def jacobi_reference(labels, table):
+    """The dense Jacobi check the sparse one replaced: every basis triple
+    i < j < k in lexicographic order, with a dense accumulator.  Returns the
+    first violation as (labels, acc), or None."""
+    d = len(labels)
+
+    def br(i, j):
+        if i <= j:
+            return table.get((i, j), {})
+        return {k: -c for k, c in table.get((j, i), {}).items()}
+
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(j + 1, d):
+                acc = [F(0)] * d
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, c1 in br(a, b).items():
+                        for t, c2 in br(m, c).items():
+                            acc[t] += c1 * c2
+                if any(acc):
+                    return (labels[i], labels[j], labels[k]), tuple(acc)
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sln_passes_jacobi_and_keeps_int_constants(n):
+    L = make_sln(n)
+    assert jacobi_reference(L.labels, L.table) is None
+    L._check_jacobi()
+    assert all(type(c) is int for v in L.table.values() for c in v.values())
+
+
+def test_fractional_constant_stays_fraction():
+    # basis e, h, f/3 of sl2: [e, f/3] = h/3
+    L = LieAlgebra(["e", "h", "f3"], {(0, 1): {0: F(-2)}, (0, 2): {1: F(1, 3)},
+                                      (1, 2): {2: F(-2)}})
+    assert L.table[(0, 2)] == {1: F(1, 3)} and type(L.table[(0, 1)][0]) is int
+    assert L.bracket_basis(2, 0) == {1: F(-1, 3)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([3, 4]), data=st.data())
+def test_sparse_jacobi_matches_dense_reference(n, data):
+    """Perturb one structure constant of sl3 or sl4, a vanishing one
+    included; the sparse check raises on the same first triple with the
+    same residual as the dense reference, or both pass."""
+    L = make_sln(n)
+    table = {key: dict(v) for key, v in L.table.items()}
+    key = data.draw(st.sampled_from([(i, j) for i in range(L.dim)
+                                     for j in range(i + 1, L.dim)]))
+    k = data.draw(st.integers(0, L.dim - 1))
+    delta = data.draw(st.fractions(min_value=-3, max_value=3,
+                                   max_denominator=4).filter(bool))
+    entry = table.setdefault(key, {})
+    entry[k] = entry.get(k, 0) + delta
+    expected = jacobi_reference(L.labels, table)
+    if expected is None:
+        try:
+            LieAlgebra(L.labels, table)
+        except DegenerateKillingForm:
+            pass
+    else:
+        with pytest.raises(JacobiViolation) as info:
+            LieAlgebra(L.labels, table)
+        assert (info.value.triple, info.value.residual) == expected
+        assert all(type(c) is F for c in info.value.residual)
 
 
 def test_sln_rejects_small_n():
@@ -273,6 +343,19 @@ def test_structure_checks_pass(fixture, request):
     flags = structure_checks(sctx.lie, sctx.triple, sctx.grading, sctx.pair,
                              sctx.chi)
     assert all(flags.values()), flags
+
+
+def test_grading_and_chi_once_per_triple(sl3):
+    """Every context on one triple shares the triple's grading and chi."""
+    from walg.context import SliceContext, build_context
+
+    e, h, f = highest_root_triple(3)
+    sctx = build_context(sl3, e, "lagrangian-auto", h=h, f=f)
+    assert sctx.grading is ad_h_grading(sl3, sctx.triple)
+    assert sctx.chi is chi(sl3, sctx.triple)
+    other = SliceContext(sl3, sctx.triple, [])
+    assert other.grading is sctx.grading and other.chi is sctx.chi
+    assert not other.is_lagrangian and sctx.is_lagrangian
 
 
 def test_partition_triples_satisfy_relations(sl4):

@@ -314,6 +314,30 @@ def test_mul_terms_matches_fraction_reference(request, ctx_name, data):
         assert all(type(c) is int for c in out.values() if c.denominator == 1)
 
 
+CONTEXTS = ["sl2_ctx", "sl3_min_zero", "sl3_min_lag", "sl3_min_lag2",
+            "sl3_min_conj", "sl3_principal", "sl4_22_conj", "sl4_211",
+            "sl4_regular"]
+
+
+@pytest.mark.parametrize("ctx_name", CONTEXTS)
+def test_structure_constants_match_dense_reference(request, ctx_name):
+    """The sparse constants equal the dense route, `lie.bracket` of the
+    adapted vectors read off by `coords`, with whole constants as ints."""
+    B = request.getfixturevalue(ctx_name).basis
+    d = B.lie.dim
+    ref = {}
+    for i in range(d):
+        for j in range(i + 1, d):
+            c = B.coords(B.lie.bracket(B.vectors[i], B.vectors[j]))
+            entry = tuple((k, c[k]) for k in range(d) if c[k])
+            if entry:
+                ref[(i, j)] = entry
+    consts = B._structure_constants()
+    assert consts == ref and B.bracket == ref
+    assert all(type(c) is int for entry in consts.values() for _, c in entry
+               if F(c).denominator == 1)
+
+
 def test_half_integer_basis_is_not_integral(sl4_22_conj):
     consts = [c for entry in sl4_22_conj.basis.bracket.values()
               for _, c in entry]

@@ -198,6 +198,51 @@ def test_flow_layers_match_dense_reference(request, ctx_name):
         assert len(fl.layers) > 1
 
 
+def _evaluate(poly, point):
+    """The value of a polynomial at a point, given by its coordinates."""
+    total = F(0)
+    for m, c in poly.terms.items():
+        for i, e in m:
+            c *= point[i] ** e
+        total += c
+    return total
+
+
+@pytest.mark.parametrize("ctx_name", ["sl3_min_lag", "sl4_22_conj"])
+def test_pullback_formal_matches_point_flow(request, ctx_name):
+    """sum_k t^k (pullback of F)_k at a point of chi + a^perp is F at the
+    point moved by the time-t flow; the flow's images are reused by every
+    call."""
+    sctx = request.getfixturevalue(ctx_name)
+    B = sctx.basis
+    nc = B.n_complement
+    chart = P.complement_chart(B)
+    rng = random.Random(11)
+    polys = [P.KazhdanPolynomial.constant(chart, F(1))]
+    for _ in range(3):
+        terms = {}
+        for _ in range(3):
+            mono = {}
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(nc)
+                mono[i] = mono.get(i, 0) + 1
+            terms[tuple(sorted(mono.items()))] = F(rng.randint(-3, 3) or 1,
+                                                   rng.randint(1, 3))
+        polys.append(P.KazhdanPolynomial(chart, terms))
+    for x, _ in sctx.pair.a_graded:
+        fl = P.CoadjointFlow(B, x)
+        for poly in polys:
+            pulled = fl.pullback_formal(poly)
+            assert fl.pullback_formal(poly) == pulled
+            for t in (F(1), F(-2, 3)):
+                row = list(B.chi_vals)
+                for q in range(nc):
+                    row[q] = F(rng.randint(-4, 4), rng.randint(1, 3))
+                lhs = sum((t ** k * _evaluate(p, row) for k, p in pulled.items()),
+                          F(0))
+                assert lhs == _evaluate(poly, fl.point_at(row, t))
+
+
 def test_zero_flow_is_identity(sl3_min_lag):
     B = sl3_min_lag.basis
     fl = P.CoadjointFlow(B, (0,) * 8)
