@@ -207,7 +207,8 @@ def mul_terms_rl(t1, t2, bracket, cache):
 # reduced echelon rows back to Fractions with unit pivots.  Rows wait in
 # buckets keyed by their leading column: the smallest non-empty bucket
 # holds every row that meets the next pivot column, so a pivot step
-# touches only that bucket.
+# touches only that bucket.  `lincomb` and `_normalize` are also the row
+# step of the incremental echelon, `linalg.Echelon`.
 # ---------------------------------------------------------------------------
 
 
@@ -216,15 +217,19 @@ def _int_row(row):
     return _normalize({j: v for j, v in int_form(row)[1].items() if v})
 
 
-def _normalize(row):
+def _normalize(row, *more):
+    """Divide row, and the int dicts `more` with it, in place by the gcd of
+    all their entries; returns row."""
     g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
+    for d in (row,) + more:
+        for v in d.values():
+            g = gcd(g, v)
+            if g == 1:
+                return row
     if g > 1:
-        for j in row:
-            row[j] //= g
+        for d in (row,) + more:
+            for j in d:
+                d[j] //= g
     return row
 
 

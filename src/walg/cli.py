@@ -453,6 +453,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0 if report["status"] == "pass" else 1
         config = JobConfig(algebra=args.algebra, nilpotent=args.nilpotent,
                            ell=args.ell, max_degree=args.max_degree)
+        config.validate()
         case = Case(config)
         desc = describe_case(case.sctx, args.max_degree)
         if args.out:

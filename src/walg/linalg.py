@@ -10,8 +10,12 @@ subspaces is equality of representations.
 it has the product `A @ B`, the scalar shift `shift(c)` (M + c I),
 `inverse()` (one elimination of [M | I], None when M is singular) and
 `nilpotent_powers()` (M, M^2, ... up to the last nonzero power, None
-when M^n != 0 for n x n M).  No other module multiplies, inverts or
-eliminates matrices by hand.
+when M^n != 0 for n x n M).  `Echelon` grows a reduced echelon one
+vector at a time, on integer numerators, and reads exact coordinates off
+it: every span decision made vector by vector (an adapted PBW basis, the
+generators of n_ell, the H representatives and the natural maps between
+the H_ell) extends one.  No other module multiplies, inverts or
+eliminates matrices or vectors by hand.
 """
 
 from __future__ import annotations
@@ -192,6 +196,99 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
 
 
+class Echelon:
+    """Reduced echelon of a growing list of linearly independent sparse
+    vectors, on integer numerators: the one incremental elimination.
+
+    Each row is (pivot, row, comb), two int dicts over one shared
+    denominator, the row's own pivot entry row[pivot] > 0: the vector
+    row / row[pivot] has a unit entry at its pivot and a zero at every other
+    row's pivot, and it equals the combination comb / row[pivot]
+    (index -> coefficient) of the added vectors.  Rows change only by the
+    fraction-free step `_eliminate`, which keeps row and comb jointly
+    primitive.  A new row takes the top column of its residual as pivot, so
+    every row's support ends at its pivot.  A vector in the span is the sum
+    of the rows scaled by its own entries at their pivots, so reading its
+    coordinates needs no elimination; only that read-off leaves the
+    integers.
+    """
+
+    __slots__ = ("rows", "added")
+
+    def __init__(self):
+        self.rows: List[tuple] = []
+        self.added: List[tuple] = []      # `int_form` of each added vector
+
+    def reduce(self, w):
+        """(residual, combination) of the sparse rational vector w, as int
+        dicts.
+
+        The residual is zero at every pivot and empty iff w lies in the
+        span; it is the combination of the added vectors and of w itself
+        (index `len(added)`, with a positive coefficient).
+        """
+        den, residual = backend.int_form(w)
+        comb = {len(self.added): den}
+        for p, row, comb_r in self.rows:
+            if p in residual:
+                residual, comb = _eliminate(residual, comb, row, comb_r, p)
+        return residual, comb
+
+    def extend(self, w) -> bool:
+        """Add w unless it lies in the span already; whether it was added."""
+        row, comb = self.reduce(w)
+        if not row:
+            return False
+        p = max(row)
+        if row[p] < 0:
+            row = {j: -v for j, v in row.items()}
+            comb = {k: -v for k, v in comb.items()}
+        rows = self.rows
+        for i, (q, row_s, comb_s) in enumerate(rows):
+            if p in row_s:
+                rows[i] = (q,) + _eliminate(row_s, comb_s, row, comb, p)
+        rows.append((p, row, comb))
+        self.added.append(backend.int_form(w))
+        return True
+
+    def coordinates(self, w: Dict[int, QQ]) -> Optional[Vector]:
+        """Coefficients x of w on the added vectors, or None if w is outside
+        their span.  x is read off at the pivots and returned only after
+        sum x_k added_k == w is verified by substitution."""
+        scale, xs = backend.combine([(w[p], (row[p], comb))
+                                     for p, row, comb in self.rows if p in w])
+        zero = QQ(0)
+        x = tuple(QQ(xs[k], scale) if xs.get(k) else zero
+                  for k in range(len(self.added)))
+        if _equals(backend.combine([(xk, a) for xk, a in zip(x, self.added)
+                                    if xk]), w):
+            return x
+        if self.reduce(w)[0]:
+            return None
+        raise AssertionError("echelon read-off produced invalid coordinates")
+
+
+def _eliminate(row: Dict, comb: Dict, prow: Dict, pcomb: Dict, col: int):
+    """(row, comb) with col cleared by the pivot row (prow, pcomb):
+    p*(row, comb) - a*(prow, pcomb) for p = prow[col] > 0, a = row[col],
+    divided by the gcd of all its entries."""
+    p, a = prow[col], row[col]
+    row = backend.lincomb(p, row, a, prow)
+    comb = backend.lincomb(p, comb, a, pcomb)
+    backend._normalize(row, comb)
+    return row, comb
+
+
+def _equals(combined, w: Dict) -> bool:
+    """Whether ints / scale, for (scale, ints) = combined as `backend.combine`
+    gives it, is the sparse rational vector w; compared by
+    cross-multiplication."""
+    scale, ints = combined
+    ints = {j: v for j, v in ints.items() if v}
+    return ints.keys() == w.keys() and all(
+        ints[j] * c.denominator == c.numerator * scale for j, c in w.items())
+
+
 class Subspace:
     """Subspace of QQ^n held by its canonical reduced-echelon rows.
 
@@ -242,7 +339,17 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise AmbientMismatch(f"expected length {self.ambient_dim}, got {len(v)}")
         w = {j: QQ(c) for j, c in enumerate(v) if c}
-        return not reduce_by(w, zip(self.pivots, self.rows))
+        # each row has a unit at its pivot and a zero at every other pivot
+        for p, row in zip(self.pivots, self.rows):
+            c = w.get(p)
+            if c:
+                for j, a in row.items():
+                    s = w.get(j, 0) - c * a
+                    if s:
+                        w[j] = s
+                    else:
+                        del w[j]
+        return not w
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(b) for b in other.basis)
@@ -253,23 +360,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of QQ^{self.ambient_dim})"
-
-
-def reduce_by(w: Dict[int, QQ], echelon: Iterable[Tuple[int, Dict[int, QQ]]]
-              ) -> Dict[int, QQ]:
-    """w, changed in place, minus its combination of the echelon rows
-    (pivot, row): each row has a unit at its pivot and a zero at the pivots
-    of the rows before it.  The result is empty iff w lies in their span."""
-    for p, row in echelon:
-        c = w.get(p)
-        if c:
-            for j, a in row.items():
-                s = w.get(j, 0) - c * a
-                if s:
-                    w[j] = s
-                else:
-                    del w[j]
-    return w
 
 
 def rank(M: SparseMatrix) -> int:

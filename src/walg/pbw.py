@@ -18,7 +18,7 @@ from walg import backend
 from walg.errors import DegreeTooLow, WalgError
 from walg.liealg import (CharacterChi, GradedDecomposition, LieAlgebra,
                          NilpotentPair)
-from walg.linalg import QQ, SparseMatrix, Vector, exact, reduce_by, vec
+from walg.linalg import QQ, Echelon, SparseMatrix, Vector, exact, vec
 
 Monomial = Tuple[Tuple[int, int], ...]
 Terms = Dict[Monomial, QQ]
@@ -63,21 +63,14 @@ class PBWBasis:
         """Complement-of-a generators first, a-generators last, weights descending."""
         if pair is None:
             return cls(lie, grading.graded_basis(descending=True), lie.dim, chi_fn)
-        echelon: List[Tuple[int, Dict[int, QQ]]] = []
-
-        def extend(v) -> bool:
-            """Add v to the echelon of the vectors taken so far unless it
-            lies in their span; whether it was added."""
-            w = reduce_by({j: QQ(c) for j, c in enumerate(v) if c}, echelon)
-            if w:
-                p = min(w)
-                echelon.append((p, {j: c / w[p] for j, c in w.items()}))
-            return bool(w)
-
+        # a complement vector is one outside the span of a and of the
+        # complement vectors before it
+        echelon = Echelon()
         for v, _ in pair.a_graded:
-            extend(v)
+            echelon.extend({j: c for j, c in enumerate(v) if c})
         complement = [(v, i) for i in sorted(grading.weights(), reverse=True)
-                      for v in grading.piece(i).basis if extend(v)]
+                      for v in grading.piece(i).basis
+                      if echelon.extend({j: c for j, c in enumerate(v) if c})]
         a_part = sorted(pair.a_graded, key=lambda vw: -vw[1])
         if len(complement) + len(a_part) != lie.dim:
             raise WalgError("complement construction failed")

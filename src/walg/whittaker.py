@@ -17,15 +17,13 @@ likewise every Wh(F_n Q)), read off by prefix as sparse canonical rows.
 
 from __future__ import annotations
 
-from itertools import chain
-from math import gcd
 from typing import Dict, List, Optional, Sequence
 
 from walg import backend, poisson
 from walg.context import SliceContext
 from walg.errors import (CenterCheckFailure, ComparisonFailure, ConfigError,
                          DegreeOverflow, TheoremFailure, WalgError)
-from walg.linalg import (QQ, SparseMatrix, Subspace, Vector,
+from walg.linalg import (QQ, Echelon, SparseMatrix, Subspace, Vector, _equals,
                          joint_prefix_kernels, rank, solve)
 from walg.pbw import UEAElement, casimir
 from walg.poisson import KazhdanPolynomial
@@ -240,108 +238,6 @@ def left_action_matrix(x: Sequence, qb: QDegreeBasis,
     return SparseMatrix(cnt, cnt, entries)
 
 
-class _Echelon:
-    """Reduced echelon of a growing list of linearly independent sparse
-    vectors, on integer numerators.
-
-    Each row is (pivot, row, comb), two int dicts over one shared
-    denominator, the row's own pivot entry row[pivot] > 0: the vector
-    row / row[pivot] has a unit entry at its pivot and a zero at every other
-    row's pivot, and it equals the combination comb / row[pivot]
-    (index -> coefficient) of the added vectors.  Rows change only by the
-    fraction-free step `_eliminate`, which keeps row and comb jointly
-    primitive.  A new row takes the top column of its residual as pivot, so
-    every row's support ends at its pivot.  A vector in the span is the sum
-    of the rows scaled by its own entries at their pivots, so reading its
-    coordinates needs no elimination; only that read-off leaves the
-    integers.
-    """
-
-    __slots__ = ("rows", "added")
-
-    def __init__(self):
-        self.rows: List[tuple] = []
-        self.added: List[tuple] = []      # `int_form` of each added vector
-
-    def reduce(self, w):
-        """(residual, combination) of the sparse rational vector w, as int
-        dicts.
-
-        The residual is zero at every pivot and empty iff w lies in the
-        span; it is the combination of the added vectors and of w itself
-        (index `len(added)`, with a positive coefficient).
-        """
-        den, residual = backend.int_form(w)
-        comb = {len(self.added): den}
-        for p, row, comb_r in self.rows:
-            if p in residual:
-                residual, comb = _eliminate(residual, comb, row, comb_r, p)
-        return residual, comb
-
-    def extend(self, w) -> bool:
-        """Add w unless it lies in the span already; whether it was added."""
-        row, comb = self.reduce(w)
-        if not row:
-            return False
-        p = max(row)
-        if row[p] < 0:
-            row = {j: -v for j, v in row.items()}
-            comb = {k: -v for k, v in comb.items()}
-        rows = self.rows
-        for i, (q, row_s, comb_s) in enumerate(rows):
-            if p in row_s:
-                rows[i] = (q,) + _eliminate(row_s, comb_s, row, comb, p)
-        rows.append((p, row, comb))
-        self.added.append(backend.int_form(w))
-        return True
-
-    def coordinates(self, w: Dict[int, QQ]) -> Optional[Vector]:
-        """Coefficients x of w on the added vectors, or None if w is outside
-        their span.  x is read off at the pivots and returned only after
-        sum x_k added_k == w is verified by substitution."""
-        scale, xs = _combine([(w[p], (row[p], comb))
-                              for p, row, comb in self.rows if p in w])
-        x = tuple(QQ(xs[k], scale) if xs.get(k) else ZERO
-                  for k in range(len(self.added)))
-        if _equals(_combine([(xk, a) for xk, a in zip(x, self.added) if xk]),
-                   w):
-            return x
-        if self.reduce(w)[0]:
-            return None
-        raise AssertionError("echelon read-off produced invalid coordinates")
-
-
-def _eliminate(row: Dict, comb: Dict, prow: Dict, pcomb: Dict, col: int):
-    """(row, comb) with col cleared by the pivot row (prow, pcomb):
-    p*(row, comb) - a*(prow, pcomb) for p = prow[col] > 0, a = row[col],
-    divided by the gcd of all its entries."""
-    p, a = prow[col], row[col]
-    row = backend.lincomb(p, row, a, prow)
-    comb = backend.lincomb(p, comb, a, pcomb)
-    g = 0
-    for v in chain(row.values(), comb.values()):
-        g = gcd(g, v)
-        if g == 1:
-            return row, comb
-    for d in (row, comb):
-        for j in d:
-            d[j] //= g
-    return row, comb
-
-
-# the integer sum of the read-off and of the transported products
-_combine = backend.combine
-
-
-def _equals(combined, w: Dict) -> bool:
-    """Whether ints / scale, for (scale, ints) = combined, is the sparse
-    rational vector w; compared by cross-multiplication."""
-    scale, ints = combined
-    ints = {j: v for j, v in ints.items() if v}
-    return ints.keys() == w.keys() and all(
-        ints[j] * c.denominator == c.numerator * scale for j, c in w.items())
-
-
 class HBasis:
     """Degreewise basis of H_ell with prefix-stable representatives.
 
@@ -365,7 +261,7 @@ class HBasis:
         self.degrees = degrees            # degree at which each entered
         self.gr_dims = gr_dims            # list, dim gr_n H for n <= n_max
         self._subspaces = subspaces       # n -> Subspace of F_n Q coordinates
-        self._echelon = echelon           # _Echelon of the elements' coordinates
+        self._echelon = echelon           # Echelon of the elements' coordinates
 
     def _check_degree(self, n: int):
         if not 0 <= n <= self.n_max:
@@ -432,12 +328,12 @@ def n_ell_generators(sctx: SliceContext) -> List[Vector]:
     """
     L = sctx.lie
     vectors = [v for v, _ in sctx.pair.n_graded]
-    derived = [L.bracket(u, v) for i, u in enumerate(vectors) for v in vectors[i + 1:]]
-    chosen: List[Vector] = []
-    for v in vectors:
-        if not Subspace(L.dim, derived + chosen).contains(v):
-            chosen.append(v)
-    return chosen
+    echelon = Echelon()
+    for i, u in enumerate(vectors):
+        for v in vectors[i + 1:]:
+            echelon.extend({j: c for j, c in enumerate(L.bracket(u, v)) if c})
+    return [v for v in vectors
+            if echelon.extend({j: c for j, c in enumerate(v) if c})]
 
 
 def h_basis(n_max: int, sctx: SliceContext) -> HBasis:
@@ -456,7 +352,7 @@ def h_basis(n_max: int, sctx: SliceContext) -> HBasis:
     subspaces = joint_prefix_kernels(mats, len(qb.monomials),
                                      qb.counts[:n_max + 1])
     elements, degrees = [], []
-    echelon = _Echelon()
+    echelon = Echelon()
     before: Dict[int, Dict[int, QQ]] = {}
     for n, K in enumerate(subspaces):
         rows = dict(zip(K.pivots, K.rows))
@@ -643,7 +539,8 @@ def ce_blocks(i_max: int, n_max: int, sctx: SliceContext):
     Returns {n: (bases, diffs)} where bases[i] lists the (subset, monomial)
     cochain basis of Lambda^i n* (x) gr Q in Kazhdan degree n (a dual
     generator of weight w counts -w) and diffs[i] is the differential
-    C^i -> C^{i+1} on those bases.
+    C^i -> C^{i+1} on those bases, for i <= i_max: the cohomology up to
+    H^{i_max} reads no higher differential.
     """
     from itertools import combinations
 
@@ -711,11 +608,10 @@ def ce_blocks(i_max: int, n_max: int, sctx: SliceContext):
         return SparseMatrix(len(cod), len(dom), entries)
 
     blocks = {}
-    top = min(i_max + 1, nn)
     for n in range(n_max + 1):
-        bases = [cochain_basis(i, n) for i in range(top + 2)]
+        bases = [cochain_basis(i, n) for i in range(i_max + 2)]
         diffs = [differential(i, bases[i], bases[i + 1])
-                 for i in range(top + 1)]
+                 for i in range(i_max + 1)]
         blocks[n] = (bases, diffs)
     return blocks
 
@@ -731,10 +627,7 @@ def ce_cohomology(i_max: int, n_max: int, sctx: SliceContext) -> CohomologyRepor
     for n, (bases, diffs) in blocks.items():
         ranks = [rank(d) for d in diffs]
         for i in range(i_max + 1):
-            ci = len(bases[i]) if i < len(bases) else 0
-            r_i = ranks[i] if i < len(ranks) else 0
-            r_prev = ranks[i - 1] if i >= 1 and i - 1 < len(ranks) else 0
-            dims[(i, n)] = ci - r_i - r_prev
+            dims[(i, n)] = len(bases[i]) - ranks[i] - (ranks[i - 1] if i else 0)
     return CohomologyReport(i_max, n_max, dims)
 
 
@@ -794,9 +687,12 @@ def ell_comparison(sctx1: SliceContext, sctx2: SliceContext, n_max: int,
 
     The representatives are transported in one pass (`q_transport`).  The
     images of F_n H_{ell1} are a prefix of the images, so each image is
-    checked at its own degree d: it lies in F_d Q and in H_{ell2}, and it
-    is independent of the images before it, so the first dependent image
-    names the first degree where injectivity fails.  With equal graded dimensions the map is then
+    checked at its own degree d: it lies in F_d Q, and its coordinates on
+    the H_{ell2} representatives are read off once, which shows that it
+    lies in F_d H_{ell2}.  Those representatives are independent, so the
+    image is independent of the images before it iff its coordinates
+    extend their echelon; the first that does not names the first degree
+    where injectivity fails.  With equal graded dimensions the map is then
     bijective in every degree.  The map is linear, so the image of
     e_i e_j = sum_k x_k e_k is sum_k x_k image_k, summed over the images'
     integer forms; it must equal the product of the images in Q_{ell2}.
@@ -814,15 +710,16 @@ def ell_comparison(sctx1: SliceContext, sctx2: SliceContext, n_max: int,
             f"dim F_{n}H differs: {hb1.dim_f(n)} vs {hb2.dim_f(n)}", degree=n)
     images = q_transport(hb1.elements, sctx1, sctx2)
     image_ints = []
-    echelon = _Echelon()
+    echelon = Echelon()
     for img, d in zip(images, hb1.degrees):
-        # the filtration first: `contains` needs img inside F_d Q
+        # the filtration first: `coordinates` needs img inside F_d Q
         if (img.kazhdan_degree() or 0) > d:
             raise ComparisonFailure("map does not respect the filtration",
                                     degree=d)
-        if not hb2.contains(img, d):
+        x = hb2.coordinates(img, d)
+        if x is None:
             raise ComparisonFailure("image not in H_{ell2}", degree=d)
-        if not echelon.extend(hb2.qb.sparse_coords(img)):
+        if not echelon.extend({k: c for k, c in enumerate(x) if c}):
             raise ComparisonFailure("map not injective on F_n H", degree=d)
         image_ints.append(backend.int_form(img.terms))
     mult_pairs = 0
@@ -830,7 +727,7 @@ def ell_comparison(sctx1: SliceContext, sctx2: SliceContext, n_max: int,
             _products(hb1.product_pairs(n_max), hb1.elements, sctx1),
             _products(hb1.product_pairs(n_max), images, sctx2)):
         x = _read_off(prod, hb1.degrees[i] + hb1.degrees[j], hb1)
-        lhs = _combine([(xk, f) for xk, f in zip(x, image_ints) if xk])
+        lhs = backend.combine([(xk, f) for xk, f in zip(x, image_ints) if xk])
         if not _equals(lhs, rhs.terms):
             raise ComparisonFailure(
                 f"map fails to intertwine products on pair ({i},{j})")

@@ -147,6 +147,15 @@ def test_main_describe(capsys):
     assert desc["lagrangian"] is True
 
 
+def test_main_describe_negative_degree_exits_2(capsys):
+    """describe validates its config as run does: bad input, not a bug."""
+    assert main(["describe", "--algebra", "sl3", "--nilpotent", "minimal",
+                 "--max-degree", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max-degree must be >= 0\n"
+
+
 def test_algebra_file_input(tmp_path):
     doc = {
         "labels": ["e", "h", "f"],

@@ -10,17 +10,18 @@ Arithmetic is exact (Fraction and int), so a float or complex literal, or
 a read of the name `float`, is an error.  PBW straightening runs on
 integer numerators, so the straightening functions of `walg.backend` may
 not name `Fraction` or `QQ`; only the rescale helper `_divide` mints
-Fractions.  The same holds for the elimination of the `H` read-off echelon
-(`_Echelon.reduce`, `_Echelon.extend` and their row step `_eliminate` in
-`walg.whittaker`); only `_Echelon.coordinates`, which hands out rational
+Fractions.  The same holds for the elimination of the one incremental
+echelon (`Echelon.reduce`, `Echelon.extend` and their row step `_eliminate`
+in `walg.linalg`); only `Echelon.coordinates`, which hands out rational
 coordinates, may.  And for the kernels on integer forms (den, ints): the
 left action on Q in `walg.whittaker`, the memoized images and the sum of
 `poisson.Substitution`, and `backend.combine`, the sum over one common
 scale behind both; they leave the integers only through `_divide`.
 Elimination stays behind the linear-algebra layer: outside
 `walg.backend`, which holds the kernel, and `walg.linalg`, which wraps it
-in `SparseMatrix`, `Subspace`, `solve` and the kernels, no module names
-`rref_sparse` or `rref_dense`.
+in `SparseMatrix`, `Subspace`, `Echelon`, `solve` and the kernels, no
+module names `rref_sparse` or `rref_dense`, nor the row-step helpers
+`lincomb`, `_clear` and `_normalize`: no other module steps rows itself.
 """
 
 import ast
@@ -168,7 +169,7 @@ def test_exact_arithmetic_only(path):
 
 STRAIGHTENING = ("gen_times_mono", "mono_times_gen", "_gen_times_terms",
                  "_terms_times_gen", "mul_terms")
-ECHELON_ELIMINATION = ("_Echelon.reduce", "_Echelon.extend", "_eliminate")
+ECHELON_ELIMINATION = ("Echelon.reduce", "Echelon.extend", "_eliminate")
 # module -> its integer-form kernels: the left action on Q, the
 # substitution's memo and sum, and the sum over a common scale they share
 INTEGER_FORM_KERNELS = {
@@ -220,7 +221,7 @@ def test_finds_rational_uses():
 
 
 def test_finds_rational_uses_in_methods():
-    source = ("class _Echelon:\n"
+    source = ("class Echelon:\n"
               "    def reduce(self, w: QQ):\n"
               "        return w\n"
               "    def extend(self, w):\n"
@@ -234,7 +235,7 @@ def test_finds_rational_uses_in_methods():
               "    def extend(self):\n"
               "        return QQ(0)\n")
     assert sorted(rational_uses(source, ECHELON_ELIMINATION)) == [
-        ("_Echelon.extend", 5), ("_Echelon.reduce", 2), ("_eliminate", 9),
+        ("Echelon.extend", 5), ("Echelon.reduce", 2), ("_eliminate", 9),
         ("_eliminate", 10)]
 
 
@@ -247,7 +248,7 @@ def test_straightening_is_fraction_free():
 
 
 def test_echelon_elimination_is_fraction_free():
-    source = (SRC / "whittaker.py").read_text(encoding="utf-8")
+    source = (SRC / "linalg.py").read_text(encoding="utf-8")
     assert set(ECHELON_ELIMINATION) <= {name for name, _ in functions_of(source)}
     assert list(rational_uses(source, ECHELON_ELIMINATION)) == []
 
@@ -284,7 +285,10 @@ def test_integer_form_kernels_are_fraction_free(module):
     assert list(rational_uses(source, functions)) == []
 
 
-ELIMINATION_KERNELS = ("rref_sparse", "rref_dense")
+# the kernels, and the row-step helpers that `backend` and `linalg.Echelon`
+# share
+ELIMINATION_KERNELS = ("rref_sparse", "rref_dense", "lincomb", "_clear",
+                       "_normalize")
 ELIMINATION_HOMES = ("backend.py", "linalg.py")
 
 
@@ -310,9 +314,12 @@ def test_finds_elimination_uses():
               "kernel = rref_sparse\n"
               "note = 'rref_sparse is the kernel'\n"
               "def rref_sparse_free(rows):\n"
-              "    return rows\n")
+              "    return rows\n"
+              "row = backend._normalize(backend.lincomb(2, x, 3, y))\n"
+              "from walg.backend import _clear\n")
     assert sorted(elimination_uses(source)) == [
-        ("rref_dense", 1), ("rref_sparse", 4), ("rref_sparse", 5)]
+        ("_clear", 10), ("_normalize", 9), ("lincomb", 9), ("rref_dense", 1),
+        ("rref_sparse", 4), ("rref_sparse", 5)]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES

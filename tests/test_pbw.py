@@ -338,6 +338,47 @@ def test_structure_constants_match_dense_reference(request, ctx_name):
                if F(c).denominator == 1)
 
 
+def adapted_reference(sctx):
+    """(graded vectors, complement size) of `PBWBasis.adapted`, chosen on an
+    echelon of `Fraction` rows with a unit pivot at each row's first
+    column."""
+    echelon = []
+
+    def extend(v):
+        w = {j: F(c) for j, c in enumerate(v) if c}
+        for p, row in echelon:
+            c = w.get(p)
+            if c:
+                for j, a in row.items():
+                    s = w.get(j, 0) - c * a
+                    if s:
+                        w[j] = s
+                    else:
+                        del w[j]
+        if w:
+            p = min(w)
+            echelon.append((p, {j: c / w[p] for j, c in w.items()}))
+        return bool(w)
+
+    for v, _ in sctx.pair.a_graded:
+        extend(v)
+    complement = [(v, i) for i in sorted(sctx.grading.weights(), reverse=True)
+                  for v in sctx.grading.piece(i).basis if extend(v)]
+    a_part = sorted(sctx.pair.a_graded, key=lambda vw: -vw[1])
+    return complement + a_part, len(complement)
+
+
+@pytest.mark.parametrize("ctx_name", [
+    "sl2_ctx", "sl3_min_zero", "sl3_min_lag", "sl3_min_lag2", "sl3_min_conj",
+    "sl3_principal", "sl4_22_conj", "sl4_211", "sl4_regular"])
+def test_adapted_order_matches_fraction_echelon(request, ctx_name):
+    sctx = request.getfixturevalue(ctx_name)
+    basis = PBWBasis.adapted(sctx.lie, sctx.grading, sctx.pair, sctx.chi)
+    graded, n_complement = adapted_reference(sctx)
+    assert list(zip(basis.vectors, basis.weights)) == graded
+    assert basis.n_complement == n_complement
+
+
 def test_half_integer_basis_is_not_integral(sl4_22_conj):
     consts = [c for entry in sl4_22_conj.basis.bracket.values()
               for _, c in entry]

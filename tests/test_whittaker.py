@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walg import backend, poisson, whittaker as W
+from walg import backend, linalg, poisson, whittaker as W
 from walg.context import build_context
 from walg.errors import ComparisonFailure, DegreeOverflow, WalgError
 from walg.linalg import SparseMatrix, Subspace, kernel, rank, solve
@@ -198,7 +198,7 @@ def test_ce_cohomology_sl3(sl3_min_zero, sl3_min_lag, sl3_hb_zero, sl3_hb_lag):
 
 
 def test_ce_differential_squares_to_zero(sl3_min_zero):
-    blocks = W.ce_blocks(2, 5, sl3_min_zero)
+    blocks = W.ce_blocks(3, 5, sl3_min_zero)
     for n, (bases, diffs) in blocks.items():
         for i in range(len(diffs) - 1):
             d0, d1 = diffs[i], diffs[i + 1]
@@ -271,6 +271,55 @@ def test_ell_comparison_detects_a_map_that_breaks_products(
     with pytest.raises(ComparisonFailure,
                        match=r"fails to intertwine products on pair \(0,0\)"):
         W.ell_comparison(sl3_min_zero, sl3_min_lag, 6, sl3_hb_zero, sl3_hb_lag)
+
+
+def patch_one_image(monkeypatch, change):
+    """Make `q_transport` pass its images through change(images)."""
+    true_transport = W.q_transport
+
+    def transport(els, s1, s2):
+        images = true_transport(els, s1, s2)
+        change(images)
+        return images
+
+    monkeypatch.setattr(W, "q_transport", transport)
+
+
+def test_ell_comparison_detects_a_map_that_is_not_injective(
+        monkeypatch, sl3_min_zero, sl3_min_lag, sl3_hb_zero, sl3_hb_lag):
+    """An image that repeats the image before it at the same degree makes
+    the map fail to be injective on F_n H at that degree."""
+    degrees = sl3_hb_zero.degrees
+    k = next(k for k in range(1, len(degrees)) if degrees[k] == degrees[k - 1])
+
+    def repeat(images):
+        images[k] = images[k - 1]
+
+    patch_one_image(monkeypatch, repeat)
+    with pytest.raises(ComparisonFailure,
+                       match=r"not injective on F_n H") as failure:
+        W.ell_comparison(sl3_min_zero, sl3_min_lag, 6, sl3_hb_zero, sl3_hb_lag)
+    assert failure.value.degree == degrees[k] == 3
+
+
+def test_ell_comparison_detects_an_image_outside_h(
+        monkeypatch, sl3_min_zero, sl3_min_lag, sl3_hb_zero, sl3_hb_lag):
+    """An image plus a monomial of its degree that is not in H_{ell2} still
+    respects the filtration but lies outside H_{ell2}."""
+    qb = sl3_hb_lag.qb
+    k = sl3_hb_zero.degrees.index(3)
+    outside = next(qb.element({i: F(1)})
+                   for i in range(qb.dim_f(2), qb.dim_f(3))
+                   if not sl3_hb_lag.contains(qb.element({i: F(1)}), 3))
+
+    def leave_h(images):
+        images[k] = images[k] + outside
+
+    patch_one_image(monkeypatch, leave_h)
+    with pytest.raises(ComparisonFailure,
+                       match=r"image not in H_\{ell2\}") as failure:
+        W.ell_comparison(sl3_min_zero, sl3_min_lag, 6, sl3_hb_zero, sl3_hb_lag)
+    assert failure.value.degree == 3
 
 
 def test_multiplication_table_sl2(sl2_ctx):
@@ -435,6 +484,27 @@ def test_chosen_generators_generate_n_ell(request, ctx_name, count):
     assert bracket_closure(sctx.lie, gens) == sctx.pair.n_ell
 
 
+def n_ell_generators_reference(sctx):
+    """`n_ell_generators` as one `Subspace` of [n_ell, n_ell] and the
+    vectors chosen before, rebuilt for every candidate."""
+    L = sctx.lie
+    vectors = [v for v, _ in sctx.pair.n_graded]
+    derived = [L.bracket(u, v) for i, u in enumerate(vectors) for v in vectors[i + 1:]]
+    chosen = []
+    for v in vectors:
+        if not Subspace(L.dim, derived + chosen).contains(v):
+            chosen.append(v)
+    return chosen
+
+
+@pytest.mark.parametrize("ctx_name", [
+    "sl2_ctx", "sl3_min_zero", "sl3_min_lag", "sl3_min_lag2", "sl3_min_conj",
+    "sl3_principal", "sl4_22_conj", "sl4_211", "sl4_regular"])
+def test_n_ell_generators_match_subspace_rebuild(request, ctx_name):
+    sctx = request.getfixturevalue(ctx_name)
+    assert W.n_ell_generators(sctx) == n_ell_generators_reference(sctx)
+
+
 def test_one_generator_is_not_enough(monkeypatch, sl3_min_zero):
     """Negative control: the invariants of the first generator alone are
     more than H_ell, so gr H no longer matches the slice series."""
@@ -489,13 +559,13 @@ def test_one_read_off_per_product(monkeypatch, sl3_min_zero, sl3_hb_zero,
                                   sl3_min_lag, sl3_hb_lag):
     """Each H product's membership and coordinates come from one read-off."""
     calls = []
-    read_off = W._Echelon.coordinates
+    read_off = linalg.Echelon.coordinates
 
     def counted(self, w):
         calls.append(w)
         return read_off(self, w)
 
-    monkeypatch.setattr(W._Echelon, "coordinates", counted)
+    monkeypatch.setattr(linalg.Echelon, "coordinates", counted)
     rep = W.verify_theorem(6, sl3_min_lag, sl3_hb_lag)
     assert len(calls) == rep.mult_pairs > 0
     calls.clear()
@@ -527,12 +597,13 @@ def counting(monkeypatch, owner, name):
 def test_h_basis_tries_only_new_or_changed_rows(monkeypatch, request,
                                                 ctx_name, limit):
     """40 representatives up to degree 10; trying every canonical row of
-    every F_n H took 146 echelon extensions."""
+    every F_n H took 146 echelon extensions.  `n_ell_generators` extends an
+    echelon of its own, so only the extensions of `hb._echelon` count."""
     sctx = request.getfixturevalue(ctx_name)
-    calls = counting(monkeypatch, W._Echelon, "extend")
+    calls = counting(monkeypatch, linalg.Echelon, "extend")
     hb = W.h_basis(10, sctx)
     assert len(hb.elements) == 40
-    assert len(calls) <= limit
+    assert len([c for c in calls if c[0] is hb._echelon]) <= limit
 
 
 def test_h_basis_stacks_one_ad_block_per_generator(monkeypatch, sl4_regular):
@@ -588,7 +659,7 @@ def axpy(y, a, x):
 
 
 class FractionEchelon:
-    """The echelon on `Fraction` rows with unit pivots that `W._Echelon`
+    """The echelon on `Fraction` rows with unit pivots that `linalg.Echelon`
     replaced: rows are (pivot, vector, combination)."""
 
     def __init__(self):
@@ -690,7 +761,7 @@ def as_rationals(v, den):
 @given(vector_streams())
 def test_integer_echelon_matches_fraction_echelon(stream):
     added, queries = stream
-    ech, ref = W._Echelon(), FractionEchelon()
+    ech, ref = linalg.Echelon(), FractionEchelon()
     for w in added:
         assert ech.extend(w) == ref.extend(w)
         assert [p for p, _, _ in ech.rows] == [p for p, _, _ in ref.rows]
@@ -713,12 +784,12 @@ def test_transported_sum_matches_fraction_sum(terms, bump):
     `Fraction` accumulation it replaced."""
     terms = [(x, {m: c for m, c in img.items() if c}) for x, img in terms]
     expected = combination(*zip(*terms)) if terms else {}
-    total = W._combine([(x, backend.int_form(img)) for x, img in terms if x])
-    assert W._equals(total, expected)
+    total = backend.combine([(x, backend.int_form(img)) for x, img in terms if x])
+    assert linalg._equals(total, expected)
     if bump:
         m = next(iter(expected), ((4,),))
-        assert not W._equals(total, combination([1, 1],
-                                                [expected, {m: bump}]))
+        assert not linalg._equals(total, combination([1, 1],
+                                                     [expected, {m: bump}]))
 
 
 # -- the left action on Q against the Ug route -------------------------------
