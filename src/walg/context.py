@@ -60,8 +60,7 @@ class SliceContext:
 
     def hilbert_q(self, n_max: int) -> List[int]:
         """Graded dimensions of C[chi + a^perp] up to n_max."""
-        degs = [v.degree for v in self.comp_chart.variables]
-        return poisson.series_expand(degs, n_max)
+        return poisson.series_expand(self.comp_chart.degrees, n_max)
 
     def hilbert_slice(self, n_max: int) -> List[int]:
         return poisson.slice_hilbert_series(self.slice_data, n_max)

@@ -43,7 +43,11 @@ class LieAlgebra:
         for (i, j), v in table.items():
             if not (0 <= i < j < self.dim):
                 raise WalgError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
-            entry = {k: exact(QQ(c)) for k, c in (v.items() if isinstance(v, dict) else v) if c}
+            for k in v:
+                if not 0 <= k < self.dim:
+                    raise WalgError(f"bracket ({i},{j}) has coordinate index {k} "
+                                    f"outside 0..{self.dim - 1}")
+            entry = {k: exact(QQ(c)) for k, c in v.items() if c}
             if entry:
                 self.table[(i, j)] = self._brackets[i][j] = entry
                 self._brackets[j][i] = {k: -c for k, c in entry.items()}
@@ -312,11 +316,11 @@ class GradedDecomposition:
             return Subspace(self.L.dim, [])
         return got
 
-    def graded_basis(self, weights=None, descending=True):
-        """[(vector, weight)] over selected weights, echelon order in each."""
-        ws = sorted(self.pieces if weights is None else weights, reverse=descending)
+    def graded_basis(self, weights: Sequence[int]) -> List[Tuple[Vector, int]]:
+        """[(vector, weight)] over the given weights, descending, echelon
+        order in each."""
         out = []
-        for i in ws:
+        for i in sorted(weights, reverse=True):
             for v in self.piece(i).basis:
                 out.append((v, i))
         return out
@@ -466,7 +470,7 @@ class NilpotentPair:
 def make_nilpotent_pair(L: LieAlgebra, grading: GradedDecomposition,
                         symp: SymplecticData, chi_fn: CharacterChi) -> NilpotentPair:
     low = [i for i in grading.weights() if i <= -2]
-    low_graded = grading.graded_basis(weights=low, descending=True)
+    low_graded = grading.graded_basis(low)
     a_graded = [(v, -1) for v in symp.ell.basis] + low_graded
     n_graded = [(v, -1) for v in symp.ell_perp.basis] + low_graded
     a = Subspace(L.dim, [v for v, _ in a_graded])
@@ -623,6 +627,13 @@ def highest_root_triple(n: int) -> Tuple[Vector, Vector, Vector]:
 # ---------------------------------------------------------------------------
 
 
+def _index(x) -> int:
+    """A basis index from JSON: an integer, never a truncated float."""
+    if type(x) is not int:
+        raise ConfigError(f"basis index {x!r} is not an integer")
+    return x
+
+
 def algebra_from_dict(data: dict) -> Tuple[LieAlgebra, dict]:
     """Build an algebra from the JSON input schema.
 
@@ -638,8 +649,13 @@ def algebra_from_dict(data: dict) -> Tuple[LieAlgebra, dict]:
             raise ConfigError("algebra 'labels' must be a list of strings")
         table: Dict[Tuple[int, int], Dict[int, QQ]] = {}
         for item in data.get("brackets", []):
-            i, j = int(item["i"]), int(item["j"])
-            table[(i, j)] = {int(k): QQ(str(c)) for k, c in item["value"]}
+            i, j = _index(item["i"]), _index(item["j"])
+            if (i, j) in table:
+                raise ConfigError(f"bracket ({i},{j}) is given twice")
+            value = {_index(k): QQ(str(c)) for k, c in item["value"]}
+            if len(value) != len(item["value"]):
+                raise ConfigError(f"bracket ({i},{j}) repeats a coordinate index")
+            table[(i, j)] = value
     except KeyError as exc:
         raise ConfigError(f"algebra data is missing key {exc}") from exc
     except (TypeError, ValueError, ZeroDivisionError) as exc:

@@ -7,7 +7,9 @@ that order, canonical forms in the quotient module Q_ell are obtained by
 chopping trailing a-factors (see walg.whittaker).
 
 Monomial/term layout is shared with walg.backend; straightening products
-are memoized per basis.
+are memoized per basis.  `GradedTerms` holds what an element shares with
+its symbol, a polynomial of walg.poisson: sums, Kazhdan degrees and the
+printed form.
 """
 
 from __future__ import annotations
@@ -27,17 +29,19 @@ Terms = Dict[Monomial, QQ]
 class PBWBasis:
     """Ordered, ad h homogeneous generating set of Ug adapted to (a, chi)."""
 
-    __slots__ = ("lie", "vectors", "weights", "labels", "n_complement",
-                 "bracket", "chi_vals", "_inverse", "_cache_left",
-                 "_cache_right", "charts")
+    __slots__ = ("lie", "vectors", "weights", "degrees", "labels",
+                 "n_complement", "bracket", "chi_vals", "_inverse",
+                 "_cache_left", "_cache_right", "charts")
 
     def __init__(self, lie: LieAlgebra, graded_vectors: Sequence[Tuple[Vector, int]],
-                 n_complement: int, chi_fn: Optional[CharacterChi] = None):
+                 n_complement: int, chi_fn: CharacterChi):
         if len(graded_vectors) != lie.dim:
             raise WalgError("adapted basis must span the algebra")
         self.lie = lie
         self.vectors = tuple(v for v, _ in graded_vectors)
         self.weights = tuple(w for _, w in graded_vectors)
+        # Kazhdan degree of each generator: ad h weight + 2
+        self.degrees = tuple(w + 2 for w in self.weights)
         self.n_complement = n_complement
         labels = []
         for k, v in enumerate(self.vectors):
@@ -47,10 +51,7 @@ class PBWBasis:
         if self._inverse is None:
             raise WalgError("adapted basis is singular")
         self.bracket = self._structure_constants()
-        if chi_fn is None:
-            self.chi_vals = (0,) * lie.dim
-        else:
-            self.chi_vals = tuple(exact(chi_fn(v)) for v in self.vectors)
+        self.chi_vals = tuple(exact(chi_fn(v)) for v in self.vectors)
         self._cache_left: dict = {}
         self._cache_right: dict = {}
         # polynomial charts on these generators, by kind (see walg.poisson)
@@ -58,11 +59,8 @@ class PBWBasis:
 
     @classmethod
     def adapted(cls, lie: LieAlgebra, grading: GradedDecomposition,
-                pair: Optional[NilpotentPair] = None,
-                chi_fn: Optional[CharacterChi] = None) -> "PBWBasis":
+                pair: NilpotentPair, chi_fn: CharacterChi) -> "PBWBasis":
         """Complement-of-a generators first, a-generators last, weights descending."""
-        if pair is None:
-            return cls(lie, grading.graded_basis(descending=True), lie.dim, chi_fn)
         # a complement vector is one outside the span of a and of the
         # complement vectors before it
         echelon = Echelon()
@@ -115,7 +113,8 @@ class PBWBasis:
 
     def monomial_degree(self, mono: Monomial) -> int:
         """Kazhdan degree: sum of exp * (weight + 2) over the factors."""
-        return sum(e * (self.weights[i] + 2) for i, e in mono)
+        degrees = self.degrees
+        return sum(e * degrees[i] for i, e in mono)
 
     def chi_reduce(self, terms: Terms) -> Terms:
         """Replace every a-factor of each monomial by its chi-value.
@@ -160,24 +159,27 @@ class PBWBasis:
                 f"{self.n_complement} complement)")
 
 
-class UEAElement:
-    """Exact rational combination of PBW-ordered monomials."""
+class GradedTerms:
+    """Exact rational combination of monomials in Kazhdan-graded variables.
 
-    __slots__ = ("basis", "terms")
+    An element of Ug and its symbol in C[g*] = gr Ug have the same
+    monomials, degrees and linear structure, so PBW elements and chart
+    polynomials share this code.  A subclass names its space by
+    `_space()`, whose `labels` and `degrees` describe the variables,
+    rejects an operand from another space in `_check`, and multiplies
+    term dicts in `_mul_terms`.
+    """
 
-    def __init__(self, basis: PBWBasis, terms: Terms):
-        self.basis = basis
-        self.terms = {m: c for m, c in terms.items() if c}
+    __slots__ = ("terms",)
 
-    # -- ring operations ------------------------------------------------------
+    def _like(self, terms: Terms) -> "GradedTerms":
+        return type(self)(self._space(), terms)
 
-    def _check(self, other):
-        if self.basis is not other.basis:
-            raise WalgError("operands built over different PBW bases")
+    # -- linear structure and product -----------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, UEAElement):
-            other = self.basis.one() * QQ(other)
+        if not isinstance(other, GradedTerms):
+            other = self._like({(): QQ(other)})
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -186,63 +188,54 @@ class UEAElement:
                 out[m] = s
             elif m in out:
                 del out[m]
-        return UEAElement(self.basis, out)
+        return self._like(out)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self):
-        return UEAElement(self.basis, {m: -c for m, c in self.terms.items()})
+        return self._like({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, UEAElement):
-            other = self.basis.one() * QQ(other)
-        return self.__add__(other.__neg__())
+        if not isinstance(other, GradedTerms):
+            other = self._like({(): QQ(other)})
+        return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, UEAElement):
-            self._check(other)
-            b = self.basis
-            out = backend.mul_terms(self.terms, other.terms, b.bracket, b._cache_left)
-            return UEAElement(b, out)
-        c = QQ(other)
-        return UEAElement(self.basis, {m: c * v for m, v in self.terms.items()})
+        if not isinstance(other, GradedTerms):
+            c = QQ(other)
+            return self._like({m: c * v for m, v in self.terms.items()})
+        self._check(other)
+        return self._like(self._mul_terms(self.terms, other.terms))
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __eq__(self, other):
-        return (isinstance(other, UEAElement) and self.basis is other.basis
-                and self.terms == other.terms)
+    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    # -- filtration -----------------------------------------------------------
+    # -- Kazhdan grading ------------------------------------------------------
+
+    def monomial_degree(self, m: Monomial) -> int:
+        degrees = self._space().degrees
+        return sum(e * degrees[i] for i, e in m)
 
     def kazhdan_degree(self) -> Optional[int]:
         """Max of i + 2j over terms; None (bottom) for the zero element."""
         if not self.terms:
             return None
-        return max(self.basis.monomial_degree(m) for m in self.terms)
+        return max(map(self.monomial_degree, self.terms))
 
     def homogeneous_terms(self, n: int) -> Terms:
-        return {m: c for m, c in self.terms.items()
-                if self.basis.monomial_degree(m) == n}
+        return {m: c for m, c in self.terms.items() if self.monomial_degree(m) == n}
 
-    def symbol_terms(self, n: int) -> Terms:
-        """Terms of Kazhdan degree exactly n (the image in gr_n Ug)."""
-        deg = self.kazhdan_degree()
-        if deg is not None and deg > n:
-            raise DegreeTooLow(f"element has degree {deg} > {n}")
-        return self.homogeneous_terms(n)
+    def is_homogeneous(self) -> bool:
+        return len(set(map(self.monomial_degree, self.terms))) <= 1
 
     def __str__(self):
         if not self.terms:
             return "0"
-        labels = self.basis.labels
+        labels = self._space().labels
         bits = []
-        for m in sorted(self.terms, key=lambda m: (self.basis.monomial_degree(m), m)):
+        for m in sorted(self.terms, key=lambda m: (self.monomial_degree(m), m)):
             c = self.terms[m]
             factors = "*".join(labels[i] if e == 1 else f"{labels[i]}^{e}"
                                for i, e in m)
@@ -260,6 +253,38 @@ class UEAElement:
         return out
 
     __repr__ = __str__
+
+
+class UEAElement(GradedTerms):
+    """Exact rational combination of PBW-ordered monomials."""
+
+    __slots__ = ("basis",)
+
+    def __init__(self, basis: PBWBasis, terms: Terms):
+        self.basis = basis
+        self.terms = {m: c for m, c in terms.items() if c}
+
+    def _space(self) -> PBWBasis:
+        return self.basis
+
+    def _check(self, other):
+        if not isinstance(other, UEAElement) or self.basis is not other.basis:
+            raise WalgError("operands built over different PBW bases")
+
+    def _mul_terms(self, t1: Terms, t2: Terms) -> Terms:
+        b = self.basis
+        return backend.mul_terms(t1, t2, b.bracket, b._cache_left)
+
+    def __eq__(self, other):
+        return (isinstance(other, UEAElement) and self.basis is other.basis
+                and self.terms == other.terms)
+
+    def symbol_terms(self, n: int) -> Terms:
+        """Terms of Kazhdan degree exactly n (the image in gr_n Ug)."""
+        deg = self.kazhdan_degree()
+        if deg is not None and deg > n:
+            raise DegreeTooLow(f"element has degree {deg} > {n}")
+        return self.homogeneous_terms(n)
 
 
 def pbw_multiply_rl(u: UEAElement, v: UEAElement) -> UEAElement:

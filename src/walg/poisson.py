@@ -1,5 +1,9 @@
 """Kazhdan-graded polynomial charts and the reduction of the Poisson bracket.
 
+A chart is the labels and Kazhdan degrees of its variables.  A
+`KazhdanPolynomial` is a `pbw.GradedTerms`, as a PBW element is: the symbol
+of an element of Ug has the same monomials and degrees, so sums, degrees and
+the printed form are shared, and only the commutative product is its own.
 Three charts appear:
 
 * the full chart on g* (variables = adapted PBW generators, degree
@@ -25,43 +29,38 @@ Each chart is one object per PBW basis, so chart checks pass by identity.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from walg import backend
 from walg.errors import (ChartMismatch, LiftFailure, NotNilpotentCoadjoint,
                          WalgError)
 from walg.linalg import QQ, SparseMatrix, Vector, solve, vec
-from walg.pbw import Monomial, PBWBasis, Terms, UEAElement
+from walg.pbw import GradedTerms, Monomial, PBWBasis, Terms, UEAElement
 
 ZERO = QQ(0)
 ONE = QQ(1)
 
 
-# origin: adapted basis index, or slice coordinate number; weight: ad h
-# weight of the underlying vector; degree: Kazhdan degree of the coordinate
-PolyVar = namedtuple("PolyVar", ("name", "origin", "weight", "degree"))
-
-
 class Chart:
-    """An ordered tuple of Kazhdan-graded variables."""
+    """Kazhdan-graded variables: their labels and degrees, in order."""
 
-    __slots__ = ("kind", "variables", "degrees")
+    __slots__ = ("kind", "labels", "degrees")
 
-    def __init__(self, kind: str, variables: Sequence[PolyVar]):
+    def __init__(self, kind: str, labels: Sequence[str], degrees: Sequence[int]):
         self.kind = kind
-        self.variables = tuple(variables)
-        self.degrees = tuple(v.degree for v in variables)
+        self.labels = tuple(labels)
+        self.degrees = tuple(degrees)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Chart) and self.kind == other.kind
-                                 and self.variables == other.variables)
+                                 and self.labels == other.labels
+                                 and self.degrees == other.degrees)
 
     def __len__(self):
-        return len(self.variables)
+        return len(self.labels)
 
     def __repr__(self):
-        return f"Chart({self.kind}, {[v.name for v in self.variables]})"
+        return f"Chart({self.kind}, {list(self.labels)})"
 
 
 def _basis_chart(basis: PBWBasis, kind: str, size: int) -> Chart:
@@ -69,9 +68,8 @@ def _basis_chart(basis: PBWBasis, kind: str, size: int) -> Chart:
     that chart checks between polynomials of one job pass by identity."""
     chart = basis.charts.get(kind)
     if chart is None:
-        chart = basis.charts[kind] = Chart(
-            kind, [PolyVar(basis.labels[k], k, basis.weights[k], basis.weights[k] + 2)
-                   for k in range(size)])
+        chart = basis.charts[kind] = Chart(kind, basis.labels[:size],
+                                           basis.degrees[:size])
     return chart
 
 
@@ -83,10 +81,10 @@ def complement_chart(basis: PBWBasis) -> Chart:
     return _basis_chart(basis, "complement", basis.n_complement)
 
 
-class KazhdanPolynomial:
+class KazhdanPolynomial(GradedTerms):
     """Multivariate polynomial over Q with graded variables."""
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart",)
 
     def __init__(self, chart: Chart, terms: Terms):
         self.chart = chart
@@ -98,68 +96,26 @@ class KazhdanPolynomial:
 
     @classmethod
     def constant(cls, chart, c):
-        c = QQ(c)
-        return cls(chart, {(): c} if c else {})
+        return cls(chart, {(): QQ(c)})
 
     @classmethod
     def variable(cls, chart, idx, coeff=ONE):
         return cls(chart, {((idx, 1),): QQ(coeff)})
 
+    def _space(self) -> Chart:
+        return self.chart
+
     def _check(self, other):
-        if self.chart is not other.chart and self.chart != other.chart:
-            raise ChartMismatch(f"{self.chart!r} vs {other.chart!r}")
+        if not (isinstance(other, KazhdanPolynomial)
+                and (self.chart is other.chart or self.chart == other.chart)):
+            raise ChartMismatch(f"{self.chart!r} vs {other._space()!r}")
 
-    def __add__(self, other):
-        if not isinstance(other, KazhdanPolynomial):
-            other = KazhdanPolynomial.constant(self.chart, other)
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, ZERO) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        return KazhdanPolynomial(self.chart, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return KazhdanPolynomial(self.chart, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, KazhdanPolynomial):
-            other = KazhdanPolynomial.constant(self.chart, other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, KazhdanPolynomial):
-            c = QQ(other)
-            return KazhdanPolynomial(self.chart, {m: c * v for m, v in self.terms.items()})
-        self._check(other)
-        return KazhdanPolynomial(self.chart, poly_mul(self.terms, other.terms))
-
-    __rmul__ = __mul__
+    def _mul_terms(self, t1: Terms, t2: Terms) -> Terms:
+        return poly_mul(t1, t2)
 
     def __eq__(self, other):
         return (isinstance(other, KazhdanPolynomial) and self.chart == other.chart
                 and self.terms == other.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def mono_degree(self, m: Monomial) -> int:
-        degs = self.chart.degrees
-        return sum(e * degs[i] for i, e in m)
-
-    def degree(self) -> Optional[int]:
-        if not self.terms:
-            return None
-        return max(self.mono_degree(m) for m in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {self.mono_degree(m) for m in self.terms}
-        return len(degs) <= 1
 
     def partial(self, idx: int) -> "KazhdanPolynomial":
         out: Terms = {}
@@ -177,29 +133,6 @@ class KazhdanPolynomial:
                         del out[nm]
                     break
         return KazhdanPolynomial(self.chart, out)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        names = [v.name for v in self.chart.variables]
-        bits = []
-        for m in sorted(self.terms, key=lambda m: (self.mono_degree(m), m)):
-            c = self.terms[m]
-            factors = "*".join(names[i] if e == 1 else f"{names[i]}^{e}" for i, e in m)
-            if not factors:
-                bits.append(str(c))
-            elif c == 1:
-                bits.append(factors)
-            elif c == -1:
-                bits.append(f"-{factors}")
-            else:
-                bits.append(f"{c}*{factors}")
-        out = bits[0]
-        for b in bits[1:]:
-            out += f" - {b[1:]}" if b.startswith("-") else f" + {b}"
-        return out
-
-    __repr__ = __str__
 
 
 def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -404,9 +337,8 @@ class SliceData:
         self.basis = basis
         self.kerf_graded = tuple(kerf_graded)
         self.degrees = tuple(2 - w for _, w in kerf_graded)
-        variables = [PolyVar(f"t{k + 1}", k, w, 2 - w)
-                     for k, (_, w) in enumerate(kerf_graded)]
-        self.chart = Chart("slice", variables)
+        self.chart = Chart("slice", [f"t{k + 1}" for k in range(len(self.degrees))],
+                           self.degrees)
         L = basis.lie
         images = []
         for p in range(basis.n_complement):

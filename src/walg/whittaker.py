@@ -141,8 +141,7 @@ class QDegreeBasis:
     __slots__ = ("sctx", "n", "monomials", "index", "counts")
 
     def __init__(self, sctx: SliceContext, n: int):
-        degs = [v.degree for v in sctx.comp_chart.variables]
-        monos = poisson.enumerate_monomials(degs, n)
+        monos = poisson.enumerate_monomials(sctx.comp_chart.degrees, n)
         self.sctx = sctx
         self.n = n
         self.monomials = monos
@@ -548,7 +547,7 @@ def ce_blocks(i_max: int, n_max: int, sctx: SliceContext):
     nn = len(gens)
     if i_max > nn:
         raise WalgError("cohomological index exceeds dim n_ell")
-    comp_degs = [v.degree for v in sctx.comp_chart.variables]
+    comp_degs = sctx.comp_chart.degrees
     L = sctx.lie
     red = sctx.reduction
 

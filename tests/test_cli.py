@@ -122,19 +122,43 @@ def test_main_exit_codes(tmp_path):
                  "--ell", "zero", "--checks", "poisson"]) == 2
 
 
+SL2_BRACKETS = [
+    {"i": 0, "j": 1, "value": [[0, "-2"]]},
+    {"i": 0, "j": 2, "value": [[1, "1"]]},
+    {"i": 1, "j": 2, "value": [[2, "-2"]]},
+]
+
+
+def sl2_doc(brackets):
+    return json.dumps({"labels": ["e", "h", "f"], "brackets": brackets})
+
+
+# Out-of-range, non-integer and repeated indices crashed with an internal
+# error or were silently read as some other algebra.
 @pytest.mark.parametrize("content", [
     '{"labels": ["e", "h", "f"], "brackets": [',
     '[["e", "h", "f"]]',
     '{"brackets": []}',
     None,
-], ids=["truncated", "not-object", "no-labels", "directory"])
+    sl2_doc([{"i": 0, "j": 1, "value": [[7, "-2"]]}] + SL2_BRACKETS[1:]),
+    sl2_doc(SL2_BRACKETS[:2] + [{"i": 1, "j": 2, "value": [[2, "-2"], [7, "0"]]}]),
+    sl2_doc(SL2_BRACKETS[:2] + [{"i": 1, "j": 2, "value": [[-1, "-2"]]}]),
+    sl2_doc([{"i": 0.9, "j": 1, "value": [[0, "-2"]]}] + SL2_BRACKETS[1:]),
+    sl2_doc(SL2_BRACKETS[:1] + [{"i": 0, "j": 2.5, "value": [[1, "1"]]}]
+            + SL2_BRACKETS[2:]),
+    sl2_doc(SL2_BRACKETS[:2] + [{"i": 1, "j": 2, "value": [[2.2, "-2"]]}]),
+    sl2_doc([{"i": 0, "j": 1, "value": [[0, "5"]]}] + SL2_BRACKETS),
+    sl2_doc(SL2_BRACKETS[:2] + [{"i": 1, "j": 2, "value": [[2, "1"], [2, "-2"]]}]),
+], ids=["truncated", "not-object", "no-labels", "directory",
+        "index-too-large", "index-too-large-zero", "index-negative", "float-i",
+        "float-j", "float-coordinate", "repeated-bracket", "repeated-coordinate"])
 def test_main_bad_algebra_file_exits_2(tmp_path, capsys, content):
     path = tmp_path / "alg.json"
     if content is None:
         path.mkdir()
     else:
         path.write_text(content)
-    assert main(["run", "--algebra", str(path), "--nilpotent", "regular"]) == 2
+    assert main(["run", "--algebra", str(path), "--nilpotent", "1,0,0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

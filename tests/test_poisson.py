@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from walg import poisson as P
 from walg import whittaker as W
-from walg.errors import ChartMismatch, LiftFailure
+from walg.errors import ChartMismatch, LiftFailure, WalgError
 from walg.linalg import SparseMatrix, Subspace, solve, sum_and_intersection
 
 
@@ -90,13 +90,24 @@ def test_bracket_homogeneity(sl3_min_lag):
         if br.is_zero():
             continue
         assert br.is_homogeneous()
-        assert br.degree() == a.degree() + b.degree() - 2
+        assert br.kazhdan_degree() == a.kazhdan_degree() + b.kazhdan_degree() - 2
 
 
 def test_chart_mismatch_raises(sl2_ctx, sl3_min_lag):
     with pytest.raises(ChartMismatch):
         P.lie_poisson_bracket(var(sl2_ctx.full_chart, 0),
                               var(sl3_min_lag.full_chart, 0), sl2_ctx.basis)
+
+
+def test_mixed_element_and_polynomial_arithmetic_raises(sl2_ctx):
+    """A PBW element and a polynomial share monomials but not a space:
+    mixing them is a WalgError, not a TypeError (exit 3)."""
+    u = sl2_ctx.basis.generator(0)
+    p = var(sl2_ctx.full_chart, 0)
+    for op in (lambda: u + p, lambda: p + u, lambda: p * u, lambda: u * p,
+               lambda: u - p, lambda: p - u):
+        with pytest.raises(WalgError):
+            op()
 
 
 def test_restriction_examples(sl2_ctx):
@@ -324,12 +335,12 @@ def test_slice_bracket_degree3_pair(sl3_min_lag):
     """Brackets of the degree-3 coordinates close with degree 4."""
     sctx = sl3_min_lag
     chart = sctx.slice_data.chart
-    deg3 = [i for i, v in enumerate(chart.variables) if v.degree == 3]
+    deg3 = [i for i, d in enumerate(chart.degrees) if d == 3]
     assert len(deg3) == 2
     a, b = var(chart, deg3[0]), var(chart, deg3[1])
     br = P.slice_poisson_bracket(a, b, sctx.reduction)
     assert not br.is_zero()
-    assert br.is_homogeneous() and br.degree() == 4
+    assert br.is_homogeneous() and br.kazhdan_degree() == 4
 
 
 def test_slice_bracket_extension_independent(sl3_min_lag):
@@ -340,7 +351,7 @@ def test_slice_bracket_extension_independent(sl3_min_lag):
     for _ in range(4):
         i, j = rng.randrange(len(chart)), rng.randrange(len(chart))
         a, b = var(chart, i), var(chart, j)
-        if a.degree() + b.degree() > 7:
+        if a.kazhdan_degree() + b.kazhdan_degree() > 7:
             continue
         plain = P.slice_poisson_bracket(a, b, sctx.reduction)
         twisted = P.slice_poisson_bracket(a, b, sctx.reduction, twist=twist)
@@ -351,7 +362,7 @@ def test_slice_bracket_jacobi_small(sl3_min_lag):
     sctx = sl3_min_lag
     chart = sctx.slice_data.chart
     t1 = var(chart, 0)       # degree 2
-    deg3 = [i for i, v in enumerate(chart.variables) if v.degree == 3]
+    deg3 = [i for i, d in enumerate(chart.degrees) if d == 3]
     a, b = var(chart, deg3[0]), var(chart, deg3[1])
 
     def br(x, y):
@@ -390,7 +401,7 @@ def per_degree_lift(F, red):
     slice_degs = red.slice_data.degrees
     by_degree = {}
     for m, c in F.terms.items():
-        by_degree.setdefault(F.mono_degree(m), {})[m] = c
+        by_degree.setdefault(F.monomial_degree(m), {})[m] = c
     total = P.KazhdanPolynomial.zero(comp)
     for n, Fn in sorted(by_degree.items()):
         monos = P.monomials_of_degree(comp_degs, n)
