@@ -140,11 +140,14 @@ class Case:
                                     "nilpotent of the algebra file")
                 return "file", (e, None, None)
             raise ConfigError("no nilpotent given (flag or input file)")
-        if spec == "regular" and n:
+        if n is None and (spec in ("regular", "minimal") or _PARTITION.match(spec)):
+            raise ConfigError(f"nilpotent '{spec}' needs a builtin slN algebra; "
+                              "a file algebra takes comma-separated coordinates")
+        if spec == "regular":
             return "regular", liealg.partition_triple(n, [n])
-        if spec == "minimal" and n:
+        if spec == "minimal":
             return "minimal", liealg.highest_root_triple(n)
-        if _PARTITION.match(spec) and n:
+        if _PARTITION.match(spec):
             parts = [int(x) for x in spec.strip("[] ").split(",")]
             return spec, liealg.partition_triple(n, parts)
         e, = _parse_vectors([spec.split(",")], self.lie.dim,
@@ -194,17 +197,12 @@ def check_poisson(case: Case):
     n = case.config.check_degree("poisson")
     hb = case.hb_at(n)
     pairs = 0
-    for i, a in enumerate(hb.elements):
-        if hb.degrees[i] == 0:
+    for i, j in hb.product_pairs(n):
+        if i > j or not hb.degrees[i] or not hb.degrees[j]:
             continue
-        for j in range(i, len(hb.elements)):
-            if hb.degrees[j] == 0:
-                continue
-            if hb.degrees[i] + hb.degrees[j] > n:
-                continue
-            if not whittaker.gr_commutator_vs_poisson(a, hb.elements[j], hb):
-                return False, {"pairs_checked": pairs}, {"pair": [i, j]}
-            pairs += 1
+        if not whittaker.gr_commutator_vs_poisson(hb.elements[i], hb.elements[j], hb):
+            return False, {"pairs_checked": pairs}, {"pair": [i, j]}
+        pairs += 1
     return True, {"pairs_checked": pairs}, None
 
 

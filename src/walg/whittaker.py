@@ -17,6 +17,7 @@ likewise every Wh(F_n Q)), read off by prefix as sparse canonical rows.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence
 
 from walg import backend, poisson
@@ -539,78 +540,74 @@ def ce_blocks(i_max: int, n_max: int, sctx: SliceContext):
     cochain basis of Lambda^i n* (x) gr Q in Kazhdan degree n (a dual
     generator of weight w counts -w) and diffs[i] is the differential
     C^i -> C^{i+1} on those bases, for i <= i_max: the cohomology up to
-    H^{i_max} reads no higher differential.
+    H^{i_max} reads no higher differential.  Column (S, m) is
+    d(xi^S (x) m) = sum_{x not in S} xi^x ^ xi^S (x) D_x(m) + dxi^S (x) m,
+    where xi^x ^ xi^S = (-1)^{T.index(x)} xi^T, and dxi^s =
+    -sum_{a<b} c^s_ab xi^a ^ xi^b puts, for s at position k of S and a, b
+    not in rest = S - {s}, (-1)^{T.index(a) + T.index(b) + k} c^s_ab at
+    T = sorted(rest + (a, b)).
     """
-    from itertools import combinations
-
     gens = sctx.pair.n_graded
     nn = len(gens)
     if i_max > nn:
         raise WalgError("cohomological index exceeds dim n_ell")
-    comp_degs = sctx.comp_chart.degrees
-    L = sctx.lie
-    red = sctx.reduction
+    chart = sctx.comp_chart
 
-    ncols_mat = SparseMatrix.from_columns([v for v, _ in gens], rows=L.dim)
-    bracket_nn = {(a, b): solve(ncols_mat, L.bracket(gens[a][0], gens[b][0]))
-                  for a in range(nn) for b in range(a + 1, nn)}
-    if None in bracket_nn.values():
-        raise WalgError("n_ell is not closed under bracket")
+    # dual[s] lists the (a, b, c^s_ab), a < b, of the brackets in n_ell
+    ncols_mat = SparseMatrix.from_columns([v for v, _ in gens], rows=sctx.lie.dim)
+    dual: List[list] = [[] for _ in range(nn)]
+    for a, b in combinations(range(nn), 2):
+        cs = solve(ncols_mat, sctx.lie.bracket(gens[a][0], gens[b][0]))
+        if cs is None:
+            raise WalgError("n_ell is not closed under bracket")
+        for s, c in enumerate(cs):
+            if c:
+                dual[s].append((a, b, c))
 
-    def cochain_basis(i: int, n: int):
-        # a dual generator of weight w counts -w, so the monomial has degree
-        # n + sum w; none when that is negative
-        return [(S, mono) for S in combinations(range(nn), i)
-                for mono in poisson.monomials_of_degree(
-                    comp_degs, n + sum(gens[s][1] for s in S))]
+    # n_ell has negative weights, so a cochain of degree n needs monomials
+    # of degree <= n; grouping keeps the (degree, monomial) enumeration order
+    monos: Dict[int, list] = {}
+    for mono in poisson.enumerate_monomials(chart.degrees, n_max):
+        monos.setdefault(sctx.basis.monomial_degree(mono), []).append(mono)
+    subsets = [list(combinations(range(nn), i)) for i in range(i_max + 2)]
+    deriv: Dict = {}  # (x, m) -> terms of D_x(m)
 
-    def insert_sign(s, rest):
-        if s in rest:
-            return None, 0
-        pos = sum(1 for r in rest if r < s)
-        T = tuple(sorted(rest + (s,)))
-        return T, (-1) ** pos
-
-    def differential(i: int, dom, cod):
-        cod_index = {bm: k for k, bm in enumerate(cod)}
-        entries: Dict = {}
-        for j, (S, mono) in enumerate(dom):
-            poly = KazhdanPolynomial(sctx.comp_chart, {mono: ONE})
-            # T = S + {x}, coefficient (-1)^pos(x) n_x . mono
-            for x in range(nn):
-                T, sign = insert_sign(x, S)
-                if T is None:
-                    continue
-                acted = red.derivation(gens[x][0], poly)
-                for m2, c2 in acted.terms.items():
-                    r = cod_index.get((T, m2))
-                    if r is None:
-                        raise WalgError("differential left the graded block")
-                    backend._acc(entries, (r, j), sign * c2)
-            # contract a bracket [n_a, n_b] back into S
-            for T in combinations(range(nn), i + 1):
-                for l in range(i + 1):
-                    for m in range(l + 1, i + 1):
-                        a, b = T[l], T[m]
-                        rest = tuple(t for t in T if t not in (a, b))
-                        for s_idx, c in enumerate(bracket_nn[(a, b)]):
-                            if not c:
-                                continue
-                            U, sign2 = insert_sign(s_idx, rest)
-                            if U != S:
-                                continue
-                            r = cod_index.get((T, mono))
-                            if r is None:
-                                raise WalgError("differential left the graded block")
-                            backend._acc(entries, (r, j),
-                                         ((-1) ** (l + m)) * sign2 * c)
-        return SparseMatrix(len(cod), len(dom), entries)
+    def column(S, mono):
+        """The (T, monomial, coefficient) terms of d(xi^S (x) mono)."""
+        for x in range(nn):
+            if x in S:
+                continue
+            T = tuple(sorted(S + (x,)))
+            sign = (-1) ** T.index(x)
+            acted = deriv.get((x, mono))
+            if acted is None:
+                acted = deriv[(x, mono)] = sctx.reduction.derivation(
+                    gens[x][0], KazhdanPolynomial(chart, {mono: ONE})).terms
+            for m2, c2 in acted.items():
+                yield T, m2, sign * c2
+        for k, s in enumerate(S):
+            rest = S[:k] + S[k + 1:]
+            for a, b, c in dual[s]:
+                if a not in rest and b not in rest:
+                    T = tuple(sorted(rest + (a, b)))
+                    yield T, mono, (-1) ** (T.index(a) + T.index(b) + k) * c
 
     blocks = {}
     for n in range(n_max + 1):
-        bases = [cochain_basis(i, n) for i in range(i_max + 2)]
-        diffs = [differential(i, bases[i], bases[i + 1])
-                 for i in range(i_max + 1)]
+        bases = [[(S, mono) for S in Ss
+                  for mono in monos.get(n + sum(gens[s][1] for s in S), ())]
+                 for Ss in subsets]
+        diffs = []
+        for dom, cod in zip(bases, bases[1:]):
+            cod_index = {bm: r for r, bm in enumerate(cod)}
+            entries: Dict = {}
+            for j, (S, mono) in enumerate(dom):
+                for T, m2, c in column(S, mono):
+                    r = cod_index.get((T, m2))
+                    if r is None:
+                        raise WalgError("differential left the graded block")
+                    backend._acc(entries, (r, j), c)
+            diffs.append(SparseMatrix(len(cod), len(dom), entries))
         blocks[n] = (bases, diffs)
     return blocks
 

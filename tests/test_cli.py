@@ -163,6 +163,30 @@ def test_main_bad_algebra_file_exits_2(tmp_path, capsys, content):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name", ["regular", "minimal", "[2]"])
+def test_named_nilpotent_on_file_algebra_exits_2(tmp_path, capsys, name):
+    """Orbit names are sl_n partitions; a file algebra takes coordinates."""
+    path = tmp_path / "sl2.json"
+    path.write_text(sl2_doc(SL2_BRACKETS))
+    assert main(["run", "--algebra", str(path), "--nilpotent", name]) == 2
+    assert capsys.readouterr().err == (
+        f"error: nilpotent '{name}' needs a builtin slN algebra; "
+        "a file algebra takes comma-separated coordinates\n")
+
+
+def test_cohomology_with_non_abelian_n_ell(tmp_path):
+    """On sl4 [2,1,1] with ell = 0, n_ell has nonzero brackets, so the
+    complex carries the dxi^s term that no pinned job reaches."""
+    out = tmp_path / "r.json"
+    assert main(["run", "--algebra", "sl4", "--nilpotent", "[2,1,1]",
+                 "--ell", "zero", "--max-degree", "5", "--checks", "cohomology",
+                 "--out", str(out), "--quiet"]) == 0
+    (entry,) = json.loads(out.read_text())["checks"]
+    dims = [1, 0, 4, 4, 11, 16]
+    assert entry["details"] == {"h0_dims": dims, "h1_dims": [0] * 6,
+                                "slice_dims": dims, "gr_h_dims": dims}
+
+
 def test_main_describe(capsys):
     assert main(["describe", "--algebra", "sl3", "--nilpotent", "minimal",
                  "--ell", "lagrangian-auto"]) == 0

@@ -197,8 +197,9 @@ def test_ce_cohomology_sl3(sl3_min_zero, sl3_min_lag, sl3_hb_zero, sl3_hb_lag):
         assert rep.row(0) == hb.gr_dims
 
 
-def test_ce_differential_squares_to_zero(sl3_min_zero):
-    blocks = W.ce_blocks(3, 5, sl3_min_zero)
+@pytest.mark.parametrize("ctx_name", ["sl3_min_zero", "sl4_211", "sl4_regular"])
+def test_ce_differential_squares_to_zero(request, ctx_name):
+    blocks = W.ce_blocks(3, 5, request.getfixturevalue(ctx_name))
     for n, (bases, diffs) in blocks.items():
         for i in range(len(diffs) - 1):
             d0, d1 = diffs[i], diffs[i + 1]
@@ -208,6 +209,103 @@ def test_ce_differential_squares_to_zero(sl3_min_zero):
                     if c == r2:
                         comp[(r, c2)] = comp.get((r, c2), 0) + v * w
             assert all(v == 0 for v in comp.values()), (n, i)
+
+
+def ce_blocks_reference(i_max, n_max, sctx):
+    """The Chevalley-Eilenberg blocks by the defining sums: D_x(m) for every
+    subset, and every pair of every (i+1)-subset contracted onto S."""
+    from itertools import combinations
+
+    gens = sctx.pair.n_graded
+    nn = len(gens)
+    comp_degs = sctx.comp_chart.degrees
+    L = sctx.lie
+    red = sctx.reduction
+
+    ncols_mat = SparseMatrix.from_columns([v for v, _ in gens], rows=L.dim)
+    bracket_nn = {(a, b): solve(ncols_mat, L.bracket(gens[a][0], gens[b][0]))
+                  for a in range(nn) for b in range(a + 1, nn)}
+
+    def cochain_basis(i, n):
+        return [(S, mono) for S in combinations(range(nn), i)
+                for mono in poisson.monomials_of_degree(
+                    comp_degs, n + sum(gens[s][1] for s in S))]
+
+    def insert_sign(s, rest):
+        if s in rest:
+            return None, 0
+        pos = sum(1 for r in rest if r < s)
+        return tuple(sorted(rest + (s,))), (-1) ** pos
+
+    def differential(i, dom, cod):
+        cod_index = {bm: k for k, bm in enumerate(cod)}
+        entries = {}
+        for j, (S, mono) in enumerate(dom):
+            poly = KazhdanPolynomial(sctx.comp_chart, {mono: F(1)})
+            for x in range(nn):
+                T, sign = insert_sign(x, S)
+                if T is None:
+                    continue
+                for m2, c2 in red.derivation(gens[x][0], poly).terms.items():
+                    backend._acc(entries, (cod_index[(T, m2)], j), sign * c2)
+            for T in combinations(range(nn), i + 1):
+                for l in range(i + 1):
+                    for m in range(l + 1, i + 1):
+                        a, b = T[l], T[m]
+                        rest = tuple(t for t in T if t not in (a, b))
+                        for s_idx, c in enumerate(bracket_nn[(a, b)]):
+                            if not c:
+                                continue
+                            U, sign2 = insert_sign(s_idx, rest)
+                            if U == S:
+                                backend._acc(entries, (cod_index[(T, mono)], j),
+                                             ((-1) ** (l + m)) * sign2 * c)
+        return SparseMatrix(len(cod), len(dom), entries)
+
+    blocks = {}
+    for n in range(n_max + 1):
+        bases = [cochain_basis(i, n) for i in range(i_max + 2)]
+        blocks[n] = (bases, [differential(i, bases[i], bases[i + 1])
+                             for i in range(i_max + 1)])
+    return blocks
+
+
+@pytest.mark.parametrize("ctx_name,n_max", [
+    ("sl2_ctx", 10), ("sl3_min_zero", 8), ("sl3_min_lag", 8),
+    ("sl3_min_lag2", 8), ("sl3_min_conj", 8), ("sl3_principal", 10),
+    ("sl4_22_conj", 6), ("sl4_211", 5), ("sl4_regular", 6)])
+def test_ce_blocks_match_reference(request, ctx_name, n_max):
+    sctx = request.getfixturevalue(ctx_name)
+    i_max = min(len(sctx.pair.n_graded), 3)
+    got = W.ce_blocks(i_max, n_max, sctx)
+    want = ce_blocks_reference(i_max, n_max, sctx)
+    assert list(got) == list(want)
+    for n in want:
+        assert got[n][0] == want[n][0], n
+        assert got[n][1] == want[n][1], n
+
+
+def test_ce_blocks_form_each_derivation_once(monkeypatch, sl4_211):
+    calls = {}
+    derivation = poisson.ReductionData.derivation
+
+    def counted(self, x, F):
+        key = (tuple(x), tuple(F.terms.items()))
+        calls[key] = calls.get(key, 0) + 1
+        return derivation(self, x, F)
+
+    monkeypatch.setattr(poisson.ReductionData, "derivation", counted)
+    W.ce_blocks(2, 5, sl4_211)
+    assert calls and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("ctx_name,n_max", [("sl4_regular", 6), ("sl4_211", 4)])
+def test_ce_cohomology_vanishes_beyond_h0(request, ctx_name, n_max):
+    sctx = request.getfixturevalue(ctx_name)
+    rep = W.ce_cohomology(3, n_max, sctx)
+    assert rep.row(0) == sctx.hilbert_slice(n_max)
+    for i in (1, 2, 3):
+        assert rep.row(i) == [0] * (n_max + 1), i
 
 
 def test_center_injects(sl2_ctx, sl2_hb, sl3_min_lag, sl3_hb_lag,
