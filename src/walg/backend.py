@@ -1,4 +1,4 @@
-"""Hot kernels: PBW straightening and fraction-free elimination.
+"""Hot kernels: PBW straightening, monomial maps, fraction-free elimination.
 
 `walg.pbw` and `walg.linalg` call these as `backend.<name>`, looked up at
 call time rather than bound by `from walg.backend import ...`, so that a
@@ -18,11 +18,12 @@ Data layout (shared with the rest of the package):
 * caches    -- plain dicts memoizing the straightening of generator times
   monomial, one per PBW basis and direction.
 
-`mul_terms` straightens integer numerators: it scales each operand to
-(den, integer terms) by `int_form`, straightens the integers, and divides
-by the product of the two denominators once per output term (`_divide`).
-The memoized straightenings then hold whatever the bracket gives: ints on
-an integral basis, and exact Fractions where a constant is not integral.
+`MonomialMap` extends a map given on generators to monomials, building
+each image once, from its suffix, as an integer form (den, ints) from
+`int_form`; `mul_terms` is one, and so are the left action on Q, the
+change of PBW basis and the substitutions of walg.poisson.  The memoized
+straightenings hold whatever the bracket gives: ints on an integral
+basis, and exact Fractions where a constant is not integral.
 """
 
 from fractions import Fraction
@@ -156,29 +157,57 @@ def _divide(terms, den):
             for k, c in terms.items()}
 
 
+class MonomialMap:
+    """The linear map on term dicts with image(()) = base and
+    image(x_g s) = step(g, image(s)) for a monomial x_g s, x_g its first
+    factor.
+
+    Images are integer forms (den, ints) with value ints / den, as
+    `int_form` gives them, and `step` maps one such form to another.  Each
+    monomial's image is built once, from its suffix (one power of its first
+    factor removed), and kept in `memo` for the life of the map.  A call
+    sums c * image(m) over one common scale and divides once, so memoized
+    dicts are never handed out or changed.
+    """
+
+    __slots__ = ("step", "memo")
+
+    def __init__(self, step, base):
+        self.step = step
+        self.memo = {(): int_form(base)}
+
+    def image(self, m):
+        """image(m) as an integer form (den, ints)."""
+        img = self.memo.get(m)
+        if img is None:
+            g, e = m[0]
+            img = self.memo[m] = self.step(
+                g, self.image(((g, e - 1),) + m[1:] if e > 1 else m[1:]))
+        return img
+
+    def __call__(self, terms):
+        """The image of the element with term dict `terms`."""
+        return _value(combine([(c, self.image(m)) for m, c in terms.items()]))
+
+
+def _value(combined):
+    """The terms ints / scale of (scale, ints), zeros dropped."""
+    scale, ints = combined
+    return _divide({m: v for m, v in ints.items() if v}, scale)
+
+
 def mul_terms(t1, t2, bracket, cache):
     """PBW product of two straightened term dicts.
 
-    Folds the factors of each left monomial onto t2 from the right, so
-    straightening proceeds left-to-right through the concatenated word.
-    Both operands are first scaled to integer numerators, and the product
-    is divided by their common denominators once, at the end.
+    The map x_g s -> x_g (s t2) applied to t1: each generator straightens
+    onto the product of its suffix with t2, so straightening proceeds
+    left-to-right through the concatenated word, and a suffix shared by
+    monomials of t1 is straightened once.
     """
-    den1, t1 = int_form(t1)
-    den2, t2 = int_form(t2)
-    out = {}
-    for mono, c in t1.items():
-        if not mono:
-            for n, c2 in t2.items():
-                _acc(out, n, c * c2)
-            continue
-        acc = t2
-        for idx, exp in reversed(mono):
-            for _ in range(exp):
-                acc = _gen_times_terms(idx, acc, bracket, cache)
-        for n, c2 in acc.items():
-            _acc(out, n, c * c2)
-    return _divide(out, den1 * den2)
+    def step(g, img):
+        return img[0], _gen_times_terms(g, img[1], bracket, cache)
+
+    return MonomialMap(step, t2)(t1)
 
 
 def mul_terms_rl(t1, t2, bracket, cache):

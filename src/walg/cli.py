@@ -72,10 +72,12 @@ class JobConfig:
     def validate(self):
         if self.max_degree < 0:
             raise ConfigError("max-degree must be >= 0")
-        for name in self.checks:
+        for k, name in enumerate(self.checks):
             if name not in CHECK_NAMES:
                 raise ConfigError(f"unknown check '{name}'; "
                                   f"choose from {', '.join(CHECK_NAMES)}")
+            if name in self.checks[:k]:
+                raise ConfigError(f"check '{name}' is given more than once")
         for name, deg in self.degree_overrides.items():
             if name not in CHECK_NAMES:
                 raise ConfigError(f"degree override for unknown check '{name}'")
@@ -398,6 +400,18 @@ def render_report(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _write_json(path: str, doc: dict):
+    """Write doc to path as indented JSON; a path that cannot be written
+    is bad input."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot write report '{path}': {exc.strerror or exc}") from exc
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="walg",
@@ -440,9 +454,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 degree_overrides=overrides)
             report = run(config)
             if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    json.dump(report, fh, indent=2)
-                    fh.write("\n")
+                _write_json(args.out, report)
             if not args.quiet:
                 print(render_report(report))
             if any(entry["details"].get("error") == "internal"
@@ -455,9 +467,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         case = Case(config)
         desc = describe_case(case.sctx, args.max_degree)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(desc, fh, indent=2)
-                fh.write("\n")
+            _write_json(args.out, desc)
         print(json.dumps(desc, indent=2))
         return 0
     except (ConfigError, WalgError) as exc:

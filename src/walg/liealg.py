@@ -278,16 +278,18 @@ def complete_sl2_triple(L: LieAlgebra, e: Sequence) -> Sl2Triple:
 
     Solves (ad e)^2 y = -2e and sets h = [e, y] (so [h,e] = 2e and h lies
     in the image of ad e), then solves the joint linear system
-    [h,f] = -2f, [e,f] = h for f.  Any solution is accepted.
+    [h,f] = -2f, [e,f] = h for f.  Any solution is accepted.  [h,e] = 2e
+    makes ad e raise ad h eigenvalues by 2, so it is nilpotent: only a
+    failed solve needs the powers of ad e, to tell the two errors apart.
     """
     e = vec(e, L.dim)
     if not any(e):
         raise NotNilpotent("e = 0 is rejected; the orbit must be nonzero")
     ade = L.ad_sparse(e)
-    if ade.nilpotent_powers() is None:
-        raise NotNilpotent("ad e is not nilpotent")
     y = solve(ade @ ade, scale_vec(-2, e))
     if y is None:
+        if ade.nilpotent_powers() is None:
+            raise NotNilpotent("ad e is not nilpotent")
         raise NoTripleFound("(ad e)^2 y = -2e has no solution")
     h = L.bracket(e, y)
     stacked = L.ad_sparse(h).shift(2).stack(ade)

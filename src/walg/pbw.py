@@ -7,9 +7,10 @@ that order, canonical forms in the quotient module Q_ell are obtained by
 chopping trailing a-factors (see walg.whittaker).
 
 Monomial/term layout is shared with walg.backend; straightening products
-are memoized per basis.  `GradedTerms` holds what an element shares with
-its symbol, a polynomial of walg.poisson: sums, Kazhdan degrees and the
-printed form.
+are memoized per basis, and the product and the change of basis
+(`convert_element`) are both a `backend.MonomialMap`.  `GradedTerms`
+holds what an element shares with its symbol, a polynomial of
+walg.poisson: sums, Kazhdan degrees and the printed form.
 """
 
 from __future__ import annotations
@@ -324,31 +325,18 @@ def casimir(basis: PBWBasis) -> UEAElement:
 def convert_element(u: UEAElement, target: PBWBasis) -> UEAElement:
     """Rewrite u over another PBW basis of the same ambient algebra.
 
-    Each monomial's image is built once per call, as the image of its
-    prefix (one power of its last generator removed) times that
-    generator's image over `target`, and summed into one dict in place.
+    The algebra map fixed by the generator images over `target`: a
+    monomial's image is that of its first generator times that of its
+    suffix, each built once per call (`backend.MonomialMap`).
     """
     if u.basis.lie is not target.lie:
         raise WalgError("conversion requires the same underlying algebra")
-    images = [target.element_from_ambient(v).terms for v in u.basis.vectors]
-    memo: Dict[Monomial, Terms] = {(): {(): 1}}
+    images = [backend.int_form(target.element_from_ambient(v).terms)
+              for v in u.basis.vectors]
+    bracket, cache = target.bracket, target._cache_left
 
-    def image(m: Monomial) -> Terms:
-        img = memo.get(m)
-        if img is None:
-            i, e = m[-1]
-            prefix = m[:-1] if e == 1 else m[:-1] + ((i, e - 1),)
-            img = backend.mul_terms(image(prefix), images[i], target.bracket,
-                                    target._cache_left)
-            memo[m] = img
-        return img
+    def step(g, img):
+        den, ints = images[g]
+        return den * img[0], backend.mul_terms(ints, img[1], bracket, cache)
 
-    out: Terms = {}
-    for m, c in u.terms.items():
-        for n, c2 in image(m).items():
-            s = out.get(n, 0) + c * c2
-            if s:
-                out[n] = s
-            elif n in out:
-                del out[n]
-    return UEAElement(target, out)
+    return UEAElement(target, backend.MonomialMap(step, {(): 1})(u.terms))

@@ -21,10 +21,13 @@ F -> F(T_1, ..., T_r) of the lifts of the r slice coordinates, each found
 once by a linear solve in its own degree.
 
 Both maps between charts are algebra maps, `nu` (complement chart -> slice
-chart) and the lift (slice chart -> complement chart), so both are one
-`Substitution`: built once per context, it keeps the image of every
-monomial it has met and forms a new one from its prefix by one product.
-Each chart is one object per PBW basis, so chart checks pass by identity.
+chart) and the lift (slice chart -> complement chart), and so is the
+formal pullback along a coadjoint flow (complement chart -> complement
+chart plus a time variable t).  Each is one `Substitution`, a chart-checked
+`backend.MonomialMap`: built once per context or flow, it keeps the image
+of every monomial it has met and forms a new one from its suffix by one
+product.  Each chart is one object per PBW basis, so chart checks pass by
+identity.
 """
 
 from __future__ import annotations
@@ -168,17 +171,12 @@ def poly_mul(t1: Terms, t2: Terms) -> Terms:
 class Substitution:
     """The algebra map C[source] -> C[target] sending variable i to images[i].
 
-    An algebra map is fixed by the images of the monomials.  Each is built
-    once, as the image of its prefix (the monomial with one power of its
-    last variable removed) times that variable's image, and kept for the
-    life of the map as an integer form (den, ints) with value ints / den;
-    `products` counts these multiplications.  A call sums c_m * image(m)
-    over one common denominator into a fresh dict and divides once, so
-    memoized dicts are never handed out or changed.
+    An algebra map is fixed by the images of the monomials: `_memo` is the
+    `backend.MonomialMap` that builds each once, as variable i's image
+    times the image of its suffix, and keeps it for the life of the map.
     """
 
-    __slots__ = ("source", "target", "images", "products", "_int_images",
-                 "_memo")
+    __slots__ = ("source", "target", "images", "_memo")
 
     def __init__(self, source: Chart, images: Sequence[KazhdanPolynomial],
                  target: Chart):
@@ -191,28 +189,23 @@ class Substitution:
         self.source = source
         self.target = target
         self.images = images
-        self.products = 0
-        self._int_images = [backend.int_form(img.terms) for img in images]
-        self._memo: Dict[Monomial, Tuple[int, Terms]] = {(): (1, {(): 1})}
+        int_images = [backend.int_form(img.terms) for img in images]
 
-    def _image(self, m: Monomial) -> Tuple[int, Terms]:
-        img = self._memo.get(m)
-        if img is None:
-            i, e = m[-1]
-            prefix = m[:-1] if e == 1 else m[:-1] + ((i, e - 1),)
-            den, ints = self._image(prefix)
-            den_i, ints_i = self._int_images[i]
-            img = (den * den_i, poly_mul(ints, ints_i))
-            self.products += 1
-            self._memo[m] = img
-        return img
+        def step(i, img):
+            den_i, ints_i = int_images[i]
+            return den_i * img[0], poly_mul(ints_i, img[1])
+
+        self._memo = backend.MonomialMap(step, {(): 1})
+
+    @property
+    def products(self) -> int:
+        """The multiplications taken so far: one per monomial image built."""
+        return len(self._memo.memo) - 1
 
     def __call__(self, F: KazhdanPolynomial) -> KazhdanPolynomial:
         if F.chart is not self.source and F.chart != self.source:
             raise ChartMismatch(f"{F.chart!r} is not the source chart {self.source!r}")
-        scale, ints = backend.combine([(c, self._image(m))
-                                       for m, c in F.terms.items()])
-        return KazhdanPolynomial(self.target, backend._divide(ints, scale))
+        return KazhdanPolynomial(self.target, self._memo(F.terms))
 
 
 def symbol(u: UEAElement, n: int, chart: Chart) -> KazhdanPolynomial:
@@ -366,12 +359,13 @@ class CoadjointFlow:
 
     `_layers[k]` holds the entries (row, col) -> value of (ad x)^k / k! on
     the adapted basis; the pullback of the coordinate function y_p under
-    the time-t flow is sum_k (-t)^k sum_q (ad x)^k / k! [q, p] y_q, and
-    `_images[p]` maps each k to that coefficient of t^k for complement p,
-    with the a-coordinates replaced by their chi-values.
+    the time-t flow is sum_k (-t)^k sum_q (ad x)^k / k! [q, p] y_q.
+    `_pullback` substitutes that for each complement y_p, with the
+    a-coordinates replaced by their chi-values, into the complement chart
+    plus one variable t of degree 0, the last.
     """
 
-    __slots__ = ("basis", "x", "_layers", "_images")
+    __slots__ = ("basis", "x", "_layers", "_pullback")
 
     def __init__(self, basis: PBWBasis, x: Sequence):
         L = basis.lie
@@ -389,25 +383,24 @@ class CoadjointFlow:
             fact *= k
             layers.append({rc: v / fact for rc, v in P.entries.items()})
         self._layers = tuple(layers)
-        chart = complement_chart(basis)
+        comp = complement_chart(basis)
         nc = basis.n_complement
-        self._images: List[Dict[int, KazhdanPolynomial]] = [{} for _ in range(nc)]
+        chart = Chart("flow", comp.labels + ("t",), comp.degrees + (0,))
+        terms: List[Terms] = [{} for _ in range(nc)]
         for k, layer in enumerate(self._layers):
-            terms: List[Terms] = [{} for _ in range(nc)]
-            const = [ZERO] * nc
+            t_k = ((nc, k),) if k else ()
             for (q, p), v in layer.items():
                 if p >= nc:
                     continue
                 if k % 2 == 1:
                     v = -v
                 if q < nc:
-                    terms[p][((q, 1),)] = v
+                    m = ((q, 1),) + t_k
                 else:
-                    const[p] += v * basis.chi_vals[q]
-            for p in range(nc):
-                poly = KazhdanPolynomial(chart, terms[p]) + const[p]
-                if not poly.is_zero():
-                    self._images[p][k] = poly
+                    m, v = t_k, v * basis.chi_vals[q]
+                terms[p][m] = terms[p].get(m, ZERO) + v
+        self._pullback = Substitution(
+            comp, [KazhdanPolynomial(chart, t) for t in terms], chart)
 
     @property
     def layers(self) -> Tuple[Tuple[Tuple[QQ, ...], ...], ...]:
@@ -446,24 +439,14 @@ class CoadjointFlow:
         chart = F.chart
         if chart.kind != "complement":
             raise ChartMismatch("formal pullback expects a complement-chart polynomial")
-        images = self._images
-        out: Dict[int, KazhdanPolynomial] = {}
-        for m, c in F.terms.items():
-            acc: Dict[int, KazhdanPolynomial] = {0: KazhdanPolynomial.constant(chart, c)}
-            for i, e in m:
-                for _ in range(e):
-                    nxt: Dict[int, KazhdanPolynomial] = {}
-                    for k1, p1 in acc.items():
-                        for k2, p2 in images[i].items():
-                            prod = p1 * p2
-                            if prod.is_zero():
-                                continue
-                            k = k1 + k2
-                            nxt[k] = nxt.get(k, KazhdanPolynomial.zero(chart)) + prod
-                    acc = {k: p for k, p in nxt.items() if not p.is_zero()}
-            for k, p in acc.items():
-                out[k] = out.get(k, KazhdanPolynomial.zero(chart)) + p
-        return {k: p for k, p in out.items() if not p.is_zero()}
+        t = len(chart)  # the index of the time variable
+        out: Dict[int, Terms] = {}
+        for m, c in self._pullback(F).terms.items():
+            k = 0
+            if m and m[-1][0] == t:
+                m, k = m[:-1], m[-1][1]
+            out.setdefault(k, {})[m] = c
+        return {k: KazhdanPolynomial(chart, terms) for k, terms in out.items()}
 
 
 # ---------------------------------------------------------------------------

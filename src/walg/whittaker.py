@@ -6,11 +6,12 @@ is literal suffix chopping: every trailing a-factor of a straightened
 monomial is replaced by its chi-value.  Products in Q are taken by left
 action: the ideal is a left ideal, so q(g w) = q(g q(w)) for a generator
 g, and a monomial acts by one generator step after its suffix, every
-intermediate kept in canonical Q form (`_LeftAction`).  The products in
-H, the ad-action matrices and the natural maps between the Q_ell all run
-on that one kernel.  H_ell is the joint kernel on F_n Q of the
-ad-action matrices of vectors that generate n_ell, those independent
-modulo [n_ell, n_ell].  The monomial order lists F_n Q as a prefix, so one
+intermediate kept in canonical Q form: `_left_action` is the
+`backend.MonomialMap` whose step is one generator step followed by
+`chi_reduce`.  The products in H, the ad-action matrices and the natural
+maps between the Q_ell all run on that one map.  H_ell is the joint
+kernel on F_n Q of the ad-action matrices of vectors that generate
+n_ell, those independent modulo [n_ell, n_ell].  The monomial order lists F_n Q as a prefix, so one
 elimination of their stacked rows at the top degree gives every F_n H (and
 likewise every Wh(F_n Q)), read off by prefix as sparse canonical rows.
 """
@@ -43,12 +44,10 @@ def q_canonical_form(u: UEAElement, sctx: SliceContext) -> UEAElement:
 #
 # I_ell is a left ideal, so q(g w) = q(g q(w)) for every generator g: a PBW
 # monomial m = g s (g its first factor) acts on Q by one generator step
-# after its suffix s.  A `_LeftAction` keeps the images q(m base) of the
-# monomials it meets, each built from the image of its suffix, for one
-# `base`: one right factor of the products in H, one matrix or one
-# transport pass.
-# Images are integer forms (den, ints) with value ints / den: a step
-# multiplies integer numerators, and only the result is divided, once.
+# after its suffix s.  `_left_action` is the `backend.MonomialMap` of
+# m -> q(m base) for one `base`: one right factor of the products in H, one
+# matrix or one transport pass.  A step multiplies integer numerators, and
+# only the result is divided, once.
 # ---------------------------------------------------------------------------
 
 
@@ -78,45 +77,21 @@ def _step(basis, gens, ints):
     return basis.chi_reduce(out)
 
 
-def _value(combined) -> Dict:
-    """The terms ints / scale of (scale, ints), zeros dropped."""
-    scale, ints = combined
-    return backend._divide({m: v for m, v in ints.items() if v}, scale)
+def _left_action(basis, steps: Sequence[tuple], base: Dict):
+    """The map m -> q(m base) on PBW monomials, the generator x_g of m
+    acting by the step steps[g] (see `_step`)."""
+    def step(g, img):
+        step_den, gens = steps[g]
+        return step_den * img[0], _step(basis, gens, img[1])
 
-
-class _LeftAction:
-    """q(m base) for PBW monomials m, the generator x_g of m acting by the
-    step steps[g] (see `_step`): image(()) = q(base) and
-    image(g s) = q(L_g image(s)), each built once, from its suffix."""
-
-    __slots__ = ("basis", "steps", "memo")
-
-    def __init__(self, basis, steps: Sequence[tuple], base: Dict):
-        self.basis = basis
-        self.steps = steps
-        self.memo = {(): backend.int_form(basis.chi_reduce(base))}
-
-    def image(self, m):
-        """q(m base) as an integer form (den, ints)."""
-        img = self.memo.get(m)
-        if img is None:
-            g, e = m[0]
-            den, ints = self.image(((g, e - 1),) + m[1:] if e > 1 else m[1:])
-            step_den, gens = self.steps[g]
-            img = self.memo[m] = (step_den * den, _step(self.basis, gens, ints))
-        return img
-
-    def apply(self, terms: Dict) -> Dict:
-        """q(u base) for the element u with term dict `terms`."""
-        return _value(backend.combine([(c, self.image(m))
-                                       for m, c in terms.items()]))
+    return backend.MonomialMap(step, basis.chi_reduce(base))
 
 
 def q_product(a: UEAElement, b: UEAElement, sctx: SliceContext) -> UEAElement:
     """q(a b), by the left action of the monomials of a on q(b)."""
     basis = sctx.basis
-    act = _LeftAction(basis, _generator_steps(basis), b.terms)
-    return UEAElement(basis, act.apply(a.terms))
+    act = _left_action(basis, _generator_steps(basis), b.terms)
+    return UEAElement(basis, act(a.terms))
 
 
 def q_transport(elements: Sequence[UEAElement], sctx1: SliceContext,
@@ -132,8 +107,8 @@ def q_transport(elements: Sequence[UEAElement], sctx1: SliceContext,
         raise WalgError("the natural map needs the same underlying algebra")
     steps = [_linear(target.element_from_ambient(v).terms)
              for v in source.vectors]
-    act = _LeftAction(target, steps, {(): 1})
-    return [UEAElement(target, act.apply(u.terms)) for u in elements]
+    act = _left_action(target, steps, {(): 1})
+    return [UEAElement(target, act(u.terms)) for u in elements]
 
 
 class QDegreeBasis:
@@ -207,12 +182,13 @@ def ad_action_matrix(x: Sequence, qb: QDegreeBasis,
     basis = sctx.basis
     xe = basis.element_from_ambient(x).terms
     den, gens = _linear(xe)
-    right = _LeftAction(basis, _generator_steps(basis), xe)
+    right = _left_action(basis, _generator_steps(basis), xe)
     cnt = len(qb.monomials)
     entries = {}
     for j, mono in enumerate(qb.monomials):
-        img = _value(backend.combine([(1, (den, _step(basis, gens, {mono: 1}))),
-                                      (-1, right.image(mono))]))
+        img = backend._value(backend.combine(
+            [(1, (den, _step(basis, gens, {mono: 1}))),
+             (-1, right.image(mono))]))
         deg_in = basis.monomial_degree(mono)
         for m, c in img.items():
             if basis.monomial_degree(m) >= deg_in:
@@ -231,8 +207,9 @@ def left_action_matrix(x: Sequence, qb: QDegreeBasis,
     cnt = len(qb.monomials)
     entries = {}
     for j, mono in enumerate(qb.monomials):
-        img = _value(backend.combine([(1, (den, _step(basis, gens, {mono: 1}))),
-                                      (-cx, (1, {mono: 1}))]))
+        img = backend._value(backend.combine(
+            [(1, (den, _step(basis, gens, {mono: 1}))),
+             (-cx, (1, {mono: 1}))]))
         for m, c in img.items():
             entries[(qb.index[m], j)] = c
     return SparseMatrix(cnt, cnt, entries)
@@ -372,12 +349,12 @@ def _products(pairs, elements: Sequence[UEAElement], sctx: SliceContext):
     of its pairs."""
     basis = sctx.basis
     steps = _generator_steps(basis)
-    acts: Dict[int, _LeftAction] = {}
+    acts: Dict[int, backend.MonomialMap] = {}
     for i, j in pairs:
         act = acts.get(j)
         if act is None:
-            act = acts[j] = _LeftAction(basis, steps, elements[j].terms)
-        yield i, j, UEAElement(basis, act.apply(elements[i].terms))
+            act = acts[j] = _left_action(basis, steps, elements[j].terms)
+        yield i, j, UEAElement(basis, act(elements[i].terms))
 
 
 def _read_off(prod: UEAElement, d: int, hb: HBasis) -> Vector:

@@ -58,6 +58,16 @@ def test_unknown_check_rejected():
         run(config)
 
 
+@pytest.mark.parametrize("checks", ["theorem,theorem", "theorem:4,theorem:6"])
+def test_repeated_check_exits_2(capsys, checks):
+    """A check named twice would be listed twice in the report, or have one
+    degree override silently dropped: bad input."""
+    assert main(["run", "--algebra", "sl2", "--nilpotent", "regular",
+                 "--checks", checks, "--quiet"]) == 2
+    assert capsys.readouterr().err == \
+        "error: check 'theorem' is given more than once\n"
+
+
 def test_negative_degree_rejected():
     config = JobConfig(algebra="sl2", nilpotent="regular", max_degree=-1)
     with pytest.raises(ConfigError):
@@ -193,6 +203,18 @@ def test_main_describe(capsys):
     desc = json.loads(capsys.readouterr().out)
     assert desc["slice_degrees"] == [2, 3, 3, 4]
     assert desc["lagrangian"] is True
+
+
+@pytest.mark.parametrize("command", ["run", "describe"])
+def test_unwritable_out_path_exits_2(tmp_path, capsys, command):
+    """An --out path that cannot be written is bad input, not a bug."""
+    path = tmp_path / "missing" / "report.json"
+    args = [command, "--algebra", "sl2", "--nilpotent", "regular",
+            "--out", str(path)]
+    assert main(args + (["--quiet"] if command == "run" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write report '{path}': ")
+    assert not path.parent.exists()
 
 
 def test_main_describe_negative_degree_exits_2(capsys):

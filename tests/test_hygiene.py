@@ -14,9 +14,11 @@ Fractions.  The same holds for the elimination of the one incremental
 echelon (`Echelon.reduce`, `Echelon.extend` and their row step `_eliminate`
 in `walg.linalg`); only `Echelon.coordinates`, which hands out rational
 coordinates, may.  And for the kernels on integer forms (den, ints): the
-left action on Q in `walg.whittaker`, the memoized images and the sum of
-`poisson.Substitution`, and `backend.combine`, the sum over one common
-scale behind both; they leave the integers only through `_divide`.
+memoized images and the sum of `backend.MonomialMap`, the one map behind
+the PBW product, the left action on Q in `walg.whittaker`, the basis
+change and `poisson.Substitution`, together with the steps and the call
+of the last two, and `backend.combine`, the sum over one common scale;
+they leave the integers only through `_divide`.
 Elimination stays behind the linear-algebra layer: outside
 `walg.backend`, which holds the kernel, and `walg.linalg`, which wraps it
 in `SparseMatrix`, `Subspace`, `Echelon`, `solve` and the kernels, no
@@ -170,13 +172,14 @@ def test_exact_arithmetic_only(path):
 STRAIGHTENING = ("gen_times_mono", "mono_times_gen", "_gen_times_terms",
                  "_terms_times_gen", "mul_terms")
 ECHELON_ELIMINATION = ("Echelon.reduce", "Echelon.extend", "_eliminate")
-# module -> its integer-form kernels: the left action on Q, the
-# substitution's memo and sum, and the sum over a common scale they share
+# module -> its integer-form kernels: the memoized monomial map, the left
+# action on Q and the substitution built on it, and the sum over a common
+# scale behind the map
 INTEGER_FORM_KERNELS = {
-    "whittaker.py": ("_linear", "_step", "_value", "_LeftAction.__init__",
-                     "_LeftAction.image", "_LeftAction.apply"),
-    "poisson.py": ("Substitution._image", "Substitution.__call__"),
-    "backend.py": ("combine",),
+    "whittaker.py": ("_linear", "_step", "_left_action"),
+    "poisson.py": ("Substitution.__call__",),
+    "backend.py": ("combine", "_value", "MonomialMap.image",
+                   "MonomialMap.__call__"),
 }
 RATIONAL_NAMES = ("Fraction", "QQ")
 
@@ -254,27 +257,24 @@ def test_echelon_elimination_is_fraction_free():
 
 
 def test_finds_rational_uses_in_integer_form_kernels():
-    source = ("class _LeftAction:\n"
-              "    def __init__(self, base):\n"
+    source = ("class MonomialMap:\n"
+              "    def __init__(self, step, base):\n"
               "        self.memo = {(): (1, base)}\n"
               "    def image(self, m):\n"
               "        return self.memo.get(m, (QQ(1), {}))\n"
-              "    def apply(self, terms):\n"
+              "    def __call__(self, terms):\n"
               "        return {m: Fraction(c) for m, c in terms.items()}\n"
               "def _step(basis, gens, ints):\n"
               "    return {m: fractions.Fraction(c) for m, c in ints.items()}\n"
               "class Substitution:\n"
               "    def __call__(self, F):\n"
               "        return sum(F.terms.values(), QQ(0))\n"
-              "    def _image(self, m):\n"
-              "        return (1, {})\n"
               "def _divide(terms, den):\n"
               "    return {m: Fraction(c, den) for m, c in terms.items()}\n")
-    kernels = (INTEGER_FORM_KERNELS["whittaker.py"]
-               + INTEGER_FORM_KERNELS["poisson.py"])
+    kernels = sum(INTEGER_FORM_KERNELS.values(), ())
     assert sorted(rational_uses(source, kernels)) == [
-        ("Substitution.__call__", 12), ("_LeftAction.apply", 7),
-        ("_LeftAction.image", 5), ("_step", 9)]
+        ("MonomialMap.__call__", 7), ("MonomialMap.image", 5),
+        ("Substitution.__call__", 12), ("_step", 9)]
 
 
 @pytest.mark.parametrize("module", sorted(INTEGER_FORM_KERNELS))

@@ -15,7 +15,7 @@ from walg.liealg import (LieAlgebra, Sl2Triple, ad_h_grading, chi,
                          make_nilpotent_pair, make_sln, partition_triple,
                          sln_basis_matrices, sln_matrix_to_coords,
                          structure_checks, symplectic_data)
-from walg.linalg import Subspace, unit_vec, vec
+from walg.linalg import SparseMatrix, Subspace, unit_vec, vec
 
 from conftest import sl2_algebra
 
@@ -188,6 +188,24 @@ def test_complete_triple_rejects_semisimple():
     # E11 - E22 = H1
     with pytest.raises(NotNilpotent):
         complete_sl2_triple(L, unit_vec(8, L.labels.index("H1")))
+
+
+def test_complete_triple_forms_no_power_of_ad_e(sl4, monkeypatch):
+    """A solution of (ad e)^2 y = -2e gives [h, e] = 2e, which already makes
+    ad e nilpotent: completing the sl4 [2,2] conjugate of the benchmark
+    never forms the powers of ad e."""
+    calls = []
+    original = SparseMatrix.nilpotent_powers
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(SparseMatrix, "nilpotent_powers", counted)
+    e = (1, 0, 2, 0, -4, 1, 2, 0, 0, -4, 0, 0, 0, 0, 0)
+    t = complete_sl2_triple(sl4, e)
+    assert sl4.bracket(t.h, t.e) == tuple(2 * c for c in t.e)
+    assert calls == []
 
 
 def test_complete_triple_rejects_zero():

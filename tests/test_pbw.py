@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -396,6 +397,30 @@ def test_integral_basis_caches_ints(sl3_min_lag):
     assert all(type(c) is int for out in fresh._cache_left.values()
                for c in out.values())
     assert prod.terms == mul_terms_reference(u.terms, v.terms, fresh.bracket)
+
+
+def test_monomial_map_builds_each_image_once():
+    """Each monomial's image is built once, from its suffix: on monomials
+    sharing suffixes the steps taken equal the images kept (5, where
+    expanding each monomial alone would take 9), and a second call takes
+    none."""
+    steps = []
+
+    def step(g, img):
+        steps.append(g)
+        den, ints = img
+        return 2 * den, {m: (g + 3) * c for m, c in ints.items()}
+
+    f = backend.MonomialMap(step, {(): F(1, 3)})
+    terms = {((0, 2), (1, 1), (2, 1)): 1, ((1, 1), (2, 1)): F(1, 2),
+             ((0, 1), (2, 1)): -1, ((2, 1),): 3}
+    expected = sum(c * F(1, 3) * F(1, 2 ** sum(e for _, e in m))
+                   * prod((g + 3) ** e for g, e in m)
+                   for m, c in terms.items())
+    assert f(terms) == {(): expected}
+    assert len(steps) == len(f.memo) - 1 == 5
+    assert f(terms) == {(): expected}
+    assert len(steps) == 5
 
 
 def convert_element_reference(u, target):

@@ -713,7 +713,7 @@ def test_h_basis_stacks_one_ad_block_per_generator(monkeypatch, sl4_regular):
 def test_one_left_action_per_right_factor(monkeypatch, sl3_min_zero,
                                           sl3_hb_zero, sl3_min_lag,
                                           sl3_hb_lag):
-    calls = counting(monkeypatch, W._LeftAction, "__init__")
+    calls = counting(monkeypatch, W, "_left_action")
     rep = W.verify_theorem(6, sl3_min_lag, sl3_hb_lag)
     rights = {j for _, j in sl3_hb_lag.product_pairs(6)}
     assert len(calls) == len(rights) < rep.mult_pairs
