@@ -24,6 +24,9 @@ each image once, from its suffix, as an integer form (den, ints) from
 change of PBW basis and the substitutions of walg.poisson.  The memoized
 straightenings hold whatever the bracket gives: ints on an integral
 basis, and exact Fractions where a constant is not integral.
+`gen_times_word` and `word_map` straighten the same way in an algebra
+given by generators whose commutators are polynomials in them, such as
+H_ell on the ordered monomials in its slice generators.
 """
 
 from fractions import Fraction
@@ -106,10 +109,10 @@ def mono_times_gen(mono, g, bracket, cache):
     return out
 
 
-def _gen_times_terms(g, terms, bracket, cache):
+def _gen_times_terms(g, terms, bracket, cache, straighten=gen_times_mono):
     out = {}
     for mono, c in terms.items():
-        for n, c1 in gen_times_mono(g, mono, bracket, cache).items():
+        for n, c1 in straighten(g, mono, bracket, cache).items():
             _acc(out, n, c * c1)
     return out
 
@@ -210,6 +213,54 @@ def mul_terms(t1, t2, bracket, cache):
     return MonomialMap(step, t2)(t1)
 
 
+def gen_times_word(g, word, relations, cache):
+    """Straighten x_g * word in an algebra whose ordered words in its
+    generators are a basis (a PBW algebra such as H_ell on the monomials
+    in its slice generators).
+
+    relations[(b, a)], for b > a, is [x_b, x_a] as a term dict over the
+    words, of lower filtration degree than x_b x_a.  Rewrites
+    x_g x_i -> x_i x_g + [x_g, x_i] for g > i, the commutator times the
+    rest by `word_map`; each step lowers the inversions or the filtration
+    degree, so it ends.  The memo holds what the relations give, which on
+    H_ell are exact rationals.
+    """
+    if not word:
+        return {((g, 1),): _ONE}
+    hit = cache.get((g, word))
+    if hit is not None:
+        return hit
+    i, e = word[0]
+    if g < i:
+        out = {((g, 1),) + word: _ONE}
+    elif g == i:
+        out = {((g, e + 1),) + word[1:]: _ONE}
+    else:
+        rest = ((i, e - 1),) + word[1:] if e > 1 else word[1:]
+        out = {}
+        for n1, c1 in gen_times_word(g, rest, relations, cache).items():
+            for n2, c2 in gen_times_word(i, n1, relations, cache).items():
+                _acc(out, n2, c1 * c2)
+        comm = relations.get((g, i))
+        if comm:
+            for n1, c1 in word_map({rest: _ONE}, relations, cache)(comm).items():
+                _acc(out, n1, c1)
+    cache[(g, word)] = out
+    return out
+
+
+def word_map(base, relations, cache):
+    """The map t -> t * base on term dicts over words, in the algebra of
+    `gen_times_word`: a `MonomialMap` whose step straightens one generator
+    onto the image of the suffix and returns to an integer form."""
+    def step(g, img):
+        den, ints = int_form(_gen_times_terms(g, img[1], relations, cache,
+                                              gen_times_word))
+        return den * img[0], ints
+
+    return MonomialMap(step, base)
+
+
 def mul_terms_rl(t1, t2, bracket, cache):
     """PBW product reducing right-to-left; cross-check for `mul_terms`."""
     out = {}
@@ -280,12 +331,14 @@ def _clear(row, prow, col):
     return _normalize(lincomb(prow[col], row, row[col], prow))
 
 
-def rref_sparse(rows, ncols):
+def rref_sparse(rows, ncols, reduce=True):
     """Canonical reduced row echelon form of sparse Fraction rows.
 
     Returns (pivot columns, rows) with unit pivots, pivot columns strictly
     increasing and cleared above as well as below; zero rows are dropped.
-    The result depends only on the row space.
+    The result depends only on the row space.  With reduce=False only the
+    elimination below the pivots runs, which is all a rank needs: the rows
+    are then primitive integer rows, not cleared above their pivots.
     """
     buckets = {}
     for r in rows:
@@ -313,6 +366,8 @@ def rref_sparse(rows, ncols):
                     heappush(heap, lead)
         pivots.append(col)
         pivot_rows.append(prow)
+    if not reduce:
+        return pivots, pivot_rows
     # clear above pivots, bottom up, still over the integers: the rows below
     # are already reduced, so clearing one pivot column brings in no other
     reduced = {}

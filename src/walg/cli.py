@@ -13,6 +13,7 @@ order; the human-readable tables are rendered from the same data.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -400,6 +401,27 @@ def render_report(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _unwritable(path: str, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write report '{path}': {exc.strerror or exc}")
+
+
+def _check_writable(path: str):
+    """Raise, before any work, the ConfigError that `_write_json` would
+    raise for a path it cannot open; the file is neither created nor
+    truncated."""
+    try:
+        if os.path.isdir(path) or path.endswith(os.sep):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            os.stat(parent)  # the error open() meets on the way there
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
+
+
 def _write_json(path: str, doc: dict):
     """Write doc to path as indented JSON; a path that cannot be written
     is bad input."""
@@ -408,8 +430,7 @@ def _write_json(path: str, doc: dict):
             json.dump(doc, fh, indent=2)
             fh.write("\n")
     except OSError as exc:
-        raise ConfigError(
-            f"cannot write report '{path}': {exc.strerror or exc}") from exc
+        raise _unwritable(path, exc) from exc
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -452,6 +473,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 algebra=args.algebra, nilpotent=args.nilpotent, ell=args.ell,
                 max_degree=args.max_degree, checks=names,
                 degree_overrides=overrides)
+            config.validate()
+            if args.out:
+                _check_writable(args.out)
             report = run(config)
             if args.out:
                 _write_json(args.out, report)
@@ -464,6 +488,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = JobConfig(algebra=args.algebra, nilpotent=args.nilpotent,
                            ell=args.ell, max_degree=args.max_degree)
         config.validate()
+        if args.out:
+            _check_writable(args.out)
         case = Case(config)
         desc = describe_case(case.sctx, args.max_degree)
         if args.out:

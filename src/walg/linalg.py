@@ -6,15 +6,16 @@ coefficient, eliminated by the one sparse kernel `backend.rref_sparse`;
 subspaces store canonical reduced-echelon bases so that equality of
 subspaces is equality of representations.
 
-`SparseMatrix` is the one matrix type: besides `apply` (M x) and `stack`
-it has the product `A @ B`, the scalar shift `shift(c)` (M + c I),
-`inverse()` (one elimination of [M | I], None when M is singular) and
-`nilpotent_powers()` (M, M^2, ... up to the last nonzero power, None
-when M^n != 0 for n x n M).  `Echelon` grows a reduced echelon one
-vector at a time, on integer numerators, and reads exact coordinates off
-it: every span decision made vector by vector (an adapted PBW basis, the
-generators of n_ell, the H representatives and the natural maps between
-the H_ell) extends one.  No other module multiplies, inverts or
+`SparseMatrix` is the one matrix type: besides `apply` (M x, and
+`apply_sparse` for a sparse x) and `stack` it has the product `A @ B`,
+the scalar shift `shift(c)` (M + c I), `inverse()` (one elimination of
+[M | I], None when M is singular) and `nilpotent_powers()` (M, M^2, ...
+up to the last nonzero power, None when M^n != 0 for n x n M).
+`Echelon` grows a reduced echelon one vector at a time, on integer
+numerators, and reads exact coordinates off it: every span decision made
+vector by vector (an adapted PBW basis, the generators of n_ell, the
+generators of H and the monomials in them, the H representatives and the
+natural maps between the H_ell) extends one.  No other module multiplies, inverts or
 eliminates matrices or vectors by hand.
 """
 
@@ -55,11 +56,12 @@ def scale_vec(c, v: Vector) -> Vector:
 class SparseMatrix:
     """Immutable sparse matrix; entries maps (row, col) to nonzero Fraction."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_columns")
 
     def __init__(self, rows: int, cols: int, entries: Dict[Tuple[int, int], QQ]):
         self.rows = rows
         self.cols = cols
+        self._columns = None
         clean = {}
         for (r, c), v in entries.items():
             if not (0 <= r < rows and 0 <= c < cols):
@@ -73,7 +75,7 @@ class SparseMatrix:
     def _of(cls, rows: int, cols: int, entries: Dict[Tuple[int, int], QQ]) -> "SparseMatrix":
         """A matrix on entries already known to be nonzero Fractions in bounds."""
         M = cls.__new__(cls)
-        M.rows, M.cols, M.entries = rows, cols, entries
+        M.rows, M.cols, M.entries, M._columns = rows, cols, entries, None
         return M
 
     @classmethod
@@ -114,6 +116,19 @@ class SparseMatrix:
             if xc:
                 out[r] += v * xc
         return tuple(out)
+
+    def apply_sparse(self, x: Dict[int, QQ]) -> Dict[int, QQ]:
+        """M x for a sparse vector x (col -> value), as a sparse dict: one
+        sum over the integer forms of the columns, built once per matrix."""
+        cols = self._columns
+        if cols is None:
+            by_col: Dict[int, Dict[int, QQ]] = {}
+            for (r, c), v in self.entries.items():
+                by_col.setdefault(c, {})[r] = v
+            cols = self._columns = {c: backend.int_form(col)
+                                    for c, col in by_col.items()}
+        return backend._value(backend.combine(
+            [(v, cols[c]) for c, v in x.items() if c in cols]))
 
     def stack(self, other: "SparseMatrix") -> "SparseMatrix":
         """Vertical stack; column counts must agree."""
@@ -363,7 +378,13 @@ class Subspace:
 
 
 def rank(M: SparseMatrix) -> int:
-    pivots, _ = backend.rref_sparse(M.row_dicts(), M.cols)
+    return rank_of_rows(M.row_dicts(), M.cols)
+
+
+def rank_of_rows(rows: Sequence[Dict[int, QQ]], ncols: int) -> int:
+    """Rank of sparse rows, dicts column -> Fraction with columns < ncols;
+    the elimination stops below the pivots."""
+    pivots, _ = backend.rref_sparse(rows, ncols, reduce=False)
     return len(pivots)
 
 
@@ -382,19 +403,23 @@ def joint_prefix_kernels(mats: Sequence[SparseMatrix], ncols: int,
     """Joint null space of mats, each with ncols columns, restricted to the
     first c columns, for each c in prefixes; with no mats, all of QQ^c.
 
-    One elimination of the stacked rows serves every prefix: the kernel
-    vector of a free column f is supported on columns <= f, since a pivot
-    row reaches f only from a pivot left of it, so those with f < c span
-    the kernel of the first c columns.  By increasing c, the canonical rows
-    of each kernel are those of the one before, re-eliminated with the
-    kernel vectors of the free columns in between.
+    One elimination of the stacked rows, cut to the largest prefix, serves
+    every prefix: the kernel vector of a free column f is supported on
+    columns <= f, since a pivot row reaches f only from a pivot left of it,
+    so those with f < c span the kernel of the first c columns.  By
+    increasing c, the canonical rows of each kernel are those of the one
+    before, re-eliminated with the kernel vectors of the free columns in
+    between.
     """
     for c in prefixes:
         if not 0 <= c <= ncols:
             raise AmbientMismatch(f"column prefix {c} outside 0..{ncols}")
     top = max(prefixes, default=0)
-    pivots, reduced = backend.rref_sparse(
-        [r for M in mats for r in M.row_dicts()], ncols)
+    rows = [r for M in mats for r in M.row_dicts()]
+    if top < ncols:
+        # the columns past the largest prefix enter no kernel
+        rows = [{j: v for j, v in r.items() if j < top} for r in rows]
+    pivots, reduced = backend.rref_sparse(rows, top)
     pivot_set = set(pivots)
     free = {f: {f: QQ(1)} for f in range(top) if f not in pivot_set}
     for p, row in zip(pivots, reduced):

@@ -8,12 +8,26 @@ action: the ideal is a left ideal, so q(g w) = q(g q(w)) for a generator
 g, and a monomial acts by one generator step after its suffix, every
 intermediate kept in canonical Q form: `_left_action` is the
 `backend.MonomialMap` whose step is one generator step followed by
-`chi_reduce`.  The products in H, the ad-action matrices and the natural
-maps between the Q_ell all run on that one map.  H_ell is the joint
-kernel on F_n Q of the ad-action matrices of vectors that generate
-n_ell, those independent modulo [n_ell, n_ell].  The monomial order lists F_n Q as a prefix, so one
-elimination of their stacked rows at the top degree gives every F_n H (and
-likewise every Wh(F_n Q)), read off by prefix as sparse canonical rows.
+`chi_reduce`.  The ad-action matrices, the natural maps between the
+Q_ell and the products that are formed in Q all run on that one map.
+
+H_ell is the joint kernel on F_n Q of the ad-action matrices of vectors
+that generate n_ell, those independent modulo [n_ell, n_ell].  The
+monomial order lists F_n Q as a prefix, so one elimination of their
+stacked rows gives every F_n H (and likewise every Wh(F_n Q)), read off by
+prefix as sparse canonical rows.  By the PBW theorem for finite
+W-algebras (Premet), the ordered monomials in lifts of the r slice
+generators are a basis of H, so `h_basis` eliminates only on F_top Q, top
+the largest slice degree, and chooses the generators there.  Above top,
+F_n H is the span of the generator monomials, each formed by `q_product`
+from its suffix and certified: killed by the ad matrices, independent in
+one echelon, and as many in each degree as the kernel of the symbol
+blocks of the same matrices allows.  Where the certificate fails, the
+whole kernel on F_{n_max} Q is taken instead.  Products in H are then
+rewritten on the monomials, g_b g_a -> g_a g_b + [g_b, g_a], with each
+commutator formed once in Q (`backend.word_map`); the canonical
+prefix-stable representatives the reports print are built from the same
+span on first use.
 """
 
 from __future__ import annotations
@@ -26,7 +40,7 @@ from walg.context import SliceContext
 from walg.errors import (CenterCheckFailure, ComparisonFailure, ConfigError,
                          DegreeOverflow, TheoremFailure, WalgError)
 from walg.linalg import (QQ, Echelon, SparseMatrix, Subspace, Vector, _equals,
-                         joint_prefix_kernels, rank, solve)
+                         joint_prefix_kernels, rank, rank_of_rows, solve)
 from walg.pbw import UEAElement, casimir
 from walg.poisson import KazhdanPolynomial
 
@@ -216,29 +230,49 @@ def left_action_matrix(x: Sequence, qb: QDegreeBasis,
 
 
 class HBasis:
-    """Degreewise basis of H_ell with prefix-stable representatives.
+    """F_n H for n <= n_max, worked on one basis of forms in Q.
 
-    `coordinates`, `express` and `contains` read coordinates off one
-    reduced echelon of the representatives' F_{n_max} Q coordinates, built
-    by `h_basis` while it chose them; no call runs an elimination.  The
-    representatives are linearly independent, so the coordinates of an
-    element of H on them are unique: the read-off returns what solving the
-    column system would.
+    On the PBW route (`words` set) `forms[k]` is the Q form of the ordered
+    monomial `words[k]` in generators of H, a tuple of (generator,
+    exponent) pairs as in a PBW monomial; on the kernel route the forms are
+    the canonical representatives themselves.  Either way the forms are
+    linearly independent, listed by degree, and those of degree <= n span
+    F_n H.  `form_coordinates` and `contains` read coordinates off one
+    echelon of the forms' F_{n_max} Q coordinates, built by `h_basis` while
+    it chose them; no call runs an elimination, and the coordinates are
+    unique.  Products of forms (`form_products`) are taken by rewriting in
+    the generators on the PBW route, and by left action in Q and one
+    read-off on the kernel route.
+
+    The reports print the canonical prefix-stable representatives
+    (`elements`), the canonical subspaces (`subspace_at`) and coordinates
+    on the representatives (`coordinates`, `express`,
+    `multiplication_table`).  On the PBW route these are built on first
+    use: a job that only compares, or only tests membership, never builds
+    them.
     """
 
-    __slots__ = ("sctx", "n_max", "qb", "elements", "degrees", "gr_dims",
-                 "_subspaces", "_echelon")
+    __slots__ = ("sctx", "n_max", "qb", "forms", "words", "degrees",
+                 "gr_dims", "uncertified", "_echelon", "_subspaces",
+                 "_canonical", "_relations", "_cache")
 
-    def __init__(self, sctx, n_max, qb, elements, degrees, gr_dims, subspaces,
-                 echelon):
+    def __init__(self, sctx, n_max, qb, forms, degrees, echelon, words=None,
+                 subspaces=()):
         self.sctx = sctx
         self.n_max = n_max
         self.qb = qb
-        self.elements = elements          # QElement representatives
+        self.forms = forms                # UEAElement form of each basis vector
+        self.words = words                # generator monomial of each form, or None
         self.degrees = degrees            # degree at which each entered
-        self.gr_dims = gr_dims            # list, dim gr_n H for n <= n_max
-        self._subspaces = subspaces       # n -> Subspace of F_n Q coordinates
-        self._echelon = echelon           # Echelon of the elements' coordinates
+        self.gr_dims = [degrees.count(n) for n in range(n_max + 1)]
+        self.uncertified = None           # kernel route: where the PBW route failed
+        self._echelon = echelon           # Echelon of the forms' coordinates
+        self._subspaces = dict(enumerate(subspaces))  # n -> Subspace of F_n Q
+        # (representatives, each form on them, each of them on the words);
+        # the kernel route's forms are the representatives
+        self._canonical = None if words is not None else (forms, None, None)
+        self._relations = None            # (b, a) -> [g_b, g_a] over the words
+        self._cache: dict = {}            # generator x word straightenings
 
     def _check_degree(self, n: int):
         if not 0 <= n <= self.n_max:
@@ -249,27 +283,84 @@ class HBasis:
         return sum(self.gr_dims[:max(n + 1, 0)])
 
     def subspace_at(self, n: int) -> Subspace:
-        """F_n H as the canonical Subspace of F_n Q coordinates."""
+        """F_n H as the canonical Subspace of F_n Q coordinates: the span of
+        the forms of degree <= n, from the canonical rows of F_{n-1} H and
+        the forms of degree n when those rows are at hand."""
         self._check_degree(n)
-        return self._subspaces[n]
+        space = self._subspaces.get(n)
+        if space is None:
+            before = self._subspaces.get(n - 1)
+            forms = self.forms[self.dim_f(n - 1) if before else 0:self.dim_f(n)]
+            space = self._subspaces[n] = Subspace.from_sparse(
+                self.qb.dim_f(n), (before.rows if before else ()) + tuple(
+                    self.qb.sparse_coords(f) for f in forms))
+        return space
+
+    def _canonical_view(self):
+        """(elements, rows, over_words): the canonical representatives,
+        chosen from the canonical subspaces as the kernel route chooses
+        them; the integer form of each form's coordinates on them; and each
+        of them as a term dict over the words.
+
+        Both changes of basis are read off at the pivot columns of F_{n_max} H
+        (see `_representatives`), where the vectors are short.
+        """
+        if self._canonical is None:
+            subspaces = [self.subspace_at(n) for n in range(self.n_max + 1)]
+            rows, degrees, echelon = _representatives(subspaces)
+            if degrees != self.degrees:
+                raise WalgError("representatives and forms disagree in degree (bug)")
+            pivots = set(subspaces[-1].pivots)
+            forms = [_at(self.qb.sparse_coords(f), pivots) for f in self.forms]
+            to_elements = [backend.int_form(dict(_nonzero(
+                echelon.coordinates(f)))) for f in forms]
+            forms_echelon = Echelon()
+            for f in forms:
+                forms_echelon.extend(f)
+            words = self.words
+            over_words = [{words[k]: c for k, c in _nonzero(
+                forms_echelon.coordinates(_at(row, pivots)))} for row in rows]
+            self._canonical = ([self.qb.element(row) for row in rows],
+                               to_elements, over_words)
+        return self._canonical
+
+    @property
+    def elements(self) -> List[UEAElement]:
+        """The canonical prefix-stable representatives."""
+        return self._canonical_view()[0]
 
     def elements_up_to(self, n: int) -> List[UEAElement]:
         return self.elements[:self.dim_f(n)]
 
-    def coordinates(self, u: UEAElement, n: int) -> Optional[Vector]:
-        """Coefficients of u on the representatives if u lies in F_n H,
-        else None.
+    def form_coordinates(self, u: UEAElement, n: int) -> Optional[Vector]:
+        """Coefficients of u on the forms if u lies in F_n H, else None.
 
         u must lie in F_n Q (`DegreeOverflow` otherwise); since
         F_n H = H intersected with F_n Q, the rest is one read-off from the
-        echelon of all representatives.
+        echelon of all forms.
         """
         self._check_degree(n)
         return self._echelon.coordinates(self.qb.sparse_coords(u, upto=n))
 
+    def _to_canonical(self, y: Dict[int, QQ]) -> Vector:
+        """The coordinates on the representatives of sum y_k forms_k."""
+        elements, rows, _ = self._canonical_view()
+        scale, xs = backend.combine([(c, rows[k]) for k, c in y.items()])
+        return tuple(QQ(xs[k], scale) if xs.get(k) else ZERO
+                     for k in range(len(elements)))
+
+    def coordinates(self, u: UEAElement, n: int) -> Optional[Vector]:
+        """Coefficients of u on the representatives if u lies in F_n H,
+        else None."""
+        x = self.form_coordinates(u, n)
+        if x is None or self.words is None:
+            return x
+        return self._to_canonical(dict(_nonzero(x)))
+
     def contains(self, u: UEAElement, n: Optional[int] = None) -> bool:
         """Whether u lies in F_n H (n defaults to n_max)."""
-        return self.coordinates(u, self.n_max if n is None else n) is not None
+        return self.form_coordinates(
+            u, self.n_max if n is None else n) is not None
 
     def express(self, u: UEAElement) -> Vector:
         """Coefficients of u on the stored H-basis representatives."""
@@ -288,11 +379,75 @@ class HBasis:
                 if di + dj <= bound:
                     yield i, j
 
+    def commutators(self) -> Dict[tuple, Dict]:
+        """[g_b, g_a] for the generators b > a with deg a + deg b <= n_max,
+        as term dicts over the words: each formed once in Q and read off
+        on the forms of degree <= deg a + deg b - 2."""
+        if self._relations is None:
+            gens = [(w[0][0], f, d) for w, f, d in
+                    zip(self.words, self.forms, self.degrees)
+                    if len(w) == 1 and w[0][1] == 1]
+            relations = {}
+            for b, gb, db in gens:
+                for a, ga, da in gens:
+                    if a < b and da + db <= self.n_max:
+                        comm = q_product(gb, ga, self.sctx) - q_product(ga, gb, self.sctx)
+                        cd = comm.kazhdan_degree()
+                        if cd is not None and cd > da + db - 2:
+                            raise WalgError("commutator violates the filtration degree law")
+                        x = self.form_coordinates(comm, da + db - 2)
+                        if x is None:
+                            raise WalgError("H is not closed under commutators (bug)")
+                        relations[(b, a)] = {self.words[k]: c for k, c in _nonzero(x)}
+            self._relations = relations
+        return self._relations
+
+    def _word_products(self, pairs, left, right):
+        """(i, j, left[i] right[j]) over the (i, j) in `pairs`, for term
+        dicts over the words, by rewriting: one `backend.word_map` per right
+        factor serves all of its pairs."""
+        relations = self.commutators()
+        maps: Dict[int, backend.MonomialMap] = {}
+        for i, j in pairs:
+            act = maps.get(j)
+            if act is None:
+                act = maps[j] = backend.word_map(right[j], relations, self._cache)
+            yield i, j, act(left[i])
+
+    def form_products(self, pairs):
+        """(i, j, x) over the (i, j) in `pairs`, in their order, with x the
+        coefficients of forms_i forms_j on the forms."""
+        if self.words is None:
+            for i, j, prod in _products(pairs, self.forms, self.sctx):
+                yield i, j, _read_off(prod, self.degrees[i] + self.degrees[j], self)
+            return
+        index = {w: k for k, w in enumerate(self.words)}
+        units = [{w: 1} for w in self.words]
+        for i, j, terms in self._word_products(pairs, units, units):
+            x = [ZERO] * len(units)
+            for w, c in terms.items():
+                x[index[w]] = c
+            yield i, j, tuple(x)
+
     def multiplication_table(self, bound: Optional[int] = None):
         """(i, j) -> coefficient vector of elem_i * elem_j on the basis."""
-        return {(i, j): _read_off(prod, self.degrees[i] + self.degrees[j], self)
-                for i, j, prod in _products(self.product_pairs(bound),
-                                            self.elements, self.sctx)}
+        pairs = self.product_pairs(bound)
+        if self.words is None:
+            return {(i, j): x for i, j, x in self.form_products(pairs)}
+        index = {w: k for k, w in enumerate(self.words)}
+        over_words = self._canonical_view()[2]
+        return {(i, j): self._to_canonical({index[w]: c for w, c in t.items()})
+                for i, j, t in self._word_products(pairs, over_words, over_words)}
+
+
+def _nonzero(x: Vector):
+    """The (index, value) pairs of the nonzero entries of x."""
+    return [(k, c) for k, c in enumerate(x) if c]
+
+
+def _at(row: Dict[int, QQ], columns) -> Dict[int, QQ]:
+    """The entries of the sparse row at the given set of columns."""
+    return {j: c for j, c in row.items() if j in columns}
 
 
 def n_ell_generators(sctx: SliceContext) -> List[Vector]:
@@ -313,34 +468,191 @@ def n_ell_generators(sctx: SliceContext) -> List[Vector]:
             if echelon.extend({j: c for j, c in enumerate(v) if c})]
 
 
-def h_basis(n_max: int, sctx: SliceContext) -> HBasis:
-    """F_n H for n <= n_max as joint kernels of the ad-matrices of the
-    generators of n_ell (`n_ell_generators`).
+class _Uncertified(Exception):
+    """The ordered generator monomials failed the certificate at `degree`."""
 
-    One elimination of their stacked rows on F_{n_max} Q gives every F_n H,
-    read off by prefix.  Representatives are chosen degree by degree, so
-    that those of F_{n-1} H are literally a prefix of those of F_n H: a
-    canonical row of F_n H joins the echelon unless the rows before it span
-    it.  A row that F_{n-1} H has too lies in their span, so only the rows
-    that are new or changed since the degree before are tried.
+    def __init__(self, degree: int, reason: str):
+        super().__init__(f"{reason} at degree {degree}")
+        self.degree = degree
+
+
+def h_basis(n_max: int, sctx: SliceContext) -> HBasis:
+    """F_n H for n <= n_max, by the PBW theorem for finite W-algebras
+    (Premet): the ordered monomials in generators of H are a basis.
+
+    The joint kernel of the ad-matrices of the generators of n_ell
+    (`n_ell_generators`) is taken only on F_top Q, top the largest slice
+    degree, and the generators are chosen there (`_choose_generators`).
+    Each ordered monomial's form is taken by `q_product` from its suffix,
+    and the forms are certified to span F_n H: each is killed by the
+    ad-matrices, all are independent in one echelon, and in each degree
+    their count equals an upper bound for dim gr_n H, the dimension of the
+    joint kernel of the symbol blocks of the same matrices
+    (`_symbol_bounds`).  Where a clause fails, F_n H is the joint kernel on
+    F_{n_max} Q instead (`kernel_h_basis`), and `uncertified` names the
+    degree.
     """
     qb = QDegreeBasis(sctx, n_max)
-    mats = [ad_action_matrix(x, qb, sctx) for x in n_ell_generators(sctx)]
+    xs = n_ell_generators(sctx)
+    mats = [ad_action_matrix(x, qb, sctx) for x in xs]
+    try:
+        return _pbw_h_basis(qb, xs, mats, sctx)
+    except _Uncertified as exc:
+        hb = _kernel_h_basis(qb, mats, sctx)
+        hb.uncertified = exc.degree
+        return hb
+
+
+def kernel_h_basis(n_max: int, sctx: SliceContext) -> HBasis:
+    """F_n H for n <= n_max as joint kernels on F_{n_max} Q of the
+    ad-matrices of the generators of n_ell: the route `h_basis` falls back
+    to, and its oracle."""
+    qb = QDegreeBasis(sctx, n_max)
+    return _kernel_h_basis(
+        qb, [ad_action_matrix(x, qb, sctx) for x in n_ell_generators(sctx)], sctx)
+
+
+def _kernel_h_basis(qb: QDegreeBasis, mats, sctx: SliceContext) -> HBasis:
+    """One elimination of the stacked rows on F_{n_max} Q gives every F_n H,
+    read off by prefix; the representatives are the forms."""
     subspaces = joint_prefix_kernels(mats, len(qb.monomials),
-                                     qb.counts[:n_max + 1])
-    elements, degrees = [], []
+                                     qb.counts[:qb.n + 1])
+    rows, degrees, _ = _representatives(subspaces)
+    echelon = Echelon()
+    for row in rows:
+        echelon.extend(row)
+    return HBasis(sctx, qb.n, qb, [qb.element(row) for row in rows], degrees,
+                  echelon, subspaces=subspaces)
+
+
+def _representatives(subspaces: Sequence[Subspace]):
+    """(rows, degrees, echelon) of the prefix-stable representatives of the
+    canonical subspaces F_n H, n = 0, ..., n_max: their canonical rows, and
+    an echelon of their entries at the pivot columns of F_{n_max} H.
+
+    Representatives are chosen degree by degree, so that those of
+    F_{n-1} H are literally a prefix of those of F_n H: a canonical row of
+    F_n H joins the echelon unless the rows before it span it.  A row that
+    F_{n-1} H has too lies in their span, so only the rows that are new or
+    changed since the degree before are tried.  A vector of F_{n_max} H is
+    the sum of the canonical rows weighted by its entries at their pivots,
+    so those entries alone decide every span question inside it.
+    """
+    pivots = set(subspaces[-1].pivots)
+    chosen, degrees = [], []
     echelon = Echelon()
     before: Dict[int, Dict[int, QQ]] = {}
     for n, K in enumerate(subspaces):
         rows = dict(zip(K.pivots, K.rows))
         for p, row in rows.items():
-            if before.get(p) != row and echelon.extend(row):
-                elements.append(qb.element(row))
+            if before.get(p) != row and echelon.extend(_at(row, pivots)):
+                chosen.append(row)
                 degrees.append(n)
         before = rows
-    gr_dims = [degrees.count(n) for n in range(n_max + 1)]
-    return HBasis(sctx, n_max, qb, elements, degrees, gr_dims, subspaces,
-                  echelon)
+    return chosen, degrees, echelon
+
+
+def _word_forms(basis, gens: Sequence[UEAElement]) -> backend.MonomialMap:
+    """The map word -> q(g_{k1} ... g_{kt}) on words in the elements `gens`
+    of Q, read at call time: each word's form is the left action of its
+    first generator on the form of its suffix, as `q_product` takes it."""
+    steps = _generator_steps(basis)
+
+    def step(g, img):
+        act = _left_action(basis, steps, img[1])
+        den, ints = backend.int_form(act(gens[g].terms))
+        return den * img[0], ints
+
+    return backend.MonomialMap(step, {(): 1})
+
+
+def _word_form(basis, word_forms: backend.MonomialMap, word) -> UEAElement:
+    return UEAElement(basis, backend._value(word_forms.image(word)))
+
+
+def _choose_generators(low: Sequence[Subspace], qb: QDegreeBasis,
+                       sctx: SliceContext):
+    """(degrees, word_forms): generators of F_top H chosen from its
+    canonical subspaces `low`, degree by degree, as their degrees and the
+    map of `_word_forms` on them.
+
+    At degree d the forms of the ordered monomials of degree d in the
+    generators chosen so far join one echelon, and every canonical row of
+    F_d H outside its span becomes a generator of degree d.  A dependent
+    monomial fails the certificate.
+    """
+    basis = sctx.basis
+    gens: List[UEAElement] = []
+    degrees: List[int] = []
+    word_forms = _word_forms(basis, gens)
+    echelon = Echelon()
+    for d, K in enumerate(low):
+        for word in poisson.monomials_of_degree(degrees, d):
+            form = _word_form(basis, word_forms, word)
+            if not echelon.extend(qb.sparse_coords(form, upto=d)):
+                raise _Uncertified(d, "dependent ordered monomials")
+        for row in K.rows:
+            if echelon.extend(row):
+                gens.append(qb.element(row))
+                degrees.append(d)
+    return degrees, word_forms
+
+
+def _symbol_bounds(qb: QDegreeBasis, mats: Sequence[SparseMatrix],
+                   weights: Sequence[int]) -> List[int]:
+    """Upper bounds for dim gr_k H, k <= n_max.
+
+    x in n_ell of ad h weight w maps F_k Q into F_{k+w} Q, so its matrix
+    has no entry above degree k + w in a column of degree k (a WalgError
+    otherwise), and its entries of degree exactly k + w form the symbol
+    block gr_k Q -> gr_{k+w} Q.  The symbol of an element of F_k H is
+    killed by every block, so dim gr_k H is at most the dimension of their
+    joint kernel: one elimination of the stacked blocks per degree.
+    """
+    basis = qb.sctx.basis
+    qdeg = [basis.monomial_degree(m) for m in qb.monomials]
+    blocks: List[Dict] = [{} for _ in range(qb.n + 1)]
+    for i, (M, w) in enumerate(zip(mats, weights)):
+        for (r, c), v in M.entries.items():
+            k = qdeg[c]
+            if qdeg[r] > k + w:
+                raise WalgError(f"ad action of weight {w} takes degree {k} "
+                                f"to degree {qdeg[r]}")
+            if qdeg[r] == k + w:
+                blocks[k].setdefault((i, r), {})[c] = v
+    return [qb.dim_f(k) - qb.dim_f(k - 1)
+            - rank_of_rows(list(block.values()), qb.dim_f(k))
+            for k, block in enumerate(blocks)]
+
+
+def _pbw_h_basis(qb: QDegreeBasis, xs: Sequence[Vector],
+                 mats: Sequence[SparseMatrix], sctx: SliceContext) -> HBasis:
+    """The certified monomial basis of `h_basis`; `_Uncertified` where a
+    clause of the certificate fails."""
+    n_max = qb.n
+    weight = dict(sctx.pair.n_graded)
+    bounds = _symbol_bounds(qb, mats, [weight[x] for x in xs])
+    top = min(max(sctx.slice_data.degrees, default=0), n_max)
+    low = joint_prefix_kernels(mats, len(qb.monomials), qb.counts[:top + 1])
+    gen_degrees, word_forms = _choose_generators(low, qb, sctx)
+    words = poisson.enumerate_monomials(gen_degrees, n_max)
+    degrees = [sum(e * gen_degrees[i] for i, e in w) for w in words]
+    for k, bound in enumerate(bounds):
+        if degrees.count(k) != bound:
+            raise _Uncertified(k, f"{degrees.count(k)} ordered monomials "
+                                  f"against the bound {bound}")
+    echelon = Echelon()
+    forms = []
+    for word, d in zip(words, degrees):
+        form = _word_form(sctx.basis, word_forms, word)
+        coords = qb.sparse_coords(form, upto=d)
+        if any(M.apply_sparse(coords) for M in mats):
+            raise _Uncertified(d, "an ordered monomial outside H")
+        if not echelon.extend(coords):
+            raise _Uncertified(d, "dependent ordered monomials")
+        forms.append(form)
+    return HBasis(sctx, n_max, qb, forms, degrees, echelon, words=words,
+                  subspaces=low)
 
 
 def _products(pairs, elements: Sequence[UEAElement], sctx: SliceContext):
@@ -358,9 +670,9 @@ def _products(pairs, elements: Sequence[UEAElement], sctx: SliceContext):
 
 
 def _read_off(prod: UEAElement, d: int, hb: HBasis) -> Vector:
-    """The coefficients of prod, a product in F_d H, on the representatives:
-    one read-off both checks that it lies there and gives them."""
-    x = hb.coordinates(prod, d)
+    """The coefficients of prod, a product in F_d H, on the forms: one
+    read-off both checks that it lies there and gives them."""
+    x = hb.form_coordinates(prod, d)
     if x is None:
         raise WalgError("H is not closed under multiplication (bug)")
     return x
@@ -412,9 +724,12 @@ def verify_theorem(n_max: int, sctx: SliceContext,
 
     For every n <= n_max: dim gr_n H equals the slice Hilbert dimension
     and nu is injective on gr_n H; nu is multiplicative on all basis pairs
-    with product degree in range.  Each such product is formed once, and
-    its coefficients on the basis are kept as the report's `table`; nu of
-    each basis element is taken once, at its degree, and kept as `nus`.
+    with product degree in range.  The products are the table of
+    `HBasis.multiplication_table`, kept as the report's `table`; nu of
+    each basis element is taken once, at its degree, and kept as `nus`.  A
+    product e_i e_j = sum x_k e_k of degree d has nu sum x_k nu(e_k) over
+    the representatives of degree d: the others have no degree-d terms or
+    a zero coefficient.
     """
     if hb is None:
         hb = h_basis(n_max, sctx)
@@ -442,14 +757,15 @@ def verify_theorem(n_max: int, sctx: SliceContext,
         injective.append(ok)
         if not ok:
             raise TheoremFailure(f"nu not injective on gr_{n} H", degree=n)
-    table = {}
-    for i, j, prod in _products(hb.product_pairs(n_max), hb.elements, sctx):
+    table = hb.multiplication_table(n_max)
+    nu_ints = [backend.int_form(nu.terms) for nu in nus]
+    for (i, j), x in table.items():
         d = hb.degrees[i] + hb.degrees[j]
-        x = _read_off(prod, d, hb)
-        if nu_map(prod, sctx, d) != nus[i] * nus[j]:
+        nu_prod = backend.combine([(x[k], nu_ints[k]) for k in
+                                   range(hb.dim_f(d - 1), hb.dim_f(d)) if x[k]])
+        if not _equals(nu_prod, (nus[i] * nus[j]).terms):
             raise TheoremFailure(
                 f"nu not multiplicative on basis pair ({i},{j})", degree=d)
-        table[(i, j)] = x
     return TheoremReport(n_max=n_max, gr_dims=gr_dims,
                          slice_dims=slice_dims[:n_max + 1],
                          injective=injective, mult_pairs=len(table),
@@ -658,18 +974,19 @@ def ell_comparison(sctx1: SliceContext, sctx2: SliceContext, n_max: int,
                    hb2: Optional[HBasis] = None) -> ComparisonReport:
     """The natural map H_{ell1} -> H_{ell2} for ell1 inside ell2.
 
-    The representatives are transported in one pass (`q_transport`).  The
+    The forms of hb1 are transported in one pass (`q_transport`).  The
     images of F_n H_{ell1} are a prefix of the images, so each image is
     checked at its own degree d: it lies in F_d Q, and its coordinates on
-    the H_{ell2} representatives are read off once, which shows that it
-    lies in F_d H_{ell2}.  Those representatives are independent, so the
-    image is independent of the images before it iff its coordinates
-    extend their echelon; the first that does not names the first degree
-    where injectivity fails.  With equal graded dimensions the map is then
+    the forms of hb2 are read off once, which shows that it lies in
+    F_d H_{ell2}.  Those forms are independent, so the image is
+    independent of the images before it iff its coordinates extend their
+    echelon; the first that does not names the first degree where
+    injectivity fails.  With equal graded dimensions the map is then
     bijective in every degree.  The map is linear, so the image of
-    e_i e_j = sum_k x_k e_k is sum_k x_k image_k, summed over the images'
-    integer forms; it must equal the product of the images in Q_{ell2}.
-    hb1 and hb2, when given, are the H-bases at n_max.
+    f_i f_j = sum_k x_k f_k (`HBasis.form_products`, by rewriting on the
+    PBW route) is sum_k x_k image_k, summed over the images' integer
+    forms; it must equal the product of the images in Q_{ell2}, taken by
+    left action.  hb1 and hb2, when given, are the H-bases at n_max.
     """
     if not sctx2.symp.ell.contains_subspace(sctx1.symp.ell):
         raise ComparisonFailure("ell1 is not contained in ell2")
@@ -681,7 +998,7 @@ def ell_comparison(sctx1: SliceContext, sctx2: SliceContext, n_max: int,
         n = next(n for n in range(n_max + 1) if hb1.dim_f(n) != hb2.dim_f(n))
         raise ComparisonFailure(
             f"dim F_{n}H differs: {hb1.dim_f(n)} vs {hb2.dim_f(n)}", degree=n)
-    images = q_transport(hb1.elements, sctx1, sctx2)
+    images = q_transport(hb1.forms, sctx1, sctx2)
     image_ints = []
     echelon = Echelon()
     for img, d in zip(images, hb1.degrees):
@@ -689,17 +1006,16 @@ def ell_comparison(sctx1: SliceContext, sctx2: SliceContext, n_max: int,
         if (img.kazhdan_degree() or 0) > d:
             raise ComparisonFailure("map does not respect the filtration",
                                     degree=d)
-        x = hb2.coordinates(img, d)
+        x = hb2.form_coordinates(img, d)
         if x is None:
             raise ComparisonFailure("image not in H_{ell2}", degree=d)
         if not echelon.extend({k: c for k, c in enumerate(x) if c}):
             raise ComparisonFailure("map not injective on F_n H", degree=d)
         image_ints.append(backend.int_form(img.terms))
     mult_pairs = 0
-    for (i, j, prod), (_, _, rhs) in zip(
-            _products(hb1.product_pairs(n_max), hb1.elements, sctx1),
+    for (i, j, x), (_, _, rhs) in zip(
+            hb1.form_products(hb1.product_pairs(n_max)),
             _products(hb1.product_pairs(n_max), images, sctx2)):
-        x = _read_off(prod, hb1.degrees[i] + hb1.degrees[j], hb1)
         lhs = backend.combine([(xk, f) for xk, f in zip(x, image_ints) if xk])
         if not _equals(lhs, rhs.terms):
             raise ComparisonFailure(

@@ -217,6 +217,58 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys, command):
     assert not path.parent.exists()
 
 
+def test_membership_and_comparison_checks_build_no_representatives(
+        monkeypatch):
+    """`cohomology`, `center` and `ell-independence` work on the monomial
+    basis of each H: none of them builds the canonical representatives."""
+    def forbidden(self):
+        raise AssertionError("the canonical representatives were built")
+
+    monkeypatch.setattr(whittaker.HBasis, "_canonical_view", forbidden)
+    report = run(JobConfig(algebra="sl3", nilpotent="minimal",
+                           ell="lagrangian-auto", max_degree=6,
+                           checks=["cohomology", "center",
+                                   "ell-independence"]))
+    assert report["status"] == "pass"
+
+
+@pytest.mark.parametrize("command", ["run", "describe"])
+def test_unwritable_out_path_fails_before_any_work(monkeypatch, capsys,
+                                                   command):
+    """The --out path is checked before the case is built: no context, no
+    H basis, and the message `_write_json` gives for that path."""
+    def forbidden(*args):
+        raise AssertionError("the job ran before the --out check")
+
+    monkeypatch.setattr(cli, "h_basis", forbidden)
+    monkeypatch.setattr(cli, "build_context", forbidden)
+    path = "/nonexistent/x.json"
+    args = [command, "--algebra", "sl3", "--nilpotent", "minimal",
+            "--out", path]
+    if command == "run":
+        args += ["--checks", "theorem", "--quiet"]
+    assert main(args) == 2
+    with pytest.raises(ConfigError) as late:
+        cli._write_json(path, {})
+    assert capsys.readouterr().err == f"error: {late.value}\n"
+
+
+def test_out_path_check_neither_creates_nor_truncates(tmp_path):
+    kept = tmp_path / "kept.json"
+    kept.write_text("old")
+    cli._check_writable(str(kept))
+    cli._check_writable(str(tmp_path / "new.json"))
+    assert kept.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.json"]
+    for bad in (tmp_path, kept / "x.json", f"{tmp_path / 'new'}/",
+                tmp_path / "missing" / "x.json"):
+        with pytest.raises(ConfigError) as early:
+            cli._check_writable(str(bad))
+        with pytest.raises(ConfigError) as late:
+            cli._write_json(str(bad), {})
+        assert str(early.value) == str(late.value)
+
+
 def test_main_describe_negative_degree_exits_2(capsys):
     """describe validates its config as run does: bad input, not a bug."""
     assert main(["describe", "--algebra", "sl3", "--nilpotent", "minimal",

@@ -10,15 +10,18 @@ Arithmetic is exact (Fraction and int), so a float or complex literal, or
 a read of the name `float`, is an error.  PBW straightening runs on
 integer numerators, so the straightening functions of `walg.backend` may
 not name `Fraction` or `QQ`; only the rescale helper `_divide` mints
-Fractions.  The same holds for the elimination of the one incremental
+Fractions.  The same holds for the rewriting in the generators of H_ell
+(`gen_times_word`), which multiplies what its commutators give.  The same holds for the elimination of the one incremental
 echelon (`Echelon.reduce`, `Echelon.extend` and their row step `_eliminate`
 in `walg.linalg`); only `Echelon.coordinates`, which hands out rational
 coordinates, may.  And for the kernels on integer forms (den, ints): the
 memoized images and the sum of `backend.MonomialMap`, the one map behind
-the PBW product, the left action on Q in `walg.whittaker`, the basis
-change and `poisson.Substitution`, together with the steps and the call
-of the last two, and `backend.combine`, the sum over one common scale;
-they leave the integers only through `_divide`.
+the PBW product, the left action on Q in `walg.whittaker`, the forms of
+the ordered monomials in the generators of H, the products of H by
+rewriting (`backend.word_map`), the basis change and
+`poisson.Substitution`, together with the steps and the call of the last
+two, and `backend.combine`, the sum over one common scale; they leave the
+integers only through `_divide`.
 Elimination stays behind the linear-algebra layer: outside
 `walg.backend`, which holds the kernel, and `walg.linalg`, which wraps it
 in `SparseMatrix`, `Subspace`, `Echelon`, `solve` and the kernels, no
@@ -170,16 +173,17 @@ def test_exact_arithmetic_only(path):
 
 
 STRAIGHTENING = ("gen_times_mono", "mono_times_gen", "_gen_times_terms",
-                 "_terms_times_gen", "mul_terms")
+                 "_terms_times_gen", "mul_terms", "gen_times_word")
 ECHELON_ELIMINATION = ("Echelon.reduce", "Echelon.extend", "_eliminate")
 # module -> its integer-form kernels: the memoized monomial map, the left
-# action on Q and the substitution built on it, and the sum over a common
-# scale behind the map
+# action on Q, the forms of the generator monomials of H, the product of H
+# by rewriting and the substitution built on the map, and the sum over a
+# common scale behind the map
 INTEGER_FORM_KERNELS = {
-    "whittaker.py": ("_linear", "_step", "_left_action"),
+    "whittaker.py": ("_linear", "_step", "_left_action", "_word_forms"),
     "poisson.py": ("Substitution.__call__",),
     "backend.py": ("combine", "_value", "MonomialMap.image",
-                   "MonomialMap.__call__"),
+                   "MonomialMap.__call__", "word_map"),
 }
 RATIONAL_NAMES = ("Fraction", "QQ")
 

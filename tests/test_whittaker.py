@@ -655,7 +655,12 @@ def test_express_substitution_check(sl2_ctx):
 
 def test_one_read_off_per_product(monkeypatch, sl3_min_zero, sl3_hb_zero,
                                   sl3_min_lag, sl3_hb_lag):
-    """Each H product's membership and coordinates come from one read-off."""
+    """On the kernel route each H product's membership and coordinates come
+    from one read-off.  The PBW route reads off no product: once its
+    commutators and its representatives are built, a table reads off
+    nothing."""
+    hb_zero = W.kernel_h_basis(6, sl3_min_zero)
+    hb_lag = W.kernel_h_basis(6, sl3_min_lag)
     calls = []
     read_off = linalg.Echelon.coordinates
 
@@ -664,17 +669,26 @@ def test_one_read_off_per_product(monkeypatch, sl3_min_zero, sl3_hb_zero,
         return read_off(self, w)
 
     monkeypatch.setattr(linalg.Echelon, "coordinates", counted)
-    rep = W.verify_theorem(6, sl3_min_lag, sl3_hb_lag)
+    rep = W.verify_theorem(6, sl3_min_lag, hb_lag)
     assert len(calls) == rep.mult_pairs > 0
     calls.clear()
-    table = sl3_hb_lag.multiplication_table()
+    table = hb_lag.multiplication_table()
     assert len(calls) == len(table) == rep.mult_pairs
     calls.clear()
     # one membership check per transported representative, then one
     # read-off per product
+    cmp = W.ell_comparison(sl3_min_zero, sl3_min_lag, 6, hb_zero, hb_lag)
+    assert len(calls) == len(hb_zero.elements) + cmp.mult_pairs
+    for hb in (sl3_hb_zero, sl3_hb_lag):
+        hb.commutators()
+        assert hb.words is not None and hb.elements
+    calls.clear()
+    rep = W.verify_theorem(6, sl3_min_lag, sl3_hb_lag)
+    assert calls == [] and rep.mult_pairs > 0
+    # one membership check per transported form, and none per product
     cmp = W.ell_comparison(sl3_min_zero, sl3_min_lag, 6, sl3_hb_zero,
                            sl3_hb_lag)
-    assert len(calls) == len(sl3_hb_zero.elements) + cmp.mult_pairs
+    assert len(calls) == len(sl3_hb_zero.forms) > 0 < cmp.mult_pairs
 
 
 def counting(monkeypatch, owner, name):
@@ -713,18 +727,31 @@ def test_h_basis_stacks_one_ad_block_per_generator(monkeypatch, sl4_regular):
 def test_one_left_action_per_right_factor(monkeypatch, sl3_min_zero,
                                           sl3_hb_zero, sl3_min_lag,
                                           sl3_hb_lag):
+    """On the kernel route one left action serves all products with one
+    right factor.  The PBW route forms no product of H in Q: only the
+    right side of `ell_comparison`, in Q_{ell2}, takes left actions."""
+    hb_zero = W.kernel_h_basis(6, sl3_min_zero)
+    hb_lag = W.kernel_h_basis(6, sl3_min_lag)
     calls = counting(monkeypatch, W, "_left_action")
-    rep = W.verify_theorem(6, sl3_min_lag, sl3_hb_lag)
-    rights = {j for _, j in sl3_hb_lag.product_pairs(6)}
+    rep = W.verify_theorem(6, sl3_min_lag, hb_lag)
+    rights = {j for _, j in hb_lag.product_pairs(6)}
     assert len(calls) == len(rights) < rep.mult_pairs
     calls.clear()
-    sl3_hb_lag.multiplication_table()
+    hb_lag.multiplication_table()
     assert len(calls) == len(rights)
     calls.clear()
     # one for the transport, then one per right factor on each side
-    W.ell_comparison(sl3_min_zero, sl3_min_lag, 6, sl3_hb_zero, sl3_hb_lag)
+    W.ell_comparison(sl3_min_zero, sl3_min_lag, 6, hb_zero, hb_lag)
     assert len(calls) == 1 + 2 * len({j for _, j in
-                                      sl3_hb_zero.product_pairs(6)})
+                                      hb_zero.product_pairs(6)})
+    for hb in (sl3_hb_zero, sl3_hb_lag):
+        hb.commutators()
+    calls.clear()
+    W.verify_theorem(6, sl3_min_lag, sl3_hb_lag)
+    sl3_hb_lag.multiplication_table()
+    assert calls == []
+    W.ell_comparison(sl3_min_zero, sl3_min_lag, 6, sl3_hb_zero, sl3_hb_lag)
+    assert len(calls) == 1 + len({j for _, j in sl3_hb_zero.product_pairs(6)})
 
 
 def test_verify_theorem_on_a_larger_basis(sl3_min_lag, sl3_hb_lag):
@@ -742,6 +769,136 @@ def test_verify_theorem_on_a_larger_basis(sl3_min_lag, sl3_hb_lag):
 def test_verify_theorem_needs_the_degree(sl3_min_lag):
     with pytest.raises(DegreeOverflow):
         W.verify_theorem(5, sl3_min_lag, W.h_basis(3, sl3_min_lag))
+
+
+# -- the PBW route against the kernel route ---------------------------------
+
+# (context, degree above its top slice degree, target of the ell comparison)
+PBW_CASES = [("sl2_ctx", 12, None), ("sl3_min_zero", 7, "sl3_min_lag"),
+             ("sl3_min_lag", 7, None), ("sl3_min_lag2", 7, None),
+             ("sl3_min_conj", 7, None), ("sl3_principal", 10, None),
+             ("sl4_22_conj", 6, None), ("sl4_211", 5, None),
+             ("sl4_regular", 9, None)]
+
+
+@pytest.fixture(scope="module", params=PBW_CASES, ids=lambda c: c[0])
+def routes(request):
+    """(context, target context, PBW-route and kernel-route H bases)."""
+    ctx_name, n, target = request.param
+    sctx = request.getfixturevalue(ctx_name)
+    other = sctx if target is None else request.getfixturevalue(target)
+    return sctx, other, W.h_basis(n, sctx), W.kernel_h_basis(n, sctx)
+
+
+def test_pbw_route_matches_kernel_route(routes):
+    sctx, _, hb, kb = routes
+    assert max(sctx.slice_data.degrees) < hb.n_max
+    assert hb.words is not None and hb.uncertified is None
+    assert kb.words is None and kb.uncertified is None
+    assert (hb.elements, hb.degrees, hb.gr_dims) == \
+        (kb.elements, kb.degrees, kb.gr_dims)
+    for n in range(hb.n_max + 1):
+        assert hb.subspace_at(n) == kb.subspace_at(n), n
+    for form, d in zip(hb.forms, hb.degrees):
+        assert kb.contains(form, d)
+
+
+def test_rewriting_table_matches_left_action(routes):
+    sctx, _, hb, kb = routes
+    pairs = list(hb.product_pairs())
+    left = {(i, j): W._read_off(prod, hb.degrees[i] + hb.degrees[j], hb)
+            for i, j, prod in W._products(pairs, hb.forms, sctx)}
+    assert {(i, j): x for i, j, x in hb.form_products(pairs)} == left
+    assert hb.multiplication_table() == kb.multiplication_table()
+    for u in random_combinations(kb, hb.n_max, 3, seed=33):
+        assert hb.express(u) == kb.express(u)
+
+
+def test_ell_comparison_either_route(routes):
+    sctx, other, hb, kb = routes
+    hb2 = W.h_basis(hb.n_max, other)
+    reports = [W.ell_comparison(sctx, other, hb.n_max, hb1, hb2).as_dict()
+               for hb1 in (hb, kb)]
+    assert reports[0] == reports[1]
+    assert reports[0]["mult_pairs"] == len(list(hb.product_pairs()))
+
+
+def generator_forms(hb):
+    """generator index -> (form, degree) of the one-letter words."""
+    return {w[0][0]: (form, d) for w, form, d in
+            zip(hb.words, hb.forms, hb.degrees) if len(w) == 1 and w[0][1] == 1}
+
+
+def test_commutators_read_off_below_the_product_degree(routes):
+    """[g_b, g_a] by the Ug route lies in F_{deg a + deg b - 2} Q, and its
+    coordinates on the forms of that degree are the commutator table's."""
+    sctx, _, hb, _ = routes
+    gens = generator_forms(hb)
+    index = {w: k for k, w in enumerate(hb.words)}
+    comms = hb.commutators()
+    assert set(comms) == {(b, a) for b in gens for a in gens if a < b and
+                          gens[a][1] + gens[b][1] <= hb.n_max}
+    for (b, a), comm in comms.items():
+        (gb, db), (ga, da) = gens[b], gens[a]
+        expected = W.q_canonical_form(gb * ga - ga * gb, sctx)
+        assert (expected.kazhdan_degree() or 0) <= da + db - 2
+        assert all(hb.degrees[index[w]] <= da + db - 2 for w in comm)
+        got = sctx.basis.zero()
+        for w, c in comm.items():
+            got = got + c * hb.forms[index[w]]
+        assert got == expected
+
+
+@pytest.mark.parametrize("ctx_name,n", [("sl3_principal", 10),
+                                        ("sl4_regular", 14)])
+def test_commutators_vanish_for_regular_e(request, ctx_name, n):
+    """H is commutative for regular e (Kostant): every commutator of the
+    generators is zero, so the table is symmetric."""
+    sctx = request.getfixturevalue(ctx_name)
+    hb = W.h_basis(n, sctx)
+    r = len(sctx.slice_data.degrees)
+    comms = hb.commutators()
+    assert hb.words is not None and len(comms) == r * (r - 1) // 2 > 0
+    assert all(not comm for comm in comms.values())
+    table = {(i, j): x for i, j, x in hb.form_products(hb.product_pairs())}
+    assert all(table[(j, i)] == x for (i, j), x in table.items())
+
+
+def test_certificate_fails_without_the_top_generator(monkeypatch, sl3_min_lag):
+    """Negative control: without the degree-4 generator the ordered
+    monomials fall short of the bound at degree 4, and h_basis returns the
+    kernel route's basis."""
+    choose = W._choose_generators
+
+    def drop_top(low, qb, sctx):
+        degrees, word_forms = choose(low, qb, sctx)
+        assert degrees[-1] == max(sctx.slice_data.degrees) == 4
+        return degrees[:-1], word_forms
+
+    monkeypatch.setattr(W, "_choose_generators", drop_top)
+    hb = W.h_basis(7, sl3_min_lag)
+    assert hb.words is None and hb.uncertified == 4
+    kb = W.kernel_h_basis(7, sl3_min_lag)
+    assert (hb.elements, hb.degrees, hb.gr_dims) == \
+        (kb.elements, kb.degrees, kb.gr_dims)
+    for n in range(8):
+        assert hb.subspace_at(n) == kb.subspace_at(n)
+    assert hb.multiplication_table() == kb.multiplication_table()
+
+
+def test_ad_entry_above_its_weight_raises(monkeypatch, sl3_min_zero):
+    """Negative control: an ad x entry of degree k in a column of degree k
+    breaks the filtration law deg ad x(m) <= deg m + w, w <= -1."""
+    true_matrix = W.ad_action_matrix
+
+    def raised(x, qb, sctx):
+        M = true_matrix(x, qb, sctx)
+        j = qb.dim_f(2)  # a column of degree 3
+        return SparseMatrix(M.rows, M.cols, {**M.entries, (j, j): F(1)})
+
+    monkeypatch.setattr(W, "ad_action_matrix", raised)
+    with pytest.raises(WalgError, match="takes degree 3 to degree 3"):
+        W.h_basis(6, sl3_min_zero)
 
 
 # -- the integer echelon against the Fraction one it replaces ----------------
