@@ -26,7 +26,9 @@ straightenings hold whatever the bracket gives: ints on an integral
 basis, and exact Fractions where a constant is not integral.
 `gen_times_word` and `word_map` straighten the same way in an algebra
 given by generators whose commutators are polynomials in them, such as
-H_ell on the ordered monomials in its slice generators.
+H_ell on the ordered monomials in its slice generators; there the
+commutators are given as integer forms, and the memo holds integer forms
+too, so the rewriting runs on integers throughout.
 """
 
 from fractions import Fraction
@@ -109,10 +111,10 @@ def mono_times_gen(mono, g, bracket, cache):
     return out
 
 
-def _gen_times_terms(g, terms, bracket, cache, straighten=gen_times_mono):
+def _gen_times_terms(g, terms, bracket, cache):
     out = {}
     for mono, c in terms.items():
-        for n, c1 in straighten(g, mono, bracket, cache).items():
+        for n, c1 in gen_times_mono(g, mono, bracket, cache).items():
             _acc(out, n, c * c1)
     return out
 
@@ -216,47 +218,64 @@ def mul_terms(t1, t2, bracket, cache):
 def gen_times_word(g, word, relations, cache):
     """Straighten x_g * word in an algebra whose ordered words in its
     generators are a basis (a PBW algebra such as H_ell on the monomials
-    in its slice generators).
+    in its slice generators), as an integer form (den, ints).
 
-    relations[(b, a)], for b > a, is [x_b, x_a] as a term dict over the
-    words, of lower filtration degree than x_b x_a.  Rewrites
+    relations[(b, a)], for b > a, is [x_b, x_a] as an integer form over
+    the words, of lower filtration degree than x_b x_a.  Rewrites
     x_g x_i -> x_i x_g + [x_g, x_i] for g > i, the commutator times the
     rest by `word_map`; each step lowers the inversions or the filtration
-    degree, so it ends.  The memo holds what the relations give, which on
-    H_ell are exact rationals.
+    degree, so it ends.
     """
     if not word:
-        return {((g, 1),): _ONE}
+        return 1, {((g, 1),): _ONE}
     hit = cache.get((g, word))
     if hit is not None:
         return hit
     i, e = word[0]
     if g < i:
-        out = {((g, 1),) + word: _ONE}
+        out = 1, {((g, 1),) + word: _ONE}
     elif g == i:
-        out = {((g, e + 1),) + word[1:]: _ONE}
+        out = 1, {((g, e + 1),) + word[1:]: _ONE}
     else:
         rest = ((i, e - 1),) + word[1:] if e > 1 else word[1:]
-        out = {}
-        for n1, c1 in gen_times_word(g, rest, relations, cache).items():
-            for n2, c2 in gen_times_word(i, n1, relations, cache).items():
-                _acc(out, n2, c1 * c2)
-        comm = relations.get((g, i))
+        den, first = gen_times_word(g, rest, relations, cache)
+        parts = []
+        for n1, c1 in first.items():
+            d2, t2 = gen_times_word(i, n1, relations, cache)
+            parts.append((c1, (den * d2, t2)))
+        dc, comm = relations.get((g, i), (1, {}))
         if comm:
-            for n1, c1 in word_map({rest: _ONE}, relations, cache)(comm).items():
-                _acc(out, n1, c1)
+            act = word_map({rest: _ONE}, relations, cache)
+            for n1, c1 in comm.items():
+                d2, t2 = act.image(n1)
+                parts.append((c1, (dc * d2, t2)))
+        out = _reduced(combine(parts))
     cache[(g, word)] = out
     return out
+
+
+def _reduced(combined):
+    """(scale, ints) from `combine` in lowest terms, zeros dropped."""
+    scale, ints = combined
+    ints = {m: v for m, v in ints.items() if v}
+    d = scale
+    for v in ints.values():
+        d = gcd(d, v)
+    return scale // d, {m: v // d for m, v in ints.items()}
 
 
 def word_map(base, relations, cache):
     """The map t -> t * base on term dicts over words, in the algebra of
     `gen_times_word`: a `MonomialMap` whose step straightens one generator
-    onto the image of the suffix and returns to an integer form."""
+    onto each word of the image of the suffix."""
     def step(g, img):
-        den, ints = int_form(_gen_times_terms(g, img[1], relations, cache,
-                                              gen_times_word))
-        return den * img[0], ints
+        den, ints = img
+        parts = []
+        for w, c in ints.items():
+            d, t = gen_times_word(g, w, relations, cache)
+            parts.append((c, (den * d, t)))
+        scale, out = combine(parts)
+        return scale, {m: v for m, v in out.items() if v}
 
     return MonomialMap(step, base)
 

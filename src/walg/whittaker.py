@@ -18,7 +18,8 @@ stacked rows gives every F_n H (and likewise every Wh(F_n Q)), read off by
 prefix as sparse canonical rows.  By the PBW theorem for finite
 W-algebras (Premet), the ordered monomials in lifts of the r slice
 generators are a basis of H, so `h_basis` eliminates only on F_top Q, top
-the largest slice degree, and chooses the generators there.  Above top,
+the largest slice degree (all of F_{n_max} Q when n_max <= top), and
+chooses the generators there.  Above top,
 F_n H is the span of the generator monomials, each formed by `q_product`
 from its suffix and certified: killed by the ad matrices, independent in
 one echelon, and as many in each degree as the kernel of the symbol
@@ -406,7 +407,8 @@ class HBasis:
         """(i, j, left[i] right[j]) over the (i, j) in `pairs`, for term
         dicts over the words, by rewriting: one `backend.word_map` per right
         factor serves all of its pairs."""
-        relations = self.commutators()
+        relations = {k: backend.int_form(v)
+                     for k, v in self.commutators().items()}
         maps: Dict[int, backend.MonomialMap] = {}
         for i, j in pairs:
             act = maps.get(j)
@@ -490,11 +492,14 @@ def h_basis(n_max: int, sctx: SliceContext) -> HBasis:
     joint kernel of the symbol blocks of the same matrices
     (`_symbol_bounds`).  Where a clause fails, F_n H is the joint kernel on
     F_{n_max} Q instead (`kernel_h_basis`), and `uncertified` names the
-    degree.
+    degree.  For n_max <= top the kernel on F_top Q is all of it, so the
+    kernel route is taken directly.
     """
     qb = QDegreeBasis(sctx, n_max)
     xs = n_ell_generators(sctx)
     mats = [ad_action_matrix(x, qb, sctx) for x in xs]
+    if n_max <= max(sctx.slice_data.degrees, default=0):
+        return _kernel_h_basis(qb, mats, sctx)
     try:
         return _pbw_h_basis(qb, xs, mats, sctx)
     except _Uncertified as exc:
@@ -632,7 +637,7 @@ def _pbw_h_basis(qb: QDegreeBasis, xs: Sequence[Vector],
     n_max = qb.n
     weight = dict(sctx.pair.n_graded)
     bounds = _symbol_bounds(qb, mats, [weight[x] for x in xs])
-    top = min(max(sctx.slice_data.degrees, default=0), n_max)
+    top = max(sctx.slice_data.degrees, default=0)
     low = joint_prefix_kernels(mats, len(qb.monomials), qb.counts[:top + 1])
     gen_degrees, word_forms = _choose_generators(low, qb, sctx)
     words = poisson.enumerate_monomials(gen_degrees, n_max)

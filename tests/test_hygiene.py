@@ -11,9 +11,10 @@ a read of the name `float`, is an error.  PBW straightening runs on
 integer numerators, so the straightening functions of `walg.backend` may
 not name `Fraction` or `QQ`; only the rescale helper `_divide` mints
 Fractions.  The same holds for the rewriting in the generators of H_ell
-(`gen_times_word`), which multiplies what its commutators give.  The same holds for the elimination of the one incremental
-echelon (`Echelon.reduce`, `Echelon.extend` and their row step `_eliminate`
-in `walg.linalg`); only `Echelon.coordinates`, which hands out rational
+(`gen_times_word`), which takes its commutators and keeps its memo as
+integer forms, and for the elimination of the one incremental echelon
+(`Echelon.reduce`, `Echelon.extend` and their row step `_eliminate` in
+`walg.linalg`); only `Echelon.coordinates`, which hands out rational
 coordinates, may.  And for the kernels on integer forms (den, ints): the
 memoized images and the sum of `backend.MonomialMap`, the one map behind
 the PBW product, the left action on Q in `walg.whittaker`, the forms of

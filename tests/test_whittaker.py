@@ -709,13 +709,29 @@ def counting(monkeypatch, owner, name):
 def test_h_basis_tries_only_new_or_changed_rows(monkeypatch, request,
                                                 ctx_name, limit):
     """40 representatives up to degree 10; trying every canonical row of
-    every F_n H took 146 echelon extensions.  `n_ell_generators` extends an
-    echelon of its own, so only the extensions of `hb._echelon` count."""
+    every F_n H took 146 echelon extensions.  The representatives are
+    chosen by `_representatives` on an echelon of its own, which it
+    returns: inside `kernel_h_basis`, and on the PBW route of `h_basis`
+    when `elements` first builds the canonical view.  Only the extensions
+    of that echelon count."""
     sctx = request.getfixturevalue(ctx_name)
+    choose = W._representatives
+    echelons = []
+
+    def recorded(subspaces):
+        out = choose(subspaces)
+        echelons.append(out[2])
+        return out
+
+    monkeypatch.setattr(W, "_representatives", recorded)
     calls = counting(monkeypatch, linalg.Echelon, "extend")
-    hb = W.h_basis(10, sctx)
-    assert len(hb.elements) == 40
-    assert len([c for c in calls if c[0] is hb._echelon]) <= limit
+    for route in (W.h_basis, W.kernel_h_basis):
+        echelons.clear()
+        calls.clear()
+        hb = route(10, sctx)
+        assert len(hb.elements) == 40
+        assert len(echelons) == 1
+        assert len([c for c in calls if c[0] is echelons[0]]) <= limit
 
 
 def test_h_basis_stacks_one_ad_block_per_generator(monkeypatch, sl4_regular):
@@ -801,6 +817,28 @@ def test_pbw_route_matches_kernel_route(routes):
         assert hb.subspace_at(n) == kb.subspace_at(n), n
     for form, d in zip(hb.forms, hb.degrees):
         assert kb.contains(form, d)
+
+
+def test_kernel_route_up_to_the_top_degree(sl4_211):
+    """For n_max <= top the kernel on F_top Q is all of H, so h_basis
+    takes the kernel route directly, with no failed certificate."""
+    top = max(sl4_211.slice_data.degrees)
+    for n in (top - 1, top):
+        hb, kb = W.h_basis(n, sl4_211), W.kernel_h_basis(n, sl4_211)
+        assert hb.words is None and hb.uncertified is None
+        assert (hb.elements, hb.degrees) == (kb.elements, kb.degrees)
+    assert W.h_basis(top + 1, sl4_211).words is not None
+
+
+def test_rewriting_runs_on_integer_forms(routes):
+    """The generator x word memo holds integer forms (den, ints), as the
+    commutators it rewrites with are given."""
+    _, _, hb, _ = routes
+    list(hb.form_products(hb.product_pairs()))
+    assert hb._cache
+    for den, ints in hb._cache.values():
+        assert type(den) is int and den > 0
+        assert all(type(c) is int for c in ints.values())
 
 
 def test_rewriting_table_matches_left_action(routes):
