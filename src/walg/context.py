@@ -7,19 +7,19 @@ basis, charts -- and caches it for the quotient-module computations.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from walg import liealg, poisson
 from walg.errors import WalgError
 from walg.liealg import LieAlgebra, Sl2Triple
-from walg.linalg import Vector
+from walg.linalg import QQ, Vector, rank_of_rows
 from walg.pbw import PBWBasis
 
 
 class SliceContext:
     __slots__ = ("lie", "triple", "grading", "chi", "symp", "pair", "kerf",
                  "kerf_graded", "basis", "full_chart", "comp_chart",
-                 "slice_data", "reduction")
+                 "slice_data", "reduction", "_transversal")
 
     def __init__(self, lie: LieAlgebra, triple: Sl2Triple,
                  ell_spec: Sequence[Sequence]):
@@ -41,6 +41,7 @@ class SliceContext:
         self.reduction = poisson.ReductionData(
             self.basis, self.slice_data, self.pair.a_graded,
             self.symp.is_lagrangian)
+        self._transversal: Optional[bool] = None
 
     def _graded_kerf(self) -> List[Tuple[Vector, int]]:
         """Weight-homogeneous basis of Ker ad f, weights descending."""
@@ -53,6 +54,36 @@ class SliceContext:
         if len(out) != self.kerf.dim:
             raise WalgError("Ker ad f is not graded; invalid triple")
         return out
+
+    def transversality_rows(self) -> List[Dict[int, QQ]]:
+        """Vectors over the complement coordinates y_p: the constant part
+        A_x of the derivation D_x, x over the basis `pair.n_graded` of
+        n_ell (A_x[p] the constant term of D_x(y_p), read off
+        `ReductionData.derivation_images`), then the directions of the
+        slice (the k-th has entry the coefficient of t_k in nu(y_p), read
+        off `SliceData.nu_images`)."""
+        rows = []
+        for x, _ in self.pair.n_graded:
+            images = self.reduction.derivation_images(x)
+            rows.append({p: img.terms[()] for p, img in enumerate(images)
+                         if () in img.terms})
+        for k in range(len(self.slice_data.degrees)):
+            t_k = ((k, 1),)
+            rows.append({p: img.terms[t_k] for p, img in
+                         enumerate(self.slice_data.nu_images) if t_k in img.terms})
+        return rows
+
+    def is_transversal(self) -> bool:
+        """Whether the `transversality_rows` span all n_complement
+        directions, computed once: the orbit directions of N and the slice
+        S together span the tangent space of chi + a^perp at chi, the
+        transversality of N x S -> chi + m^perp (Gan-Ginzburg) checked
+        rather than assumed.  `whittaker.h_basis` rests its upper bound
+        dim gr_k H <= dim C[S]_k on it."""
+        if self._transversal is None:
+            nc = self.basis.n_complement
+            self._transversal = rank_of_rows(self.transversality_rows(), nc) == nc
+        return self._transversal
 
     @property
     def is_lagrangian(self) -> bool:

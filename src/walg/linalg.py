@@ -6,11 +6,11 @@ coefficient, eliminated by the one sparse kernel `backend.rref_sparse`;
 subspaces store canonical reduced-echelon bases so that equality of
 subspaces is equality of representations.
 
-`SparseMatrix` is the one matrix type: besides `apply` (M x, and
-`apply_sparse` for a sparse x) and `stack` it has the product `A @ B`,
-the scalar shift `shift(c)` (M + c I), `inverse()` (one elimination of
-[M | I], None when M is singular) and `nilpotent_powers()` (M, M^2, ...
-up to the last nonzero power, None when M^n != 0 for n x n M).
+`SparseMatrix` is the one matrix type: besides `apply` (M x) and `stack`
+it has the product `A @ B`, the scalar shift `shift(c)` (M + c I),
+`inverse()` (one elimination of [M | I], None when M is singular) and
+`nilpotent_powers()` (M, M^2, ... up to the last nonzero power, None when
+M^n != 0 for n x n M).
 `Echelon` grows a reduced echelon one vector at a time, on integer
 numerators, and reads exact coordinates off it: every span decision made
 vector by vector (an adapted PBW basis, the generators of n_ell, the
@@ -54,14 +54,14 @@ def scale_vec(c, v: Vector) -> Vector:
 
 
 class SparseMatrix:
-    """Immutable sparse matrix; entries maps (row, col) to nonzero Fraction."""
+    """Immutable sparse matrix; entries maps (row, col) to a nonzero exact
+    rational: a Fraction, or an int where `_of` was handed one."""
 
-    __slots__ = ("rows", "cols", "entries", "_columns")
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Dict[Tuple[int, int], QQ]):
         self.rows = rows
         self.cols = cols
-        self._columns = None
         clean = {}
         for (r, c), v in entries.items():
             if not (0 <= r < rows and 0 <= c < cols):
@@ -73,9 +73,10 @@ class SparseMatrix:
 
     @classmethod
     def _of(cls, rows: int, cols: int, entries: Dict[Tuple[int, int], QQ]) -> "SparseMatrix":
-        """A matrix on entries already known to be nonzero Fractions in bounds."""
+        """A matrix on trusted entries: every key in bounds, every value a
+        nonzero exact rational (an int or a Fraction), taken as they are."""
         M = cls.__new__(cls)
-        M.rows, M.cols, M.entries, M._columns = rows, cols, entries, None
+        M.rows, M.cols, M.entries = rows, cols, entries
         return M
 
     @classmethod
@@ -116,19 +117,6 @@ class SparseMatrix:
             if xc:
                 out[r] += v * xc
         return tuple(out)
-
-    def apply_sparse(self, x: Dict[int, QQ]) -> Dict[int, QQ]:
-        """M x for a sparse vector x (col -> value), as a sparse dict: one
-        sum over the integer forms of the columns, built once per matrix."""
-        cols = self._columns
-        if cols is None:
-            by_col: Dict[int, Dict[int, QQ]] = {}
-            for (r, c), v in self.entries.items():
-                by_col.setdefault(c, {})[r] = v
-            cols = self._columns = {c: backend.int_form(col)
-                                    for c, col in by_col.items()}
-        return backend._value(backend.combine(
-            [(v, cols[c]) for c, v in x.items() if c in cols]))
 
     def stack(self, other: "SparseMatrix") -> "SparseMatrix":
         """Vertical stack; column counts must agree."""
@@ -378,7 +366,15 @@ class Subspace:
 
 
 def rank(M: SparseMatrix) -> int:
-    return rank_of_rows(M.row_dicts(), M.cols)
+    """Rank of M, eliminated on its shorter side: with more rows than
+    columns most rows reduce to zero, so the columns are eliminated
+    instead."""
+    if M.rows <= M.cols:
+        return rank_of_rows(M.row_dicts(), M.cols)
+    columns: List[Dict[int, QQ]] = [dict() for _ in range(M.cols)]
+    for (r, c), v in M.entries.items():
+        columns[c][r] = v
+    return rank_of_rows(columns, M.rows)
 
 
 def rank_of_rows(rows: Sequence[Dict[int, QQ]], ncols: int) -> int:

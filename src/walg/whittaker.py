@@ -21,10 +21,16 @@ generators are a basis of H, so `h_basis` eliminates only on F_top Q, top
 the largest slice degree (all of F_{n_max} Q when n_max <= top), and
 chooses the generators there.  Above top,
 F_n H is the span of the generator monomials, each formed by `q_product`
-from its suffix and certified: killed by the ad matrices, independent in
-one echelon, and as many in each degree as the kernel of the symbol
-blocks of the same matrices allows.  Where the certificate fails, the
-whole kernel on F_{n_max} Q is taken instead.  Products in H are then
+from its suffix and certified: killed by ad x for every generator x of
+n_ell (applied only through the columns of the monomials the forms touch,
+`AdColumns`), independent in one echelon, and in each degree k as many as
+dim C[S]_k.  That is an upper bound for dim gr_k H by transversality: the
+symbol of ad x is the derivation D_x = A_x + L_x of gr Q, A_x its
+constant part and L_x its linear part, and once the A_x and the slice
+directions span (one rank, `SliceContext.is_transversal`), induction on
+the polynomial degree shows that restriction to S is injective on the
+symbols of H (see `h_basis`).  Where the certificate fails, the whole
+kernel on F_{n_max} Q is taken instead.  Products in H are then
 rewritten on the monomials, g_b g_a -> g_a g_b + [g_b, g_a], with each
 commutator formed once in Q (`backend.word_map`); the canonical
 prefix-stable representatives the reports print are built from the same
@@ -41,7 +47,7 @@ from walg.context import SliceContext
 from walg.errors import (CenterCheckFailure, ComparisonFailure, ConfigError,
                          DegreeOverflow, TheoremFailure, WalgError)
 from walg.linalg import (QQ, Echelon, SparseMatrix, Subspace, Vector, _equals,
-                         joint_prefix_kernels, rank, rank_of_rows, solve)
+                         joint_prefix_kernels, rank, solve)
 from walg.pbw import UEAElement, casimir
 from walg.poisson import KazhdanPolynomial
 
@@ -186,30 +192,79 @@ class QDegreeBasis:
                           {monos[i]: c for i, c in sorted(row.items()) if c})
 
 
-def ad_action_matrix(x: Sequence, qb: QDegreeBasis,
-                     sctx: SliceContext) -> SparseMatrix:
-    """Matrix of v -> q([x, v~]) on the degree basis; strictly lowers degree.
+class AdColumns:
+    """The columns v -> q([x, v~]) of ad x on PBW monomials, each built once,
+    on first use (`column`), as an integer form (den, ints).
 
     The column of v is q(x v), one step, minus q(v x), the left action of v
-    on x; F_n Q is closed under suffixes, so that memo takes one step per
-    column too.
+    on x (`right`); F_n Q is closed under suffixes, so that memo takes one
+    step per column too.  Every column is checked against the filtration
+    law as it is built: x of ad h weight `weight` maps F_k Q into
+    F_{k+weight} Q (the default -1 holds for every x in n_ell).
     """
-    basis = sctx.basis
-    xe = basis.element_from_ambient(x).terms
-    den, gens = _linear(xe)
-    right = _left_action(basis, _generator_steps(basis), xe)
-    cnt = len(qb.monomials)
+
+    __slots__ = ("x", "basis", "weight", "den", "gens", "right", "memo",
+                 "degrees")
+
+    def __init__(self, x: Sequence, sctx: SliceContext, weight: int = -1):
+        basis = sctx.basis
+        xe = basis.element_from_ambient(x).terms
+        self.x, self.basis, self.weight = x, basis, weight
+        self.den, self.gens = _linear(xe)
+        self.right = _left_action(basis, _generator_steps(basis), xe)
+        self.memo: Dict = {}
+        self.degrees: Dict = {}           # monomial -> Kazhdan degree
+
+    def column(self, mono) -> tuple:
+        """q([x, mono~]) as an integer form (`backend.int_form`)."""
+        col = self.memo.get(mono)
+        if col is None:
+            col = self._image(mono)
+            k = self._degree(mono)
+            for m in col[1]:
+                if self._degree(m) > k + self.weight:
+                    raise WalgError(f"ad action of weight {self.weight} takes "
+                                    f"degree {k} to degree {self._degree(m)}")
+            self.memo[mono] = col
+        return col
+
+    def _degree(self, mono) -> int:
+        d = self.degrees.get(mono)
+        if d is None:
+            d = self.degrees[mono] = self.basis.monomial_degree(mono)
+        return d
+
+    def _image(self, mono) -> tuple:
+        # a step on a basis with a non-integral chi value or structure
+        # constant can return Fractions, so the sum is put in integer form
+        return backend.int_form(backend._value(backend.combine(
+            [(1, (self.den, _step(self.basis, self.gens, {mono: 1}))),
+             (-1, self.right.image(mono))])))
+
+    def kills(self, terms: Dict) -> bool:
+        """Whether ad x kills the element with term dict `terms`: one sum of
+        the columns of its own monomials."""
+        _, ints = backend.combine([(c, self.column(m)) for m, c in terms.items()])
+        return not any(ints.values())
+
+
+def ad_action_matrix(x: Sequence, qb: QDegreeBasis, sctx: SliceContext,
+                     upto: Optional[int] = None,
+                     columns: Optional[AdColumns] = None) -> SparseMatrix:
+    """Matrix of v -> q([x, v~]) on the degree basis up to degree `upto`
+    (all of F_n Q by default); strictly lowers degree.  Its columns are
+    those of `columns`, an `AdColumns` of x (a new one by default), so a
+    column it has built already is not built again."""
+    if columns is None:
+        columns = AdColumns(x, sctx)
+    cnt = qb._size(upto)
+    index = qb.index
     entries = {}
-    for j, mono in enumerate(qb.monomials):
-        img = backend._value(backend.combine(
-            [(1, (den, _step(basis, gens, {mono: 1}))),
-             (-1, right.image(mono))]))
-        deg_in = basis.monomial_degree(mono)
-        for m, c in img.items():
-            if basis.monomial_degree(m) >= deg_in:
-                raise WalgError("ad action failed to lower the Kazhdan degree")
-            entries[(qb.index[m], j)] = c
-    return SparseMatrix(cnt, cnt, entries)
+    for j, mono in enumerate(qb.monomials[:cnt]):
+        den, ints = columns.column(mono)
+        for m, c in backend._divide(ints, den).items():
+            entries[(index[m], j)] = c
+    return SparseMatrix._of(cnt, cnt, entries)
 
 
 def left_action_matrix(x: Sequence, qb: QDegreeBasis,
@@ -227,7 +282,7 @@ def left_action_matrix(x: Sequence, qb: QDegreeBasis,
              (-cx, (1, {mono: 1}))]))
         for m, c in img.items():
             entries[(qb.index[m], j)] = c
-    return SparseMatrix(cnt, cnt, entries)
+    return SparseMatrix._of(cnt, cnt, entries)
 
 
 class HBasis:
@@ -486,24 +541,42 @@ def h_basis(n_max: int, sctx: SliceContext) -> HBasis:
     (`n_ell_generators`) is taken only on F_top Q, top the largest slice
     degree, and the generators are chosen there (`_choose_generators`).
     Each ordered monomial's form is taken by `q_product` from its suffix,
-    and the forms are certified to span F_n H: each is killed by the
-    ad-matrices, all are independent in one echelon, and in each degree
-    their count equals an upper bound for dim gr_n H, the dimension of the
-    joint kernel of the symbol blocks of the same matrices
-    (`_symbol_bounds`).  Where a clause fails, F_n H is the joint kernel on
-    F_{n_max} Q instead (`kernel_h_basis`), and `uncertified` names the
-    degree.  For n_max <= top the kernel on F_top Q is all of it, so the
-    kernel route is taken directly.
+    and the forms are certified to span F_n H: each is killed by ad x for
+    every generator x (`AdColumns.kills`, through the columns of the
+    monomials it touches), all are independent in one echelon, and in
+    each degree k their count equals dim C[S]_k, an upper bound for
+    dim gr_k H by transversality:
+
+    The symbol of ad x on gr Q = C[chi + a^perp], x in n_ell, is the
+    derivation D_x (`ReductionData.derivation`).  Each D_x(y_p) is a
+    constant plus a linear form, so D_x = A_x + L_x, where A_x has
+    constant coefficients and lowers the polynomial degree by one and L_x
+    keeps it.  The symbol f of an element of F_k H is killed by every D_x.
+    Suppose the A_x, x over a basis of n_ell, and the directions of the
+    slice S span all n_complement directions (`SliceContext.is_transversal`,
+    one rank of that size per context).  If f restricts to 0 on S, the
+    lowest polynomial-degree part of f is killed by every A_x, so it is a
+    function on V / span(A_x), which restricts injectively to S; S is
+    linear in the coordinates, so that part restricts to 0, hence is 0,
+    and by induction on the polynomial degree f = 0.  So restriction to S
+    embeds gr_k H in C[S]_k.  A failed rank counts as a failed clause at
+    degree top + 1.
+
+    Where a clause fails, F_n H is the joint kernel on F_{n_max} Q instead
+    (`kernel_h_basis`), and `uncertified` names the degree.  For
+    n_max <= top the kernel on F_top Q is all of it, so the kernel route is
+    taken directly.  Either way each generator's `AdColumns` builds each
+    column once.
     """
     qb = QDegreeBasis(sctx, n_max)
-    xs = n_ell_generators(sctx)
-    mats = [ad_action_matrix(x, qb, sctx) for x in xs]
-    if n_max <= max(sctx.slice_data.degrees, default=0):
-        return _kernel_h_basis(qb, mats, sctx)
+    actions = _ad_columns(sctx)
+    top = max(sctx.slice_data.degrees, default=0)
+    if n_max <= top:
+        return _kernel_h_basis(qb, actions)
     try:
-        return _pbw_h_basis(qb, xs, mats, sctx)
+        return _pbw_h_basis(qb, actions, top)
     except _Uncertified as exc:
-        hb = _kernel_h_basis(qb, mats, sctx)
+        hb = _kernel_h_basis(qb, actions)
         hb.uncertified = exc.degree
         return hb
 
@@ -512,14 +585,20 @@ def kernel_h_basis(n_max: int, sctx: SliceContext) -> HBasis:
     """F_n H for n <= n_max as joint kernels on F_{n_max} Q of the
     ad-matrices of the generators of n_ell: the route `h_basis` falls back
     to, and its oracle."""
-    qb = QDegreeBasis(sctx, n_max)
-    return _kernel_h_basis(
-        qb, [ad_action_matrix(x, qb, sctx) for x in n_ell_generators(sctx)], sctx)
+    return _kernel_h_basis(QDegreeBasis(sctx, n_max), _ad_columns(sctx))
 
 
-def _kernel_h_basis(qb: QDegreeBasis, mats, sctx: SliceContext) -> HBasis:
+def _ad_columns(sctx: SliceContext) -> List[AdColumns]:
+    """The `AdColumns` of each generator of n_ell, with its ad h weight."""
+    weight = dict(sctx.pair.n_graded)
+    return [AdColumns(x, sctx, weight[x]) for x in n_ell_generators(sctx)]
+
+
+def _kernel_h_basis(qb: QDegreeBasis, actions: Sequence[AdColumns]) -> HBasis:
     """One elimination of the stacked rows on F_{n_max} Q gives every F_n H,
     read off by prefix; the representatives are the forms."""
+    sctx = qb.sctx
+    mats = [ad_action_matrix(a.x, qb, sctx, None, a) for a in actions]
     subspaces = joint_prefix_kernels(mats, len(qb.monomials),
                                      qb.counts[:qb.n + 1])
     rows, degrees, _ = _representatives(subspaces)
@@ -603,46 +682,19 @@ def _choose_generators(low: Sequence[Subspace], qb: QDegreeBasis,
     return degrees, word_forms
 
 
-def _symbol_bounds(qb: QDegreeBasis, mats: Sequence[SparseMatrix],
-                   weights: Sequence[int]) -> List[int]:
-    """Upper bounds for dim gr_k H, k <= n_max.
-
-    x in n_ell of ad h weight w maps F_k Q into F_{k+w} Q, so its matrix
-    has no entry above degree k + w in a column of degree k (a WalgError
-    otherwise), and its entries of degree exactly k + w form the symbol
-    block gr_k Q -> gr_{k+w} Q.  The symbol of an element of F_k H is
-    killed by every block, so dim gr_k H is at most the dimension of their
-    joint kernel: one elimination of the stacked blocks per degree.
-    """
-    basis = qb.sctx.basis
-    qdeg = [basis.monomial_degree(m) for m in qb.monomials]
-    blocks: List[Dict] = [{} for _ in range(qb.n + 1)]
-    for i, (M, w) in enumerate(zip(mats, weights)):
-        for (r, c), v in M.entries.items():
-            k = qdeg[c]
-            if qdeg[r] > k + w:
-                raise WalgError(f"ad action of weight {w} takes degree {k} "
-                                f"to degree {qdeg[r]}")
-            if qdeg[r] == k + w:
-                blocks[k].setdefault((i, r), {})[c] = v
-    return [qb.dim_f(k) - qb.dim_f(k - 1)
-            - rank_of_rows(list(block.values()), qb.dim_f(k))
-            for k, block in enumerate(blocks)]
-
-
-def _pbw_h_basis(qb: QDegreeBasis, xs: Sequence[Vector],
-                 mats: Sequence[SparseMatrix], sctx: SliceContext) -> HBasis:
+def _pbw_h_basis(qb: QDegreeBasis, actions: Sequence[AdColumns],
+                 top: int) -> HBasis:
     """The certified monomial basis of `h_basis`; `_Uncertified` where a
     clause of the certificate fails."""
-    n_max = qb.n
-    weight = dict(sctx.pair.n_graded)
-    bounds = _symbol_bounds(qb, mats, [weight[x] for x in xs])
-    top = max(sctx.slice_data.degrees, default=0)
-    low = joint_prefix_kernels(mats, len(qb.monomials), qb.counts[:top + 1])
+    sctx = qb.sctx
+    if not sctx.is_transversal():
+        raise _Uncertified(top + 1, "no transversality rank for the bound")
+    mats = [ad_action_matrix(a.x, qb, sctx, top, a) for a in actions]
+    low = joint_prefix_kernels(mats, qb.dim_f(top), qb.counts[:top + 1])
     gen_degrees, word_forms = _choose_generators(low, qb, sctx)
-    words = poisson.enumerate_monomials(gen_degrees, n_max)
+    words = poisson.enumerate_monomials(gen_degrees, qb.n)
     degrees = [sum(e * gen_degrees[i] for i, e in w) for w in words]
-    for k, bound in enumerate(bounds):
+    for k, bound in enumerate(sctx.hilbert_slice(qb.n)):
         if degrees.count(k) != bound:
             raise _Uncertified(k, f"{degrees.count(k)} ordered monomials "
                                   f"against the bound {bound}")
@@ -651,12 +703,12 @@ def _pbw_h_basis(qb: QDegreeBasis, xs: Sequence[Vector],
     for word, d in zip(words, degrees):
         form = _word_form(sctx.basis, word_forms, word)
         coords = qb.sparse_coords(form, upto=d)
-        if any(M.apply_sparse(coords) for M in mats):
+        if not all(a.kills(form.terms) for a in actions):
             raise _Uncertified(d, "an ordered monomial outside H")
         if not echelon.extend(coords):
             raise _Uncertified(d, "dependent ordered monomials")
         forms.append(form)
-    return HBasis(sctx, n_max, qb, forms, degrees, echelon, words=words,
+    return HBasis(sctx, qb.n, qb, forms, degrees, echelon, words=words,
                   subspaces=low)
 
 
@@ -905,7 +957,8 @@ def ce_blocks(i_max: int, n_max: int, sctx: SliceContext):
                     if r is None:
                         raise WalgError("differential left the graded block")
                     backend._acc(entries, (r, j), c)
-            diffs.append(SparseMatrix(len(cod), len(dom), entries))
+            diffs.append(SparseMatrix._of(len(cod), len(dom), {
+                rc: v for rc, v in entries.items() if v}))
         blocks[n] = (bases, diffs)
     return blocks
 

@@ -17,8 +17,9 @@ integer forms, and for the elimination of the one incremental echelon
 `walg.linalg`); only `Echelon.coordinates`, which hands out rational
 coordinates, may.  And for the kernels on integer forms (den, ints): the
 memoized images and the sum of `backend.MonomialMap`, the one map behind
-the PBW product, the left action on Q in `walg.whittaker`, the forms of
-the ordered monomials in the generators of H, the products of H by
+the PBW product, the left action on Q in `walg.whittaker` and the ad
+columns built on it (`AdColumns`), the forms of the ordered monomials in
+the generators of H, the products of H by
 rewriting (`backend.word_map`), the basis change and
 `poisson.Substitution`, together with the steps and the call of the last
 two, and `backend.combine`, the sum over one common scale; they leave the
@@ -177,11 +178,12 @@ STRAIGHTENING = ("gen_times_mono", "mono_times_gen", "_gen_times_terms",
                  "_terms_times_gen", "mul_terms", "gen_times_word")
 ECHELON_ELIMINATION = ("Echelon.reduce", "Echelon.extend", "_eliminate")
 # module -> its integer-form kernels: the memoized monomial map, the left
-# action on Q, the forms of the generator monomials of H, the product of H
-# by rewriting and the substitution built on the map, and the sum over a
-# common scale behind the map
+# action on Q and the ad columns built on it, the forms of the generator
+# monomials of H, the product of H by rewriting and the substitution built
+# on the map, and the sum over a common scale behind the map
 INTEGER_FORM_KERNELS = {
-    "whittaker.py": ("_linear", "_step", "_left_action", "_word_forms"),
+    "whittaker.py": ("_linear", "_step", "_left_action", "_word_forms",
+                     "AdColumns.column", "AdColumns._image", "AdColumns.kills"),
     "poisson.py": ("Substitution.__call__",),
     "backend.py": ("combine", "_value", "MonomialMap.image",
                    "MonomialMap.__call__", "word_map"),

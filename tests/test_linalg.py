@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from walg import backend
 from walg.errors import AmbientMismatch
 from walg.linalg import (SparseMatrix, Subspace, kernel, prefix_kernels, rank,
-                         solve, sum_and_intersection, unit_vec)
+                         rank_of_rows, solve, sum_and_intersection, unit_vec)
 
 from conftest import sl2_algebra
 
@@ -233,6 +233,27 @@ def test_rref_sparse_matches_gauss_jordan(matrix):
     Gauss-Jordan elimination."""
     rows, ncols = matrix
     assert backend.rref_sparse(sparse(rows), ncols) == gauss_jordan(rows, ncols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bucket_matrices(), st.booleans())
+def test_rank_on_the_short_side_matches_the_row_route(matrix, transpose):
+    """`rank` eliminates the columns of a tall matrix; on tall, wide,
+    rank-deficient and empty matrices it equals the rank of the rows."""
+    rows, ncols = matrix
+    M = SparseMatrix.from_rows(rows, ncols)
+    if transpose:
+        M = SparseMatrix(M.cols, M.rows,
+                         {(c, r): v for (r, c), v in M.entries.items()})
+    assert rank(M) == rank_of_rows(M.row_dicts(), M.cols) == \
+        len(gauss_jordan(rows, ncols)[0])
+
+
+def test_rank_on_the_short_side_examples():
+    assert rank(SparseMatrix(5, 0, {})) == rank(SparseMatrix(0, 5, {})) == 0
+    assert rank(SparseMatrix(6, 2, {})) == 0
+    assert rank(SparseMatrix.from_rows([[1, 2], [2, 4], [3, 6]])) == 1
+    assert rank(SparseMatrix.from_rows([[1, 0], [0, 1], [1, 1], [2, 3]])) == 2
 
 
 @settings(max_examples=40, deadline=None)

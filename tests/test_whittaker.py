@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from walg import backend, linalg, poisson, whittaker as W
 from walg.context import build_context
 from walg.errors import ComparisonFailure, DegreeOverflow, WalgError
+from walg.liealg import highest_root_triple, make_sln, partition_triple
 from walg.linalg import SparseMatrix, Subspace, kernel, rank, solve
 from walg.pbw import UEAElement, casimir, convert_element
 from walg.poisson import KazhdanPolynomial
@@ -915,28 +916,198 @@ def test_certificate_fails_without_the_top_generator(monkeypatch, sl3_min_lag):
 
     monkeypatch.setattr(W, "_choose_generators", drop_top)
     hb = W.h_basis(7, sl3_min_lag)
-    assert hb.words is None and hb.uncertified == 4
-    kb = W.kernel_h_basis(7, sl3_min_lag)
-    assert (hb.elements, hb.degrees, hb.gr_dims) == \
-        (kb.elements, kb.degrees, kb.gr_dims)
-    for n in range(8):
-        assert hb.subspace_at(n) == kb.subspace_at(n)
-    assert hb.multiplication_table() == kb.multiplication_table()
+    assert hb.uncertified == 4
+    assert_kernel_route(hb, sl3_min_lag)
 
 
 def test_ad_entry_above_its_weight_raises(monkeypatch, sl3_min_zero):
     """Negative control: an ad x entry of degree k in a column of degree k
-    breaks the filtration law deg ad x(m) <= deg m + w, w <= -1."""
-    true_matrix = W.ad_action_matrix
+    breaks the filtration law deg ad x(m) <= deg m + w, w <= -1, and is
+    caught as the column is built, on either route."""
+    qb = W.QDegreeBasis(sl3_min_zero, 6)
+    mono = qb.monomials[qb.dim_f(2)]  # the first column of degree 3
+    true_image = W.AdColumns._image
 
-    def raised(x, qb, sctx):
-        M = true_matrix(x, qb, sctx)
-        j = qb.dim_f(2)  # a column of degree 3
-        return SparseMatrix(M.rows, M.cols, {**M.entries, (j, j): F(1)})
+    def raised(self, m):
+        den, ints = true_image(self, m)
+        return (den, {**ints, mono: den}) if m == mono else (den, ints)
 
-    monkeypatch.setattr(W, "ad_action_matrix", raised)
-    with pytest.raises(WalgError, match="takes degree 3 to degree 3"):
-        W.h_basis(6, sl3_min_zero)
+    monkeypatch.setattr(W.AdColumns, "_image", raised)
+    for route in (W.h_basis, W.kernel_h_basis):
+        with pytest.raises(WalgError, match="takes degree 3 to degree 3"):
+            route(6, sl3_min_zero)
+
+
+def symbol_bounds(qb, mats, weights):
+    """Upper bounds for dim gr_k H, k <= n_max, by elimination: the oracle
+    for the slice series that `h_basis` takes as its bound.
+
+    x in n_ell of ad h weight w maps F_k Q into F_{k+w} Q, so its matrix
+    has no entry above degree k + w in a column of degree k (a WalgError
+    otherwise), and its entries of degree exactly k + w form the symbol
+    block gr_k Q -> gr_{k+w} Q.  The symbol of an element of F_k H is
+    killed by every block, so dim gr_k H is at most the dimension of their
+    joint kernel: one elimination of the stacked blocks per degree.
+    """
+    basis = qb.sctx.basis
+    qdeg = [basis.monomial_degree(m) for m in qb.monomials]
+    blocks = [{} for _ in range(qb.n + 1)]
+    for i, (M, w) in enumerate(zip(mats, weights)):
+        for (r, c), v in M.entries.items():
+            k = qdeg[c]
+            if qdeg[r] > k + w:
+                raise WalgError(f"ad action of weight {w} takes degree {k} "
+                                f"to degree {qdeg[r]}")
+            if qdeg[r] == k + w:
+                blocks[k].setdefault((i, r), {})[c] = v
+    return [qb.dim_f(k) - qb.dim_f(k - 1)
+            - linalg.rank_of_rows(list(block.values()), qb.dim_f(k))
+            for k, block in enumerate(blocks)]
+
+
+@pytest.mark.parametrize("case", PBW_CASES, ids=lambda c: c[0])
+def test_symbol_bounds_are_the_slice_series(request, case):
+    """The joint kernels of the symbol blocks of the generators' ad matrices
+    have the dimensions of C[S], degree by degree: the bound the PBW route
+    takes from the slice series, computed by elimination."""
+    ctx_name, n, _ = case
+    sctx = request.getfixturevalue(ctx_name)
+    qb = W.QDegreeBasis(sctx, n)
+    weight = dict(sctx.pair.n_graded)
+    xs = W.n_ell_generators(sctx)
+    mats = [W.ad_action_matrix(x, qb, sctx) for x in xs]
+    assert symbol_bounds(qb, mats, [weight[x] for x in xs]) == \
+        sctx.hilbert_slice(n)
+
+
+@pytest.fixture(scope="module")
+def sl4_31(sl4):
+    e, h, f = partition_triple(4, [3, 1])
+    return build_context(sl4, e, "zero", h=h, f=f)
+
+
+@pytest.fixture(scope="module")
+def sl5_min():
+    e, h, f = highest_root_triple(5)
+    return build_context(make_sln(5), e, "zero", h=h, f=f)
+
+
+@pytest.mark.parametrize("ctx_name", [c[0] for c in PBW_CASES]
+                         + ["sl4_31", "sl5_min"])
+def test_transversality_rank_holds(request, ctx_name):
+    """The constant parts A_x over the n_ell basis and the slice directions
+    form a basis of the complement directions: one row each."""
+    sctx = request.getfixturevalue(ctx_name)
+    rows = sctx.transversality_rows()
+    nc = sctx.basis.n_complement
+    assert len(rows) == len(sctx.pair.n_graded) + len(sctx.slice_data.degrees) == nc
+    assert linalg.rank_of_rows(rows, nc) == nc
+    assert sctx.is_transversal()
+
+
+def assert_kernel_route(hb, sctx):
+    """hb is the kernel route's basis: elements, subspaces and table."""
+    kb = W.kernel_h_basis(hb.n_max, sctx)
+    assert hb.words is None
+    assert (hb.elements, hb.degrees, hb.gr_dims) == \
+        (kb.elements, kb.degrees, kb.gr_dims)
+    for n in range(hb.n_max + 1):
+        assert hb.subspace_at(n) == kb.subspace_at(n)
+    assert hb.multiplication_table() == kb.multiplication_table()
+
+
+def test_certificate_fails_without_transversality(monkeypatch, sl3):
+    """Negative control: with one n_ell row of the transversality matrix
+    replaced by another the rank falls short, so the bound is not proved
+    and h_basis returns the kernel route's basis, uncertified at top + 1.
+    The context is built here: the rank is kept on it once computed."""
+    e, h, f = highest_root_triple(3)
+    sctx = build_context(sl3, e, "lagrangian-auto", h=h, f=f)
+    true_rows = type(sctx).transversality_rows
+
+    def repeated(ctx):
+        rows = true_rows(ctx)
+        return [rows[0], rows[0]] + rows[2:]
+
+    monkeypatch.setattr(type(sctx), "transversality_rows", repeated)
+    assert not sctx.is_transversal()
+    hb = W.h_basis(7, sctx)
+    assert hb.uncertified == max(sctx.slice_data.degrees) + 1 == 5
+    assert_kernel_route(hb, sctx)
+
+
+def test_certificate_fails_on_a_form_outside_h(monkeypatch, sl3_min_lag):
+    """Negative control: a word form of degree top + 1 moved off H by a
+    monomial of its degree is not killed, and h_basis falls back to the
+    kernel route at that degree."""
+    top = max(sl3_min_lag.slice_data.degrees)
+    good = W.h_basis(7, sl3_min_lag)
+    word = next(w for w, d in zip(good.words, good.degrees) if d == top + 1)
+    mono = good.qb.monomials[good.qb.dim_f(top)]  # the first of degree top + 1
+    bad = good.forms[good.words.index(word)] + UEAElement(
+        sl3_min_lag.basis, {mono: F(1)})
+    assert not W.kernel_h_basis(7, sl3_min_lag).contains(bad, top + 1)
+    true_form = W._word_form
+
+    def moved(basis, word_forms, w):
+        form = true_form(basis, word_forms, w)
+        return form + UEAElement(basis, {mono: F(1)}) if w == word else form
+
+    monkeypatch.setattr(W, "_word_form", moved)
+    hb = W.h_basis(7, sl3_min_lag)
+    assert hb.uncertified == top + 1
+    assert_kernel_route(hb, sl3_min_lag)
+
+
+@pytest.mark.parametrize("ctx_name,n,saves", [("sl3_min_lag", 10, True),
+                                              ("sl4_211", 6, True),
+                                              ("sl3_principal", 12, False)])
+def test_ad_columns_only_where_forms_touch(monkeypatch, request, ctx_name, n,
+                                           saves):
+    """On the PBW route every column of F_top Q is built once, for the
+    kernel there, and above F_top only the columns of the monomials some
+    form touches, each once; none is built twice.  On sl3 regular the forms
+    touch every monomial, so no column is saved there."""
+    sctx = request.getfixturevalue(ctx_name)
+    top = max(sctx.slice_data.degrees)
+    true_image = W.AdColumns._image
+    built = []
+
+    def recorded(self, mono):
+        built.append((id(self), mono))
+        return true_image(self, mono)
+
+    monkeypatch.setattr(W.AdColumns, "_image", recorded)
+    hb = W.h_basis(n, sctx)
+    assert hb.words is not None and hb.uncertified is None
+    assert len(built) == len(set(built))
+    touched = {m for form in hb.forms for m in form.terms}
+    degree = sctx.basis.monomial_degree
+    above = {m for _, m in built if degree(m) > top}
+    assert above == {m for m in touched if degree(m) > top}
+    r = len(W.n_ell_generators(sctx))
+    assert len(built) == r * (hb.qb.dim_f(top) + len(above))
+    assert (len(built) < r * len(hb.qb.monomials)) == saves
+
+
+@pytest.mark.parametrize("ctx_name,n", [
+    ("sl2_ctx", 6), ("sl3_min_zero", 5), ("sl3_min_lag", 5),
+    ("sl3_min_lag2", 5), ("sl3_min_conj", 5), ("sl3_principal", 6),
+    ("sl4_22_conj", 4), ("sl4_211", 4), ("sl4_regular", 6)])
+def test_trusted_matrices_match_the_checked_constructor(request, ctx_name, n):
+    """The ad and left action matrices and the CE differentials are built
+    on trusted entries (`SparseMatrix._of`); the checked constructor, which
+    range-checks every entry and drops zeros, gives the same matrices."""
+    sctx = request.getfixturevalue(ctx_name)
+    qb = W.QDegreeBasis(sctx, n)
+    mats = [W.ad_action_matrix(x, qb, sctx, upto)
+            for x, _ in sctx.pair.n_graded for upto in (None, n - 1)]
+    mats += [W.left_action_matrix(x, qb, sctx) for x, _ in sctx.pair.a_graded]
+    i_max = min(2, len(sctx.pair.n_graded))
+    mats += [d for _, diffs in W.ce_blocks(i_max, n, sctx).values() for d in diffs]
+    assert mats
+    for M in mats:
+        assert M == SparseMatrix(M.rows, M.cols, M.entries)
 
 
 # -- the integer echelon against the Fraction one it replaces ----------------
