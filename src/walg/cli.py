@@ -73,6 +73,8 @@ class JobConfig:
     def validate(self):
         if self.max_degree < 0:
             raise ConfigError("max-degree must be >= 0")
+        if not self.checks:
+            raise ConfigError("no checks requested")
         for k, name in enumerate(self.checks):
             if name not in CHECK_NAMES:
                 raise ConfigError(f"unknown check '{name}'; "

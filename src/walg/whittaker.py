@@ -17,24 +17,21 @@ monomial order lists F_n Q as a prefix, so one elimination of their
 stacked rows gives every F_n H (and likewise every Wh(F_n Q)), read off by
 prefix as sparse canonical rows.  By the PBW theorem for finite
 W-algebras (Premet), the ordered monomials in lifts of the r slice
-generators are a basis of H, so `h_basis` eliminates only on F_top Q, top
-the largest slice degree (all of F_{n_max} Q when n_max <= top), and
-chooses the generators there.  Above top,
-F_n H is the span of the generator monomials, each formed by `q_product`
-from its suffix and certified: killed by ad x for every generator x of
-n_ell (applied only through the columns of the monomials the forms touch,
+generators are a basis of H, and every `HBasis` is that basis: one
+builder eliminates on F_t Q only, chooses the generators there, and forms
+each ordered monomial up to n_max by `q_product` from its suffix.  The
+forms are certified: killed by ad x for every generator x of n_ell
+(applied only through the columns of the monomials the forms touch,
 `AdColumns`), independent in one echelon, and in each degree k as many as
-dim C[S]_k.  That is an upper bound for dim gr_k H by transversality: the
-symbol of ad x is the derivation D_x = A_x + L_x of gr Q, A_x its
-constant part and L_x its linear part, and once the A_x and the slice
-directions span (one rank, `SliceContext.is_transversal`), induction on
-the polynomial degree shows that restriction to S is injective on the
-symbols of H (see `h_basis`).  Where the certificate fails, the whole
-kernel on F_{n_max} Q is taken instead.  Products in H are then
-rewritten on the monomials, g_b g_a -> g_a g_b + [g_b, g_a], with each
-commutator formed once in Q (`backend.word_map`); the canonical
-prefix-stable representatives the reports print are built from the same
-span on first use.
+the kernel's dimension for k <= t and as dim C[S]_k above t, an upper
+bound for dim gr_k H by transversality (one rank,
+`SliceContext.is_transversal`; see `h_basis`).  So the exact kernel only
+sets how far up t reaches: to top, the largest slice degree, where that
+rank holds and n_max is above it, and otherwise, or where a clause fails
+at t = top, to n_max.  Products in H are rewritten on the monomials,
+g_b g_a -> g_a g_b + [g_b, g_a], with each commutator formed once in Q
+(`backend.word_map`); the canonical prefix-stable representatives the
+reports print are built from the same span on first use.
 """
 
 from __future__ import annotations
@@ -288,45 +285,41 @@ def left_action_matrix(x: Sequence, qb: QDegreeBasis,
 class HBasis:
     """F_n H for n <= n_max, worked on one basis of forms in Q.
 
-    On the PBW route (`words` set) `forms[k]` is the Q form of the ordered
-    monomial `words[k]` in generators of H, a tuple of (generator,
-    exponent) pairs as in a PBW monomial; on the kernel route the forms are
-    the canonical representatives themselves.  Either way the forms are
-    linearly independent, listed by degree, and those of degree <= n span
-    F_n H.  `form_coordinates` and `contains` read coordinates off one
-    echelon of the forms' F_{n_max} Q coordinates, built by `h_basis` while
-    it chose them; no call runs an elimination, and the coordinates are
-    unique.  Products of forms (`form_products`) are taken by rewriting in
-    the generators on the PBW route, and by left action in Q and one
-    read-off on the kernel route.
+    `forms[k]` is the Q form of the ordered monomial `words[k]` in
+    generators of H, a tuple of (generator, exponent) pairs as in a PBW
+    monomial.  The forms are linearly independent, listed by degree, and
+    those of degree <= n span F_n H.  `form_coordinates` and `contains`
+    read coordinates off one echelon of the forms' F_{n_max} Q coordinates,
+    built by `h_basis` while it certified them; no call runs an
+    elimination, and the coordinates are unique.  Products of forms
+    (`form_products`) are taken by rewriting in the generators.
 
     The reports print the canonical prefix-stable representatives
-    (`elements`), the canonical subspaces (`subspace_at`) and coordinates
-    on the representatives (`coordinates`, `express`,
-    `multiplication_table`).  On the PBW route these are built on first
-    use: a job that only compares, or only tests membership, never builds
-    them.
+    (`elements`), the canonical subspaces (`subspace_at`; for n <= t, the
+    degree up to which `h_basis` took the exact kernel, that kernel itself)
+    and coordinates on the representatives (`coordinates`, `express`,
+    `multiplication_table`).  These are built on first use: a job that
+    only compares, or only tests membership, never builds them.
     """
 
     __slots__ = ("sctx", "n_max", "qb", "forms", "words", "degrees",
                  "gr_dims", "uncertified", "_echelon", "_subspaces",
                  "_canonical", "_relations", "_cache")
 
-    def __init__(self, sctx, n_max, qb, forms, degrees, echelon, words=None,
-                 subspaces=()):
+    def __init__(self, sctx, n_max, qb, forms, degrees, echelon, words,
+                 subspaces):
         self.sctx = sctx
         self.n_max = n_max
         self.qb = qb
         self.forms = forms                # UEAElement form of each basis vector
-        self.words = words                # generator monomial of each form, or None
+        self.words = words                # generator monomial of each form
         self.degrees = degrees            # degree at which each entered
         self.gr_dims = [degrees.count(n) for n in range(n_max + 1)]
-        self.uncertified = None           # kernel route: where the PBW route failed
+        self.uncertified = None           # where the certificate at t = top failed
         self._echelon = echelon           # Echelon of the forms' coordinates
         self._subspaces = dict(enumerate(subspaces))  # n -> Subspace of F_n Q
-        # (representatives, each form on them, each of them on the words);
-        # the kernel route's forms are the representatives
-        self._canonical = None if words is not None else (forms, None, None)
+        # (representatives, each form on them, each of them on the words)
+        self._canonical = None
         self._relations = None            # (b, a) -> [g_b, g_a] over the words
         self._cache: dict = {}            # generator x word straightenings
 
@@ -354,8 +347,8 @@ class HBasis:
 
     def _canonical_view(self):
         """(elements, rows, over_words): the canonical representatives,
-        chosen from the canonical subspaces as the kernel route chooses
-        them; the integer form of each form's coordinates on them; and each
+        chosen from the canonical subspaces by `_representatives`; the
+        integer form of each form's coordinates on them; and each
         of them as a term dict over the words.
 
         Both changes of basis are read off at the pivot columns of F_{n_max} H
@@ -409,9 +402,7 @@ class HBasis:
         """Coefficients of u on the representatives if u lies in F_n H,
         else None."""
         x = self.form_coordinates(u, n)
-        if x is None or self.words is None:
-            return x
-        return self._to_canonical(dict(_nonzero(x)))
+        return None if x is None else self._to_canonical(dict(_nonzero(x)))
 
     def contains(self, u: UEAElement, n: Optional[int] = None) -> bool:
         """Whether u lies in F_n H (n defaults to n_max)."""
@@ -474,10 +465,6 @@ class HBasis:
     def form_products(self, pairs):
         """(i, j, x) over the (i, j) in `pairs`, in their order, with x the
         coefficients of forms_i forms_j on the forms."""
-        if self.words is None:
-            for i, j, prod in _products(pairs, self.forms, self.sctx):
-                yield i, j, _read_off(prod, self.degrees[i] + self.degrees[j], self)
-            return
         index = {w: k for k, w in enumerate(self.words)}
         units = [{w: 1} for w in self.words]
         for i, j, terms in self._word_products(pairs, units, units):
@@ -489,8 +476,6 @@ class HBasis:
     def multiplication_table(self, bound: Optional[int] = None):
         """(i, j) -> coefficient vector of elem_i * elem_j on the basis."""
         pairs = self.product_pairs(bound)
-        if self.words is None:
-            return {(i, j): x for i, j, x in self.form_products(pairs)}
         index = {w: k for k, w in enumerate(self.words)}
         over_words = self._canonical_view()[2]
         return {(i, j): self._to_canonical({index[w]: c for w, c in t.items()})
@@ -537,15 +522,15 @@ def h_basis(n_max: int, sctx: SliceContext) -> HBasis:
     """F_n H for n <= n_max, by the PBW theorem for finite W-algebras
     (Premet): the ordered monomials in generators of H are a basis.
 
-    The joint kernel of the ad-matrices of the generators of n_ell
-    (`n_ell_generators`) is taken only on F_top Q, top the largest slice
-    degree, and the generators are chosen there (`_choose_generators`).
-    Each ordered monomial's form is taken by `q_product` from its suffix,
-    and the forms are certified to span F_n H: each is killed by ad x for
-    every generator x (`AdColumns.kills`, through the columns of the
-    monomials it touches), all are independent in one echelon, and in
-    each degree k their count equals dim C[S]_k, an upper bound for
-    dim gr_k H by transversality:
+    One builder, `_h_basis(qb, actions, t)`, takes the joint kernel of the
+    ad-matrices of the generators of n_ell (`n_ell_generators`) on F_t Q,
+    chooses the generators there (`_choose_generators`), forms each ordered
+    monomial up to n_max by `q_product` from its suffix, and certifies that
+    the forms span F_n H: each is killed by ad x for every generator x
+    (`AdColumns.kills`, through the columns of the monomials it touches),
+    all are independent in one echelon, and in each degree k there are
+    dim gr_k H of them, read off the exact kernel, for k <= t, and
+    dim C[S]_k for k > t, an upper bound for dim gr_k H by transversality:
 
     The symbol of ad x on gr Q = C[chi + a^perp], x in n_ell, is the
     derivation D_x (`ReductionData.derivation`).  Each D_x(y_p) is a
@@ -559,54 +544,51 @@ def h_basis(n_max: int, sctx: SliceContext) -> HBasis:
     function on V / span(A_x), which restricts injectively to S; S is
     linear in the coordinates, so that part restricts to 0, hence is 0,
     and by induction on the polynomial degree f = 0.  So restriction to S
-    embeds gr_k H in C[S]_k.  A failed rank counts as a failed clause at
-    degree top + 1.
+    embeds gr_k H in C[S]_k.
 
-    Where a clause fails, F_n H is the joint kernel on F_{n_max} Q instead
-    (`kernel_h_basis`), and `uncertified` names the degree.  For
-    n_max <= top the kernel on F_top Q is all of it, so the kernel route is
-    taken directly.  Either way each generator's `AdColumns` builds each
-    column once.
+    t is top, the largest slice degree, when n_max > top and the context
+    is transversal (a failed rank is a failed clause at degree top + 1),
+    and n_max otherwise.  Where a clause fails at t = top the builder runs
+    again at t = n_max, on the same `AdColumns`, and `uncertified` names
+    the degree.
+
+    At t = n_max nothing is bounded from above, and no clause fails while
+    the theorem holds: let gr H be a polynomial ring, of the dimensions of
+    C[S].  The generators of degree d are rows of F_d H outside the span
+    of the ordered monomials in those of lower degree, which span
+    F_{d-1} H, so they form a minimal homogeneous system of generators of
+    gr H.  In a polynomial ring such a system is algebraically independent
+    (graded Nakayama: it has as many elements as the Krull dimension), so
+    the symbols of the ordered monomials, products in the domain gr H, are
+    independent, and each form is a product in H.  A failed clause there
+    is a failure of the theorem, or a bug: `TheoremFailure` at its degree,
+    or `verify_theorem`'s at the first degree where the kernel's graded
+    dimensions differ from those of C[S].
     """
     qb = QDegreeBasis(sctx, n_max)
     actions = _ad_columns(sctx)
     top = max(sctx.slice_data.degrees, default=0)
-    if n_max <= top:
-        return _kernel_h_basis(qb, actions)
     try:
-        return _pbw_h_basis(qb, actions, top)
+        if n_max > top and not sctx.is_transversal():
+            raise _Uncertified(top + 1, "no transversality rank for the bound")
+        return _h_basis(qb, actions, min(top, n_max))
     except _Uncertified as exc:
-        hb = _kernel_h_basis(qb, actions)
+        hb = _h_basis(qb, actions, n_max)
         hb.uncertified = exc.degree
         return hb
 
 
 def kernel_h_basis(n_max: int, sctx: SliceContext) -> HBasis:
-    """F_n H for n <= n_max as joint kernels on F_{n_max} Q of the
-    ad-matrices of the generators of n_ell: the route `h_basis` falls back
-    to, and its oracle."""
-    return _kernel_h_basis(QDegreeBasis(sctx, n_max), _ad_columns(sctx))
+    """F_n H for n <= n_max, the builder of `h_basis` at t = n_max: the
+    basis it falls back to, and its oracle, whose `subspace_at(n)` are the
+    exact kernels on F_n Q, independent of the words."""
+    return _h_basis(QDegreeBasis(sctx, n_max), _ad_columns(sctx), n_max)
 
 
 def _ad_columns(sctx: SliceContext) -> List[AdColumns]:
     """The `AdColumns` of each generator of n_ell, with its ad h weight."""
     weight = dict(sctx.pair.n_graded)
     return [AdColumns(x, sctx, weight[x]) for x in n_ell_generators(sctx)]
-
-
-def _kernel_h_basis(qb: QDegreeBasis, actions: Sequence[AdColumns]) -> HBasis:
-    """One elimination of the stacked rows on F_{n_max} Q gives every F_n H,
-    read off by prefix; the representatives are the forms."""
-    sctx = qb.sctx
-    mats = [ad_action_matrix(a.x, qb, sctx, None, a) for a in actions]
-    subspaces = joint_prefix_kernels(mats, len(qb.monomials),
-                                     qb.counts[:qb.n + 1])
-    rows, degrees, _ = _representatives(subspaces)
-    echelon = Echelon()
-    for row in rows:
-        echelon.extend(row)
-    return HBasis(sctx, qb.n, qb, [qb.element(row) for row in rows], degrees,
-                  echelon, subspaces=subspaces)
 
 
 def _representatives(subspaces: Sequence[Subspace]):
@@ -656,14 +638,15 @@ def _word_form(basis, word_forms: backend.MonomialMap, word) -> UEAElement:
 
 def _choose_generators(low: Sequence[Subspace], qb: QDegreeBasis,
                        sctx: SliceContext):
-    """(degrees, word_forms): generators of F_top H chosen from its
+    """(degrees, word_forms): generators of F_t H chosen from its
     canonical subspaces `low`, degree by degree, as their degrees and the
     map of `_word_forms` on them.
 
     At degree d the forms of the ordered monomials of degree d in the
     generators chosen so far join one echelon, and every canonical row of
     F_d H outside its span becomes a generator of degree d.  A dependent
-    monomial fails the certificate.
+    monomial fails the certificate, and so does an echelon that then spans
+    more than F_d H: some monomial's form lies outside H.
     """
     basis = sctx.basis
     gens: List[UEAElement] = []
@@ -679,37 +662,44 @@ def _choose_generators(low: Sequence[Subspace], qb: QDegreeBasis,
             if echelon.extend(row):
                 gens.append(qb.element(row))
                 degrees.append(d)
+        if len(echelon.rows) > K.dim:
+            raise _Uncertified(d, "an ordered monomial outside H")
     return degrees, word_forms
 
 
-def _pbw_h_basis(qb: QDegreeBasis, actions: Sequence[AdColumns],
-                 top: int) -> HBasis:
-    """The certified monomial basis of `h_basis`; `_Uncertified` where a
-    clause of the certificate fails."""
+def _h_basis(qb: QDegreeBasis, actions: Sequence[AdColumns], t: int) -> HBasis:
+    """The ordered monomials in generators chosen in the kernel on F_t Q,
+    certified as `h_basis` says: `_Uncertified` where a clause fails for
+    t < n_max, `TheoremFailure` for t = n_max."""
     sctx = qb.sctx
-    if not sctx.is_transversal():
-        raise _Uncertified(top + 1, "no transversality rank for the bound")
-    mats = [ad_action_matrix(a.x, qb, sctx, top, a) for a in actions]
-    low = joint_prefix_kernels(mats, qb.dim_f(top), qb.counts[:top + 1])
-    gen_degrees, word_forms = _choose_generators(low, qb, sctx)
-    words = poisson.enumerate_monomials(gen_degrees, qb.n)
-    degrees = [sum(e * gen_degrees[i] for i, e in w) for w in words]
-    for k, bound in enumerate(sctx.hilbert_slice(qb.n)):
-        if degrees.count(k) != bound:
-            raise _Uncertified(k, f"{degrees.count(k)} ordered monomials "
-                                  f"against the bound {bound}")
-    echelon = Echelon()
-    forms = []
-    for word, d in zip(words, degrees):
-        form = _word_form(sctx.basis, word_forms, word)
-        coords = qb.sparse_coords(form, upto=d)
-        if not all(a.kills(form.terms) for a in actions):
-            raise _Uncertified(d, "an ordered monomial outside H")
-        if not echelon.extend(coords):
-            raise _Uncertified(d, "dependent ordered monomials")
-        forms.append(form)
-    return HBasis(sctx, qb.n, qb, forms, degrees, echelon, words=words,
-                  subspaces=low)
+    mats = [ad_action_matrix(a.x, qb, sctx, t, a) for a in actions]
+    low = joint_prefix_kernels(mats, qb.dim_f(t), qb.counts[:t + 1])
+    dims = [K.dim - (low[k - 1].dim if k else 0) for k, K in enumerate(low)]
+    try:
+        gen_degrees, word_forms = _choose_generators(low, qb, sctx)
+        words = poisson.enumerate_monomials(gen_degrees, qb.n)
+        degrees = [sum(e * gen_degrees[i] for i, e in w) for w in words]
+        bounds = dims + sctx.hilbert_slice(qb.n)[t + 1:]
+        for k, bound in enumerate(bounds):
+            if degrees.count(k) != bound:
+                raise _Uncertified(k, f"{degrees.count(k)} ordered monomials "
+                                      f"against the bound {bound}")
+        echelon = Echelon()
+        forms = []
+        for word, d in zip(words, degrees):
+            form = _word_form(sctx.basis, word_forms, word)
+            coords = qb.sparse_coords(form, upto=d)
+            if not all(a.kills(form.terms) for a in actions):
+                raise _Uncertified(d, "an ordered monomial outside H")
+            if not echelon.extend(coords):
+                raise _Uncertified(d, "dependent ordered monomials")
+            forms.append(form)
+    except _Uncertified as exc:
+        if t < qb.n:
+            raise
+        raise (_dimension_failure(dims, sctx.hilbert_slice(t)) or
+               TheoremFailure(str(exc), degree=exc.degree)) from None
+    return HBasis(sctx, qb.n, qb, forms, degrees, echelon, words, low)
 
 
 def _products(pairs, elements: Sequence[UEAElement], sctx: SliceContext):
@@ -775,6 +765,15 @@ class TheoremReport:
         return {k: getattr(self, k) for k in self.__slots__}
 
 
+def _dimension_failure(gr_dims, slice_dims) -> Optional[TheoremFailure]:
+    """The failure at the first n with dim gr_n H != dim C[S]_n, if any."""
+    for n, (a, b) in enumerate(zip(gr_dims, slice_dims)):
+        if a != b:
+            return TheoremFailure(f"dim gr_{n} H = {a} != {b} = dim C[S]_{n}",
+                                  degree=n)
+    return None
+
+
 def verify_theorem(n_max: int, sctx: SliceContext,
                    hb: Optional[HBasis] = None) -> TheoremReport:
     """Degreewise check that nu: gr H -> C[S] is an algebra isomorphism.
@@ -795,12 +794,9 @@ def verify_theorem(n_max: int, sctx: SliceContext,
             f"degree {n_max} outside computed range 0..{hb.n_max}")
     gr_dims = hb.gr_dims[:n_max + 1]
     slice_dims = sctx.hilbert_slice(n_max)
-    if gr_dims != slice_dims[:n_max + 1]:
-        for n in range(n_max + 1):
-            if gr_dims[n] != slice_dims[n]:
-                raise TheoremFailure(
-                    f"dim gr_{n} H = {gr_dims[n]} != {slice_dims[n]} = dim C[S]_{n}",
-                    degree=n)
+    failure = _dimension_failure(gr_dims, slice_dims)
+    if failure:
+        raise failure
     nus = [nu_map(a, sctx, d)
            for a, d in zip(hb.elements_up_to(n_max), hb.degrees)]
     injective = []
@@ -1041,10 +1037,10 @@ def ell_comparison(sctx1: SliceContext, sctx2: SliceContext, n_max: int,
     echelon; the first that does not names the first degree where
     injectivity fails.  With equal graded dimensions the map is then
     bijective in every degree.  The map is linear, so the image of
-    f_i f_j = sum_k x_k f_k (`HBasis.form_products`, by rewriting on the
-    PBW route) is sum_k x_k image_k, summed over the images' integer
-    forms; it must equal the product of the images in Q_{ell2}, taken by
-    left action.  hb1 and hb2, when given, are the H-bases at n_max.
+    f_i f_j = sum_k x_k f_k (`HBasis.form_products`, by rewriting) is
+    sum_k x_k image_k, summed over the images' integer forms; it must
+    equal the product of the images in Q_{ell2}, taken by left action.
+    hb1 and hb2, when given, are the H-bases at n_max.
     """
     if not sctx2.symp.ell.contains_subspace(sctx1.symp.ell):
         raise ComparisonFailure("ell1 is not contained in ell2")

@@ -68,6 +68,21 @@ def test_repeated_check_exits_2(capsys, checks):
         "error: check 'theorem' is given more than once\n"
 
 
+@pytest.mark.parametrize("checks", ["", ","])
+def test_empty_check_list_exits_2(monkeypatch, capsys, checks):
+    """A job that requests no check would verify nothing and still pass:
+    bad input, refused before any context is built."""
+    def forbidden(*args):
+        raise AssertionError("a context was built for an empty check list")
+
+    monkeypatch.setattr(cli, "build_context", forbidden)
+    assert main(["run", "--algebra", "sl2", "--nilpotent", "regular",
+                 "--checks", checks, "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: no checks requested\n"
+    with pytest.raises(ConfigError, match="no checks requested"):
+        run(JobConfig(algebra="sl2", nilpotent="regular", checks=[]))
+
+
 def test_negative_degree_rejected():
     config = JobConfig(algebra="sl2", nilpotent="regular", max_degree=-1)
     with pytest.raises(ConfigError):

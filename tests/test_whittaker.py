@@ -1,5 +1,6 @@
 """Quotient module, W-algebra, Whittaker vectors, cohomology."""
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from walg import backend, linalg, poisson, whittaker as W
 from walg.context import build_context
-from walg.errors import ComparisonFailure, DegreeOverflow, WalgError
+from walg.cli import main
+from walg.errors import (ComparisonFailure, DegreeOverflow, TheoremFailure,
+                         WalgError)
 from walg.liealg import highest_root_triple, make_sln, partition_triple
 from walg.linalg import SparseMatrix, Subspace, kernel, rank, solve
 from walg.pbw import UEAElement, casimir, convert_element
@@ -604,13 +607,21 @@ def test_n_ell_generators_match_subspace_rebuild(request, ctx_name):
     assert W.n_ell_generators(sctx) == n_ell_generators_reference(sctx)
 
 
-def test_one_generator_is_not_enough(monkeypatch, sl3_min_zero):
+def test_one_generator_is_not_enough(monkeypatch, tmp_path, sl3_min_zero):
     """Negative control: the invariants of the first generator alone are
-    more than H_ell, so gr H no longer matches the slice series."""
+    more than H_ell, so gr H no longer matches the slice series, and
+    h_basis fails the theorem at the first degree where they differ."""
     first = W.n_ell_generators(sl3_min_zero)[:1]
-    monkeypatch.setattr(W, "n_ell_generators", lambda sctx: first)
-    assert W.h_basis(6, sl3_min_zero).gr_dims[:4] == [1, 1, 3, 5]
+    assert graded_dims(exact_kernels(sl3_min_zero, 6, first))[:4] == \
+        [1, 1, 3, 5]
     assert sl3_min_zero.hilbert_slice(6)[:4] == [1, 0, 1, 2]
+    monkeypatch.setattr(W, "n_ell_generators", lambda sctx: first)
+    with pytest.raises(TheoremFailure,
+                       match=r"^dim gr_1 H = 1 != 0 = dim C\[S\]_1$") as exc:
+        W.h_basis(6, sl3_min_zero)
+    assert exc.value.degree == 1
+    assert_theorem_entry_fails(tmp_path, ["--ell", "zero", "--max-degree",
+                                          "6"], 1)
 
 
 def test_theorem_table_is_multiplication_table(sl3_min_lag, sl3_hb_lag,
@@ -656,12 +667,8 @@ def test_express_substitution_check(sl2_ctx):
 
 def test_one_read_off_per_product(monkeypatch, sl3_min_zero, sl3_hb_zero,
                                   sl3_min_lag, sl3_hb_lag):
-    """On the kernel route each H product's membership and coordinates come
-    from one read-off.  The PBW route reads off no product: once its
-    commutators and its representatives are built, a table reads off
-    nothing."""
-    hb_zero = W.kernel_h_basis(6, sl3_min_zero)
-    hb_lag = W.kernel_h_basis(6, sl3_min_lag)
+    """No H product is read off: once the commutators and the
+    representatives are built, a table reads off nothing."""
     calls = []
     read_off = linalg.Echelon.coordinates
 
@@ -670,16 +677,6 @@ def test_one_read_off_per_product(monkeypatch, sl3_min_zero, sl3_hb_zero,
         return read_off(self, w)
 
     monkeypatch.setattr(linalg.Echelon, "coordinates", counted)
-    rep = W.verify_theorem(6, sl3_min_lag, hb_lag)
-    assert len(calls) == rep.mult_pairs > 0
-    calls.clear()
-    table = hb_lag.multiplication_table()
-    assert len(calls) == len(table) == rep.mult_pairs
-    calls.clear()
-    # one membership check per transported representative, then one
-    # read-off per product
-    cmp = W.ell_comparison(sl3_min_zero, sl3_min_lag, 6, hb_zero, hb_lag)
-    assert len(calls) == len(hb_zero.elements) + cmp.mult_pairs
     for hb in (sl3_hb_zero, sl3_hb_lag):
         hb.commutators()
         assert hb.words is not None and hb.elements
@@ -712,9 +709,9 @@ def test_h_basis_tries_only_new_or_changed_rows(monkeypatch, request,
     """40 representatives up to degree 10; trying every canonical row of
     every F_n H took 146 echelon extensions.  The representatives are
     chosen by `_representatives` on an echelon of its own, which it
-    returns: inside `kernel_h_basis`, and on the PBW route of `h_basis`
-    when `elements` first builds the canonical view.  Only the extensions
-    of that echelon count."""
+    returns, when `elements` first builds the canonical view, with the
+    exact kernel up to top (`h_basis`) or up to 10 (`kernel_h_basis`).
+    Only the extensions of that echelon count."""
     sctx = request.getfixturevalue(ctx_name)
     choose = W._representatives
     echelons = []
@@ -744,26 +741,12 @@ def test_h_basis_stacks_one_ad_block_per_generator(monkeypatch, sl4_regular):
 def test_one_left_action_per_right_factor(monkeypatch, sl3_min_zero,
                                           sl3_hb_zero, sl3_min_lag,
                                           sl3_hb_lag):
-    """On the kernel route one left action serves all products with one
-    right factor.  The PBW route forms no product of H in Q: only the
-    right side of `ell_comparison`, in Q_{ell2}, takes left actions."""
-    hb_zero = W.kernel_h_basis(6, sl3_min_zero)
-    hb_lag = W.kernel_h_basis(6, sl3_min_lag)
-    calls = counting(monkeypatch, W, "_left_action")
-    rep = W.verify_theorem(6, sl3_min_lag, hb_lag)
-    rights = {j for _, j in hb_lag.product_pairs(6)}
-    assert len(calls) == len(rights) < rep.mult_pairs
-    calls.clear()
-    hb_lag.multiplication_table()
-    assert len(calls) == len(rights)
-    calls.clear()
-    # one for the transport, then one per right factor on each side
-    W.ell_comparison(sl3_min_zero, sl3_min_lag, 6, hb_zero, hb_lag)
-    assert len(calls) == 1 + 2 * len({j for _, j in
-                                      hb_zero.product_pairs(6)})
+    """No product of H is formed in Q: only the right side of
+    `ell_comparison`, in Q_{ell2}, takes left actions, one per right
+    factor."""
     for hb in (sl3_hb_zero, sl3_hb_lag):
         hb.commutators()
-    calls.clear()
+    calls = counting(monkeypatch, W, "_left_action")
     W.verify_theorem(6, sl3_min_lag, sl3_hb_lag)
     sl3_hb_lag.multiplication_table()
     assert calls == []
@@ -788,7 +771,7 @@ def test_verify_theorem_needs_the_degree(sl3_min_lag):
         W.verify_theorem(5, sl3_min_lag, W.h_basis(3, sl3_min_lag))
 
 
-# -- the PBW route against the kernel route ---------------------------------
+# -- h_basis against the exact kernel up to n_max (kernel_h_basis) ----------
 
 # (context, degree above its top slice degree, target of the ell comparison)
 PBW_CASES = [("sl2_ctx", 12, None), ("sl3_min_zero", 7, "sl3_min_lag"),
@@ -798,37 +781,100 @@ PBW_CASES = [("sl2_ctx", 12, None), ("sl3_min_zero", 7, "sl3_min_lag"),
              ("sl4_regular", 9, None)]
 
 
-@pytest.fixture(scope="module", params=PBW_CASES, ids=lambda c: c[0])
-def routes(request):
-    """(context, target context, PBW-route and kernel-route H bases)."""
+# the sl4 [2,1,1] degrees up to its top slice degree, 4, where h_basis
+# reads every degree off the exact kernel
+TOP_CASES = [("sl4_211", 3, None), ("sl4_211", 4, None)]
+
+
+@pytest.fixture(scope="module")
+def built_routes():
+    """(context name, degree) -> the bases of `routes`, built once."""
+    return {}
+
+
+def _routes(request, built):
+    """(context, target context, h_basis and kernel_h_basis) of the case."""
     ctx_name, n, target = request.param
     sctx = request.getfixturevalue(ctx_name)
     other = sctx if target is None else request.getfixturevalue(target)
-    return sctx, other, W.h_basis(n, sctx), W.kernel_h_basis(n, sctx)
+    if (ctx_name, n) not in built:
+        built[(ctx_name, n)] = W.h_basis(n, sctx), W.kernel_h_basis(n, sctx)
+    return (sctx, other) + built[(ctx_name, n)]
+
+
+@pytest.fixture(scope="module", params=PBW_CASES, ids=lambda c: c[0])
+def routes(request, built_routes):
+    return _routes(request, built_routes)
+
+
+@pytest.fixture(scope="module", params=PBW_CASES + TOP_CASES,
+                ids=[c[0] for c in PBW_CASES] + ["sl4_211-3", "sl4_211-4"])
+def all_routes(request, built_routes):
+    return _routes(request, built_routes)
+
+
+def exact_kernels(sctx, n, xs=None):
+    """F_k H, k <= n, as the joint kernels on F_n Q of the ad matrices of
+    xs (the generators of n_ell by default), built here from full
+    matrices: independent of the words and of `h_basis`."""
+    qb = W.QDegreeBasis(sctx, n)
+    xs = W.n_ell_generators(sctx) if xs is None else xs
+    mats = [W.ad_action_matrix(x, qb, sctx) for x in xs]
+    return linalg.joint_prefix_kernels(mats, len(qb.monomials), qb.counts)
+
+
+def graded_dims(kernels):
+    return [K.dim - (kernels[k - 1].dim if k else 0)
+            for k, K in enumerate(kernels)]
+
+
+def kernel_degrees(monkeypatch):
+    """A list that gets, for each builder run from here on, the degree t
+    up to which it takes the exact kernel."""
+    degrees = []
+    kernels = W.joint_prefix_kernels
+
+    def recorded(mats, ncols, prefixes):
+        degrees.append(len(prefixes) - 1)
+        return kernels(mats, ncols, prefixes)
+
+    monkeypatch.setattr(W, "joint_prefix_kernels", recorded)
+    return degrees
 
 
 def test_pbw_route_matches_kernel_route(routes):
+    """h_basis takes the exact kernel up to top and the slice series above
+    it; kernel_h_basis takes the exact kernel up to n_max.  Both are
+    monomial bases of the same F_n H: the exact kernels, built here."""
     sctx, _, hb, kb = routes
     assert max(sctx.slice_data.degrees) < hb.n_max
     assert hb.words is not None and hb.uncertified is None
-    assert kb.words is None and kb.uncertified is None
-    assert (hb.elements, hb.degrees, hb.gr_dims) == \
-        (kb.elements, kb.degrees, kb.gr_dims)
+    assert kb.words is not None and kb.uncertified is None
+    kernels = exact_kernels(sctx, hb.n_max)
+    assert kb.gr_dims == hb.gr_dims == graded_dims(kernels)
+    assert (hb.elements, hb.degrees) == (kb.elements, kb.degrees)
     for n in range(hb.n_max + 1):
-        assert hb.subspace_at(n) == kb.subspace_at(n), n
+        assert hb.subspace_at(n) == kb.subspace_at(n) == kernels[n], n
     for form, d in zip(hb.forms, hb.degrees):
         assert kb.contains(form, d)
 
 
-def test_kernel_route_up_to_the_top_degree(sl4_211):
+def test_kernel_route_up_to_the_top_degree(monkeypatch, sl4_211):
     """For n_max <= top the kernel on F_top Q is all of H, so h_basis
-    takes the kernel route directly, with no failed certificate."""
+    reads every degree off the exact kernel, with no failed certificate;
+    above top it takes the kernel up to top only."""
     top = max(sl4_211.slice_data.degrees)
+    degrees = kernel_degrees(monkeypatch)
     for n in (top - 1, top):
+        degrees.clear()
         hb, kb = W.h_basis(n, sl4_211), W.kernel_h_basis(n, sl4_211)
-        assert hb.words is None and hb.uncertified is None
-        assert (hb.elements, hb.degrees) == (kb.elements, kb.degrees)
-    assert W.h_basis(top + 1, sl4_211).words is not None
+        assert degrees == [n, n]
+        assert hb.uncertified is None and hb.words is not None
+        assert (hb.elements, hb.degrees, hb.words) == \
+            (kb.elements, kb.degrees, kb.words)
+    degrees.clear()
+    assert W.h_basis(top + 1, sl4_211).uncertified is None
+    assert degrees == [top]
 
 
 def test_rewriting_runs_on_integer_forms(routes):
@@ -842,13 +888,19 @@ def test_rewriting_runs_on_integer_forms(routes):
         assert all(type(c) is int for c in ints.values())
 
 
-def test_rewriting_table_matches_left_action(routes):
-    sctx, _, hb, kb = routes
+def test_rewriting_table_matches_left_action(all_routes):
+    """The rewritten products against products in Q by left action, read
+    off once each: on the forms of h_basis, and on the representatives of
+    kernel_h_basis, whose table is formed here."""
+    sctx, _, hb, kb = all_routes
     pairs = list(hb.product_pairs())
     left = {(i, j): W._read_off(prod, hb.degrees[i] + hb.degrees[j], hb)
             for i, j, prod in W._products(pairs, hb.forms, sctx)}
     assert {(i, j): x for i, j, x in hb.form_products(pairs)} == left
-    assert hb.multiplication_table() == kb.multiplication_table()
+    table = {(i, j): kb.coordinates(prod, kb.degrees[i] + kb.degrees[j])
+             for i, j, prod in W._products(pairs, kb.elements, sctx)}
+    assert None not in table.values()
+    assert hb.multiplication_table() == table
     for u in random_combinations(kb, hb.n_max, 3, seed=33):
         assert hb.express(u) == kb.express(u)
 
@@ -903,10 +955,25 @@ def test_commutators_vanish_for_regular_e(request, ctx_name, n):
     assert all(table[(j, i)] == x for (i, j), x in table.items())
 
 
-def test_certificate_fails_without_the_top_generator(monkeypatch, sl3_min_lag):
+def assert_theorem_entry_fails(tmp_path, args, degree):
+    """`walg run` on sl3 minimal, under the fault in place, gives a failed
+    `theorem` entry with its degree as witness and exits 1."""
+    out = tmp_path / "report.json"
+    assert main(["run", "--algebra", "sl3", "--nilpotent", "minimal",
+                 "--checks", "theorem", "--quiet", "--out", str(out)]
+                + args) == 1
+    entry, = json.loads(out.read_text(encoding="utf-8"))["checks"]
+    assert entry["name"] == "theorem" and entry["status"] == "fail"
+    assert entry["details"]["error"] == "TheoremFailure"
+    assert entry["witness"] == {"degree": degree}
+
+
+def test_certificate_fails_without_the_top_generator(monkeypatch, tmp_path,
+                                                     sl3_min_lag):
     """Negative control: without the degree-4 generator the ordered
-    monomials fall short of the bound at degree 4, and h_basis returns the
-    kernel route's basis."""
+    monomials fall short of the exact kernel at degree 4, at t = top and
+    again at t = n_max, where nothing is bounded from above: the theorem
+    fails at degree 4."""
     choose = W._choose_generators
 
     def drop_top(low, qb, sctx):
@@ -915,15 +982,19 @@ def test_certificate_fails_without_the_top_generator(monkeypatch, sl3_min_lag):
         return degrees[:-1], word_forms
 
     monkeypatch.setattr(W, "_choose_generators", drop_top)
-    hb = W.h_basis(7, sl3_min_lag)
-    assert hb.uncertified == 4
-    assert_kernel_route(hb, sl3_min_lag)
+    degrees = kernel_degrees(monkeypatch)
+    with pytest.raises(TheoremFailure, match="against the bound") as exc:
+        W.h_basis(7, sl3_min_lag)
+    assert exc.value.degree == 4
+    assert degrees == [4, 7]
+    assert_theorem_entry_fails(
+        tmp_path, ["--ell", "lagrangian-auto", "--max-degree", "7"], 4)
 
 
 def test_ad_entry_above_its_weight_raises(monkeypatch, sl3_min_zero):
     """Negative control: an ad x entry of degree k in a column of degree k
     breaks the filtration law deg ad x(m) <= deg m + w, w <= -1, and is
-    caught as the column is built, on either route."""
+    caught as the column is built, at t = top and at t = n_max."""
     qb = W.QDegreeBasis(sl3_min_zero, 6)
     mono = qb.monomials[qb.dim_f(2)]  # the first column of degree 3
     true_image = W.AdColumns._image
@@ -968,7 +1039,7 @@ def symbol_bounds(qb, mats, weights):
 @pytest.mark.parametrize("case", PBW_CASES, ids=lambda c: c[0])
 def test_symbol_bounds_are_the_slice_series(request, case):
     """The joint kernels of the symbol blocks of the generators' ad matrices
-    have the dimensions of C[S], degree by degree: the bound the PBW route
+    have the dimensions of C[S], degree by degree: the bound h_basis
     takes from the slice series, computed by elimination."""
     ctx_name, n, _ = case
     sctx = request.getfixturevalue(ctx_name)
@@ -1006,11 +1077,10 @@ def test_transversality_rank_holds(request, ctx_name):
 
 
 def assert_kernel_route(hb, sctx):
-    """hb is the kernel route's basis: elements, subspaces and table."""
+    """hb is the oracle's basis: words, elements, subspaces and table."""
     kb = W.kernel_h_basis(hb.n_max, sctx)
-    assert hb.words is None
-    assert (hb.elements, hb.degrees, hb.gr_dims) == \
-        (kb.elements, kb.degrees, kb.gr_dims)
+    assert (hb.words, hb.elements, hb.degrees, hb.gr_dims) == \
+        (kb.words, kb.elements, kb.degrees, kb.gr_dims)
     for n in range(hb.n_max + 1):
         assert hb.subspace_at(n) == kb.subspace_at(n)
     assert hb.multiplication_table() == kb.multiplication_table()
@@ -1019,8 +1089,9 @@ def assert_kernel_route(hb, sctx):
 def test_certificate_fails_without_transversality(monkeypatch, sl3):
     """Negative control: with one n_ell row of the transversality matrix
     replaced by another the rank falls short, so the bound is not proved
-    and h_basis returns the kernel route's basis, uncertified at top + 1.
-    The context is built here: the rank is kept on it once computed."""
+    and h_basis takes the exact kernel up to n_max, uncertified at
+    top + 1.  The context is built here: the rank is kept on it once
+    computed."""
     e, h, f = highest_root_triple(3)
     sctx = build_context(sl3, e, "lagrangian-auto", h=h, f=f)
     true_rows = type(sctx).transversality_rows
@@ -1031,15 +1102,49 @@ def test_certificate_fails_without_transversality(monkeypatch, sl3):
 
     monkeypatch.setattr(type(sctx), "transversality_rows", repeated)
     assert not sctx.is_transversal()
+    degrees = kernel_degrees(monkeypatch)
     hb = W.h_basis(7, sctx)
+    assert degrees == [7]
     assert hb.uncertified == max(sctx.slice_data.degrees) + 1 == 5
     assert_kernel_route(hb, sctx)
 
 
-def test_certificate_fails_on_a_form_outside_h(monkeypatch, sl3_min_lag):
+def test_a_failed_count_recovers_at_n_max(monkeypatch, sl3_min_lag):
+    """Negative control: a slice series one short at degree top + 1 fails
+    the count there at t = top.  The builder at t = n_max bounds nothing by
+    the series, so h_basis returns the oracle's basis, uncertified at
+    top + 1, and builds no ad column twice on the way."""
+    top = max(sl3_min_lag.slice_data.degrees)
+    true_series = type(sl3_min_lag).hilbert_slice
+
+    def short(ctx, n):
+        series = list(true_series(ctx, n))
+        series[top + 1] -= 1
+        return series
+
+    monkeypatch.setattr(type(sl3_min_lag), "hilbert_slice", short)
+    true_image = W.AdColumns._image
+    built = []
+
+    def recorded(self, mono):
+        built.append((tuple(self.x), mono))
+        return true_image(self, mono)
+
+    monkeypatch.setattr(W.AdColumns, "_image", recorded)
+    degrees = kernel_degrees(monkeypatch)
+    hb = W.h_basis(7, sl3_min_lag)
+    assert degrees == [top, 7]
+    assert hb.uncertified == top + 1
+    assert len(built) == len(set(built)) > 0
+    assert_kernel_route(hb, sl3_min_lag)
+
+
+def test_certificate_fails_on_a_form_outside_h(monkeypatch, tmp_path,
+                                              sl3_min_lag):
     """Negative control: a word form of degree top + 1 moved off H by a
-    monomial of its degree is not killed, and h_basis falls back to the
-    kernel route at that degree."""
+    monomial of its degree is not killed at t = top; at t = n_max the
+    moved form leaves a row of the exact kernel outside the span of the
+    words, and the theorem fails at that degree."""
     top = max(sl3_min_lag.slice_data.degrees)
     good = W.h_basis(7, sl3_min_lag)
     word = next(w for w, d in zip(good.words, good.degrees) if d == top + 1)
@@ -1054,9 +1159,13 @@ def test_certificate_fails_on_a_form_outside_h(monkeypatch, sl3_min_lag):
         return form + UEAElement(basis, {mono: F(1)}) if w == word else form
 
     monkeypatch.setattr(W, "_word_form", moved)
-    hb = W.h_basis(7, sl3_min_lag)
-    assert hb.uncertified == top + 1
-    assert_kernel_route(hb, sl3_min_lag)
+    degrees = kernel_degrees(monkeypatch)
+    with pytest.raises(TheoremFailure) as exc:
+        W.h_basis(7, sl3_min_lag)
+    assert exc.value.degree == top + 1
+    assert degrees == [top, 7]
+    assert_theorem_entry_fails(
+        tmp_path, ["--ell", "lagrangian-auto", "--max-degree", "7"], top + 1)
 
 
 @pytest.mark.parametrize("ctx_name,n,saves", [("sl3_min_lag", 10, True),
@@ -1064,7 +1173,7 @@ def test_certificate_fails_on_a_form_outside_h(monkeypatch, sl3_min_lag):
                                               ("sl3_principal", 12, False)])
 def test_ad_columns_only_where_forms_touch(monkeypatch, request, ctx_name, n,
                                            saves):
-    """On the PBW route every column of F_top Q is built once, for the
+    """At t = top every column of F_top Q is built once, for the
     kernel there, and above F_top only the columns of the monomials some
     form touches, each once; none is built twice.  On sl3 regular the forms
     touch every monomial, so no column is saved there."""
