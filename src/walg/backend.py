@@ -113,9 +113,18 @@ def mono_times_gen(mono, g, bracket, cache):
 
 def _gen_times_terms(g, terms, bracket, cache):
     out = {}
+    get = out.get
     for mono, c in terms.items():
         for n, c1 in gen_times_mono(g, mono, bracket, cache).items():
-            _acc(out, n, c * c1)
+            v = get(n)
+            if v is None:
+                out[n] = c * c1
+            else:
+                v += c * c1
+                if v:
+                    out[n] = v
+                else:
+                    del out[n]
     return out
 
 
@@ -135,22 +144,33 @@ def int_form(v):
         d = c.denominator
         if d != 1:
             den = den * d // gcd(den, d)
+    if den == 1:
+        return 1, {k: c.numerator for k, c in v.items()}
     return den, {k: c.numerator * (den // c.denominator) for k, c in v.items()}
 
 
 def combine(terms):
     """sum of c * v over (c, (den, ints)) pairs with v = ints / den and
     den > 0, as `int_form` gives them, returned as (scale, ints) where the
-    sum is ints / scale; integer arithmetic only, and zero sums are kept."""
+    sum is ints / scale; integer arithmetic only, and zero sums are kept.
+    Each coefficient's numerator and denominator are read once."""
     scale = 1
-    for c, (den, _) in terms:
-        d = c.denominator * den
-        scale = scale * d // gcd(scale, d)
-    out = {}
+    parts = []
     for c, (den, ints) in terms:
-        m = c.numerator * (scale // (c.denominator * den))
+        d = c.denominator * den
+        if d != 1:
+            scale = scale * d // gcd(scale, d)
+        parts.append((c.numerator, d, ints))
+    if not parts:
+        return scale, {}
+    num, d, ints = parts[0]
+    m = num * (scale // d)
+    out = {j: m * v for j, v in ints.items()}
+    get = out.get
+    for num, d, ints in parts[1:]:
+        m = num * (scale // d)
         for j, v in ints.items():
-            out[j] = out.get(j, 0) + m * v
+            out[j] = get(j, 0) + m * v
     return scale, out
 
 
@@ -388,12 +408,28 @@ def rref_sparse(rows, ncols, reduce=True):
     if not reduce:
         return pivots, pivot_rows
     # clear above pivots, bottom up, still over the integers: the rows below
-    # are already reduced, so clearing one pivot column brings in no other
+    # are already reduced, so clearing one pivot column brings in no other,
+    # and all of a row's pivot columns are cleared in one combination
     reduced = {}
     for i in range(len(pivot_rows) - 1, -1, -1):
         r = pivot_rows[i]
-        for col in [j for j in r if j in reduced]:
-            r = _clear(r, reduced[col], col)
+        cols = [j for j in r if j in reduced]
+        if cols:
+            scale = 1
+            for col in cols:
+                p = abs(reduced[col][col])
+                scale = scale * p // gcd(scale, p)
+            new = {j: scale * v for j, v in r.items()}
+            for col in cols:
+                prow = reduced[col]
+                a = r[col] * (scale // prow[col])
+                for j, v in prow.items():
+                    w = new.get(j, 0) - a * v
+                    if w:
+                        new[j] = w
+                    else:
+                        del new[j]
+            r = _normalize(new)
         reduced[pivots[i]] = pivot_rows[i] = r
     out = []
     for col, prow in zip(pivots, pivot_rows):

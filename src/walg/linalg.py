@@ -230,7 +230,10 @@ class Echelon:
         span; it is the combination of the added vectors and of w itself
         (index `len(added)`, with a positive coefficient).
         """
-        den, residual = backend.int_form(w)
+        return self._reduce(backend.int_form(w))
+
+    def _reduce(self, form):
+        den, residual = form
         comb = {len(self.added): den}
         for p, row, comb_r in self.rows:
             if p in residual:
@@ -239,7 +242,8 @@ class Echelon:
 
     def extend(self, w) -> bool:
         """Add w unless it lies in the span already; whether it was added."""
-        row, comb = self.reduce(w)
+        form = backend.int_form(w)
+        row, comb = self._reduce(form)
         if not row:
             return False
         p = max(row)
@@ -251,7 +255,7 @@ class Echelon:
             if p in row_s:
                 rows[i] = (q,) + _eliminate(row_s, comb_s, row, comb, p)
         rows.append((p, row, comb))
-        self.added.append(backend.int_form(w))
+        self.added.append(form)
         return True
 
     def coordinates(self, w: Dict[int, QQ]) -> Optional[Vector]:
@@ -260,12 +264,13 @@ class Echelon:
         sum x_k added_k == w is verified by substitution."""
         scale, xs = backend.combine([(w[p], (row[p], comb))
                                      for p, row, comb in self.rows if p in w])
-        zero = QQ(0)
-        x = tuple(QQ(xs[k], scale) if xs.get(k) else zero
-                  for k in range(len(self.added)))
-        if _equals(backend.combine([(xk, a) for xk, a in zip(x, self.added)
-                                    if xk]), w):
-            return x
+        # the substitution runs on the numerators xs, over the scale
+        total, ints = backend.combine([(v, self.added[k])
+                                       for k, v in xs.items() if v])
+        if _equals((total * scale, ints), w):
+            zero = QQ(0)
+            return tuple(QQ(xs[k], scale) if xs.get(k) else zero
+                         for k in range(len(self.added)))
         if self.reduce(w)[0]:
             return None
         raise AssertionError("echelon read-off produced invalid coordinates")
@@ -337,6 +342,18 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+    def embedded(self, ambient_dim: int) -> "Subspace":
+        """The same span inside QQ^ambient_dim, ambient_dim >= this one's,
+        zero on the new coordinates: its canonical rows are these rows, so
+        nothing is eliminated."""
+        if ambient_dim < self.ambient_dim:
+            raise AmbientMismatch(f"cannot embed QQ^{self.ambient_dim} "
+                                  f"in QQ^{ambient_dim}")
+        space = Subspace.__new__(Subspace)
+        space.ambient_dim = ambient_dim
+        space.pivots, space.rows, space._basis = self.pivots, self.rows, None
+        return space
 
     def contains(self, v: Sequence) -> bool:
         if len(v) != self.ambient_dim:
@@ -437,21 +454,43 @@ def solve(M: SparseMatrix, b: Sequence) -> Optional[Vector]:
     The particular solution sets all free variables to zero; the result is
     verified by substitution before it is returned.
     """
-    b = vec(b, M.rows)
+    return solve_columns(M, [b])[0]
+
+
+def solve_columns(M: SparseMatrix, bs: Sequence[Sequence]) -> List[Optional[Vector]]:
+    """`solve(M, b)` for each b in bs, by one elimination of M augmented by
+    all of them.
+
+    The rows of the reduced echelon form with a pivot past M's columns are
+    those with a zero M-part; they span the values nu . [M | B] for nu in
+    the left kernel of M, so b_k is consistent iff none of them has an
+    entry in its column.  Clearing such a column from the other rows then
+    changes no consistent column, so each x is the one `solve` would give
+    for its b alone.
+    """
+    bs = [vec(b, M.rows) for b in bs]
     aug = M.row_dicts()
-    for i, bv in enumerate(b):
-        if bv:
-            aug[i][M.cols] = bv
-    pivots, rows = backend.rref_sparse(aug, M.cols + 1)
-    if M.cols in pivots:
-        return None
-    x = [QQ(0)] * M.cols
-    for p, row in zip(pivots, rows):
-        x[p] = row.get(M.cols, QQ(0))
-    x = tuple(x)
-    if M.apply(x) != b:
-        raise AssertionError("solve produced an invalid solution")
-    return x
+    for k, b in enumerate(bs):
+        for i, bv in enumerate(b):
+            if bv:
+                aug[i][M.cols + k] = bv
+    pivots, rows = backend.rref_sparse(aug, M.cols + len(bs))
+    inconsistent = {j for p, row in zip(pivots, rows) if p >= M.cols for j in row}
+    out: List[Optional[Vector]] = []
+    for k, b in enumerate(bs):
+        col = M.cols + k
+        if col in inconsistent:
+            out.append(None)
+            continue
+        x = [QQ(0)] * M.cols
+        for p, row in zip(pivots, rows):
+            if p < M.cols:
+                x[p] = row.get(col, QQ(0))
+        x = tuple(x)
+        if M.apply(x) != b:
+            raise AssertionError("solve produced an invalid solution")
+        out.append(x)
+    return out
 
 
 def sum_and_intersection(U: Subspace, V: Subspace) -> Tuple[Subspace, Subspace]:

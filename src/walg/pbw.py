@@ -79,6 +79,21 @@ class PBWBasis:
         """Coordinates of an ambient vector on the adapted basis."""
         return self._inverse.apply(vec(v, self.lie.dim))
 
+    def ad_coords(self, x: Sequence) -> List[Dict[int, QQ]]:
+        """[x, v_p] on the adapted basis for every generator v_p, as sparse
+        dicts k -> coefficient: x goes through the inverse once, and
+        [x, v_p] = sum_i x_i [v_i, v_p] is read off the structure
+        constants."""
+        cx = self.coords(x)
+        cols: List[Dict[int, QQ]] = [{} for _ in range(self.lie.dim)]
+        for (i, j), entry in self.bracket.items():
+            for p, c in ((j, cx[i]), (i, -cx[j])):
+                if c:
+                    col = cols[p]
+                    for k, b in entry:
+                        col[k] = col.get(k, 0) + c * b
+        return [{k: v for k, v in sorted(col.items()) if v} for col in cols]
+
     def _structure_constants(self):
         """[v_i, v_j] on the adapted basis, formed from the supports of v_i
         and v_j, the table and the columns of the sparse inverse."""
@@ -223,10 +238,13 @@ class GradedTerms:
         """Max of i + 2j over terms; None (bottom) for the zero element."""
         if not self.terms:
             return None
-        return max(map(self.monomial_degree, self.terms))
+        degrees = self._space().degrees
+        return max(sum(e * degrees[i] for i, e in m) for m in self.terms)
 
     def homogeneous_terms(self, n: int) -> Terms:
-        return {m: c for m, c in self.terms.items() if self.monomial_degree(m) == n}
+        degrees = self._space().degrees
+        return {m: c for m, c in self.terms.items()
+                if sum(e * degrees[i] for i, e in m) == n}
 
     def is_homogeneous(self) -> bool:
         return len(set(map(self.monomial_degree, self.terms))) <= 1
@@ -234,9 +252,11 @@ class GradedTerms:
     def __str__(self):
         if not self.terms:
             return "0"
-        labels = self._space().labels
+        space = self._space()
+        labels, degrees = space.labels, space.degrees
         bits = []
-        for m in sorted(self.terms, key=lambda m: (self.monomial_degree(m), m)):
+        for m in sorted(self.terms,
+                        key=lambda m: (sum(e * degrees[i] for i, e in m), m)):
             c = self.terms[m]
             factors = "*".join(labels[i] if e == 1 else f"{labels[i]}^{e}"
                                for i, e in m)

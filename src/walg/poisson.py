@@ -15,10 +15,15 @@ Three charts appear:
 
 The reduced bracket on the slice follows the Hamiltonian-reduction recipe:
 lift through the projection from chi + m^perp by the unique invariant
-extension, extend arbitrarily to g*, bracket, restrict back.  Restriction
-is an algebra isomorphism on invariants, so the lift is the substitution
-F -> F(T_1, ..., T_r) of the lifts of the r slice coordinates, each found
-once by a linear solve in its own degree.
+extension, extend arbitrarily to g*, bracket, restrict back
+(`slice_poisson_bracket`, one pair at a time).  Restriction is an algebra
+isomorphism on invariants, so the lift is the substitution
+F -> F(T_1, ..., T_r) of the lifts of the r slice coordinates, found once,
+by one linear solve per slice degree.  For many pairs the bracket is taken
+on chi + a^perp itself, where a lift has no a-variables: the gradient of
+each lift and its Hamiltonian field are formed once (`lift_gradient`,
+`hamiltonian_field`), and each pair costs one sum of products
+(`restricted_bracket`, with the argument that it is the same bracket).
 
 Both maps between charts are algebra maps, `nu` (complement chart -> slice
 chart) and the lift (slice chart -> complement chart), and so is the
@@ -37,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from walg import backend
 from walg.errors import (ChartMismatch, LiftFailure, NotNilpotentCoadjoint,
                          WalgError)
-from walg.linalg import QQ, SparseMatrix, Vector, solve, vec
+from walg.linalg import QQ, SparseMatrix, Vector, solve_columns, vec
 from walg.pbw import GradedTerms, Monomial, PBWBasis, Terms, UEAElement
 
 ZERO = QQ(0)
@@ -120,22 +125,17 @@ class KazhdanPolynomial(GradedTerms):
         return (isinstance(other, KazhdanPolynomial) and self.chart == other.chart
                 and self.terms == other.terms)
 
-    def partial(self, idx: int) -> "KazhdanPolynomial":
-        out: Terms = {}
-        for m, c in self.terms.items():
-            for pos, (i, e) in enumerate(m):
-                if i == idx:
-                    if e == 1:
-                        nm = m[:pos] + m[pos + 1:]
-                    else:
-                        nm = m[:pos] + ((i, e - 1),) + m[pos + 1:]
-                    s = out.get(nm, ZERO) + c * e
-                    if s:
-                        out[nm] = s
-                    elif nm in out:
-                        del out[nm]
-                    break
-        return KazhdanPolynomial(self.chart, out)
+
+def gradient(terms: Terms, size: int) -> List[Terms]:
+    """The partials [d_0 F, ..., d_{size-1} F] of the polynomial with terms
+    `terms` on a chart of `size` variables, in one pass over its terms; a
+    partial d_i takes m = m' x_i to e m', one to one, so nothing sums."""
+    parts: List[Terms] = [{} for _ in range(size)]
+    for m, c in terms.items():
+        for pos, (i, e) in enumerate(m):
+            rest = m[:pos] + ((i, e - 1),) + m[pos + 1:] if e > 1 else m[:pos] + m[pos + 1:]
+            parts[i][rest] = c * e
+    return parts
 
 
 def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -143,6 +143,17 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
         return m2
     if not m2:
         return m1
+    if len(m2) == 1:
+        m1, m2 = m2, m1
+    if len(m1) == 1:
+        # one variable into the sorted factors of the other
+        (i, e), = m1
+        for pos, (j, f) in enumerate(m2):
+            if j == i:
+                return m2[:pos] + ((i, e + f),) + m2[pos + 1:]
+            if j > i:
+                return m2[:pos] + m1 + m2[pos:]
+        return m2 + m1
     d = dict(m1)
     for i, e in m2:
         d[i] = d.get(i, 0) + e
@@ -206,6 +217,13 @@ class Substitution:
         if F.chart is not self.source and F.chart != self.source:
             raise ChartMismatch(f"{F.chart!r} is not the source chart {self.source!r}")
         return KazhdanPolynomial(self.target, self._memo(F.terms))
+
+    def form(self, terms: Terms) -> Tuple[int, Terms]:
+        """The image of the source polynomial with terms `terms` (on
+        integer numerators, say) as (scale, ints), value ints / scale, as
+        `backend.combine` gives it: one sum over the memo, nothing
+        divided."""
+        return backend.combine([(c, self._memo.image(m)) for m, c in terms.items()])
 
 
 def symbol(u: UEAElement, n: int, chart: Chart) -> KazhdanPolynomial:
@@ -275,8 +293,8 @@ def lie_poisson_bracket(F1: KazhdanPolynomial, F2: KazhdanPolynomial,
         raise ChartMismatch("Lie-Poisson bracket lives on the full g* chart")
     F1._check(F2)
     out: Terms = {}
-    parts1 = [F1.partial(p).terms for p in range(len(chart))]
-    parts2 = [F2.partial(p).terms for p in range(len(chart))]
+    parts1 = gradient(F1.terms, len(chart))
+    parts2 = gradient(F2.terms, len(chart))
     for (p, q), entry in basis.bracket.items():
         # (d_p F1 d_q F2 - d_q F1 d_p F2) * [x_p, x_q]
         add_product(out, poly_mul(parts1[p], parts2[q]), {((k, 1),): c for k, c in entry})
@@ -368,12 +386,12 @@ class CoadjointFlow:
     __slots__ = ("basis", "x", "_layers", "_pullback")
 
     def __init__(self, basis: PBWBasis, x: Sequence):
-        L = basis.lie
-        d = L.dim
+        d = basis.lie.dim
         self.basis = basis
         self.x = vec(x, d)
-        A = SparseMatrix.from_columns(
-            [basis.coords(L.bracket(self.x, v)) for v in basis.vectors])
+        A = SparseMatrix(d, d, {(k, p): c for p, col in
+                                enumerate(basis.ad_coords(self.x))
+                                for k, c in col.items()})
         powers = A.nilpotent_powers()
         if powers is None:
             raise NotNilpotentCoadjoint("ad x is not nilpotent")
@@ -492,6 +510,57 @@ def slice_poisson_bracket(F1: KazhdanPolynomial, F2: KazhdanPolynomial,
     return red.slice_data.restrict(restrict_to_chi_plus_a_perp(br, basis))
 
 
+def lift_gradient(F: KazhdanPolynomial, red: "ReductionData") -> Tuple[int, List[Terms]]:
+    """(den, [d_p G]): the partials of the invariant lift G of F (with its
+    restrict-back check, `invariant_lift`) over the complement chart, on
+    integer numerators over the one denominator den."""
+    den, ints = backend.int_form(invariant_lift(F, red).terms)
+    return den, gradient(ints, len(red.comp_chart))
+
+
+def hamiltonian_field(grad: Tuple[int, List[Terms]],
+                      red: "ReductionData") -> Tuple[int, List[Terms]]:
+    """(den, [sum_q Lambda_pq d_q G]) for grad = `lift_gradient`: the
+    second factor of the bracket above, on integer numerators."""
+    den, parts = grad
+    tensor_den, rows = red.poisson_tensor()
+    field = []
+    for row in rows:
+        out: Terms = {}
+        for q, lam in row:
+            if parts[q]:
+                add_product(out, parts[q], lam)
+        field.append(out)
+    return den * tensor_den, field
+
+
+def restricted_bracket(grad: Tuple[int, List[Terms]],
+                       field: Tuple[int, List[Terms]]) -> Tuple[int, Terms]:
+    """(den, ints): {G1, G2} restricted to chi + a^perp, value ints / den,
+    from the gradient of G1 and the Hamiltonian field of G2, the bracket
+    `slice_poisson_bracket` takes before its last restriction, `nu`.
+
+    The extension E of a lift G to g* (`extend_to_full`, no twist) is G
+    itself, so d_q E = 0 for every a-coordinate q and d_p E = d_p G for
+    the others, and `lie_poisson_bracket` keeps only the [x_p, x_q] with
+    p < q < n_complement.  `restrict_to_chi_plus_a_perp` replaces each
+    a-coordinate by its chi-value, and only the linear factor [x_p, x_q]
+    has one, so
+        {G1, G2}|  =  sum_{p<q} (d_p G1 d_q G2 - d_q G1 d_p G2) Lambda_pq
+                   =  sum_p d_p G1 * sum_q Lambda_pq d_q G2
+    with Lambda_pq = chi_reduce([x_p, x_q]) = -Lambda_qp
+    (`ReductionData.poisson_tensor`).  The inner sum, the Hamiltonian
+    field of G2, is formed once per G2, and everything runs on integer
+    numerators over one denominator per polynomial.
+    """
+    (d1, parts), (d2, vs) = grad, field
+    out: Terms = {}
+    for part, v in zip(parts, vs):
+        if part and v:
+            add_product(out, part, v)
+    return d1 * d2, out
+
+
 class ReductionData:
     """Chart bundle consumed by the lift and the reduced bracket.
 
@@ -500,7 +569,8 @@ class ReductionData:
     """
 
     __slots__ = ("basis", "comp_chart", "slice_data", "m_graded",
-                 "is_lagrangian", "_lifts", "_lift_map", "_deriv_images")
+                 "is_lagrangian", "_lifts", "_lift_map", "_deriv_images",
+                 "_tensor")
 
     def __init__(self, basis: PBWBasis, slice_data: SliceData,
                  m_graded: Sequence[Tuple[Vector, int]], is_lagrangian: bool):
@@ -512,22 +582,47 @@ class ReductionData:
         self._lifts: Optional[List[KazhdanPolynomial]] = None
         self._lift_map: Optional[Substitution] = None
         self._deriv_images: Dict[int, Tuple[Sequence, List[KazhdanPolynomial]]] = {}
+        self._tensor: Optional[Tuple[int, List[List[Tuple[int, Terms]]]]] = None
+
+    def poisson_tensor(self) -> Tuple[int, List[List[Tuple[int, Terms]]]]:
+        """(den, rows), built once: rows[p] lists the (q, ints) with
+        Lambda_pq = chi_reduce([x_p, x_q]) = ints / den nonzero, p and q over
+        the complement chart; the Lie-Poisson bivector on chi + a^perp,
+        antisymmetric, on integer numerators over one denominator."""
+        if self._tensor is None:
+            basis = self.basis
+            nc = basis.n_complement
+            den, ints = backend.int_form({
+                (p, q, m): c for (p, q), entry in basis.bracket.items() if q < nc
+                for m, c in basis.chi_reduce({((k, 1),): c for k, c in entry}).items()})
+            lams: Dict[Tuple[int, int], Terms] = {}
+            for (p, q, m), v in ints.items():
+                lams.setdefault((p, q), {})[m] = v
+            rows: List[List[Tuple[int, Terms]]] = [[] for _ in range(nc)]
+            for (p, q), lam in lams.items():
+                rows[p].append((q, lam))
+                rows[q].append((p, {m: -v for m, v in lam.items()}))
+            self._tensor = den, rows
+        return self._tensor
 
     def coordinate_lifts(self) -> List[KazhdanPolynomial]:
         """The invariant lifts T_k of the slice coordinates t_k, computed once.
 
         T_k is the combination of complement monomials of degree d_k that
-        every m-generator derivation kills and that restricts to t_k.  Each
-        T_k is certified by the formal pullback of every m-generator flow;
-        a flow pulls back by an algebra automorphism, so every polynomial
-        in the T_k is invariant too.
+        every m-generator derivation kills and that restricts to t_k.  The
+        system depends only on the degree, so it is built once per slice
+        degree, and the right-hand sides of all the t_k of that degree are
+        eliminated together (`linalg.solve_columns`).  Each T_k is
+        certified by the formal pullback of every m-generator flow; a flow
+        pulls back by an algebra automorphism, so every polynomial in the
+        T_k is invariant too.
         """
         if self._lifts is not None:
             return self._lifts
         comp = self.comp_chart
         slice_degs = self.slice_data.degrees
-        lifts = []
-        for k, n in enumerate(slice_degs):
+        solutions: Dict[int, Tuple[List[Monomial], Optional[Vector]]] = {}
+        for n in dict.fromkeys(slice_degs):
             monos = monomials_of_degree(comp.degrees, n)
             # restriction rows, then one block of invariance rows per m-generator
             indices = [_mono_index(monomials_of_degree(slice_degs, n))] + [
@@ -544,9 +639,15 @@ class ReductionData:
                         entries[(offset + index[m2], j)] = c2
                     offset += len(index)
             rows = sum(map(len, indices))
-            rhs = [ZERO] * rows
-            rhs[indices[0][((k, 1),)]] = ONE
-            x_sol = solve(SparseMatrix(rows, len(monos), entries), rhs)
+            ks = [k for k, d in enumerate(slice_degs) if d == n]
+            rhs = [[ZERO] * rows for _ in ks]
+            for b, k in zip(rhs, ks):
+                b[indices[0][((k, 1),)]] = ONE
+            xs = solve_columns(SparseMatrix(rows, len(monos), entries), rhs)
+            solutions.update((k, (monos, x)) for k, x in zip(ks, xs))
+        lifts = []
+        for k, n in enumerate(slice_degs):
+            monos, x_sol = solutions[k]
             if x_sol is None:
                 raise LiftFailure(f"no invariant lift of t{k + 1} in degree {n}")
             lifts.append(KazhdanPolynomial(comp, dict(zip(monos, x_sol))))
@@ -574,28 +675,25 @@ class ReductionData:
         hit = self._deriv_images.get(id(x))
         if hit is None:
             basis = self.basis
-            L = basis.lie
             nc = basis.n_complement
             images = []
-            for p in range(nc):
-                c = basis.coords(L.bracket(x, basis.vectors[p]))
+            for col in basis.ad_coords(x)[:nc]:
                 terms: Terms = {}
                 const = ZERO
-                for q in range(L.dim):
-                    if not c[q]:
-                        continue
+                for q, c in col.items():
                     if q < nc:
-                        terms[((q, 1),)] = c[q]
+                        terms[((q, 1),)] = c
                     else:
-                        const += c[q] * basis.chi_vals[q]
+                        const += c * basis.chi_vals[q]
                 images.append(KazhdanPolynomial(self.comp_chart, terms) + const)
             hit = self._deriv_images[id(x)] = (x, images)
         return hit[1]
 
     def derivation(self, x: Sequence, F: KazhdanPolynomial) -> KazhdanPolynomial:
         """The infinitesimal action of x on C[chi + a^perp] (a derivation)."""
+        images = self.derivation_images(x)
         out: Terms = {}
-        for p, img in enumerate(self.derivation_images(x)):
-            if img.terms:
-                add_product(out, F.partial(p).terms, img.terms)
+        for part, img in zip(gradient(F.terms, len(F.chart)), images):
+            if part and img.terms:
+                add_product(out, part, img.terms)
         return KazhdanPolynomial(self.comp_chart, out)

@@ -334,15 +334,20 @@ class HBasis:
     def subspace_at(self, n: int) -> Subspace:
         """F_n H as the canonical Subspace of F_n Q coordinates: the span of
         the forms of degree <= n, from the canonical rows of F_{n-1} H and
-        the forms of degree n when those rows are at hand."""
+        the forms of degree n when those rows are at hand.  With no form of
+        degree n, F_n H is F_{n-1} H and keeps its rows."""
         self._check_degree(n)
         space = self._subspaces.get(n)
         if space is None:
             before = self._subspaces.get(n - 1)
             forms = self.forms[self.dim_f(n - 1) if before else 0:self.dim_f(n)]
-            space = self._subspaces[n] = Subspace.from_sparse(
-                self.qb.dim_f(n), (before.rows if before else ()) + tuple(
-                    self.qb.sparse_coords(f) for f in forms))
+            if before and not forms:
+                space = before.embedded(self.qb.dim_f(n))
+            else:
+                space = Subspace.from_sparse(
+                    self.qb.dim_f(n), (before.rows if before else ()) + tuple(
+                        self.qb.sparse_coords(f) for f in forms))
+            self._subspaces[n] = space
         return space
 
     def _canonical_view(self):
@@ -351,8 +356,10 @@ class HBasis:
         integer form of each form's coordinates on them; and each
         of them as a term dict over the words.
 
-        Both changes of basis are read off at the pivot columns of F_{n_max} H
-        (see `_representatives`), where the vectors are short.
+        The forms are read off at the pivot columns of F_{n_max} H (see
+        `_representatives`), where the vectors are short; the
+        representatives are read off the echelon of the forms that
+        `h_basis` certified, so no second echelon of the forms is built.
         """
         if self._canonical is None:
             subspaces = [self.subspace_at(n) for n in range(self.n_max + 1)]
@@ -360,15 +367,11 @@ class HBasis:
             if degrees != self.degrees:
                 raise WalgError("representatives and forms disagree in degree (bug)")
             pivots = set(subspaces[-1].pivots)
-            forms = [_at(self.qb.sparse_coords(f), pivots) for f in self.forms]
-            to_elements = [backend.int_form(dict(_nonzero(
-                echelon.coordinates(f)))) for f in forms]
-            forms_echelon = Echelon()
-            for f in forms:
-                forms_echelon.extend(f)
+            to_elements = [backend.int_form(dict(_nonzero(echelon.coordinates(
+                _at(self.qb.sparse_coords(f), pivots))))) for f in self.forms]
             words = self.words
             over_words = [{words[k]: c for k, c in _nonzero(
-                forms_echelon.coordinates(_at(row, pivots)))} for row in rows]
+                self._echelon.coordinates(row))} for row in rows]
             self._canonical = ([self.qb.element(row) for row in rows],
                                to_elements, over_words)
         return self._canonical
@@ -429,23 +432,30 @@ class HBasis:
     def commutators(self) -> Dict[tuple, Dict]:
         """[g_b, g_a] for the generators b > a with deg a + deg b <= n_max,
         as term dicts over the words: each formed once in Q and read off
-        on the forms of degree <= deg a + deg b - 2."""
+        on the forms of degree <= deg a + deg b - 2.
+
+        q(g_a g_b) is the form of the ordered word g_a g_b, certified by
+        `h_basis` already; only q(g_b g_a) is formed here, by `_products`,
+        one left action per right factor g_a."""
         if self._relations is None:
-            gens = [(w[0][0], f, d) for w, f, d in
+            index = {w: k for k, w in enumerate(self.words)}
+            gens = {w[0][0]: (f, d) for w, f, d in
                     zip(self.words, self.forms, self.degrees)
-                    if len(w) == 1 and w[0][1] == 1]
+                    if len(w) == 1 and w[0][1] == 1}
+            pairs = [(b, a) for b in gens for a in gens
+                     if a < b and gens[a][1] + gens[b][1] <= self.n_max]
+            forms = {g: f for g, (f, _) in gens.items()}
             relations = {}
-            for b, gb, db in gens:
-                for a, ga, da in gens:
-                    if a < b and da + db <= self.n_max:
-                        comm = q_product(gb, ga, self.sctx) - q_product(ga, gb, self.sctx)
-                        cd = comm.kazhdan_degree()
-                        if cd is not None and cd > da + db - 2:
-                            raise WalgError("commutator violates the filtration degree law")
-                        x = self.form_coordinates(comm, da + db - 2)
-                        if x is None:
-                            raise WalgError("H is not closed under commutators (bug)")
-                        relations[(b, a)] = {self.words[k]: c for k, c in _nonzero(x)}
+            for b, a, ba in _products(pairs, forms, self.sctx):
+                d = gens[a][1] + gens[b][1] - 2
+                comm = ba - self.forms[index[((a, 1), (b, 1))]]
+                cd = comm.kazhdan_degree()
+                if cd is not None and cd > d:
+                    raise WalgError("commutator violates the filtration degree law")
+                x = self.form_coordinates(comm, d)
+                if x is None:
+                    raise WalgError("H is not closed under commutators (bug)")
+                relations[(b, a)] = {self.words[k]: c for k, c in _nonzero(x)}
             self._relations = relations
         return self._relations
 
@@ -702,18 +712,42 @@ def _h_basis(qb: QDegreeBasis, actions: Sequence[AdColumns], t: int) -> HBasis:
     return HBasis(sctx, qb.n, qb, forms, degrees, echelon, words, low)
 
 
-def _products(pairs, elements: Sequence[UEAElement], sctx: SliceContext):
-    """(i, j, q(e_i e_j)) over the (i, j) in `pairs`, in their order, for
-    the e_k in `elements`: one left action per right factor e_j serves all
-    of its pairs."""
+def _right_actions(elements, sctx: SliceContext):
+    """k -> the left action m -> q(m e_k) (`_left_action`) for the e_k in
+    `elements`, a sequence or a dict, each built on first use."""
     basis = sctx.basis
     steps = _generator_steps(basis)
     acts: Dict[int, backend.MonomialMap] = {}
+
+    def act(k):
+        hit = acts.get(k)
+        if hit is None:
+            hit = acts[k] = _left_action(basis, steps, elements[k].terms)
+        return hit
+
+    return act
+
+
+def _products(pairs, elements, sctx: SliceContext):
+    """(i, j, q(e_i e_j)) over the (i, j) in `pairs`, in their order, for
+    the e_k in `elements`: one left action per right factor e_j
+    (`_right_actions`) serves all of its pairs."""
+    act = _right_actions(elements, sctx)
     for i, j in pairs:
-        act = acts.get(j)
-        if act is None:
-            act = acts[j] = _left_action(basis, steps, elements[j].terms)
-        yield i, j, UEAElement(basis, act(elements[i].terms))
+        yield i, j, UEAElement(sctx.basis, act(j)(elements[i].terms))
+
+
+def _commutators(pairs, elements, sctx: SliceContext):
+    """(i, j, q(e_i e_j - e_j e_i)) over the (i, j) in `pairs`, in their
+    order: both products from the left actions of `_products`, one per
+    right factor, summed on their integer forms over one scale and divided
+    once."""
+    act = _right_actions(elements, sctx)
+    for i, j in pairs:
+        right_j, right_i = act(j), act(i)
+        yield i, j, UEAElement(sctx.basis, backend._value(backend.combine(
+            [(c, right_j.image(m)) for m, c in elements[i].terms.items()] +
+            [(-c, right_i.image(m)) for m, c in elements[j].terms.items()])))
 
 
 def _read_off(prod: UEAElement, d: int, hb: HBasis) -> Vector:
@@ -774,6 +808,18 @@ def _dimension_failure(gr_dims, slice_dims) -> Optional[TheoremFailure]:
     return None
 
 
+def _multiplicative(x: Vector, ks, nu_ints, i: int, j: int) -> bool:
+    """Whether sum_{k in ks} x_k nu_k == nu_i nu_j for the integer forms
+    nu_ints of the nu_k, compared by cross-multiplication: the sum over one
+    common scale, the product on numerators over den_i den_j."""
+    scale, lhs = backend.combine([(x[k], nu_ints[k]) for k in ks if x[k]])
+    (den_i, ints_i), (den_j, ints_j) = nu_ints[i], nu_ints[j]
+    den = den_i * den_j
+    rhs = poisson.poly_mul(ints_i, ints_j)
+    return {m: v * den for m, v in lhs.items() if v} == \
+        {m: v * scale for m, v in rhs.items()}
+
+
 def verify_theorem(n_max: int, sctx: SliceContext,
                    hb: Optional[HBasis] = None) -> TheoremReport:
     """Degreewise check that nu: gr H -> C[S] is an algebra isomorphism.
@@ -814,9 +860,8 @@ def verify_theorem(n_max: int, sctx: SliceContext,
     nu_ints = [backend.int_form(nu.terms) for nu in nus]
     for (i, j), x in table.items():
         d = hb.degrees[i] + hb.degrees[j]
-        nu_prod = backend.combine([(x[k], nu_ints[k]) for k in
-                                   range(hb.dim_f(d - 1), hb.dim_f(d)) if x[k]])
-        if not _equals(nu_prod, (nus[i] * nus[j]).terms):
+        if not _multiplicative(x, range(hb.dim_f(d - 1), hb.dim_f(d)),
+                               nu_ints, i, j):
             raise TheoremFailure(
                 f"nu not multiplicative on basis pair ({i},{j})", degree=d)
     return TheoremReport(n_max=n_max, gr_dims=gr_dims,
@@ -846,6 +891,61 @@ def gr_commutator_vs_poisson(a: UEAElement, b: UEAElement, hb: HBasis) -> bool:
     rhs = poisson.slice_poisson_bracket(nu_map(a, sctx, da), nu_map(b, sctx, db),
                                         sctx.reduction)
     return lhs == rhs
+
+
+def gr_commutators_vs_poisson(hb: HBasis, pairs):
+    """(i, j, agrees) over the (i, j) in `pairs`, in their order, with
+    agrees what `gr_commutator_vs_poisson` says of the representatives e_i
+    and e_j, raising what it raises at the same pair: each object formed
+    once.
+
+    The commutators come lazily, in pair order, from `_commutators`, on
+    the left actions of `_products`, one per right factor.  Each element's
+    nu, its invariant lift (with the restrict-back check) and the partials
+    of the lift are taken once, at its first pair, and the Hamiltonian
+    field of the lift once, at its first pair as the right factor.  The
+    bracket is formed on chi + a^perp (`poisson.restricted_bracket`, where
+    the argument that it is the bracket of `slice_poisson_bracket` is
+    written) and restricted to the slice by `nu` on its integer form.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        return
+    sctx = hb.sctx
+    if not sctx.is_lagrangian:
+        raise WalgError("the reduced bracket needs a Lagrangian ell")
+    red = sctx.reduction
+    elements = hb.elements
+    commutators = _commutators(pairs, elements, sctx)
+    degrees: Dict[int, int] = {}
+    grads: Dict[int, tuple] = {}
+    fields: Dict[int, tuple] = {}
+
+    def degree(k):
+        if k not in degrees:
+            degrees[k] = elements[k].kazhdan_degree() or 0
+        return degrees[k]
+
+    def grad(k, d):
+        if k not in grads:
+            grads[k] = poisson.lift_gradient(nu_map(elements[k], sctx, d), red)
+        return grads[k]
+
+    for i, j in pairs:
+        da, db = degree(i), degree(j)
+        if da + db > hb.n_max:
+            raise DegreeOverflow("commutator degree outside computed range")
+        _, _, comm = next(commutators)
+        cd = comm.kazhdan_degree()
+        if cd is not None and cd > da + db - 2:
+            raise WalgError("commutator violates the filtration degree law")
+        lhs = nu_map(comm, sctx, da + db - 2)
+        left = grad(i, da)
+        if j not in fields:
+            fields[j] = poisson.hamiltonian_field(grad(j, db), red)
+        den, ints = poisson.restricted_bracket(left, fields[j])
+        scale, image = sctx.slice_data.nu.form(ints)
+        yield i, j, _equals((scale * den, image), lhs.terms)
 
 
 def whittaker_vectors(n: int, sctx: SliceContext,

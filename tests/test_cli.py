@@ -503,3 +503,40 @@ def test_center_outside_h_witness_is_casimir_degree(tmp_path, monkeypatch):
     assert entry["details"]["message"] == \
         "Casimir image outside the computed H basis"
     assert entry["witness"] == {"degree": 4}
+
+
+def test_a_failing_h_basis_is_built_once_per_degree(monkeypatch):
+    """With only the first generator of n_ell, h_basis fails the theorem at
+    degree 1.  The case keeps that failure: every check that needs H gets
+    it again, with its message and degree, from one build on the case's
+    context (the second context is the Lagrangian one of
+    `ell-independence`)."""
+    first = whittaker.n_ell_generators
+    monkeypatch.setattr(whittaker, "n_ell_generators",
+                        lambda sctx: first(sctx)[:1])
+    built = []
+
+    def recorded(n, sctx):
+        built.append((n, sctx))
+        return whittaker.h_basis(n, sctx)
+
+    monkeypatch.setattr(cli, "h_basis", recorded)
+    config = dict(algebra="sl3", nilpotent="minimal", max_degree=6,
+                  checks=["theorem", "cohomology", "center", "ell-independence"])
+    report = strip_timing(run(JobConfig(**config)))
+    case_builds = [n for n, sctx in built if sctx is built[0][1]]
+    assert case_builds == [6] and len(built) == 2
+    failed = {entry["name"]: entry for entry in report["checks"]
+              if entry["status"] == "fail"}
+    assert set(failed) == set(config["checks"])
+    for name in ("theorem", "cohomology", "center", "ell-independence"):
+        assert failed[name]["details"] == {
+            "error": "TheoremFailure",
+            "message": "dim gr_1 H = 1 != 0 = dim C[S]_1"}, name
+        assert failed[name]["witness"] == {"degree": 1}, name
+    # the same report as when every check builds the basis itself
+    monkeypatch.setattr(cli.Case, "hb_at",
+                        lambda self, n: recorded(n, self.sctx))
+    built.clear()
+    assert strip_timing(run(JobConfig(**config))) == report
+    assert len([1 for _, sctx in built if sctx is built[0][1]]) == 4

@@ -176,15 +176,23 @@ def test_exact_arithmetic_only(path):
 
 STRAIGHTENING = ("gen_times_mono", "mono_times_gen", "_gen_times_terms",
                  "_terms_times_gen", "mul_terms", "gen_times_word")
-ECHELON_ELIMINATION = ("Echelon.reduce", "Echelon.extend", "_eliminate")
+ECHELON_ELIMINATION = ("Echelon.reduce", "Echelon._reduce", "Echelon.extend",
+                       "_eliminate")
 # module -> its integer-form kernels: the memoized monomial map, the left
 # action on Q and the ad columns built on it, the forms of the generator
-# monomials of H, the product of H by rewriting and the substitution built
-# on the map, and the sum over a common scale behind the map
+# monomials of H, the commutators in Q, the multiplicativity cross-check of
+# nu, the product of H by rewriting and the substitution built on the map,
+# the bracket on chi + a^perp (the gradient, the bivector and the
+# Hamiltonian field of a lift), and the sum over a common scale behind the
+# map
 INTEGER_FORM_KERNELS = {
     "whittaker.py": ("_linear", "_step", "_left_action", "_word_forms",
-                     "AdColumns.column", "AdColumns._image", "AdColumns.kills"),
-    "poisson.py": ("Substitution.__call__",),
+                     "AdColumns.column", "AdColumns._image", "AdColumns.kills",
+                     "_right_actions", "_commutators", "_multiplicative"),
+    "poisson.py": ("Substitution.__call__", "Substitution.form", "gradient",
+                   "add_product", "poly_mul", "lift_gradient",
+                   "hamiltonian_field", "restricted_bracket",
+                   "ReductionData.poisson_tensor"),
     "backend.py": ("combine", "_value", "MonomialMap.image",
                    "MonomialMap.__call__", "word_map"),
 }

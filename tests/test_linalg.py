@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from walg import backend
 from walg.errors import AmbientMismatch
 from walg.linalg import (SparseMatrix, Subspace, kernel, prefix_kernels, rank,
-                         rank_of_rows, solve, sum_and_intersection, unit_vec)
+                         rank_of_rows, solve, solve_columns,
+                         sum_and_intersection, unit_vec)
 
 from conftest import sl2_algebra
 
@@ -394,3 +395,39 @@ def test_ad_h_on_sl2_is_not_nilpotent():
     assert len(L.ad_sparse(unit_vec(3, 0)).nilpotent_powers()) == 2
     with pytest.raises(AmbientMismatch):
         SparseMatrix(2, 3, {}).nilpotent_powers()
+
+
+@settings(max_examples=60, deadline=None)
+@given(bucket_matrices(), st.integers(1, 4), st.data())
+def test_solve_columns_matches_one_solve_per_column(matrix, k, data):
+    """One elimination for several right-hand sides gives, column by column,
+    what `solve` gives for each alone: among them consistent ones (images
+    of M) and, on rank-deficient M, inconsistent ones."""
+    rows, ncols = matrix
+    M = SparseMatrix.from_rows(rows) if rows and ncols else SparseMatrix(
+        len(rows), ncols, {})
+    bs = []
+    for _ in range(k):
+        if data.draw(st.booleans()):
+            x = [data.draw(small_fraction) for _ in range(ncols)]
+            bs.append(M.apply(x))
+        else:
+            bs.append(tuple(data.draw(small_fraction) for _ in range(M.rows)))
+    assert solve_columns(M, bs) == [solve(M, b) for b in bs]
+
+
+def test_solve_columns_examples():
+    M = SparseMatrix.from_rows([[1, 1], [2, 2]])
+    assert solve_columns(M, [[1, 2], [1, 0], [0, 0], [3, 6]]) == [
+        (F(1), F(0)), None, (F(0), F(0)), (F(3), F(0))]
+    assert solve_columns(M, []) == []
+
+
+def test_embedded_subspace_keeps_its_rows():
+    U = Subspace(3, [[1, 2, 0], [0, 1, 1]])
+    V = U.embedded(5)
+    assert V == Subspace(5, [[1, 2, 0, 0, 0], [0, 1, 1, 0, 0]])
+    assert (V.ambient_dim, V.pivots, V.rows) == (5, U.pivots, U.rows)
+    assert U.embedded(3) == U
+    with pytest.raises(AmbientMismatch):
+        U.embedded(2)

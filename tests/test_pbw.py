@@ -444,3 +444,19 @@ def test_convert_matches_reference(sl3_min_zero, sl3_min_lag):
             u = random_element(src.basis, rng, max_len=4, n_terms=3)
             assert convert_element(u, dst.basis) == \
                 convert_element_reference(u, dst.basis)
+
+
+@pytest.mark.parametrize("ctx_name", CONTEXTS)
+def test_ad_coords_match_dense_reference(request, ctx_name):
+    """[x, v_p] read off the structure constants equals `lie.bracket` of x
+    and v_p read off by `coords`, for basis vectors and a dense x."""
+    sctx = request.getfixturevalue(ctx_name)
+    B = sctx.basis
+    d = B.lie.dim
+    rng = random.Random(29)
+    dense = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d))
+    for x in list(B.vectors[-2:]) + [dense] + [v for v, _ in sctx.pair.n_graded]:
+        ref = [B.coords(B.lie.bracket(x, v)) for v in B.vectors]
+        got = B.ad_coords(x)
+        assert got == [{k: c for k, c in enumerate(col) if c} for col in ref]
+        assert all(list(col) == sorted(col) for col in got)

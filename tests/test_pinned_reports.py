@@ -5,9 +5,12 @@ Runs the benchmark's jobs in-process, with the arguments
 report without `timing` (the recipe of `perfbench/run.report_digest`)
 with `perfbench/digests.json`.  Only reads files under perfbench/.
 
-The jobs of `PINNED_HERE` are pinned in this file: each builds an H basis
-with n_max <= top, the largest slice degree, where `h_basis` reads every
-degree off the exact kernel.
+The jobs of `PINNED_HERE` are pinned in this file.  All but the last build
+an H basis with n_max <= top, the largest slice degree, where `h_basis`
+reads every degree off the exact kernel.  The last is the `theorem` and
+`poisson` path of the `conj-sl4-22` workload on the builtin coordinates of
+sl4 [2,2], above top: the monomial basis, its commutators, the invariant
+lifts and the reduced bracket.
 """
 
 import hashlib
@@ -75,6 +78,10 @@ PINNED_HERE = [
       "--max-degree", "4", "--checks",
       "theorem,cohomology,center,ell-independence"],
      "98572080f9cc30c24e1ce480a72ec5deaf79cce19b8ffd694984bbd17e167eeb"),
+    ("sl4 [2,2] lagrangian-auto, deg 6, theorem and poisson",
+     ["--algebra", "sl4", "--nilpotent", "[2,2]", "--ell", "lagrangian-auto",
+      "--max-degree", "6", "--checks", "theorem,poisson"],
+     "f549508a09ea7cab281c2659d21cba09a4c259e92015843192980faef092e5d0"),
 ]
 
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from walg import poisson as P
 from walg import whittaker as W
 from walg.errors import ChartMismatch, LiftFailure, WalgError
-from walg.linalg import SparseMatrix, Subspace, solve, sum_and_intersection
+from walg.linalg import (SparseMatrix, Subspace, _equals, solve,
+                         sum_and_intersection)
 
 
 def var(chart, i, c=1):
@@ -604,3 +605,110 @@ def test_verify_theorem_builds_each_monomial_image_once(sl3_min_lag, sl3_hb_lag,
     assert 0 < built <= len(P.enumerate_monomials(sctx.comp_chart.degrees, 6)) - 1
     W.verify_theorem(6, sctx, sl3_hb_lag)
     assert fresh.nu.products == built
+
+
+def per_coordinate_lifts(red):
+    """Reference: the lift of each slice coordinate t_k by its own solve,
+    the system of its degree built again for every k."""
+    comp = red.comp_chart
+    slice_degs = red.slice_data.degrees
+    lifts = []
+    for k, n in enumerate(slice_degs):
+        monos = P.monomials_of_degree(comp.degrees, n)
+        blocks = [(P.monomials_of_degree(slice_degs, n),
+                   lambda G: red.slice_data.restrict(G))]
+        blocks += [(P.monomials_of_degree(comp.degrees, n + w),
+                    lambda G, x=x: red.derivation(x, G)) for x, w in red.m_graded]
+        entries, rhs, offset = {}, [], 0
+        for target, image_of in blocks:
+            index = {m: i for i, m in enumerate(target)}
+            for j, mono in enumerate(monos):
+                for m2, c2 in image_of(P.KazhdanPolynomial(comp, {mono: 1})).terms.items():
+                    entries[(offset + index[m2], j)] = c2
+            rhs += [int(not offset and m == ((k, 1),)) for m in target]
+            offset += len(target)
+        sol = solve(SparseMatrix(offset, len(monos), entries), rhs)
+        assert sol is not None, k
+        lifts.append(P.KazhdanPolynomial(comp, dict(zip(monos, sol))))
+    return lifts
+
+
+@pytest.mark.parametrize("name", ["sl2_ctx", "sl3_min_lag", "sl3_min_conj",
+                                  "sl3_principal", "sl4_22_conj"])
+def test_coordinate_lifts_match_per_coordinate_solves(request, name):
+    """One system per slice degree, all the right-hand sides of a degree
+    eliminated together, gives the lifts of one solve per coordinate; each
+    derivation image is formed once per (degree, monomial, m-generator)."""
+    sctx = request.getfixturevalue(name)
+    red = sctx.reduction
+    fresh = P.ReductionData(red.basis, red.slice_data, red.m_graded,
+                            red.is_lagrangian)
+    calls = []
+    derivation = P.ReductionData.derivation
+
+    def counted(self, x, G):
+        if self is fresh:
+            calls.append((G.kazhdan_degree(), tuple(G.terms), id(x)))
+        return derivation(self, x, G)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(P.ReductionData, "derivation", counted)
+        lifts = fresh.coordinate_lifts()
+    assert lifts == per_coordinate_lifts(red)
+    degrees = set(sctx.slice_data.degrees)
+    comp_degrees = sctx.comp_chart.degrees
+    assert len(calls) == len(set(calls)) == len(red.m_graded) * sum(
+        len(P.monomials_of_degree(comp_degrees, n)) for n in degrees)
+    if len(degrees) < len(sctx.slice_data.degrees):
+        assert len(calls) < len(red.m_graded) * sum(
+            len(P.monomials_of_degree(comp_degrees, n))
+            for n in sctx.slice_data.degrees)
+
+
+@pytest.mark.parametrize("name", ["sl2_ctx", "sl3_min_lag", "sl3_min_conj",
+                                  "sl4_22_conj"])
+def test_restricted_bracket_is_the_reduced_bracket(request, name):
+    """The bracket on chi + a^perp from the gradient of one lift and the
+    Hamiltonian field of the other is `lie_poisson_bracket` of their
+    extensions, restricted to chi + a^perp; on integer numerators over one
+    denominator throughout.  Restricted to the slice it is
+    `slice_poisson_bracket`, with or without a twist."""
+    sctx = request.getfixturevalue(name)
+    red, sd = sctx.reduction, sctx.slice_data
+    rng = random.Random(23)
+    cases = [random_slice_polynomial(sd.chart, rng, 6) for _ in range(6)]
+    for F1, F2 in zip(cases, cases[1:] + [P.KazhdanPolynomial.constant(sd.chart, 3)]):
+        grad = P.lift_gradient(F1, red)
+        field = P.hamiltonian_field(P.lift_gradient(F2, red), red)
+        den, ints = P.restricted_bracket(grad, field)
+        for d, parts in (grad, field, (den, [ints])):
+            assert type(d) is int and d > 0
+            assert all(type(c) is int for part in parts for c in part.values())
+        G1, G2 = P.invariant_lift(F1, red), P.invariant_lift(F2, red)
+        full = P.lie_poisson_bracket(P.extend_to_full(G1, red.basis),
+                                     P.extend_to_full(G2, red.basis), red.basis)
+        on_complement = P.restrict_to_chi_plus_a_perp(full, red.basis)
+        assert _equals((den, ints), on_complement.terms)
+        scale, image = sd.nu.form(ints)
+        reduced = P.slice_poisson_bracket(F1, F2, red)
+        assert _equals((scale * den, image), reduced.terms)
+        twist = P.KazhdanPolynomial.variable(red.comp_chart, 0)
+        assert P.slice_poisson_bracket(F1, F2, red, twist=twist) == reduced
+
+
+def test_mono_mul_matches_exponent_sum():
+    """The product of two monomials adds exponents of equal variables and
+    keeps the variables sorted, with a single variable merged into the
+    other factor's tuple."""
+    rng = random.Random(31)
+
+    def monomial():
+        idx = sorted(rng.sample(range(7), rng.randint(0, 4)))
+        return tuple((i, rng.randint(1, 3)) for i in idx)
+
+    for _ in range(2000):
+        m1, m2 = monomial(), monomial()
+        exps = {}
+        for i, e in m1 + m2:
+            exps[i] = exps.get(i, 0) + e
+        assert P.mono_mul(m1, m2) == P.mono_mul(m2, m1) == tuple(sorted(exps.items()))

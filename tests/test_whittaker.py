@@ -1537,3 +1537,179 @@ def test_substitution_matches_fraction_reference(request, ctx_name, data):
     for sub in (sctx.slice_data.nu, sctx.reduction.lift_map()):
         G = data.draw(chart_polynomials(sub.source, 6))
         assert sub(G).terms == substitution_reference(sub, G).terms
+
+
+# the one-pass `poisson` check against the per-pair oracle
+
+
+LAGRANGIAN_CASES = [("sl2_ctx", 12), ("sl3_min_lag", 6), ("sl3_min_lag2", 6),
+                    ("sl3_min_conj", 6), ("sl3_principal", 8),
+                    ("sl4_22_conj", 6), ("sl4_regular", 8)]
+
+
+def poisson_pairs(hb):
+    """The pairs the `poisson` check compares, as `cli.check_poisson`
+    lists them."""
+    return [(i, j) for i, j in hb.product_pairs()
+            if i <= j and hb.degrees[i] and hb.degrees[j]]
+
+
+def run_route(route):
+    """(the (i, j, agrees) the route gave, in order, up to the first pair
+    that disagrees, as the check stops there, and the type, message and
+    degree of what it raised, or None)."""
+    seen = []
+    try:
+        for out in route():
+            seen.append(out)
+            if not out[2]:
+                break
+    except WalgError as exc:
+        return seen, (type(exc).__name__, str(exc), getattr(exc, "degree", None))
+    return seen, None
+
+
+def one_pass(hb, pairs):
+    return lambda: W.gr_commutators_vs_poisson(hb, pairs)
+
+
+def per_pair(hb, pairs):
+    return lambda: ((i, j, W.gr_commutator_vs_poisson(hb.elements[i],
+                                                      hb.elements[j], hb))
+                    for i, j in pairs)
+
+
+@pytest.mark.parametrize("ctx_name,n", LAGRANGIAN_CASES,
+                         ids=[c[0] for c in LAGRANGIAN_CASES])
+def test_one_pass_poisson_matches_per_pair_route(request, ctx_name, n):
+    sctx = request.getfixturevalue(ctx_name)
+    assert sctx.is_lagrangian
+    hb = W.h_basis(n, sctx)
+    pairs = poisson_pairs(hb)
+    got = run_route(one_pass(hb, pairs))
+    assert got == run_route(per_pair(hb, pairs))
+    assert got == ([(i, j, True) for i, j in pairs], None) and pairs
+
+
+def first_failure(hb, pairs):
+    """The outcome of both routes, asserted equal, with a failure."""
+    got = run_route(one_pass(hb, pairs))
+    assert got == run_route(per_pair(hb, pairs))
+    seen, raised = got
+    assert raised is not None or not seen[-1][2]
+    return got
+
+
+@pytest.fixture
+def sl4_22_hb(sl4_22_conj):
+    """A fresh basis of the benchmark's conjugate at degree 6, with its
+    representatives built, so that no fault below reaches them."""
+    hb = W.h_basis(6, sl4_22_conj)
+    assert hb.elements
+    return hb
+
+
+def test_a_wrong_lift_fails_both_routes_at_one_pair(monkeypatch, sl4_22_hb):
+    """Negative control: a lift doubled on the symbols of degree 4 still
+    restricts to the slice, but brackets wrongly; both routes stop at the
+    same first pair."""
+    lift = poisson.invariant_lift
+
+    def doubled(F, red):
+        G = lift(F, red)
+        return 2 * G if F.kazhdan_degree() == 4 else G
+
+    monkeypatch.setattr(poisson, "invariant_lift", doubled)
+    pairs = poisson_pairs(sl4_22_hb)
+    seen, raised = first_failure(sl4_22_hb, pairs)
+    assert raised is None and 0 < len(seen) < len(pairs)
+    i, j, _ = seen[-1]
+    assert 4 in (sl4_22_hb.degrees[i], sl4_22_hb.degrees[j])
+
+
+def test_a_lift_that_does_not_restrict_back_fails_both_routes(monkeypatch,
+                                                              sl4_22_conj,
+                                                              sl4_22_hb):
+    red = sl4_22_conj.reduction
+    doubled = [2 * T for T in red.coordinate_lifts()]
+    monkeypatch.setattr(red, "_lifts", doubled)
+    seen, raised = first_failure(sl4_22_hb, poisson_pairs(sl4_22_hb))
+    assert seen == [] and raised == (
+        "LiftFailure", "lift does not restrict back to its input", None)
+
+
+def test_a_commutator_off_the_degree_law_fails_both_routes(monkeypatch,
+                                                           sl4_22_hb):
+    """Negative control: products with one degree-2 representative on the
+    right taken twice over; the commutators with it keep their top degree,
+    and both routes raise at the same first pair."""
+    k = sl4_22_hb.degrees.index(2) + 1
+    target = sl4_22_hb.elements[k].terms
+    left_action = W._left_action
+
+    def faulty(basis, steps, base):
+        if base == target:
+            base = {m: 2 * c for m, c in base.items()}
+        return left_action(basis, steps, base)
+
+    monkeypatch.setattr(W, "_left_action", faulty)
+    pairs = poisson_pairs(sl4_22_hb)
+    seen, raised = first_failure(sl4_22_hb, pairs)
+    assert raised == ("WalgError",
+                      "commutator violates the filtration degree law", None)
+    i, j = pairs[len(seen)]
+    assert k in (i, j) and i != j and all(k not in p or p == (k, k)
+                                          for p in pairs[:len(seen)])
+
+
+def test_one_pass_poisson_lifts_each_element_once(monkeypatch, sl4_22_hb):
+    """13 elements in the 36 pairs of the benchmark's conjugate: one lift
+    per element, where the per-pair route took two per pair."""
+    pairs = poisson_pairs(sl4_22_hb)
+    lifts = counting(monkeypatch, poisson, "invariant_lift")
+    assert all(ok for _, _, ok in W.gr_commutators_vs_poisson(sl4_22_hb, pairs))
+    assert len(pairs) == 36
+    assert len(lifts) == len({k for p in pairs for k in p}) == 13
+
+
+@pytest.mark.parametrize("ctx_name,n", [("sl3_min_lag", 7), ("sl3_principal", 10),
+                                        ("sl4_22_conj", 6)])
+def test_commutators_take_one_left_action_product_per_pair(monkeypatch,
+                                                           request, ctx_name,
+                                                           n):
+    """q(g_a g_b) is the form of the word g_a g_b, so `commutators` forms
+    only q(g_b g_a) in Q: one product per pair, r(r-1)/2 of them when every
+    pair is in range, with one left action per right factor g_a."""
+    sctx = request.getfixturevalue(ctx_name)
+    hb = W.h_basis(n, sctx)
+    products = W._products
+    formed = []
+
+    def counted(pairs, elements, sctx):
+        for out in products(pairs, elements, sctx):
+            formed.append(out[:2])
+            yield out
+
+    monkeypatch.setattr(W, "_products", counted)
+    actions = counting(monkeypatch, W, "_left_action")
+    comms = hb.commutators()
+    assert formed == list(comms) and actions
+    assert len(actions) == len({a for _, a in comms})
+    degrees = sorted(sctx.slice_data.degrees)
+    r = len(degrees)
+    if degrees[-1] + degrees[-2] <= n:
+        assert len(formed) == r * (r - 1) // 2
+    else:
+        assert len(formed) < r * (r - 1) // 2
+
+
+def test_one_pass_poisson_needs_a_lagrangian_ell_only_for_a_pair(
+        sl3_min_zero, sl3_hb_zero):
+    """As the per-pair route, which raises at its first pair: no pair, no
+    error; a pair on a non-Lagrangian ell raises the same error."""
+    assert list(W.gr_commutators_vs_poisson(sl3_hb_zero, [])) == []
+    pair = poisson_pairs(sl3_hb_zero)[:1]
+    assert pair
+    assert run_route(one_pass(sl3_hb_zero, pair)) == \
+        run_route(per_pair(sl3_hb_zero, pair)) == \
+        ([], ("WalgError", "the reduced bracket needs a Lagrangian ell", None))
