@@ -284,6 +284,13 @@ def _reduced(combined):
     return scale // d, {m: v // d for m, v in ints.items()}
 
 
+def lowest_form(combined):
+    """`int_form` of the value of (scale, sums) from `combine`, whose sums
+    may be Fractions, minting no Fraction."""
+    den, ints = int_form(combined[1])
+    return _reduced((combined[0] * den, ints))
+
+
 def word_map(base, relations, cache):
     """The map t -> t * base on term dicts over words, in the algebra of
     `gen_times_word`: a `MonomialMap` whose step straightens one generator

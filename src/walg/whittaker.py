@@ -9,7 +9,8 @@ g, and a monomial acts by one generator step after its suffix, every
 intermediate kept in canonical Q form: `_left_action` is the
 `backend.MonomialMap` whose step is one generator step followed by
 `chi_reduce`.  The ad-action matrices, the natural maps between the
-Q_ell and the products that are formed in Q all run on that one map.
+Q_ell and the products formed in Q (the generators' commutators, and the
+cross-check of `ell_comparison`) all run on that one map.
 
 H_ell is the joint kernel on F_n Q of the ad-action matrices of vectors
 that generate n_ell, those independent modulo [n_ell, n_ell].  The
@@ -20,22 +21,24 @@ W-algebras (Premet), the ordered monomials in lifts of the r slice
 generators are a basis of H, and every `HBasis` is that basis: one
 builder eliminates on F_t Q only, chooses the generators there, and forms
 each ordered monomial up to n_max by `q_product` from its suffix.  The
-forms are certified: killed by ad x for every generator x of n_ell
-(applied only through the columns of the monomials the forms touch,
-`AdColumns`), independent in one echelon, and in each degree k as many as
-the kernel's dimension for k <= t and as dim C[S]_k above t, an upper
-bound for dim gr_k H by transversality (one rank,
-`SliceContext.is_transversal`; see `h_basis`).  So the exact kernel only
-sets how far up t reaches: to top, the largest slice degree, where that
-rank holds and n_max is above it, and otherwise, or where a clause fails
-at t = top, to n_max.  Products in H are rewritten on the monomials,
-g_b g_a -> g_a g_b + [g_b, g_a], with each commutator formed once in Q
-(`backend.word_map`); the canonical prefix-stable representatives the
-reports print are built from the same span on first use.
+forms are certified once each: independent in one echelon, in H (by the
+exact kernel up to t, above t killed by ad x for every generator x of
+n_ell, through the columns of the monomials they touch, `AdColumns`),
+and in each degree k as many as the kernel's dimension for k <= t and as
+dim C[S]_k above t, an upper bound for dim gr_k H by transversality (one
+rank, `SliceContext.is_transversal`; see `h_basis`).  So the exact kernel
+only sets how far up t reaches: to top, the largest slice degree, where
+that rank holds and n_max is above it, and otherwise, or where a clause
+fails at t = top, to n_max.  Products in H are rewritten on the
+monomials, g_b g_a -> g_a g_b + [g_b, g_a], with each commutator formed
+once in Q (`backend.word_map`), and the checks multiply in H that way
+only; the canonical prefix-stable representatives the reports print are
+built from the same span on first use.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence
 
@@ -233,10 +236,10 @@ class AdColumns:
 
     def _image(self, mono) -> tuple:
         # a step on a basis with a non-integral chi value or structure
-        # constant can return Fractions, so the sum is put in integer form
-        return backend.int_form(backend._value(backend.combine(
+        # constant can return Fractions, so the sum is put in lowest terms
+        return backend.lowest_form(backend.combine(
             [(1, (self.den, _step(self.basis, self.gens, {mono: 1}))),
-             (-1, self.right.image(mono))])))
+             (-1, self.right.image(mono))]))
 
     def kills(self, terms: Dict) -> bool:
         """Whether ad x kills the element with term dict `terms`: one sum of
@@ -394,10 +397,10 @@ class HBasis:
         self._check_degree(n)
         return self._echelon.coordinates(self.qb.sparse_coords(u, upto=n))
 
-    def _to_canonical(self, y: Dict[int, QQ]) -> Vector:
-        """The coordinates on the representatives of sum y_k forms_k."""
+    def _to_canonical(self, y) -> Vector:
+        """Coordinates on the representatives of sum y_k forms_k, (k, y_k) in y."""
         elements, rows, _ = self._canonical_view()
-        scale, xs = backend.combine([(c, rows[k]) for k, c in y.items()])
+        scale, xs = backend.combine([(c, rows[k]) for k, c in y])
         return tuple(QQ(xs[k], scale) if xs.get(k) else ZERO
                      for k in range(len(elements)))
 
@@ -405,7 +408,7 @@ class HBasis:
         """Coefficients of u on the representatives if u lies in F_n H,
         else None."""
         x = self.form_coordinates(u, n)
-        return None if x is None else self._to_canonical(dict(_nonzero(x)))
+        return None if x is None else self._to_canonical(_nonzero(x))
 
     def contains(self, u: UEAElement, n: Optional[int] = None) -> bool:
         """Whether u lies in F_n H (n defaults to n_max)."""
@@ -488,7 +491,7 @@ class HBasis:
         pairs = self.product_pairs(bound)
         index = {w: k for k, w in enumerate(self.words)}
         over_words = self._canonical_view()[2]
-        return {(i, j): self._to_canonical({index[w]: c for w, c in t.items()})
+        return {(i, j): self._to_canonical((index[w], c) for w, c in t.items())
                 for i, j, t in self._word_products(pairs, over_words, over_words)}
 
 
@@ -536,11 +539,12 @@ def h_basis(n_max: int, sctx: SliceContext) -> HBasis:
     ad-matrices of the generators of n_ell (`n_ell_generators`) on F_t Q,
     chooses the generators there (`_choose_generators`), forms each ordered
     monomial up to n_max by `q_product` from its suffix, and certifies that
-    the forms span F_n H: each is killed by ad x for every generator x
-    (`AdColumns.kills`, through the columns of the monomials it touches),
-    all are independent in one echelon, and in each degree k there are
-    dim gr_k H of them, read off the exact kernel, for k <= t, and
-    dim C[S]_k for k > t, an upper bound for dim gr_k H by transversality:
+    the forms span F_n H: they are independent in one echelon, in H (by
+    the exact kernel up to t, `_choose_generators`; above t killed by ad x
+    for every generator x, `AdColumns.kills`, through the columns of the
+    monomials they touch), and in each degree k there are dim gr_k H of
+    them, read off the exact kernel, for k <= t, and dim C[S]_k for k > t,
+    an upper bound for dim gr_k H by transversality:
 
     The symbol of ad x on gr Q = C[chi + a^perp], x in n_ell, is the
     derivation D_x (`ReductionData.derivation`).  Each D_x(y_p) is a
@@ -648,15 +652,16 @@ def _word_form(basis, word_forms: backend.MonomialMap, word) -> UEAElement:
 
 def _choose_generators(low: Sequence[Subspace], qb: QDegreeBasis,
                        sctx: SliceContext):
-    """(degrees, word_forms): generators of F_t H chosen from its
-    canonical subspaces `low`, degree by degree, as their degrees and the
-    map of `_word_forms` on them.
+    """(degrees, word_forms, echelon): generators of F_t H chosen from its
+    canonical subspaces `low`, degree by degree, as their degrees, the map
+    of `_word_forms` on them, and the echelon of the forms of the ordered
+    monomials of degree <= t, in the order of `enumerate_monomials`.
 
     At degree d the forms of the ordered monomials of degree d in the
-    generators chosen so far join one echelon, and every canonical row of
-    F_d H outside its span becomes a generator of degree d.  A dependent
-    monomial fails the certificate, and so does an echelon that then spans
-    more than F_d H: some monomial's form lies outside H.
+    generators chosen so far join the echelon, then every canonical row of
+    F_d H outside its span, a new generator g (the word g is last in degree
+    d).  A dependent monomial fails, and so does an echelon that spans more
+    than F_d H: this decides against the exact kernel that forms lie in H.
     """
     basis = sctx.basis
     gens: List[UEAElement] = []
@@ -674,19 +679,20 @@ def _choose_generators(low: Sequence[Subspace], qb: QDegreeBasis,
                 degrees.append(d)
         if len(echelon.rows) > K.dim:
             raise _Uncertified(d, "an ordered monomial outside H")
-    return degrees, word_forms
+    return degrees, word_forms, echelon
 
 
 def _h_basis(qb: QDegreeBasis, actions: Sequence[AdColumns], t: int) -> HBasis:
     """The ordered monomials in generators chosen in the kernel on F_t Q,
     certified as `h_basis` says: `_Uncertified` where a clause fails for
-    t < n_max, `TheoremFailure` for t = n_max."""
+    t < n_max, `TheoremFailure` for t = n_max.  The forms above t extend
+    the echelon of `_choose_generators`."""
     sctx = qb.sctx
     mats = [ad_action_matrix(a.x, qb, sctx, t, a) for a in actions]
     low = joint_prefix_kernels(mats, qb.dim_f(t), qb.counts[:t + 1])
     dims = [K.dim - (low[k - 1].dim if k else 0) for k, K in enumerate(low)]
     try:
-        gen_degrees, word_forms = _choose_generators(low, qb, sctx)
+        gen_degrees, word_forms, echelon = _choose_generators(low, qb, sctx)
         words = poisson.enumerate_monomials(gen_degrees, qb.n)
         degrees = [sum(e * gen_degrees[i] for i, e in w) for w in words]
         bounds = dims + sctx.hilbert_slice(qb.n)[t + 1:]
@@ -694,15 +700,14 @@ def _h_basis(qb: QDegreeBasis, actions: Sequence[AdColumns], t: int) -> HBasis:
             if degrees.count(k) != bound:
                 raise _Uncertified(k, f"{degrees.count(k)} ordered monomials "
                                       f"against the bound {bound}")
-        echelon = Echelon()
         forms = []
         for word, d in zip(words, degrees):
             form = _word_form(sctx.basis, word_forms, word)
-            coords = qb.sparse_coords(form, upto=d)
-            if not all(a.kills(form.terms) for a in actions):
-                raise _Uncertified(d, "an ordered monomial outside H")
-            if not echelon.extend(coords):
-                raise _Uncertified(d, "dependent ordered monomials")
+            if d > t:
+                if not all(a.kills(form.terms) for a in actions):
+                    raise _Uncertified(d, "an ordered monomial outside H")
+                if not echelon.extend(qb.sparse_coords(form, upto=d)):
+                    raise _Uncertified(d, "dependent ordered monomials")
             forms.append(form)
     except _Uncertified as exc:
         if t < qb.n:
@@ -712,42 +717,18 @@ def _h_basis(qb: QDegreeBasis, actions: Sequence[AdColumns], t: int) -> HBasis:
     return HBasis(sctx, qb.n, qb, forms, degrees, echelon, words, low)
 
 
-def _right_actions(elements, sctx: SliceContext):
-    """k -> the left action m -> q(m e_k) (`_left_action`) for the e_k in
-    `elements`, a sequence or a dict, each built on first use."""
+def _products(pairs, elements, sctx: SliceContext):
+    """(i, j, q(e_i e_j)) over the (i, j) in `pairs`, in order, for the e_k
+    in `elements` (a sequence or a dict): one left action m -> q(m e_j)
+    (`_left_action`) per right factor, built on first use."""
     basis = sctx.basis
     steps = _generator_steps(basis)
     acts: Dict[int, backend.MonomialMap] = {}
-
-    def act(k):
-        hit = acts.get(k)
-        if hit is None:
-            hit = acts[k] = _left_action(basis, steps, elements[k].terms)
-        return hit
-
-    return act
-
-
-def _products(pairs, elements, sctx: SliceContext):
-    """(i, j, q(e_i e_j)) over the (i, j) in `pairs`, in their order, for
-    the e_k in `elements`: one left action per right factor e_j
-    (`_right_actions`) serves all of its pairs."""
-    act = _right_actions(elements, sctx)
     for i, j in pairs:
-        yield i, j, UEAElement(sctx.basis, act(j)(elements[i].terms))
-
-
-def _commutators(pairs, elements, sctx: SliceContext):
-    """(i, j, q(e_i e_j - e_j e_i)) over the (i, j) in `pairs`, in their
-    order: both products from the left actions of `_products`, one per
-    right factor, summed on their integer forms over one scale and divided
-    once."""
-    act = _right_actions(elements, sctx)
-    for i, j in pairs:
-        right_j, right_i = act(j), act(i)
-        yield i, j, UEAElement(sctx.basis, backend._value(backend.combine(
-            [(c, right_j.image(m)) for m, c in elements[i].terms.items()] +
-            [(-c, right_i.image(m)) for m, c in elements[j].terms.items()])))
+        act = acts.get(j)
+        if act is None:
+            act = acts[j] = _left_action(basis, steps, elements[j].terms)
+        yield i, j, UEAElement(basis, act(elements[i].terms))
 
 
 def _read_off(prod: UEAElement, d: int, hb: HBasis) -> Vector:
@@ -808,16 +789,21 @@ def _dimension_failure(gr_dims, slice_dims) -> Optional[TheoremFailure]:
     return None
 
 
+def _same(a: tuple, b: tuple) -> bool:
+    """Whether the sums a and b, each (scale, ints) with value ints / scale,
+    are equal, compared by cross-multiplication."""
+    (sa, ia), (sb, ib) = a, b
+    return {m: v * sb for m, v in ia.items() if v} == \
+        {m: v * sa for m, v in ib.items() if v}
+
+
 def _multiplicative(x: Vector, ks, nu_ints, i: int, j: int) -> bool:
     """Whether sum_{k in ks} x_k nu_k == nu_i nu_j for the integer forms
-    nu_ints of the nu_k, compared by cross-multiplication: the sum over one
-    common scale, the product on numerators over den_i den_j."""
-    scale, lhs = backend.combine([(x[k], nu_ints[k]) for k in ks if x[k]])
+    nu_ints of the nu_k: the sum over one common scale, the product on
+    numerators over den_i den_j."""
     (den_i, ints_i), (den_j, ints_j) = nu_ints[i], nu_ints[j]
-    den = den_i * den_j
-    rhs = poisson.poly_mul(ints_i, ints_j)
-    return {m: v * den for m, v in lhs.items() if v} == \
-        {m: v * scale for m, v in rhs.items()}
+    return _same(backend.combine([(x[k], nu_ints[k]) for k in ks if x[k]]),
+                 (den_i * den_j, poisson.poly_mul(ints_i, ints_j)))
 
 
 def verify_theorem(n_max: int, sctx: SliceContext,
@@ -874,7 +860,8 @@ def gr_commutator_vs_poisson(a: UEAElement, b: UEAElement, hb: HBasis) -> bool:
     """Compare nu(gr[a,b]) with the reduced slice bracket of the symbols.
 
     The two sides come from independent pipelines: PBW commutator followed
-    by nu versus invariant lift / Lie-Poisson / restriction.
+    by nu versus invariant lift / Lie-Poisson / restriction.  The tests'
+    oracle for `gr_commutators_vs_poisson`, with its products in Q.
     """
     sctx = hb.sctx
     if not sctx.is_lagrangian:
@@ -897,16 +884,21 @@ def gr_commutators_vs_poisson(hb: HBasis, pairs):
     """(i, j, agrees) over the (i, j) in `pairs`, in their order, with
     agrees what `gr_commutator_vs_poisson` says of the representatives e_i
     and e_j, raising what it raises at the same pair: each object formed
-    once.
+    once, and no product formed in Q.
 
-    The commutators come lazily, in pair order, from `_commutators`, on
-    the left actions of `_products`, one per right factor.  Each element's
-    nu, its invariant lift (with the restrict-back check) and the partials
-    of the lift are taken once, at its first pair, and the Hamiltonian
-    field of the lift once, at its first pair as the right factor.  The
-    bracket is formed on chi + a^perp (`poisson.restricted_bracket`, where
-    the argument that it is the bracket of `slice_poisson_bracket` is
-    written) and restricted to the slice by `nu` on its integer form.
+    Both products come lazily, in pair order, from the rewriting on the
+    representatives' word expressions (`HBasis._word_products`, one map
+    per right factor), read off as the theorem's table is.  The
+    representatives of degree n span F_n H modulo F_{n-1} H, so the
+    commutator x = x_ij - x_ji, of degree d = deg e_i + deg e_j, lies in
+    F_{d-2} H iff no coordinate of degree > d - 2 is nonzero, and then
+    nu(gr_{d-2} x) is sum x_k nu(e_k) over those of degree d - 2.  Each
+    representative's nu (shared with that sum), invariant lift (with the
+    restrict-back check) and its partials, and Hamiltonian field are taken
+    once.  The bracket is formed on chi + a^perp
+    (`poisson.restricted_bracket`, where the argument that it is the
+    bracket of `slice_poisson_bracket` is written) and restricted to the
+    slice by `nu` on its integer form.
     """
     pairs = list(pairs)
     if not pairs:
@@ -915,37 +907,38 @@ def gr_commutators_vs_poisson(hb: HBasis, pairs):
     if not sctx.is_lagrangian:
         raise WalgError("the reduced bracket needs a Lagrangian ell")
     red = sctx.reduction
-    elements = hb.elements
-    commutators = _commutators(pairs, elements, sctx)
-    degrees: Dict[int, int] = {}
-    grads: Dict[int, tuple] = {}
-    fields: Dict[int, tuple] = {}
+    elements, _, over_words = hb._canonical_view()
+    index = {w: k for k, w in enumerate(hb.words)}
+    products = hb._word_products((p for i, j in pairs for p in ((i, j), (j, i))),
+                                 over_words, over_words)
 
-    def degree(k):
-        if k not in degrees:
-            degrees[k] = elements[k].kazhdan_degree() or 0
-        return degrees[k]
+    @cache
+    def nu(k):
+        poly = nu_map(elements[k], sctx, hb.degrees[k])
+        return poly, backend.int_form(poly.terms)
 
-    def grad(k, d):
-        if k not in grads:
-            grads[k] = poisson.lift_gradient(nu_map(elements[k], sctx, d), red)
-        return grads[k]
+    @cache
+    def grad(k):
+        return poisson.lift_gradient(nu(k)[0], red)
+
+    @cache
+    def field(k):
+        return poisson.hamiltonian_field(grad(k), red)
 
     for i, j in pairs:
-        da, db = degree(i), degree(j)
-        if da + db > hb.n_max:
+        d = hb.degrees[i] + hb.degrees[j]
+        if d > hb.n_max:
             raise DegreeOverflow("commutator degree outside computed range")
-        _, _, comm = next(commutators)
-        cd = comm.kazhdan_degree()
-        if cd is not None and cd > da + db - 2:
+        (_, _, ij), (_, _, ji) = next(products), next(products)
+        x = hb._to_canonical([(index[w], c) for w, c in ij.items()] +
+                             [(index[w], -c) for w, c in ji.items()])
+        if any(x[hb.dim_f(d - 2):]):
             raise WalgError("commutator violates the filtration degree law")
-        lhs = nu_map(comm, sctx, da + db - 2)
-        left = grad(i, da)
-        if j not in fields:
-            fields[j] = poisson.hamiltonian_field(grad(j, db), red)
-        den, ints = poisson.restricted_bracket(left, fields[j])
+        lhs = backend.combine([(x[k], nu(k)[1]) for k in range(
+            hb.dim_f(d - 3), hb.dim_f(d - 2)) if x[k]])
+        den, ints = poisson.restricted_bracket(grad(i), field(j))
         scale, image = sctx.slice_data.nu.form(ints)
-        yield i, j, _equals((scale * den, image), lhs.terms)
+        yield i, j, _same((scale * den, image), lhs)
 
 
 def whittaker_vectors(n: int, sctx: SliceContext,

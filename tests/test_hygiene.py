@@ -179,22 +179,23 @@ STRAIGHTENING = ("gen_times_mono", "mono_times_gen", "_gen_times_terms",
 ECHELON_ELIMINATION = ("Echelon.reduce", "Echelon._reduce", "Echelon.extend",
                        "_eliminate")
 # module -> its integer-form kernels: the memoized monomial map, the left
-# action on Q and the ad columns built on it, the forms of the generator
-# monomials of H, the commutators in Q, the multiplicativity cross-check of
-# nu, the product of H by rewriting and the substitution built on the map,
-# the bracket on chi + a^perp (the gradient, the bivector and the
-# Hamiltonian field of a lift), and the sum over a common scale behind the
-# map
+# action on Q and the ad columns built on it (with their lowest-terms
+# form), the forms of the generator monomials of H, the multiplicativity
+# cross-check of nu and the one-pass poisson check (the sum of nu over the
+# representatives, and the comparison both make), the product of H by
+# rewriting and the substitution built on the map, the bracket on
+# chi + a^perp (the gradient, the bivector and the Hamiltonian field of a
+# lift), and the sum over a common scale behind the map
 INTEGER_FORM_KERNELS = {
     "whittaker.py": ("_linear", "_step", "_left_action", "_word_forms",
                      "AdColumns.column", "AdColumns._image", "AdColumns.kills",
-                     "_right_actions", "_commutators", "_multiplicative"),
+                     "_same", "_multiplicative", "gr_commutators_vs_poisson"),
     "poisson.py": ("Substitution.__call__", "Substitution.form", "gradient",
                    "add_product", "poly_mul", "lift_gradient",
                    "hamiltonian_field", "restricted_bracket",
                    "ReductionData.poisson_tensor"),
     "backend.py": ("combine", "_value", "MonomialMap.image",
-                   "MonomialMap.__call__", "word_map"),
+                   "MonomialMap.__call__", "word_map", "lowest_form"),
 }
 RATIONAL_NAMES = ("Fraction", "QQ")
 

@@ -977,9 +977,9 @@ def test_certificate_fails_without_the_top_generator(monkeypatch, tmp_path,
     choose = W._choose_generators
 
     def drop_top(low, qb, sctx):
-        degrees, word_forms = choose(low, qb, sctx)
+        degrees, word_forms, echelon = choose(low, qb, sctx)
         assert degrees[-1] == max(sctx.slice_data.degrees) == 4
-        return degrees[:-1], word_forms
+        return degrees[:-1], word_forms, echelon
 
     monkeypatch.setattr(W, "_choose_generators", drop_top)
     degrees = kernel_degrees(monkeypatch)
@@ -989,6 +989,22 @@ def test_certificate_fails_without_the_top_generator(monkeypatch, tmp_path,
     assert degrees == [4, 7]
     assert_theorem_entry_fails(
         tmp_path, ["--ell", "lagrangian-auto", "--max-degree", "7"], 4)
+
+
+def test_killed_clause_runs_only_above_top(monkeypatch, sl3_min_lag):
+    """Up to t = top the exact kernel decides that the forms lie in H, so
+    ad x is applied, for each generator x of n_ell, only to the forms
+    above top; at t = n_max to none."""
+    kills = counting(monkeypatch, W.AdColumns, "kills")
+    hb = W.h_basis(10, sl3_min_lag)
+    top = max(sl3_min_lag.slice_data.degrees)
+    above = sum(d > top for d in hb.degrees)
+    n_gens = len(W.n_ell_generators(sl3_min_lag))
+    assert (above, n_gens) == (34, 2)
+    assert len(kills) == above * n_gens
+    kills.clear()
+    W.kernel_h_basis(6, sl3_min_lag)
+    assert kills == []
 
 
 def test_ad_entry_above_its_weight_raises(monkeypatch, sl3_min_zero):
@@ -1365,6 +1381,26 @@ def test_transported_sum_matches_fraction_sum(terms, bump):
                                                      [expected, {m: bump}]))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(rationals, st.integers(1, 60),
+                          st.dictionaries(st.tuples(st.integers(0, 3)),
+                                          st.integers(-60, 60), max_size=4),
+                          st.integers(1, 6)),
+                max_size=6))
+def test_one_integer_form_per_ad_column(terms):
+    """`backend.lowest_form` of a sum, as `AdColumns._image` takes it, is
+    the `int_form` of its value that it replaced, on integer numerators
+    (where it is `_reduced`'s form) and on the Fraction numerators a step
+    on a basis with a non-integral constant can return."""
+    ints = backend.combine([(c, (den, v)) for c, den, v, _ in terms])
+    expected = backend.int_form(backend._value(ints))
+    assert backend.lowest_form(ints) == backend._reduced(ints) == expected
+    fractions = backend.combine([(c, (den, {m: F(x, q) for m, x in v.items()}))
+                                 for c, den, v, q in terms])
+    assert backend.lowest_form(fractions) == \
+        backend.int_form(backend._value(fractions))
+
+
 # -- the left action on Q against the Ug route -------------------------------
 
 KERNEL_CONTEXTS = ["sl3_min_lag", "sl3_min_zero", "sl4_22_conj"]
@@ -1641,18 +1677,30 @@ def test_a_lift_that_does_not_restrict_back_fails_both_routes(monkeypatch,
 def test_a_commutator_off_the_degree_law_fails_both_routes(monkeypatch,
                                                            sl4_22_hb):
     """Negative control: products with one degree-2 representative on the
-    right taken twice over; the commutators with it keep their top degree,
-    and both routes raise at the same first pair."""
+    right taken twice over, in Q for the per-pair route and by rewriting
+    for the one-pass route, on the relations of the generators built
+    before; the commutators with it keep their top degree, and both routes
+    raise at the same first pair."""
+    sl4_22_hb.commutators()
     k = sl4_22_hb.degrees.index(2) + 1
     target = sl4_22_hb.elements[k].terms
-    left_action = W._left_action
+    target_words = sl4_22_hb._canonical_view()[2][k]
+    left_action, word_map = W._left_action, backend.word_map
 
     def faulty(basis, steps, base):
         if base == target:
             base = {m: 2 * c for m, c in base.items()}
         return left_action(basis, steps, base)
 
+    def faulty_words(base, relations, cache):
+        # by identity: the expression is one word, which the rewriting's
+        # inner maps take as a base too
+        if base is target_words:
+            base = {w: 2 * c for w, c in base.items()}
+        return word_map(base, relations, cache)
+
     monkeypatch.setattr(W, "_left_action", faulty)
+    monkeypatch.setattr(backend, "word_map", faulty_words)
     pairs = poisson_pairs(sl4_22_hb)
     seen, raised = first_failure(sl4_22_hb, pairs)
     assert raised == ("WalgError",
@@ -1660,6 +1708,16 @@ def test_a_commutator_off_the_degree_law_fails_both_routes(monkeypatch,
     i, j = pairs[len(seen)]
     assert k in (i, j) and i != j and all(k not in p or p == (k, k)
                                           for p in pairs[:len(seen)])
+
+
+def test_one_pass_poisson_forms_no_product_in_q(monkeypatch, sl4_22_hb):
+    """Once the representatives and the relations of the generators are
+    built, the check multiplies only by rewriting: no left action on Q."""
+    sl4_22_hb.commutators()
+    actions = counting(monkeypatch, W, "_left_action")
+    pairs = poisson_pairs(sl4_22_hb)
+    assert all(ok for _, _, ok in W.gr_commutators_vs_poisson(sl4_22_hb, pairs))
+    assert actions == []
 
 
 def test_one_pass_poisson_lifts_each_element_once(monkeypatch, sl4_22_hb):
