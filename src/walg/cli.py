@@ -197,11 +197,13 @@ def check_decomposition(case: Case):
 def check_theorem(case: Case):
     n = case.config.check_degree("theorem")
     hb = case.hb_at(n)
-    rep = whittaker.verify_theorem(n, case.sctx, hb)
+    rep = whittaker.verify_theorem(hb)
     gens = [{"degree": d, "form": str(el), "nu": str(nu)}
             for d, el, nu in zip(hb.degrees, hb.elements, rep.nus)]
-    table = {f"{i},{j}": [str(c) for c in coeffs]
-             for (i, j), coeffs in sorted(rep.table.items())}
+    # the report's dense rows: each sparse row spelled out to dim F_n H
+    dim = hb.dim_f(n)
+    table = {f"{i},{j}": [str(row.get(k, 0)) for k in range(dim)]
+             for (i, j), row in sorted(rep.table.items())}
     return True, {"gr_dims": rep.gr_dims, "slice_dims": rep.slice_dims,
                   "multiplicative_pairs": rep.mult_pairs,
                   "generators": gens, "multiplication_table": table}, None
@@ -210,7 +212,7 @@ def check_theorem(case: Case):
 def check_poisson(case: Case):
     n = case.config.check_degree("poisson")
     hb = case.hb_at(n)
-    pairs = ((i, j) for i, j in hb.product_pairs(n)
+    pairs = ((i, j) for i, j in hb.product_pairs()
              if i <= j and hb.degrees[i] and hb.degrees[j])
     checked = 0
     for i, j, agrees in whittaker.gr_commutators_vs_poisson(hb, pairs):
@@ -243,7 +245,7 @@ def check_whittaker(case: Case):
     hb = case.hb_at(n_max)
 
     def agrees(n):
-        return whittaker.whittaker_vectors(n, case.sctx, hb.qb) == hb.subspace_at(n)
+        return whittaker.whittaker_vectors(n, hb.qb) == hb.subspace_at(n)
 
     # at each degree n both sides are their top-degree kernel intersected
     # with F_n Q, so they agree at every degree iff they agree at the top;
@@ -256,7 +258,7 @@ def check_whittaker(case: Case):
 
 def check_center(case: Case):
     n = case.config.check_degree("center")
-    rep = whittaker.center_injects(n, case.sctx, case.hb_at(n))
+    rep = whittaker.center_injects(case.hb_at(n))
     return True, {"canonical_form": rep.canonical_form, "degree": rep.degree,
                   "nu_image": rep.nu_image}, None
 
@@ -268,12 +270,10 @@ def check_ell_independence(case: Case):
         lag = liealg.lagrangian_auto(case.lie, case.sctx.grading, case.sctx.chi)
         other = SliceContext(case.lie, case.sctx.triple, lag)
         hb_other = h_basis(n, other)
-        rep = whittaker.ell_comparison(case.sctx, other, n, case.hb_at(n),
-                                       hb_other)
+        rep = whittaker.ell_comparison(case.hb_at(n), hb_other)
     else:
         zero = SliceContext(case.lie, case.sctx.triple, [])
-        rep = whittaker.ell_comparison(zero, case.sctx, n, h_basis(n, zero),
-                                       case.hb_at(n))
+        rep = whittaker.ell_comparison(h_basis(n, zero), case.hb_at(n))
     return True, rep.as_dict(), None
 
 

@@ -258,9 +258,10 @@ class Echelon:
         self.added.append(form)
         return True
 
-    def coordinates(self, w: Dict[int, QQ]) -> Optional[Vector]:
-        """Coefficients x of w on the added vectors, or None if w is outside
-        their span.  x is read off at the pivots and returned only after
+    def coordinates(self, w: Dict[int, QQ]) -> Optional[Dict[int, QQ]]:
+        """Coefficients x of w on the added vectors, as a sparse row
+        (ascending indices, no zero value), or None if w is outside their
+        span.  x is read off at the pivots and returned only after
         sum x_k added_k == w is verified by substitution."""
         scale, xs = backend.combine([(w[p], (row[p], comb))
                                      for p, row, comb in self.rows if p in w])
@@ -268,9 +269,7 @@ class Echelon:
         total, ints = backend.combine([(v, self.added[k])
                                        for k, v in xs.items() if v])
         if _equals((total * scale, ints), w):
-            zero = QQ(0)
-            return tuple(QQ(xs[k], scale) if xs.get(k) else zero
-                         for k in range(len(self.added)))
+            return {k: QQ(v, scale) for k, v in sorted(xs.items()) if v}
         if self.reduce(w)[0]:
             return None
         raise AssertionError("echelon read-off produced invalid coordinates")

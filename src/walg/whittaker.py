@@ -200,13 +200,13 @@ class AdColumns:
     on x (`right`); F_n Q is closed under suffixes, so that memo takes one
     step per column too.  Every column is checked against the filtration
     law as it is built: x of ad h weight `weight` maps F_k Q into
-    F_{k+weight} Q (the default -1 holds for every x in n_ell).
+    F_{k+weight} Q.
     """
 
     __slots__ = ("x", "basis", "weight", "den", "gens", "right", "memo",
                  "degrees")
 
-    def __init__(self, x: Sequence, sctx: SliceContext, weight: int = -1):
+    def __init__(self, x: Sequence, sctx: SliceContext, weight: int):
         basis = sctx.basis
         xe = basis.element_from_ambient(x).terms
         self.x, self.basis, self.weight = x, basis, weight
@@ -248,16 +248,12 @@ class AdColumns:
         return not any(ints.values())
 
 
-def ad_action_matrix(x: Sequence, qb: QDegreeBasis, sctx: SliceContext,
-                     upto: Optional[int] = None,
-                     columns: Optional[AdColumns] = None) -> SparseMatrix:
-    """Matrix of v -> q([x, v~]) on the degree basis up to degree `upto`
-    (all of F_n Q by default); strictly lowers degree.  Its columns are
-    those of `columns`, an `AdColumns` of x (a new one by default), so a
-    column it has built already is not built again."""
-    if columns is None:
-        columns = AdColumns(x, sctx)
-    cnt = qb._size(upto)
+def ad_action_matrix(columns: AdColumns, qb: QDegreeBasis,
+                     upto: int) -> SparseMatrix:
+    """Matrix of v -> q([x, v~]) on the degree basis up to degree `upto`,
+    for the x of `columns`; strictly lowers degree.  Its columns are those
+    of `columns`, so a column built already is not built again."""
+    cnt = qb.dim_f(upto)
     index = qb.index
     entries = {}
     for j, mono in enumerate(qb.monomials[:cnt]):
@@ -294,8 +290,11 @@ class HBasis:
     those of degree <= n span F_n H.  `form_coordinates` and `contains`
     read coordinates off one echelon of the forms' F_{n_max} Q coordinates,
     built by `h_basis` while it certified them; no call runs an
-    elimination, and the coordinates are unique.  Products of forms
-    (`form_products`) are taken by rewriting in the generators.
+    elimination, and the coordinates are unique.  Coordinates, on the forms
+    or on the representatives, are sparse rows: index -> coefficient, keys
+    ascending, no zero value; only the report writer spells them out.
+    Products of forms (`form_products`) are taken by rewriting in the
+    generators.
 
     The reports print the canonical prefix-stable representatives
     (`elements`), the canonical subspaces (`subspace_at`; for n <= t, the
@@ -370,11 +369,12 @@ class HBasis:
             if degrees != self.degrees:
                 raise WalgError("representatives and forms disagree in degree (bug)")
             pivots = set(subspaces[-1].pivots)
-            to_elements = [backend.int_form(dict(_nonzero(echelon.coordinates(
-                _at(self.qb.sparse_coords(f), pivots))))) for f in self.forms]
+            to_elements = [backend.int_form(echelon.coordinates(
+                _at(self.qb.sparse_coords(f), pivots))) for f in self.forms]
             words = self.words
-            over_words = [{words[k]: c for k, c in _nonzero(
-                self._echelon.coordinates(row))} for row in rows]
+            over_words = [{words[k]: c for k, c in
+                           self._echelon.coordinates(row).items()}
+                          for row in rows]
             self._canonical = ([self.qb.element(row) for row in rows],
                                to_elements, over_words)
         return self._canonical
@@ -384,10 +384,8 @@ class HBasis:
         """The canonical prefix-stable representatives."""
         return self._canonical_view()[0]
 
-    def elements_up_to(self, n: int) -> List[UEAElement]:
-        return self.elements[:self.dim_f(n)]
-
-    def form_coordinates(self, u: UEAElement, n: int) -> Optional[Vector]:
+    def form_coordinates(self, u: UEAElement,
+                         n: int) -> Optional[Dict[int, QQ]]:
         """Coefficients of u on the forms if u lies in F_n H, else None.
 
         u must lie in F_n Q (`DegreeOverflow` otherwise); since
@@ -397,25 +395,23 @@ class HBasis:
         self._check_degree(n)
         return self._echelon.coordinates(self.qb.sparse_coords(u, upto=n))
 
-    def _to_canonical(self, y) -> Vector:
+    def _to_canonical(self, y) -> Dict[int, QQ]:
         """Coordinates on the representatives of sum y_k forms_k, (k, y_k) in y."""
-        elements, rows, _ = self._canonical_view()
+        rows = self._canonical_view()[1]
         scale, xs = backend.combine([(c, rows[k]) for k, c in y])
-        return tuple(QQ(xs[k], scale) if xs.get(k) else ZERO
-                     for k in range(len(elements)))
+        return {k: QQ(v, scale) for k, v in sorted(xs.items()) if v}
 
-    def coordinates(self, u: UEAElement, n: int) -> Optional[Vector]:
+    def coordinates(self, u: UEAElement, n: int) -> Optional[Dict[int, QQ]]:
         """Coefficients of u on the representatives if u lies in F_n H,
         else None."""
         x = self.form_coordinates(u, n)
-        return None if x is None else self._to_canonical(_nonzero(x))
+        return None if x is None else self._to_canonical(x.items())
 
-    def contains(self, u: UEAElement, n: Optional[int] = None) -> bool:
-        """Whether u lies in F_n H (n defaults to n_max)."""
-        return self.form_coordinates(
-            u, self.n_max if n is None else n) is not None
+    def contains(self, u: UEAElement, n: int) -> bool:
+        """Whether u lies in F_n H."""
+        return self.form_coordinates(u, n) is not None
 
-    def express(self, u: UEAElement) -> Vector:
+    def express(self, u: UEAElement) -> Dict[int, QQ]:
         """Coefficients of u on the stored H-basis representatives."""
         deg = u.kazhdan_degree()
         self._check_degree(0 if deg is None else deg)
@@ -424,12 +420,11 @@ class HBasis:
             raise WalgError("element does not lie in the computed H span")
         return x
 
-    def product_pairs(self, bound: Optional[int] = None):
-        """(i, j) of the basis pairs with deg_i + deg_j <= bound (default n_max)."""
-        bound = self.n_max if bound is None else bound
+    def product_pairs(self):
+        """(i, j) of the basis pairs with deg_i + deg_j <= n_max."""
         for i, di in enumerate(self.degrees):
             for j, dj in enumerate(self.degrees):
-                if di + dj <= bound:
+                if di + dj <= self.n_max:
                     yield i, j
 
     def commutators(self) -> Dict[tuple, Dict]:
@@ -458,7 +453,7 @@ class HBasis:
                 x = self.form_coordinates(comm, d)
                 if x is None:
                     raise WalgError("H is not closed under commutators (bug)")
-                relations[(b, a)] = {self.words[k]: c for k, c in _nonzero(x)}
+                relations[(b, a)] = {self.words[k]: c for k, c in x.items()}
             self._relations = relations
         return self._relations
 
@@ -481,23 +476,16 @@ class HBasis:
         index = {w: k for k, w in enumerate(self.words)}
         units = [{w: 1} for w in self.words]
         for i, j, terms in self._word_products(pairs, units, units):
-            x = [ZERO] * len(units)
-            for w, c in terms.items():
-                x[index[w]] = c
-            yield i, j, tuple(x)
+            yield i, j, dict(sorted((index[w], c) for w, c in terms.items()))
 
-    def multiplication_table(self, bound: Optional[int] = None):
-        """(i, j) -> coefficient vector of elem_i * elem_j on the basis."""
-        pairs = self.product_pairs(bound)
+    def multiplication_table(self):
+        """(i, j) -> coefficients of elem_i * elem_j on the basis, i, j over
+        the `product_pairs`."""
+        pairs = self.product_pairs()
         index = {w: k for k, w in enumerate(self.words)}
         over_words = self._canonical_view()[2]
         return {(i, j): self._to_canonical((index[w], c) for w, c in t.items())
                 for i, j, t in self._word_products(pairs, over_words, over_words)}
-
-
-def _nonzero(x: Vector):
-    """The (index, value) pairs of the nonzero entries of x."""
-    return [(k, c) for k, c in enumerate(x) if c]
 
 
 def _at(row: Dict[int, QQ], columns) -> Dict[int, QQ]:
@@ -688,7 +676,7 @@ def _h_basis(qb: QDegreeBasis, actions: Sequence[AdColumns], t: int) -> HBasis:
     t < n_max, `TheoremFailure` for t = n_max.  The forms above t extend
     the echelon of `_choose_generators`."""
     sctx = qb.sctx
-    mats = [ad_action_matrix(a.x, qb, sctx, t, a) for a in actions]
+    mats = [ad_action_matrix(a, qb, t) for a in actions]
     low = joint_prefix_kernels(mats, qb.dim_f(t), qb.counts[:t + 1])
     dims = [K.dim - (low[k - 1].dim if k else 0) for k, K in enumerate(low)]
     try:
@@ -731,7 +719,7 @@ def _products(pairs, elements, sctx: SliceContext):
         yield i, j, UEAElement(basis, act(elements[i].terms))
 
 
-def _read_off(prod: UEAElement, d: int, hb: HBasis) -> Vector:
+def _read_off(prod: UEAElement, d: int, hb: HBasis) -> Dict[int, QQ]:
     """The coefficients of prod, a product in F_d H, on the forms: one
     read-off both checks that it lies there and gives them."""
     x = hb.form_coordinates(prod, d)
@@ -753,21 +741,17 @@ def h_multiply(a: UEAElement, b: UEAElement, hb: HBasis) -> UEAElement:
     return prod
 
 
-def nu_map(a: UEAElement, sctx: SliceContext,
-           n: Optional[int] = None) -> KazhdanPolynomial:
-    """nu of the top symbol of a: restrict gr_n a to the slice chart."""
-    if n is None:
-        n = a.kazhdan_degree()
-    if n is None:
-        return KazhdanPolynomial.zero(sctx.slice_data.chart)
+def nu_map(a: UEAElement, sctx: SliceContext, n: int) -> KazhdanPolynomial:
+    """nu of the degree-n symbol of a: restrict gr_n a to the slice chart."""
     sym = KazhdanPolynomial(sctx.comp_chart, a.homogeneous_terms(n))
     return sctx.slice_data.restrict(sym)
 
 
 class TheoremReport:
     """`nus[i]` is nu of the i-th basis element at its own degree; `table`
-    maps each in-range basis pair (i, j) to the coefficients of
-    elem_i * elem_j on the basis, as `HBasis.multiplication_table(n_max)`."""
+    maps each in-range basis pair (i, j) to the sparse row of elem_i elem_j
+    on the basis (`HBasis.multiplication_table`), which only the report
+    writer spells out densely."""
 
     __slots__ = ("n_max", "gr_dims", "slice_dims", "injective", "mult_pairs",
                  "nus", "table", "ok")
@@ -775,9 +759,6 @@ class TheoremReport:
     def __init__(self, **kw):
         for k in self.__slots__:
             setattr(self, k, kw[k])
-
-    def as_dict(self):
-        return {k: getattr(self, k) for k in self.__slots__}
 
 
 def _dimension_failure(gr_dims, slice_dims) -> Optional[TheoremFailure]:
@@ -797,40 +778,34 @@ def _same(a: tuple, b: tuple) -> bool:
         {m: v * sa for m, v in ib.items() if v}
 
 
-def _multiplicative(x: Vector, ks, nu_ints, i: int, j: int) -> bool:
+def _multiplicative(x: Dict, ks, nu_ints, i: int, j: int) -> bool:
     """Whether sum_{k in ks} x_k nu_k == nu_i nu_j for the integer forms
     nu_ints of the nu_k: the sum over one common scale, the product on
     numerators over den_i den_j."""
     (den_i, ints_i), (den_j, ints_j) = nu_ints[i], nu_ints[j]
-    return _same(backend.combine([(x[k], nu_ints[k]) for k in ks if x[k]]),
+    return _same(backend.combine([(c, nu_ints[k]) for k, c in x.items()
+                                  if k in ks]),
                  (den_i * den_j, poisson.poly_mul(ints_i, ints_j)))
 
 
-def verify_theorem(n_max: int, sctx: SliceContext,
-                   hb: Optional[HBasis] = None) -> TheoremReport:
+def verify_theorem(hb: HBasis) -> TheoremReport:
     """Degreewise check that nu: gr H -> C[S] is an algebra isomorphism.
 
-    For every n <= n_max: dim gr_n H equals the slice Hilbert dimension
-    and nu is injective on gr_n H; nu is multiplicative on all basis pairs
-    with product degree in range.  The products are the table of
-    `HBasis.multiplication_table`, kept as the report's `table`; nu of
-    each basis element is taken once, at its degree, and kept as `nus`.  A
-    product e_i e_j = sum x_k e_k of degree d has nu sum x_k nu(e_k) over
-    the representatives of degree d: the others have no degree-d terms or
-    a zero coefficient.
+    For every n <= hb.n_max, in the context of hb: dim gr_n H equals the
+    slice Hilbert dimension and nu is injective on gr_n H; nu is
+    multiplicative on all basis pairs with product degree in range.  The
+    products are the table of `HBasis.multiplication_table`, kept as the
+    report's `table`; nu of each basis element is taken once, at its
+    degree, and kept as `nus`.  A product e_i e_j = sum x_k e_k of degree
+    d has nu sum x_k nu(e_k) over the representatives of degree d: the
+    others have no degree-d terms or a zero coefficient.
     """
-    if hb is None:
-        hb = h_basis(n_max, sctx)
-    elif hb.n_max < n_max:
-        raise DegreeOverflow(
-            f"degree {n_max} outside computed range 0..{hb.n_max}")
-    gr_dims = hb.gr_dims[:n_max + 1]
+    n_max, sctx, gr_dims = hb.n_max, hb.sctx, hb.gr_dims
     slice_dims = sctx.hilbert_slice(n_max)
     failure = _dimension_failure(gr_dims, slice_dims)
     if failure:
         raise failure
-    nus = [nu_map(a, sctx, d)
-           for a, d in zip(hb.elements_up_to(n_max), hb.degrees)]
+    nus = [nu_map(a, sctx, d) for a, d in zip(hb.elements, hb.degrees)]
     injective = []
     sdegs = sctx.slice_data.degrees
     for n in range(n_max + 1):
@@ -842,7 +817,7 @@ def verify_theorem(n_max: int, sctx: SliceContext,
         injective.append(ok)
         if not ok:
             raise TheoremFailure(f"nu not injective on gr_{n} H", degree=n)
-    table = hb.multiplication_table(n_max)
+    table = hb.multiplication_table()
     nu_ints = [backend.int_form(nu.terms) for nu in nus]
     for (i, j), x in table.items():
         d = hb.degrees[i] + hb.degrees[j]
@@ -850,8 +825,7 @@ def verify_theorem(n_max: int, sctx: SliceContext,
                                nu_ints, i, j):
             raise TheoremFailure(
                 f"nu not multiplicative on basis pair ({i},{j})", degree=d)
-    return TheoremReport(n_max=n_max, gr_dims=gr_dims,
-                         slice_dims=slice_dims[:n_max + 1],
+    return TheoremReport(n_max=n_max, gr_dims=gr_dims, slice_dims=slice_dims,
                          injective=injective, mult_pairs=len(table),
                          nus=nus, table=table, ok=True)
 
@@ -932,25 +906,24 @@ def gr_commutators_vs_poisson(hb: HBasis, pairs):
         (_, _, ij), (_, _, ji) = next(products), next(products)
         x = hb._to_canonical([(index[w], c) for w, c in ij.items()] +
                              [(index[w], -c) for w, c in ji.items()])
-        if any(x[hb.dim_f(d - 2):]):
+        low, top = hb.dim_f(d - 3), hb.dim_f(d - 2)
+        if any(k >= top for k in x):
             raise WalgError("commutator violates the filtration degree law")
-        lhs = backend.combine([(x[k], nu(k)[1]) for k in range(
-            hb.dim_f(d - 3), hb.dim_f(d - 2)) if x[k]])
+        lhs = backend.combine([(c, nu(k)[1]) for k, c in x.items()
+                               if k >= low])
         den, ints = poisson.restricted_bracket(grad(i), field(j))
         scale, image = sctx.slice_data.nu.form(ints)
         yield i, j, _same((scale * den, image), lhs)
 
 
-def whittaker_vectors(n: int, sctx: SliceContext,
-                      qb: Optional[QDegreeBasis] = None) -> Subspace:
+def whittaker_vectors(n: int, qb: QDegreeBasis) -> Subspace:
     """Wh(F_n Q) = {v : (x - chi(x)) v = 0 mod I, x in m} (Lagrangian case).
 
-    The Subspace of F_n Q coordinates, for any degree basis qb reaching n.
+    The Subspace of F_n Q coordinates, for the degree basis qb reaching n.
     """
+    sctx = qb.sctx
     if not sctx.is_lagrangian:
         raise WalgError("Whittaker vectors are computed in the Lagrangian case")
-    if qb is None:
-        qb = QDegreeBasis(sctx, n)
     mats = [left_action_matrix(x, qb, sctx) for x, _ in sctx.pair.a_graded]
     return joint_prefix_kernels(mats, len(qb.monomials), [qb.dim_f(n)])[0]
 
@@ -1077,12 +1050,12 @@ class CenterReport:
         self.ok = ok
 
 
-def center_injects(n_max: int, sctx: SliceContext,
-                   hb: Optional[HBasis] = None) -> CenterReport:
-    """The Casimir image lies in H, is nonconstant, with nonzero nu-image.
-
-    A degree n_max below the image's Kazhdan degree is a ConfigError.
+def center_injects(hb: HBasis) -> CenterReport:
+    """The Casimir image lies in H (of the basis hb), is nonconstant, with
+    nonzero nu-image.  A degree hb.n_max below the image's Kazhdan degree
+    is a ConfigError.
     """
+    n_max, sctx = hb.n_max, hb.sctx
     omega = casimir(sctx.basis)
     img = q_canonical_form(omega, sctx)
     deg = img.kazhdan_degree()
@@ -1096,7 +1069,7 @@ def center_injects(n_max: int, sctx: SliceContext,
         if not (q_product(xe, img, sctx) - q_product(img, xe, sctx)).is_zero():
             raise CenterCheckFailure("Casimir image is not ad n_ell invariant",
                                      deg)
-    if hb is not None and not hb.contains(img, deg):
+    if not hb.contains(img, deg):
         raise CenterCheckFailure("Casimir image outside the computed H basis",
                                  deg)
     nu = nu_map(img, sctx, deg)
@@ -1116,10 +1089,9 @@ class ComparisonReport:
         return {k: getattr(self, k) for k in self.__slots__}
 
 
-def ell_comparison(sctx1: SliceContext, sctx2: SliceContext, n_max: int,
-                   hb1: Optional[HBasis] = None,
-                   hb2: Optional[HBasis] = None) -> ComparisonReport:
-    """The natural map H_{ell1} -> H_{ell2} for ell1 inside ell2.
+def ell_comparison(hb1: HBasis, hb2: HBasis) -> ComparisonReport:
+    """The natural map H_{ell1} -> H_{ell2} for ell1 inside ell2, on the
+    bases hb1 and hb2, of one degree n_max.
 
     The forms of hb1 are transported in one pass (`q_transport`).  The
     images of F_n H_{ell1} are a prefix of the images, so each image is
@@ -1133,14 +1105,12 @@ def ell_comparison(sctx1: SliceContext, sctx2: SliceContext, n_max: int,
     f_i f_j = sum_k x_k f_k (`HBasis.form_products`, by rewriting) is
     sum_k x_k image_k, summed over the images' integer forms; it must
     equal the product of the images in Q_{ell2}, taken by left action.
-    hb1 and hb2, when given, are the H-bases at n_max.
     """
+    sctx1, sctx2, n_max = hb1.sctx, hb2.sctx, hb1.n_max
+    if hb2.n_max != n_max:
+        raise WalgError(f"compared bases of degrees {n_max} and {hb2.n_max}")
     if not sctx2.symp.ell.contains_subspace(sctx1.symp.ell):
         raise ComparisonFailure("ell1 is not contained in ell2")
-    if hb1 is None:
-        hb1 = h_basis(n_max, sctx1)
-    if hb2 is None:
-        hb2 = h_basis(n_max, sctx2)
     if hb1.gr_dims != hb2.gr_dims:
         n = next(n for n in range(n_max + 1) if hb1.dim_f(n) != hb2.dim_f(n))
         raise ComparisonFailure(
@@ -1156,14 +1126,14 @@ def ell_comparison(sctx1: SliceContext, sctx2: SliceContext, n_max: int,
         x = hb2.form_coordinates(img, d)
         if x is None:
             raise ComparisonFailure("image not in H_{ell2}", degree=d)
-        if not echelon.extend({k: c for k, c in enumerate(x) if c}):
+        if not echelon.extend(x):
             raise ComparisonFailure("map not injective on F_n H", degree=d)
         image_ints.append(backend.int_form(img.terms))
     mult_pairs = 0
     for (i, j, x), (_, _, rhs) in zip(
-            hb1.form_products(hb1.product_pairs(n_max)),
-            _products(hb1.product_pairs(n_max), images, sctx2)):
-        lhs = backend.combine([(xk, f) for xk, f in zip(x, image_ints) if xk])
+            hb1.form_products(hb1.product_pairs()),
+            _products(hb1.product_pairs(), images, sctx2)):
+        lhs = backend.combine([(c, image_ints[k]) for k, c in x.items()])
         if not _equals(lhs, rhs.terms):
             raise ComparisonFailure(
                 f"map fails to intertwine products on pair ({i},{j})")

@@ -414,10 +414,10 @@ def test_whittaker_failure_witness_is_first_failing_degree(tmp_path,
     wrong_from = 3
     true_whittaker_vectors = whittaker.whittaker_vectors
 
-    def whole_space_from_k(n, sctx, qb=None):
+    def whole_space_from_k(n, qb):
         """Wh(F_n Q) correct below degree k, all of F_n Q from k up."""
         if n < wrong_from:
-            return true_whittaker_vectors(n, sctx, qb)
+            return true_whittaker_vectors(n, qb)
         cnt = qb.dim_f(n)
         return Subspace(cnt, [unit_vec(cnt, j) for j in range(cnt)])
 

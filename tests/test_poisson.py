@@ -600,10 +600,10 @@ def test_verify_theorem_builds_each_monomial_image_once(sl3_min_lag, sl3_hb_lag,
     sctx = sl3_min_lag
     fresh = P.SliceData(sctx.basis, sctx.kerf_graded, sctx.chi.kappa_ef)
     monkeypatch.setattr(sctx, "slice_data", fresh)
-    W.verify_theorem(6, sctx, sl3_hb_lag)
+    W.verify_theorem(sl3_hb_lag)
     built = fresh.nu.products
     assert 0 < built <= len(P.enumerate_monomials(sctx.comp_chart.degrees, 6)) - 1
-    W.verify_theorem(6, sctx, sl3_hb_lag)
+    W.verify_theorem(sl3_hb_lag)
     assert fresh.nu.products == built
 
 

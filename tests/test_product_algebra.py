@@ -32,9 +32,9 @@ def test_product_regular(sl2_x_sl2):
     assert ctx.slice_data.degrees == (4, 4)
     hb = h_basis(8, ctx)
     assert hb.gr_dims == [1, 0, 0, 0, 2, 0, 0, 0, 3]
-    assert verify_theorem(8, ctx, hb).ok
+    assert verify_theorem(hb).ok
     for n in range(9):
-        assert whittaker_vectors(n, ctx, hb.qb) == hb.subspace_at(n)
+        assert whittaker_vectors(n, hb.qb) == hb.subspace_at(n)
 
 
 def test_product_regular_in_one_factor(sl2_x_sl2):
@@ -44,7 +44,7 @@ def test_product_regular_in_one_factor(sl2_x_sl2):
     assert sorted(ctx.slice_data.degrees) == [2, 2, 2, 4]
     hb = h_basis(4, ctx)
     assert hb.gr_dims == [1, 0, 3, 0, 7]
-    assert verify_theorem(4, ctx, hb).ok
+    assert verify_theorem(hb).ok
     rep = ce_cohomology(1, 4, ctx)
     assert rep.row(0) == hb.gr_dims
     assert rep.row(1) == [0] * 5
