@@ -4,7 +4,10 @@ Scalars are `fractions.Fraction` (the stdlib type already maintains the
 reduced-form invariants we need).  Matrices are sparse maps (row, col) ->
 coefficient, eliminated by the one sparse kernel `backend.rref_sparse`;
 subspaces store canonical reduced-echelon bases so that equality of
-subspaces is equality of representations.
+subspaces is equality of representations.  `kernel_vectors` gives a joint
+null space as one vector per free column, supported on the columns up to
+it, so the null space of every column prefix is a truncation of one
+elimination; `kernel` makes them a canonical `Subspace`.
 
 `SparseMatrix` is the one matrix type: besides `apply` (M x) and `stack`
 it has the product `A @ B`, the scalar shift `shift(c)` (M + c I),
@@ -402,49 +405,30 @@ def rank_of_rows(rows: Sequence[Dict[int, QQ]], ncols: int) -> int:
 
 def kernel(M: SparseMatrix) -> Subspace:
     """Exact null space; dim = cols - rank."""
-    return prefix_kernels(M, [M.cols])[0]
+    return Subspace.from_sparse(M.cols, kernel_vectors([M], M.cols).values())
 
 
-def prefix_kernels(M: SparseMatrix, prefixes: Sequence[int]) -> List[Subspace]:
-    """Null space of M restricted to its first c columns, for each c in prefixes."""
-    return joint_prefix_kernels([M], M.cols, prefixes)
+def kernel_vectors(mats: Sequence[SparseMatrix],
+                   ncols: int) -> Dict[int, Dict[int, QQ]]:
+    """The joint null space of mats, each with ncols columns, as free column
+    f -> its kernel vector, f ascending; with no mats, the unit vectors.
 
-
-def joint_prefix_kernels(mats: Sequence[SparseMatrix], ncols: int,
-                         prefixes: Sequence[int]) -> List[Subspace]:
-    """Joint null space of mats, each with ncols columns, restricted to the
-    first c columns, for each c in prefixes; with no mats, all of QQ^c.
-
-    One elimination of the stacked rows, cut to the largest prefix, serves
-    every prefix: the kernel vector of a free column f is supported on
-    columns <= f, since a pivot row reaches f only from a pivot left of it,
-    so those with f < c span the kernel of the first c columns.  By
-    increasing c, the canonical rows of each kernel are those of the one
-    before, re-eliminated with the kernel vectors of the free columns in
-    between.
+    One elimination of the stacked rows: the vector of f has a unit at f
+    and the negated entries of the pivot rows in column f at their pivots,
+    so it is supported on columns <= f, since a pivot row reaches f only
+    from a pivot left of it.  So the vectors with f < c span the kernel of
+    the first c columns, for every c: each prefix is a truncation.
     """
-    for c in prefixes:
-        if not 0 <= c <= ncols:
-            raise AmbientMismatch(f"column prefix {c} outside 0..{ncols}")
-    top = max(prefixes, default=0)
     rows = [r for M in mats for r in M.row_dicts()]
-    if top < ncols:
-        # the columns past the largest prefix enter no kernel
-        rows = [{j: v for j, v in r.items() if j < top} for r in rows]
-    pivots, reduced = backend.rref_sparse(rows, top)
+    pivots, reduced = backend.rref_sparse(rows, ncols)
     pivot_set = set(pivots)
-    free = {f: {f: QQ(1)} for f in range(top) if f not in pivot_set}
+    free = {f: {f: QQ(1)} for f in range(ncols) if f not in pivot_set}
     for p, row in zip(pivots, reduced):
         for f, c in row.items():
             v = free.get(f)
             if v is not None:
                 v[p] = -c
-    spaces, rows, lo = {}, (), 0
-    for c in sorted(set(prefixes)):
-        space = spaces[c] = Subspace.from_sparse(c, rows + tuple(
-            v for f, v in free.items() if lo <= f < c))
-        rows, lo = space.rows, c
-    return [spaces[c] for c in prefixes]
+    return free
 
 
 def solve(M: SparseMatrix, b: Sequence) -> Optional[Vector]:

@@ -15,8 +15,10 @@ cross-check of `ell_comparison`) all run on that one map.
 H_ell is the joint kernel on F_n Q of the ad-action matrices of vectors
 that generate n_ell, those independent modulo [n_ell, n_ell].  The
 monomial order lists F_n Q as a prefix, so one elimination of their
-stacked rows gives every F_n H (and likewise every Wh(F_n Q)), read off by
-prefix as sparse canonical rows.  By the PBW theorem for finite
+stacked rows gives every F_n H (and likewise every Wh(F_n Q)) by
+truncation: the kernel vector of a free column is supported on the
+columns up to it, so those of the free columns of F_n Q span F_n H
+(`linalg.kernel_vectors`).  By the PBW theorem for finite
 W-algebras (Premet), the ordered monomials in lifts of the r slice
 generators are a basis of H, and every `HBasis` is that basis: one
 builder eliminates on F_t Q only, chooses the generators there, and forms
@@ -32,8 +34,9 @@ that rank holds and n_max is above it, and otherwise, or where a clause
 fails at t = top, to n_max.  Products in H are rewritten on the
 monomials, g_b g_a -> g_a g_b + [g_b, g_a], with each commutator formed
 once in Q (`backend.word_map`), and the checks multiply in H that way
-only; the canonical prefix-stable representatives the reports print are
-built from the same span on first use.
+only.  The canonical F_n H, and the canonical prefix-stable
+representatives the reports print, are built from the certified forms on
+first use, in one place (`HBasis.subspace_at`).
 """
 
 from __future__ import annotations
@@ -47,11 +50,10 @@ from walg.context import SliceContext
 from walg.errors import (CenterCheckFailure, ComparisonFailure, ConfigError,
                          DegreeOverflow, TheoremFailure, WalgError)
 from walg.linalg import (QQ, Echelon, SparseMatrix, Subspace, Vector, _equals,
-                         joint_prefix_kernels, rank, solve)
+                         kernel_vectors, rank, solve)
 from walg.pbw import UEAElement, casimir
 from walg.poisson import KazhdanPolynomial
 
-ZERO = QQ(0)
 ONE = QQ(1)
 
 
@@ -160,15 +162,12 @@ class QDegreeBasis:
         """dim F_k Q; F_k Q = 0 for k < 0."""
         return self.counts[min(k, self.n)] if k >= 0 else 0
 
-    def _size(self, upto: Optional[int]) -> int:
-        return len(self.monomials) if upto is None else self.dim_f(upto)
-
     def sparse_coords(self, u: UEAElement,
                       upto: Optional[int] = None) -> Dict[int, QQ]:
         """Nonzero coordinates of u on the F_upto Q monomials (all of F_n Q
         by default), index -> coefficient; DegreeOverflow for a term
         outside them."""
-        cnt = self._size(upto)
+        cnt = len(self.monomials) if upto is None else self.dim_f(upto)
         index = self.index
         out = {}
         for m, c in u.terms.items():
@@ -177,13 +176,6 @@ class QDegreeBasis:
                 raise DegreeOverflow("element outside the computed degree range")
             out[i] = c
         return out
-
-    def coords(self, u: UEAElement, upto: Optional[int] = None) -> Vector:
-        """`sparse_coords` as a dense tuple."""
-        row = [ZERO] * self._size(upto)
-        for i, c in self.sparse_coords(u, upto).items():
-            row[i] = c
-        return tuple(row)
 
     def element(self, row: Dict[int, QQ]) -> UEAElement:
         """The element with sparse coordinates `row`, index -> coefficient."""
@@ -297,19 +289,17 @@ class HBasis:
     generators.
 
     The reports print the canonical prefix-stable representatives
-    (`elements`), the canonical subspaces (`subspace_at`; for n <= t, the
-    degree up to which `h_basis` took the exact kernel, that kernel itself)
-    and coordinates on the representatives (`coordinates`, `express`,
-    `multiplication_table`).  These are built on first use: a job that
-    only compares, or only tests membership, never builds them.
+    (`elements`), the canonical subspaces (`subspace_at`, the spans of the
+    forms) and coordinates on the representatives (`coordinates`,
+    `express`, `multiplication_table`).  These are built on first use: a
+    job that only compares, or only tests membership, never builds them.
     """
 
     __slots__ = ("sctx", "n_max", "qb", "forms", "words", "degrees",
                  "gr_dims", "uncertified", "_echelon", "_subspaces",
                  "_canonical", "_relations", "_cache")
 
-    def __init__(self, sctx, n_max, qb, forms, degrees, echelon, words,
-                 subspaces):
+    def __init__(self, sctx, n_max, qb, forms, degrees, echelon, words):
         self.sctx = sctx
         self.n_max = n_max
         self.qb = qb
@@ -319,7 +309,7 @@ class HBasis:
         self.gr_dims = [degrees.count(n) for n in range(n_max + 1)]
         self.uncertified = None           # where the certificate at t = top failed
         self._echelon = echelon           # Echelon of the forms' coordinates
-        self._subspaces = dict(enumerate(subspaces))  # n -> Subspace of F_n Q
+        self._subspaces = {}              # n -> Subspace of F_n Q
         # (representatives, each form on them, each of them on the words)
         self._canonical = None
         self._relations = None            # (b, a) -> [g_b, g_a] over the words
@@ -335,9 +325,10 @@ class HBasis:
 
     def subspace_at(self, n: int) -> Subspace:
         """F_n H as the canonical Subspace of F_n Q coordinates: the span of
-        the forms of degree <= n, from the canonical rows of F_{n-1} H and
-        the forms of degree n when those rows are at hand.  With no form of
-        degree n, F_n H is F_{n-1} H and keeps its rows."""
+        the certified forms of degree <= n, from the canonical rows of
+        F_{n-1} H and the forms of degree n when those rows are at hand.
+        With no form of degree n, F_n H is F_{n-1} H and keeps its rows.
+        The only builder of a canonical F_n H, for every n."""
         self._check_degree(n)
         space = self._subspaces.get(n)
         if space is None:
@@ -525,7 +516,10 @@ def h_basis(n_max: int, sctx: SliceContext) -> HBasis:
 
     One builder, `_h_basis(qb, actions, t)`, takes the joint kernel of the
     ad-matrices of the generators of n_ell (`n_ell_generators`) on F_t Q,
-    chooses the generators there (`_choose_generators`), forms each ordered
+    one elimination that gives each F_d H, d <= t, as the span of the
+    kernel vectors of the free columns of F_d Q (`kernel_vectors`), so that
+    dim F_d H is a count of them; chooses the generators among those
+    vectors (`_choose_generators`), forms each ordered
     monomial up to n_max by `q_product` from its suffix, and certifies that
     the forms span F_n H: they are independent in one echelon, in H (by
     the exact kernel up to t, `_choose_generators`; above t killed by ad x
@@ -582,8 +576,9 @@ def h_basis(n_max: int, sctx: SliceContext) -> HBasis:
 
 def kernel_h_basis(n_max: int, sctx: SliceContext) -> HBasis:
     """F_n H for n <= n_max, the builder of `h_basis` at t = n_max: the
-    basis it falls back to, and its oracle, whose `subspace_at(n)` are the
-    exact kernels on F_n Q, independent of the words."""
+    basis it falls back to, and its oracle, certified against the exact
+    kernel in every degree.  Its `subspace_at(n)` are the spans of its
+    certified forms, which equal the exact kernels on F_n Q."""
     return _h_basis(QDegreeBasis(sctx, n_max), _ad_columns(sctx), n_max)
 
 
@@ -638,34 +633,40 @@ def _word_form(basis, word_forms: backend.MonomialMap, word) -> UEAElement:
     return UEAElement(basis, backend._value(word_forms.image(word)))
 
 
-def _choose_generators(low: Sequence[Subspace], qb: QDegreeBasis,
-                       sctx: SliceContext):
-    """(degrees, word_forms, echelon): generators of F_t H chosen from its
-    canonical subspaces `low`, degree by degree, as their degrees, the map
-    of `_word_forms` on them, and the echelon of the forms of the ordered
-    monomials of degree <= t, in the order of `enumerate_monomials`.
+def _choose_generators(by_degree: Sequence[Sequence[Dict[int, QQ]]],
+                       qb: QDegreeBasis, sctx: SliceContext):
+    """(degrees, word_forms, echelon): generators of F_t H chosen among the
+    kernel vectors `by_degree`, `by_degree[d]` those of the free columns of
+    degree d, which with the vectors of lower degree span F_d H; as their
+    degrees, the map of `_word_forms` on them, and the echelon of the forms
+    of the ordered monomials of degree <= t, in the order of
+    `enumerate_monomials`.
 
     At degree d the forms of the ordered monomials of degree d in the
-    generators chosen so far join the echelon, then every canonical row of
-    F_d H outside its span, a new generator g (the word g is last in degree
-    d).  A dependent monomial fails, and so does an echelon that spans more
-    than F_d H: this decides against the exact kernel that forms lie in H.
+    generators chosen so far join the echelon, then each kernel vector of
+    degree d outside its span, a new generator g (the word g is last in
+    degree d).  The vectors of lower degree lie in its span already, so
+    each vector is tried once, and the echelon spans F_d H or more.  A
+    dependent monomial fails, and so does an echelon that spans more than
+    F_d H: this decides against the exact kernel that forms lie in H.
     """
     basis = sctx.basis
     gens: List[UEAElement] = []
     degrees: List[int] = []
     word_forms = _word_forms(basis, gens)
     echelon = Echelon()
-    for d, K in enumerate(low):
+    dim = 0                                # dim F_d H
+    for d, vectors in enumerate(by_degree):
         for word in poisson.monomials_of_degree(degrees, d):
             form = _word_form(basis, word_forms, word)
             if not echelon.extend(qb.sparse_coords(form, upto=d)):
                 raise _Uncertified(d, "dependent ordered monomials")
-        for row in K.rows:
-            if echelon.extend(row):
-                gens.append(qb.element(row))
+        for v in vectors:
+            if echelon.extend(v):
+                gens.append(qb.element(v))
                 degrees.append(d)
-        if len(echelon.rows) > K.dim:
+        dim += len(vectors)
+        if len(echelon.rows) > dim:
             raise _Uncertified(d, "an ordered monomial outside H")
     return degrees, word_forms, echelon
 
@@ -677,10 +678,12 @@ def _h_basis(qb: QDegreeBasis, actions: Sequence[AdColumns], t: int) -> HBasis:
     the echelon of `_choose_generators`."""
     sctx = qb.sctx
     mats = [ad_action_matrix(a, qb, t) for a in actions]
-    low = joint_prefix_kernels(mats, qb.dim_f(t), qb.counts[:t + 1])
-    dims = [K.dim - (low[k - 1].dim if k else 0) for k, K in enumerate(low)]
+    vectors = kernel_vectors(mats, qb.dim_f(t))
+    by_degree = [[v for f, v in vectors.items()
+                  if qb.dim_f(d - 1) <= f < qb.dim_f(d)] for d in range(t + 1)]
+    dims = [len(vs) for vs in by_degree]
     try:
-        gen_degrees, word_forms, echelon = _choose_generators(low, qb, sctx)
+        gen_degrees, word_forms, echelon = _choose_generators(by_degree, qb, sctx)
         words = poisson.enumerate_monomials(gen_degrees, qb.n)
         degrees = [sum(e * gen_degrees[i] for i, e in w) for w in words]
         bounds = dims + sctx.hilbert_slice(qb.n)[t + 1:]
@@ -702,7 +705,7 @@ def _h_basis(qb: QDegreeBasis, actions: Sequence[AdColumns], t: int) -> HBasis:
             raise
         raise (_dimension_failure(dims, sctx.hilbert_slice(t)) or
                TheoremFailure(str(exc), degree=exc.degree)) from None
-    return HBasis(sctx, qb.n, qb, forms, degrees, echelon, words, low)
+    return HBasis(sctx, qb.n, qb, forms, degrees, echelon, words)
 
 
 def _products(pairs, elements, sctx: SliceContext):
@@ -919,13 +922,16 @@ def gr_commutators_vs_poisson(hb: HBasis, pairs):
 def whittaker_vectors(n: int, qb: QDegreeBasis) -> Subspace:
     """Wh(F_n Q) = {v : (x - chi(x)) v = 0 mod I, x in m} (Lagrangian case).
 
-    The Subspace of F_n Q coordinates, for the degree basis qb reaching n.
+    The Subspace of F_n Q coordinates, for the degree basis qb reaching n:
+    the span of the kernel vectors of the free columns of F_n Q.
     """
     sctx = qb.sctx
     if not sctx.is_lagrangian:
         raise WalgError("Whittaker vectors are computed in the Lagrangian case")
     mats = [left_action_matrix(x, qb, sctx) for x, _ in sctx.pair.a_graded]
-    return joint_prefix_kernels(mats, len(qb.monomials), [qb.dim_f(n)])[0]
+    cnt = qb.dim_f(n)
+    return Subspace.from_sparse(cnt, [
+        v for f, v in kernel_vectors(mats, len(qb.monomials)).items() if f < cnt])
 
 
 class CohomologyReport:

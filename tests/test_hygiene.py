@@ -29,6 +29,11 @@ Elimination stays behind the linear-algebra layer: outside
 in `SparseMatrix`, `Subspace`, `Echelon`, `solve` and the kernels, no
 module names `rref_sparse` or `rref_dense`, nor the row-step helpers
 `lincomb`, `_clear` and `_normalize`: no other module steps rows itself.
+Within `walg.whittaker` only `HBasis.subspace_at` (every canonical F_n H,
+from the certified forms) and `whittaker_vectors` build a `Subspace`, by
+calling `Subspace` or one of its class methods, `embedded`, `kernel` or
+`sum_and_intersection`: one elimination gives every F_d H by truncation
+(`linalg.kernel_vectors`), so no other function eliminates a prefix again.
 """
 
 import ast
@@ -359,3 +364,61 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# the calls that build a Subspace, and the functions of a module that may
+# make them
+SUBSPACE_BUILDERS = ("Subspace", "embedded", "kernel", "sum_and_intersection")
+SUBSPACE_HOMES = {"whittaker.py": ("HBasis.subspace_at", "whittaker_vectors")}
+
+
+def subspace_builds(source):
+    """(owner, line) of every call that builds a Subspace: a call of a
+    `SUBSPACE_BUILDERS` name or attribute, or of an attribute of
+    `Subspace`.  The owner is the top-level function, `Class.method` or
+    class around the call, or None at module level."""
+    def owned(owner, node):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Call):
+                f = n.func
+                if isinstance(f, ast.Name) and f.id in SUBSPACE_BUILDERS or \
+                        isinstance(f, ast.Attribute) and (
+                            f.attr in SUBSPACE_BUILDERS or
+                            isinstance(f.value, ast.Name)
+                            and f.value.id == "Subspace"):
+                    yield owner, n.lineno
+
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            yield from owned(node.name, node)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                yield from owned(f"{node.name}.{item.name}"
+                                 if isinstance(item, ast.FunctionDef)
+                                 else node.name, item)
+        else:
+            yield from owned(None, node)
+
+
+def test_finds_subspace_builds():
+    source = ("from walg.linalg import Subspace, kernel\n"
+              "ZERO = Subspace(0, [])\n"
+              "class HBasis:\n"
+              "    def subspace_at(self, n):\n"
+              "        return Subspace.from_sparse(n, []).embedded(n + 1)\n"
+              "    def dim_f(self, n) -> 'Subspace':\n"
+              "        return self.subspace_at(n).dim\n"
+              "def _h_basis(mats, spaces: 'List[Subspace]'):\n"
+              "    return [linalg.kernel(M) for M in mats]\n"
+              "def whittaker_vectors(M):\n"
+              "    return kernel(M)\n")
+    assert sorted(subspace_builds(source), key=lambda b: b[1]) == [
+        (None, 2), ("HBasis.subspace_at", 5), ("HBasis.subspace_at", 5),
+        ("_h_basis", 9), ("whittaker_vectors", 11)]
+
+
+@pytest.mark.parametrize("module", sorted(SUBSPACE_HOMES))
+def test_subspaces_built_only_in_their_homes(module):
+    source = (SRC / module).read_text(encoding="utf-8")
+    owners = {owner for owner, _ in subspace_builds(source)}
+    assert owners == set(SUBSPACE_HOMES[module])

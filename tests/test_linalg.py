@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from walg import backend
 from walg.errors import AmbientMismatch
-from walg.linalg import (SparseMatrix, Subspace, kernel, prefix_kernels, rank,
+from walg.linalg import (SparseMatrix, Subspace, kernel, kernel_vectors, rank,
                          rank_of_rows, solve, solve_columns,
                          sum_and_intersection, unit_vec)
 
@@ -128,23 +128,23 @@ def first_columns(M, c):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 7), st.data())
-def test_prefix_kernels_match_kernel_of_first_columns(nrows, ncols, data):
-    """One elimination of M gives the kernel of each of its column prefixes."""
+def test_kernel_vectors_truncate_to_kernel_of_first_columns(nrows, ncols, data):
+    """One elimination of the stacked rows gives the kernel of each column
+    prefix: the vectors of the free columns f < c span the kernel of the
+    first c columns, and the vector of f has a unit at f and none past it."""
     entry = st.one_of(st.just(F(0)), small_fraction)
     rows = [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
     M = SparseMatrix.from_rows(rows)
-    prefixes = data.draw(st.lists(st.integers(0, ncols), max_size=4))
-    got = prefix_kernels(M, prefixes)
-    assert got == [kernel(first_columns(M, c)) for c in prefixes]
-    assert prefix_kernels(M, [M.cols])[0] == kernel(M)
-
-
-def test_prefix_kernels_reject_prefix_beyond_columns():
-    M = SparseMatrix.from_rows([[1, 2]])
-    with pytest.raises(AmbientMismatch):
-        prefix_kernels(M, [3])
-    with pytest.raises(AmbientMismatch):
-        prefix_kernels(M, [-1])
+    split = data.draw(st.integers(0, nrows))
+    mats = [SparseMatrix.from_rows(part, cols=ncols)
+            for part in (rows[:split], rows[split:])]
+    vectors = kernel_vectors(mats, ncols)
+    for f, v in vectors.items():
+        assert v[f] == 1 and max(v) == f
+    for c in range(ncols + 1):
+        assert Subspace.from_sparse(c, [v for f, v in vectors.items() if f < c]) \
+            == kernel(first_columns(M, c))
+    assert kernel_vectors([], ncols) == {f: {f: 1} for f in range(ncols)}
 
 
 @settings(max_examples=40, deadline=None)
