@@ -21,17 +21,18 @@ columns up to it, so those of the free columns of F_n Q span F_n H
 (`linalg.kernel_vectors`).  By the PBW theorem for finite
 W-algebras (Premet), the ordered monomials in lifts of the r slice
 generators are a basis of H, and every `HBasis` is that basis: one
-builder eliminates on F_t Q only, chooses the generators there, and forms
-each ordered monomial up to n_max by `q_product` from its suffix.  The
-forms are certified once each: independent in one echelon, in H (by the
-exact kernel up to t, above t killed by ad x for every generator x of
-n_ell, through the columns of the monomials they touch, `AdColumns`),
-and in each degree k as many as the kernel's dimension for k <= t and as
+builder eliminates on F_t Q only, then goes up the degrees on one
+echelon: it forms each ordered monomial up to n_max once, by `q_product`
+from its suffix, and chooses the generators up to t.  Each form is
+certified as it is built: independent in the echelon, in H (by the exact
+kernel up to t, above t killed by ad x for every generator x of n_ell,
+through the columns of the monomials they touch, `AdColumns`), and in
+each degree k as many as the kernel's dimension for k <= t and as
 dim C[S]_k above t, an upper bound for dim gr_k H by transversality (one
 rank, `SliceContext.is_transversal`; see `h_basis`).  So the exact kernel
 only sets how far up t reaches: to top, the largest slice degree, where
 that rank holds and n_max is above it, and otherwise, or where a clause
-fails at t = top, to n_max.  Products in H are rewritten on the
+fails at t = top (the lowest such degree is named), to n_max.  Products in H are rewritten on the
 monomials, g_b g_a -> g_a g_b + [g_b, g_a], with each commutator formed
 once in Q (`backend.word_map`), and the checks multiply in H that way
 only.  The canonical F_n H, and the canonical prefix-stable
@@ -50,7 +51,7 @@ from walg.context import SliceContext
 from walg.errors import (CenterCheckFailure, ComparisonFailure, ConfigError,
                          DegreeOverflow, TheoremFailure, WalgError)
 from walg.linalg import (QQ, Echelon, SparseMatrix, Subspace, Vector, _equals,
-                         kernel_vectors, rank, solve)
+                         kernel_vectors, rank, solve_columns)
 from walg.pbw import UEAElement, casimir
 from walg.poisson import KazhdanPolynomial
 
@@ -518,11 +519,13 @@ def h_basis(n_max: int, sctx: SliceContext) -> HBasis:
     ad-matrices of the generators of n_ell (`n_ell_generators`) on F_t Q,
     one elimination that gives each F_d H, d <= t, as the span of the
     kernel vectors of the free columns of F_d Q (`kernel_vectors`), so that
-    dim F_d H is a count of them; chooses the generators among those
-    vectors (`_choose_generators`), forms each ordered
-    monomial up to n_max by `q_product` from its suffix, and certifies that
-    the forms span F_n H: they are independent in one echelon, in H (by
-    the exact kernel up to t, `_choose_generators`; above t killed by ad x
+    dim F_d H is a count of them.  Going up the degrees d <= n_max, it
+    forms each ordered monomial of degree d in the generators so far once,
+    by `q_product` from its suffix, chooses the generators of degree d <= t
+    among those vectors, and decides every clause at d before d + 1, so a
+    failure names the lowest failing degree.  The clauses certify that the
+    forms span F_n H: they are independent in one echelon, in H (up to t
+    the echelon spans no more than the exact kernel; above t killed by ad x
     for every generator x, `AdColumns.kills`, through the columns of the
     monomials they touch), and in each degree k there are dim gr_k H of
     them, read off the exact kernel, for k <= t, and dim C[S]_k for k > t,
@@ -633,73 +636,58 @@ def _word_form(basis, word_forms: backend.MonomialMap, word) -> UEAElement:
     return UEAElement(basis, backend._value(word_forms.image(word)))
 
 
-def _choose_generators(by_degree: Sequence[Sequence[Dict[int, QQ]]],
-                       qb: QDegreeBasis, sctx: SliceContext):
-    """(degrees, word_forms, echelon): generators of F_t H chosen among the
-    kernel vectors `by_degree`, `by_degree[d]` those of the free columns of
-    degree d, which with the vectors of lower degree span F_d H; as their
-    degrees, the map of `_word_forms` on them, and the echelon of the forms
-    of the ordered monomials of degree <= t, in the order of
-    `enumerate_monomials`.
-
-    At degree d the forms of the ordered monomials of degree d in the
-    generators chosen so far join the echelon, then each kernel vector of
-    degree d outside its span, a new generator g (the word g is last in
-    degree d).  The vectors of lower degree lie in its span already, so
-    each vector is tried once, and the echelon spans F_d H or more.  A
-    dependent monomial fails, and so does an echelon that spans more than
-    F_d H: this decides against the exact kernel that forms lie in H.
-    """
-    basis = sctx.basis
-    gens: List[UEAElement] = []
-    degrees: List[int] = []
-    word_forms = _word_forms(basis, gens)
-    echelon = Echelon()
-    dim = 0                                # dim F_d H
-    for d, vectors in enumerate(by_degree):
-        for word in poisson.monomials_of_degree(degrees, d):
-            form = _word_form(basis, word_forms, word)
-            if not echelon.extend(qb.sparse_coords(form, upto=d)):
-                raise _Uncertified(d, "dependent ordered monomials")
-        for v in vectors:
-            if echelon.extend(v):
-                gens.append(qb.element(v))
-                degrees.append(d)
-        dim += len(vectors)
-        if len(echelon.rows) > dim:
-            raise _Uncertified(d, "an ordered monomial outside H")
-    return degrees, word_forms, echelon
-
-
 def _h_basis(qb: QDegreeBasis, actions: Sequence[AdColumns], t: int) -> HBasis:
     """The ordered monomials in generators chosen in the kernel on F_t Q,
-    certified as `h_basis` says: `_Uncertified` where a clause fails for
-    t < n_max, `TheoremFailure` for t = n_max.  The forms above t extend
-    the echelon of `_choose_generators`."""
-    sctx = qb.sctx
+    certified degree by degree as `h_basis` says: `_Uncertified` at the
+    lowest failing degree for t < n_max, `TheoremFailure` for t = n_max.
+
+    At degree d the forms of degree d in the generators so far join the
+    echelon (above t once killed), then each kernel vector of degree d
+    outside its span, a new generator g (the word g is last in degree d):
+    those of lower degree lie in its span already.  Above t the count is
+    known, and checked, before any form is built.
+    """
+    sctx, basis = qb.sctx, qb.sctx.basis
     mats = [ad_action_matrix(a, qb, t) for a in actions]
     vectors = kernel_vectors(mats, qb.dim_f(t))
     by_degree = [[v for f, v in vectors.items()
                   if qb.dim_f(d - 1) <= f < qb.dim_f(d)] for d in range(t + 1)]
     dims = [len(vs) for vs in by_degree]
+    gens: List[UEAElement] = []
+    gen_degrees: List[int] = []
+    word_forms = _word_forms(basis, gens)
+    echelon = Echelon()
+    words, degrees, forms = [], [], []
+
+    def count_clause(d, count, bound):
+        if count != bound:
+            raise _Uncertified(d, f"{count} ordered monomials "
+                                  f"against the bound {bound}")
+
     try:
-        gen_degrees, word_forms, echelon = _choose_generators(by_degree, qb, sctx)
-        words = poisson.enumerate_monomials(gen_degrees, qb.n)
-        degrees = [sum(e * gen_degrees[i] for i, e in w) for w in words]
-        bounds = dims + sctx.hilbert_slice(qb.n)[t + 1:]
-        for k, bound in enumerate(bounds):
-            if degrees.count(k) != bound:
-                raise _Uncertified(k, f"{degrees.count(k)} ordered monomials "
-                                      f"against the bound {bound}")
-        forms = []
-        for word, d in zip(words, degrees):
-            form = _word_form(sctx.basis, word_forms, word)
+        for d, bound in enumerate(dims + sctx.hilbert_slice(qb.n)[t + 1:]):
+            products = poisson.monomials_of_degree(gen_degrees, d)
             if d > t:
-                if not all(a.kills(form.terms) for a in actions):
+                count_clause(d, len(products), bound)
+            for word in products:
+                form = _word_form(basis, word_forms, word)
+                if d > t and not all(a.kills(form.terms) for a in actions):
                     raise _Uncertified(d, "an ordered monomial outside H")
                 if not echelon.extend(qb.sparse_coords(form, upto=d)):
                     raise _Uncertified(d, "dependent ordered monomials")
-            forms.append(form)
+                words.append(word)
+                forms.append(form)
+            if d <= t:
+                for v in by_degree[d]:
+                    if echelon.extend(v):
+                        words.append(((len(gens), 1),))
+                        gens.append(qb.element(v))
+                        gen_degrees.append(d)
+                        forms.append(_word_form(basis, word_forms, words[-1]))
+                if len(echelon.rows) > sum(dims[:d + 1]):
+                    raise _Uncertified(d, "an ordered monomial outside H")
+                count_clause(d, len(words) - len(degrees), bound)
+            degrees += [d] * (len(words) - len(degrees))
     except _Uncertified as exc:
         if t < qb.n:
             raise
@@ -971,11 +959,13 @@ def ce_blocks(i_max: int, n_max: int, sctx: SliceContext):
         raise WalgError("cohomological index exceeds dim n_ell")
     chart = sctx.comp_chart
 
-    # dual[s] lists the (a, b, c^s_ab), a < b, of the brackets in n_ell
+    # dual[s] lists the (a, b, c^s_ab), a < b, of the brackets in n_ell, all
+    # read off one elimination
     ncols_mat = SparseMatrix.from_columns([v for v, _ in gens], rows=sctx.lie.dim)
+    pairs = list(combinations(range(nn), 2))
     dual: List[list] = [[] for _ in range(nn)]
-    for a, b in combinations(range(nn), 2):
-        cs = solve(ncols_mat, sctx.lie.bracket(gens[a][0], gens[b][0]))
+    for (a, b), cs in zip(pairs, solve_columns(ncols_mat, [
+            sctx.lie.bracket(gens[a][0], gens[b][0]) for a, b in pairs])):
         if cs is None:
             raise WalgError("n_ell is not closed under bracket")
         for s, c in enumerate(cs):

@@ -34,6 +34,9 @@ from the certified forms) and `whittaker_vectors` build a `Subspace`, by
 calling `Subspace` or one of its class methods, `embedded`, `kernel` or
 `sum_and_intersection`: one elimination gives every F_d H by truncation
 (`linalg.kernel_vectors`), so no other function eliminates a prefix again.
+Likewise only `_h_basis` (the certificate), `n_ell_generators`,
+`_representatives` and `ell_comparison` build an `Echelon`: the
+certificate chooses the generators and certifies every form on one.
 """
 
 import ast
@@ -370,22 +373,25 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
 # make them
 SUBSPACE_BUILDERS = ("Subspace", "embedded", "kernel", "sum_and_intersection")
 SUBSPACE_HOMES = {"whittaker.py": ("HBasis.subspace_at", "whittaker_vectors")}
+# likewise for an Echelon: one per certificate, span test or read-off
+ECHELON_HOMES = {"whittaker.py": ("_h_basis", "n_ell_generators",
+                                  "_representatives", "ell_comparison")}
 
 
-def subspace_builds(source):
-    """(owner, line) of every call that builds a Subspace: a call of a
-    `SUBSPACE_BUILDERS` name or attribute, or of an attribute of
-    `Subspace`.  The owner is the top-level function, `Class.method` or
-    class around the call, or None at module level."""
+def builds(source, builders):
+    """(owner, line) of every call that builds with `builders`: a call of
+    one of those names or attributes, or of an attribute of one of those
+    names (a class method).  The owner is the top-level function,
+    `Class.method` or class around the call, or None at module level."""
     def owned(owner, node):
         for n in ast.walk(node):
             if isinstance(n, ast.Call):
                 f = n.func
-                if isinstance(f, ast.Name) and f.id in SUBSPACE_BUILDERS or \
+                if isinstance(f, ast.Name) and f.id in builders or \
                         isinstance(f, ast.Attribute) and (
-                            f.attr in SUBSPACE_BUILDERS or
+                            f.attr in builders or
                             isinstance(f.value, ast.Name)
-                            and f.value.id == "Subspace"):
+                            and f.value.id in builders):
                     yield owner, n.lineno
 
     for node in ast.parse(source).body:
@@ -412,13 +418,34 @@ def test_finds_subspace_builds():
               "    return [linalg.kernel(M) for M in mats]\n"
               "def whittaker_vectors(M):\n"
               "    return kernel(M)\n")
-    assert sorted(subspace_builds(source), key=lambda b: b[1]) == [
+    assert sorted(builds(source, SUBSPACE_BUILDERS), key=lambda b: b[1]) == [
         (None, 2), ("HBasis.subspace_at", 5), ("HBasis.subspace_at", 5),
         ("_h_basis", 9), ("whittaker_vectors", 11)]
+
+
+def test_finds_echelon_builds():
+    source = ("from walg.linalg import Echelon\n"
+              "class HBasis:\n"
+              "    def contains(self, row):\n"
+              "        return self._echelon.extend(row)\n"
+              "    def _echelon_of(self, rows) -> 'Echelon':\n"
+              "        return linalg.Echelon()\n"
+              "def _h_basis(rows):\n"
+              "    echelon = Echelon()\n"
+              "    return echelon, Echelon().rows\n")
+    assert sorted(builds(source, ("Echelon",)), key=lambda b: b[1]) == [
+        ("HBasis._echelon_of", 6), ("_h_basis", 8), ("_h_basis", 9)]
 
 
 @pytest.mark.parametrize("module", sorted(SUBSPACE_HOMES))
 def test_subspaces_built_only_in_their_homes(module):
     source = (SRC / module).read_text(encoding="utf-8")
-    owners = {owner for owner, _ in subspace_builds(source)}
+    owners = {owner for owner, _ in builds(source, SUBSPACE_BUILDERS)}
     assert owners == set(SUBSPACE_HOMES[module])
+
+
+@pytest.mark.parametrize("module", sorted(ECHELON_HOMES))
+def test_echelons_built_only_in_their_homes(module):
+    source = (SRC / module).read_text(encoding="utf-8")
+    owners = {owner for owner, _ in builds(source, ("Echelon",))}
+    assert owners == set(ECHELON_HOMES[module])

@@ -784,37 +784,49 @@ def test_h_basis_tries_only_new_or_changed_rows(monkeypatch, request,
         assert len([c for c in calls if c[0] is echelons[0]]) <= limit
 
 
-@pytest.mark.parametrize("ctx_name,n_max,count", [("sl4_22_conj", 6, 21),
-                                                  ("sl3_min_lag", 10, 8),
-                                                  ("sl3_min_zero", 10, 8)])
-def test_choose_generators_tries_each_kernel_vector_once(monkeypatch, request,
-                                                         ctx_name, n_max,
-                                                         count):
-    """`_choose_generators` extends its echelon once per ordered monomial of
-    degree <= top in the generators of lower degree and once per kernel
-    vector of degree <= top, dim F_top H of them: the vectors of lower
-    degree lie in its span already.  Trying every canonical row of every
-    F_d H took 31 extensions in place of 21 on sl4 [2,2] (conjugate), and
-    16 in place of 8 on sl3 minimal."""
+@pytest.mark.parametrize("ctx_name,n_max,count", [("sl4_22_conj", 6, 43),
+                                                  ("sl3_min_lag", 10, 42),
+                                                  ("sl3_min_zero", 10, 42)])
+def test_h_basis_tries_each_kernel_vector_once(monkeypatch, request, ctx_name,
+                                               n_max, count):
+    """`_h_basis` extends its echelon once per ordered monomial of every
+    degree in the generators of lower degree and once per kernel vector of
+    degree <= top, dim F_top H of them: the vectors of lower degree lie in
+    its span already.  Trying every canonical row of every F_d H took 10
+    more extensions on sl4 [2,2] (conjugate), and 8 more on sl3 minimal."""
     sctx = request.getfixturevalue(ctx_name)
     top = max(sctx.slice_data.degrees)
-    choose = W._choose_generators
+    build = W._h_basis
     calls = counting(monkeypatch, linalg.Echelon, "extend")
     runs = []
 
-    def recorded(*args):
+    def recorded(qb, actions, t):
         before = len(calls)
-        out = choose(*args)
-        runs.append((len(calls) - before, out[0]))
-        return out
+        hb = build(qb, actions, t)
+        runs.append((t, len(calls) - before))
+        return hb
 
-    monkeypatch.setattr(W, "_choose_generators", recorded)
+    monkeypatch.setattr(W, "_h_basis", recorded)
     hb = W.h_basis(n_max, sctx)
     assert hb.uncertified is None
-    (extensions, degrees), = runs
-    words = poisson.enumerate_monomials(degrees, top)
-    products = [w for w in words if sum(e for _, e in w) != 1]
+    (t, extensions), = runs
+    products = [w for w in hb.words if sum(e for _, e in w) != 1]
+    assert t == top
     assert extensions == len(products) + hb.dim_f(top) == count
+
+
+@pytest.mark.parametrize("ctx_name,n_max", [("sl3_min_lag", 10),
+                                            ("sl3_min_zero", 10),
+                                            ("sl4_22_conj", 6)])
+def test_h_basis_forms_each_word_once(monkeypatch, request, ctx_name, n_max):
+    """One `_word_form` per ordered monomial: choosing the generators in a
+    pass of its own formed the words of degree <= top twice, 42 forms for
+    40 words on sl3 minimal and 43 for 36 on sl4 [2,2] (conjugate)."""
+    sctx = request.getfixturevalue(ctx_name)
+    calls = counting(monkeypatch, W, "_word_form")
+    hb = W.h_basis(n_max, sctx)
+    assert hb.uncertified is None
+    assert len(calls) == len(hb.words)
 
 
 def test_h_basis_stacks_one_ad_block_per_generator(monkeypatch, sl4_regular):
@@ -1045,20 +1057,30 @@ def test_certificate_fails_without_the_top_generator(monkeypatch, tmp_path,
     """Negative control: without the degree-4 generator the ordered
     monomials fall short of the exact kernel at degree 4, at t = top and
     again at t = n_max, where nothing is bounded from above: the theorem
-    fails at degree 4."""
-    choose = W._choose_generators
+    fails at degree 4.  The fault: an echelon that refuses the kernel
+    vectors of degree 4, so that no generator is chosen there."""
+    qb = W.QDegreeBasis(sl3_min_lag, 7)
+    assert max(sl3_min_lag.slice_data.degrees) == 4
+    true_kernel, true_extend = W.kernel_vectors, linalg.Echelon.extend
+    top_vectors = []
 
-    def drop_top(by_degree, qb, sctx):
-        degrees, word_forms, echelon = choose(by_degree, qb, sctx)
-        assert degrees[-1] == max(sctx.slice_data.degrees) == 4
-        return degrees[:-1], word_forms, echelon
+    def recorded(mats, ncols):
+        vectors = true_kernel(mats, ncols)
+        top_vectors.extend(v for f, v in vectors.items()
+                           if qb.dim_f(3) <= f < qb.dim_f(4))
+        return vectors
 
-    monkeypatch.setattr(W, "_choose_generators", drop_top)
+    def refusing(self, row):
+        return not any(row is v for v in top_vectors) and true_extend(self, row)
+
+    monkeypatch.setattr(W, "kernel_vectors", recorded)
+    monkeypatch.setattr(linalg.Echelon, "extend", refusing)
     degrees = kernel_degrees(monkeypatch)
     with pytest.raises(TheoremFailure, match="against the bound") as exc:
         W.h_basis(7, sl3_min_lag)
     assert exc.value.degree == 4
     assert degrees == [4, 7]
+    assert len(top_vectors) == 2 + 2     # dim gr_4 H at t = 4, at t = 7
     assert_theorem_entry_fails(
         tmp_path, ["--ell", "lagrangian-auto", "--max-degree", "7"], 4)
 
