@@ -642,10 +642,10 @@ def _h_basis(qb: QDegreeBasis, actions: Sequence[AdColumns], t: int) -> HBasis:
     lowest failing degree for t < n_max, `TheoremFailure` for t = n_max.
 
     At degree d the forms of degree d in the generators so far join the
-    echelon (above t once killed), then each kernel vector of degree d
-    outside its span, a new generator g (the word g is last in degree d):
-    those of lower degree lie in its span already.  Above t the count is
-    known, and checked, before any form is built.
+    echelon (above t once killed by every ad x), then each kernel vector of
+    degree d outside its span, a new generator g (the word g is last in
+    degree d): those of lower degree lie in its span already.  Above t the
+    count is known, and checked, before any form is built.
     """
     sctx, basis = qb.sctx, qb.sctx.basis
     mats = [ad_action_matrix(a, qb, t) for a in actions]
