@@ -243,17 +243,22 @@ def check_cohomology(case: Case):
 def check_whittaker(case: Case):
     n_max = case.config.check_degree("whittaker")
     hb = case.hb_at(n_max)
-
-    def agrees(n):
-        return whittaker.whittaker_vectors(n, hb.qb) == hb.subspace_at(n)
-
-    # at each degree n both sides are their top-degree kernel intersected
-    # with F_n Q, so they agree at every degree iff they agree at the top;
-    # only a mismatch scans the degrees for the first one that differs
-    if agrees(n_max):
-        return True, {"max_degree": n_max}, None
-    n = next(n for n in range(n_max + 1) if not agrees(n))
-    return False, {"degree": n}, {"degree": n}
+    qb = hb.qb
+    vectors = whittaker.whittaker_vectors(qb)
+    # the vectors of the free columns of F_n Q span Wh(F_n Q) and are
+    # independent, so Wh(F_n Q) = F_n H iff there are dim F_n H of them and
+    # each lies in F_n H, one read-off on the certificate's echelon; a
+    # vector of degree n lies in F_m Q for every m >= n, so the degrees are
+    # decided in order and the first that fails is the witness
+    count = 0
+    for n in range(n_max + 1):
+        of_degree = [v for f, v in vectors.items()
+                     if qb.dim_f(n - 1) <= f < qb.dim_f(n)]
+        count += len(of_degree)
+        if count != hb.dim_f(n) or not all(
+                hb.contains(qb.element(v), n) for v in of_degree):
+            return False, {"degree": n}, {"degree": n}
+    return True, {"max_degree": n_max}, None
 
 
 def check_center(case: Case):
@@ -292,7 +297,10 @@ _NEEDS_LAGRANGIAN = {"poisson", "whittaker"}
 
 
 def run(config: JobConfig) -> dict:
-    """Execute the requested checks in dependency order; deterministic report."""
+    """Execute the requested checks in dependency order; deterministic report.
+
+    Bad input is a ConfigError raised before the first check runs; a
+    check's own WalgError is a failed report entry."""
     config.validate()
     t_start = time.perf_counter()
     case = Case(config)
@@ -300,6 +308,12 @@ def run(config: JobConfig) -> dict:
         raise ConfigError("checks "
                           f"{sorted(_NEEDS_LAGRANGIAN & set(config.checks))} "
                           "require a Lagrangian ell")
+    if "center" in config.checks:
+        n = config.check_degree("center")
+        deg = case.sctx.casimir_image().kazhdan_degree()
+        if deg is not None and deg > n:
+            raise ConfigError(f"the center check needs degree >= {deg}, the Kazhdan "
+                              f"degree of the Casimir image; got {n}")
     config_doc = {
         "algebra": config.algebra,
         "nilpotent": config.nilpotent,
@@ -323,8 +337,6 @@ def run(config: JobConfig) -> dict:
         t0 = time.perf_counter()
         try:
             ok, details, witness = CHECKS[name](case)
-        except ConfigError:  # bad input, not a failed check: exit 2
-            raise
         except WalgError as exc:
             ok = False
             details = {"error": type(exc).__name__, "message": str(exc)}

@@ -12,14 +12,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from walg import liealg, poisson
 from walg.errors import WalgError
 from walg.liealg import LieAlgebra, Sl2Triple
-from walg.linalg import QQ, Vector, rank_of_rows
-from walg.pbw import PBWBasis
+from walg.linalg import QQ, Vector, kernel, rank_of_rows
+from walg.pbw import PBWBasis, UEAElement, casimir
 
 
 class SliceContext:
     __slots__ = ("lie", "triple", "grading", "chi", "symp", "pair", "kerf",
                  "kerf_graded", "basis", "full_chart", "comp_chart",
-                 "slice_data", "reduction", "_transversal")
+                 "slice_data", "reduction", "_transversal", "_casimir")
 
     def __init__(self, lie: LieAlgebra, triple: Sl2Triple,
                  ell_spec: Sequence[Sequence]):
@@ -42,14 +42,17 @@ class SliceContext:
             self.basis, self.slice_data, self.pair.a_graded,
             self.symp.is_lagrangian)
         self._transversal: Optional[bool] = None
+        self._casimir: Optional[UEAElement] = None
 
     def _graded_kerf(self) -> List[Tuple[Vector, int]]:
-        """Weight-homogeneous basis of Ker ad f, weights descending."""
-        from walg.linalg import sum_and_intersection
+        """Weight-homogeneous basis of Ker ad f, weights descending: in each
+        weight i, the canonical basis of Ker ad f intersected with g(i),
+        one `kernel` of ad f stacked on ad h - i."""
+        L = self.lie
+        adf, adh = L.ad_sparse(self.triple.f), L.ad_sparse(self.triple.h)
         out: List[Tuple[Vector, int]] = []
         for i in sorted(self.grading.weights(), reverse=True):
-            _, meet = sum_and_intersection(self.grading.piece(i), self.kerf)
-            for v in meet.basis:
+            for v in kernel(adf.stack(adh.shift(-i))).basis:
                 out.append((v, i))
         if len(out) != self.kerf.dim:
             raise WalgError("Ker ad f is not graded; invalid triple")
@@ -84,6 +87,14 @@ class SliceContext:
             nc = self.basis.n_complement
             self._transversal = rank_of_rows(self.transversality_rows(), nc) == nc
         return self._transversal
+
+    def casimir_image(self) -> UEAElement:
+        """The image in Q of the quadratic Casimir, as its canonical form,
+        computed once."""
+        if self._casimir is None:
+            basis = self.basis
+            self._casimir = UEAElement(basis, basis.chi_reduce(casimir(basis).terms))
+        return self._casimir
 
     @property
     def is_lagrangian(self) -> bool:

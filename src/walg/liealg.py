@@ -17,8 +17,7 @@ from walg.errors import (ConfigError, DecompositionFailure,
                          JacobiViolation, NonIntegerEigenvalue, NotInsideGm1,
                          NotIsotropic, NotNilpotent, NoTripleFound, WalgError)
 from walg.linalg import (QQ, SparseMatrix, Subspace, Vector, exact, kernel,
-                         rank, scale_vec, solve, sum_and_intersection,
-                         unit_vec, vec)
+                         rank, rank_of_rows, scale_vec, solve, vec)
 
 
 class LieAlgebra:
@@ -518,32 +517,34 @@ def decomposition_check(L: LieAlgebra, triple: Sl2Triple, grading: GradedDecompo
 
     Verifies zero intersection, full sum, the dimension law
     dim a^{perp_g} = dim n_ell + dim g(0) + dim g(-1), and injectivity of
-    x -> [x, e] on n_ell.
+    x -> [x, e] on n_ell.  Every clause is a rank or an evaluation: a^perp
+    is the kernel of the Killing rows of a, the sum lies in it iff those
+    rows kill its spanning vectors, and by the modular law the intersection
+    has dimension dim [n_ell, e] + dim Ker ad f - dim of the sum.
     """
     K = L._killing
-    rows = []
-    for v in pair.a.basis:
-        rows.append([sum((v[i] * K[i][j] for i in range(L.dim) if v[i]), QQ(0))
-                     for j in range(L.dim)])
-    a_perp = kernel(SparseMatrix.from_rows(rows, cols=L.dim)) if rows else Subspace(
-        L.dim, [unit_vec(L.dim, i) for i in range(L.dim)])
+    kappa_a = SparseMatrix.from_rows(
+        [[sum((v[i] * K[i][j] for i in range(L.dim) if v[i]), QQ(0))
+          for j in range(L.dim)] for v in pair.a.basis], cols=L.dim)
+    dim_a_perp = L.dim - rank(kappa_a)
     images = [L.bracket(v, triple.e) for v, _ in pair.n_graded]
-    bracket_ne = Subspace(L.dim, images)
+    image_rows = [{j: c for j, c in enumerate(w) if c} for w in images]
     kerf = ker_ad_f(L, triple)
-    total, meet = sum_and_intersection(bracket_ne, kerf)
-    inj = rank(SparseMatrix.from_columns(images, rows=L.dim)) if images else 0
+    dim_bracket_ne = rank_of_rows(image_rows, L.dim)
+    dim_sum = rank_of_rows(image_rows + list(kerf.rows), L.dim)
+    in_a_perp = not any(any(kappa_a.apply(w)) for w in images + list(kerf.basis))
     dim_g0 = grading.piece(0).dim
     dim_gm1 = grading.piece(-1).dim
     report = DecompositionReport(
-        dim_a_perp=a_perp.dim, dim_bracket_ne=bracket_ne.dim, dim_kerf=kerf.dim,
+        dim_a_perp=dim_a_perp, dim_bracket_ne=dim_bracket_ne, dim_kerf=kerf.dim,
         dim_n=pair.n_ell.dim, dim_g0=dim_g0, dim_gm1=dim_gm1, ok=True)
-    if meet.dim != 0:
+    if dim_bracket_ne + kerf.dim != dim_sum:
         raise DecompositionFailure("[n_ell,e] meets Ker ad f", report.as_dict())
-    if total != a_perp:
+    if not in_a_perp or dim_sum != dim_a_perp:
         raise DecompositionFailure("[n_ell,e] + Ker ad f != a^perp", report.as_dict())
-    if a_perp.dim != pair.n_ell.dim + dim_g0 + dim_gm1:
+    if dim_a_perp != pair.n_ell.dim + dim_g0 + dim_gm1:
         raise DecompositionFailure("dimension law fails", report.as_dict())
-    if inj != pair.n_ell.dim:
+    if dim_bracket_ne != pair.n_ell.dim:
         raise DecompositionFailure("x -> [x,e] not injective on n_ell", report.as_dict())
     return report
 

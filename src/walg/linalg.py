@@ -3,11 +3,15 @@
 Scalars are `fractions.Fraction` (the stdlib type already maintains the
 reduced-form invariants we need).  Matrices are sparse maps (row, col) ->
 coefficient, eliminated by the one sparse kernel `backend.rref_sparse`;
-subspaces store canonical reduced-echelon bases so that equality of
-subspaces is equality of representations.  `kernel_vectors` gives a joint
-null space as one vector per free column, supported on the columns up to
-it, so the null space of every column prefix is a truncation of one
-elimination; `kernel` makes them a canonical `Subspace`.
+a `Subspace` stores its canonical reduced-echelon basis, so that equality
+of subspaces is equality of representations.  Canonical bases are built
+only where the basis itself is used; a question about spans alone (a sum,
+an intersection, an equality of two spans) is a `rank`, or a read-off on
+an echelon at hand.  `kernel_vectors` gives a joint null space as one
+vector per free column, supported on the columns up to it, so the null
+space of every column prefix is a truncation of one elimination; `kernel`
+makes them a canonical `Subspace`, and the kernel of stacked matrices is
+the intersection of their kernels.
 
 `SparseMatrix` is the one matrix type: besides `apply` (M x) and `stack`
 it has the product `A @ B`, the scalar shift `shift(c)` (M + c I),
@@ -18,8 +22,9 @@ M^n != 0 for n x n M).
 numerators, and reads exact coordinates off it: every span decision made
 vector by vector (an adapted PBW basis, the generators of n_ell, the
 generators of H and the monomials in them, the H representatives and the
-natural maps between the H_ell) extends one.  No other module multiplies, inverts or
-eliminates matrices or vectors by hand.
+natural maps between the H_ell) extends one, and whether a vector lies in
+a span held by one (a Whittaker vector in H) is a read-off.  No other
+module multiplies, inverts or eliminates matrices or vectors by hand.
 """
 
 from __future__ import annotations
@@ -345,18 +350,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def embedded(self, ambient_dim: int) -> "Subspace":
-        """The same span inside QQ^ambient_dim, ambient_dim >= this one's,
-        zero on the new coordinates: its canonical rows are these rows, so
-        nothing is eliminated."""
-        if ambient_dim < self.ambient_dim:
-            raise AmbientMismatch(f"cannot embed QQ^{self.ambient_dim} "
-                                  f"in QQ^{ambient_dim}")
-        space = Subspace.__new__(Subspace)
-        space.ambient_dim = ambient_dim
-        space.pivots, space.rows, space._basis = self.pivots, self.rows, None
-        return space
-
     def contains(self, v: Sequence) -> bool:
         if len(v) != self.ambient_dim:
             raise AmbientMismatch(f"expected length {self.ambient_dim}, got {len(v)}")
@@ -474,27 +467,3 @@ def solve_columns(M: SparseMatrix, bs: Sequence[Sequence]) -> List[Optional[Vect
             raise AssertionError("solve produced an invalid solution")
         out.append(x)
     return out
-
-
-def sum_and_intersection(U: Subspace, V: Subspace) -> Tuple[Subspace, Subspace]:
-    """(U + V, U `intersect` V); dims satisfy the modular law."""
-    if U.ambient_dim != V.ambient_dim:
-        raise AmbientMismatch("subspaces live in different ambient spaces")
-    n, du = U.ambient_dim, U.dim
-    total = Subspace.from_sparse(n, U.rows + V.rows)
-    # x in both spans: B_U^T a = B_V^T b; kernel of [B_U^T | -B_V^T]
-    entries = {(j, k): c for k, row in enumerate(U.rows) for j, c in row.items()}
-    entries.update({(j, du + k): -c for k, row in enumerate(V.rows)
-                    for j, c in row.items()})
-    meet_vectors = []
-    for w in kernel(SparseMatrix(n, du + V.dim, entries)).rows:
-        x: Dict[int, QQ] = {}
-        for k, a in w.items():
-            if k < du:
-                for j, c in U.rows[k].items():
-                    x[j] = x.get(j, 0) + a * c
-        meet_vectors.append(x)
-    meet = Subspace.from_sparse(n, meet_vectors)
-    if total.dim + meet.dim != U.dim + V.dim:
-        raise AssertionError("dimension law violated in sum_and_intersection")
-    return total, meet

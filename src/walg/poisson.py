@@ -660,12 +660,11 @@ class ReductionData:
         return lifts
 
     def lift_map(self) -> Substitution:
-        """The substitution F -> F(T_1, ..., T_r) on the slice chart, built
-        once for the list `coordinate_lifts()` returns."""
-        lifts = self.coordinate_lifts()
-        if self._lift_map is None or self._lift_map.images is not lifts:
-            self._lift_map = Substitution(self.slice_data.chart, lifts,
-                                          self.comp_chart)
+        """The substitution F -> F(T_1, ..., T_r) on the slice chart, on the
+        lifts of `coordinate_lifts`, built once."""
+        if self._lift_map is None:
+            self._lift_map = Substitution(self.slice_data.chart,
+                                          self.coordinate_lifts(), self.comp_chart)
         return self._lift_map
 
     def derivation_images(self, x: Sequence) -> List[KazhdanPolynomial]:

@@ -35,9 +35,12 @@ that rank holds and n_max is above it, and otherwise, or where a clause
 fails at t = top (the lowest such degree is named), to n_max.  Products in H are rewritten on the
 monomials, g_b g_a -> g_a g_b + [g_b, g_a], with each commutator formed
 once in Q (`backend.word_map`), and the checks multiply in H that way
-only.  The canonical F_n H, and the canonical prefix-stable
-representatives the reports print, are built from the certified forms on
-first use, in one place (`HBasis.subspace_at`).
+only.  The canonical prefix-stable representatives the reports print are
+built on first use, by `_representatives`, from the canonical F_n H of the
+certified forms: the one place a canonical F_n H is built.  Every other
+span question about H is a count or a read-off on the certificate's
+echelon: the `whittaker` check counts the Whittaker vectors of each degree
+(`whittaker_vectors`) against dim F_n H and reads each one off it.
 """
 
 from __future__ import annotations
@@ -48,11 +51,11 @@ from typing import Dict, List, Optional, Sequence
 
 from walg import backend, poisson
 from walg.context import SliceContext
-from walg.errors import (CenterCheckFailure, ComparisonFailure, ConfigError,
+from walg.errors import (CenterCheckFailure, ComparisonFailure,
                          DegreeOverflow, TheoremFailure, WalgError)
 from walg.linalg import (QQ, Echelon, SparseMatrix, Subspace, Vector, _equals,
                          kernel_vectors, rank, solve_columns)
-from walg.pbw import UEAElement, casimir
+from walg.pbw import UEAElement
 from walg.poisson import KazhdanPolynomial
 
 ONE = QQ(1)
@@ -290,15 +293,14 @@ class HBasis:
     generators.
 
     The reports print the canonical prefix-stable representatives
-    (`elements`), the canonical subspaces (`subspace_at`, the spans of the
-    forms) and coordinates on the representatives (`coordinates`,
+    (`elements`) and coordinates on the representatives (`coordinates`,
     `express`, `multiplication_table`).  These are built on first use: a
     job that only compares, or only tests membership, never builds them.
     """
 
     __slots__ = ("sctx", "n_max", "qb", "forms", "words", "degrees",
-                 "gr_dims", "uncertified", "_echelon", "_subspaces",
-                 "_canonical", "_relations", "_cache")
+                 "gr_dims", "uncertified", "_echelon", "_canonical",
+                 "_relations", "_cache")
 
     def __init__(self, sctx, n_max, qb, forms, degrees, echelon, words):
         self.sctx = sctx
@@ -310,7 +312,6 @@ class HBasis:
         self.gr_dims = [degrees.count(n) for n in range(n_max + 1)]
         self.uncertified = None           # where the certificate at t = top failed
         self._echelon = echelon           # Echelon of the forms' coordinates
-        self._subspaces = {}              # n -> Subspace of F_n Q
         # (representatives, each form on them, each of them on the words)
         self._canonical = None
         self._relations = None            # (b, a) -> [g_b, g_a] over the words
@@ -324,29 +325,9 @@ class HBasis:
         """dim F_n H; F_n H = 0 for n < 0."""
         return sum(self.gr_dims[:max(n + 1, 0)])
 
-    def subspace_at(self, n: int) -> Subspace:
-        """F_n H as the canonical Subspace of F_n Q coordinates: the span of
-        the certified forms of degree <= n, from the canonical rows of
-        F_{n-1} H and the forms of degree n when those rows are at hand.
-        With no form of degree n, F_n H is F_{n-1} H and keeps its rows.
-        The only builder of a canonical F_n H, for every n."""
-        self._check_degree(n)
-        space = self._subspaces.get(n)
-        if space is None:
-            before = self._subspaces.get(n - 1)
-            forms = self.forms[self.dim_f(n - 1) if before else 0:self.dim_f(n)]
-            if before and not forms:
-                space = before.embedded(self.qb.dim_f(n))
-            else:
-                space = Subspace.from_sparse(
-                    self.qb.dim_f(n), (before.rows if before else ()) + tuple(
-                        self.qb.sparse_coords(f) for f in forms))
-            self._subspaces[n] = space
-        return space
-
     def _canonical_view(self):
         """(elements, rows, over_words): the canonical representatives,
-        chosen from the canonical subspaces by `_representatives`; the
+        chosen from the canonical F_n H by `_representatives`; the
         integer form of each form's coordinates on them; and each
         of them as a term dict over the words.
 
@@ -356,11 +337,9 @@ class HBasis:
         `h_basis` certified, so no second echelon of the forms is built.
         """
         if self._canonical is None:
-            subspaces = [self.subspace_at(n) for n in range(self.n_max + 1)]
-            rows, degrees, echelon = _representatives(subspaces)
+            rows, degrees, pivots, echelon = _representatives(self)
             if degrees != self.degrees:
                 raise WalgError("representatives and forms disagree in degree (bug)")
-            pivots = set(subspaces[-1].pivots)
             to_elements = [backend.int_form(echelon.coordinates(
                 _at(self.qb.sparse_coords(f), pivots))) for f in self.forms]
             words = self.words
@@ -580,8 +559,8 @@ def h_basis(n_max: int, sctx: SliceContext) -> HBasis:
 def kernel_h_basis(n_max: int, sctx: SliceContext) -> HBasis:
     """F_n H for n <= n_max, the builder of `h_basis` at t = n_max: the
     basis it falls back to, and its oracle, certified against the exact
-    kernel in every degree.  Its `subspace_at(n)` are the spans of its
-    certified forms, which equal the exact kernels on F_n Q."""
+    kernel in every degree: the spans of its forms of degree <= n are the
+    exact kernels on F_n Q."""
     return _h_basis(QDegreeBasis(sctx, n_max), _ad_columns(sctx), n_max)
 
 
@@ -591,12 +570,15 @@ def _ad_columns(sctx: SliceContext) -> List[AdColumns]:
     return [AdColumns(x, sctx, weight[x]) for x in n_ell_generators(sctx)]
 
 
-def _representatives(subspaces: Sequence[Subspace]):
-    """(rows, degrees, echelon) of the prefix-stable representatives of the
-    canonical subspaces F_n H, n = 0, ..., n_max: their canonical rows, and
-    an echelon of their entries at the pivot columns of F_{n_max} H.
+def _representatives(hb: HBasis):
+    """(rows, degrees, pivots, echelon) of the prefix-stable representatives
+    of the canonical subspaces F_n H, n = 0, ..., n_max: their canonical
+    rows, the pivot columns of F_{n_max} H, and an echelon of their entries
+    at those columns.
 
-    Representatives are chosen degree by degree, so that those of
+    The canonical F_n H is the span of the canonical rows of F_{n-1} H and
+    the forms of degree n; with no form of degree n it is F_{n-1} H, rows
+    and all.  Representatives are chosen degree by degree, so that those of
     F_{n-1} H are literally a prefix of those of F_n H: a canonical row of
     F_n H joins the echelon unless the rows before it span it.  A row that
     F_{n-1} H has too lies in their span, so only the rows that are new or
@@ -604,18 +586,25 @@ def _representatives(subspaces: Sequence[Subspace]):
     the sum of the canonical rows weighted by its entries at their pivots,
     so those entries alone decide every span question inside it.
     """
-    pivots = set(subspaces[-1].pivots)
+    qb, spaces, current = hb.qb, [], {}
+    for n in range(hb.n_max + 1):
+        forms = hb.forms[hb.dim_f(n - 1):hb.dim_f(n)]
+        if forms:
+            space = Subspace.from_sparse(qb.dim_f(n), [
+                *current.values(), *(qb.sparse_coords(f) for f in forms)])
+            current = dict(zip(space.pivots, space.rows))
+        spaces.append(current)
+    pivots = set(spaces[-1])
     chosen, degrees = [], []
     echelon = Echelon()
     before: Dict[int, Dict[int, QQ]] = {}
-    for n, K in enumerate(subspaces):
-        rows = dict(zip(K.pivots, K.rows))
-        for p, row in rows.items():
+    for n, current in enumerate(spaces):
+        for p, row in current.items():
             if before.get(p) != row and echelon.extend(_at(row, pivots)):
                 chosen.append(row)
                 degrees.append(n)
-        before = rows
-    return chosen, degrees, echelon
+        before = current
+    return chosen, degrees, pivots, echelon
 
 
 def _word_forms(basis, gens: Sequence[UEAElement]) -> backend.MonomialMap:
@@ -907,19 +896,19 @@ def gr_commutators_vs_poisson(hb: HBasis, pairs):
         yield i, j, _same((scale * den, image), lhs)
 
 
-def whittaker_vectors(n: int, qb: QDegreeBasis) -> Subspace:
-    """Wh(F_n Q) = {v : (x - chi(x)) v = 0 mod I, x in m} (Lagrangian case).
-
-    The Subspace of F_n Q coordinates, for the degree basis qb reaching n:
-    the span of the kernel vectors of the free columns of F_n Q.
+def whittaker_vectors(qb: QDegreeBasis) -> Dict[int, Dict[int, QQ]]:
+    """Wh(F_n Q) = {v : (x - chi(x)) v = 0 mod I, x in m} (Lagrangian case),
+    for every n up to the degree qb reaches, from one elimination: free
+    column f -> its kernel vector (`linalg.kernel_vectors`), supported on
+    the columns up to f.  So the vectors with f < dim F_n Q span
+    Wh(F_n Q), and those of the free columns of degree n are as many as
+    dim Wh(F_n Q) - dim Wh(F_{n-1} Q).
     """
     sctx = qb.sctx
     if not sctx.is_lagrangian:
         raise WalgError("Whittaker vectors are computed in the Lagrangian case")
     mats = [left_action_matrix(x, qb, sctx) for x, _ in sctx.pair.a_graded]
-    cnt = qb.dim_f(n)
-    return Subspace.from_sparse(cnt, [
-        v for f, v in kernel_vectors(mats, len(qb.monomials)).items() if f < cnt])
+    return kernel_vectors(mats, len(qb.monomials))
 
 
 class CohomologyReport:
@@ -1047,19 +1036,16 @@ class CenterReport:
 
 
 def center_injects(hb: HBasis) -> CenterReport:
-    """The Casimir image lies in H (of the basis hb), is nonconstant, with
-    nonzero nu-image.  A degree hb.n_max below the image's Kazhdan degree
-    is a ConfigError.
+    """The Casimir image (`SliceContext.casimir_image`) lies in H (of the
+    basis hb), is nonconstant, with nonzero nu-image.  A degree hb.n_max
+    below the image's Kazhdan degree is a DegreeOverflow; `walg run`
+    rejects it as bad input before any check runs.
     """
-    n_max, sctx = hb.n_max, hb.sctx
-    omega = casimir(sctx.basis)
-    img = q_canonical_form(omega, sctx)
+    sctx = hb.sctx
+    img = sctx.casimir_image()
     deg = img.kazhdan_degree()
     if deg is None or all(not m for m in img.terms):
         raise CenterCheckFailure("Casimir image is constant in Q", deg)
-    if deg > n_max:
-        raise ConfigError(f"the center check needs degree >= {deg}, the Kazhdan "
-                          f"degree of the Casimir image; got {n_max}")
     for x, _ in sctx.pair.n_graded:
         xe = sctx.basis.element_from_ambient(x)
         if not (q_product(xe, img, sctx) - q_product(img, xe, sctx)).is_zero():

@@ -7,8 +7,8 @@ import pytest
 from walg.liealg import (LieAlgebra, highest_root_triple, make_sln,
                          partition_triple, sln_matrix_to_coords)
 from walg.context import build_context
-from walg.linalg import unit_vec
-from walg.whittaker import h_basis
+from walg.linalg import Subspace, unit_vec
+from walg.whittaker import h_basis, whittaker_vectors
 
 
 def sl2_algebra():
@@ -16,6 +16,26 @@ def sl2_algebra():
     return LieAlgebra(
         ["e", "h", "f"],
         {(0, 1): {0: F(-2)}, (0, 2): {1: F(1)}, (1, 2): {2: F(-2)}})
+
+
+def span_at(hb, n):
+    """F_n H of the basis hb as the canonical Subspace of F_n Q
+    coordinates: the span of the forms of degree <= n.  DegreeOverflow for
+    n outside 0..hb.n_max."""
+    hb._check_degree(n)
+    qb = hb.qb
+    return Subspace.from_sparse(qb.dim_f(n), [qb.sparse_coords(f)
+                                              for f in hb.forms[:hb.dim_f(n)]])
+
+
+def whittaker_spans(qb):
+    """Wh(F_n Q) for n = 0, ..., qb.n, each as the canonical Subspace of
+    F_n Q coordinates, from one `whittaker_vectors`: the span of the
+    vectors of the free columns of F_n Q."""
+    vectors = whittaker_vectors(qb)
+    return [Subspace.from_sparse(qb.dim_f(n), [v for f, v in vectors.items()
+                                               if f < qb.dim_f(n)])
+            for n in range(qb.n + 1)]
 
 
 @pytest.fixture(scope="session")

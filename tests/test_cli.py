@@ -7,7 +7,6 @@ import pytest
 from walg import cli, whittaker
 from walg.cli import CHECK_NAMES, JobConfig, main, render_report, run
 from walg.errors import ConfigError, TheoremFailure
-from walg.linalg import Subspace, unit_vec
 
 
 def strip_timing(report):
@@ -409,19 +408,12 @@ def test_internal_error_outside_checks_exits_3(monkeypatch, capsys):
                   "second line\n"
 
 
-def test_whittaker_failure_witness_is_first_failing_degree(tmp_path,
-                                                           monkeypatch):
-    wrong_from = 3
+def whittaker_entry(tmp_path, monkeypatch, faulty):
+    """The `whittaker` report entry of sl3 minimal, Lagrangian, degree 5,
+    with `whittaker_vectors` replaced by faulty(qb, true vectors)."""
     true_whittaker_vectors = whittaker.whittaker_vectors
-
-    def whole_space_from_k(n, qb):
-        """Wh(F_n Q) correct below degree k, all of F_n Q from k up."""
-        if n < wrong_from:
-            return true_whittaker_vectors(n, qb)
-        cnt = qb.dim_f(n)
-        return Subspace(cnt, [unit_vec(cnt, j) for j in range(cnt)])
-
-    monkeypatch.setattr(whittaker, "whittaker_vectors", whole_space_from_k)
+    monkeypatch.setattr(whittaker, "whittaker_vectors",
+                        lambda qb: faulty(qb, true_whittaker_vectors(qb)))
     out = tmp_path / "r.json"
     code = main(["run", "--algebra", "sl3", "--nilpotent", "minimal",
                  "--ell", "lagrangian-auto", "--max-degree", "5",
@@ -429,7 +421,38 @@ def test_whittaker_failure_witness_is_first_failing_degree(tmp_path,
     assert code == 1
     (entry,) = json.loads(out.read_text())["checks"]
     assert entry["status"] == "fail"
+    return entry
+
+
+def test_whittaker_failure_witness_is_first_failing_degree(tmp_path,
+                                                           monkeypatch):
+    wrong_from = 3
+
+    def extra_from_k(qb, vectors):
+        """Wh(F_n Q) correct below degree k, all of F_n Q from k up: a unit
+        vector at every column of degree >= k that has no vector."""
+        return {f: vectors.get(f, {f: 1}) for f in range(len(qb.monomials))
+                if f in vectors or f >= qb.dim_f(wrong_from - 1)}
+
+    entry = whittaker_entry(tmp_path, monkeypatch, extra_from_k)
     assert entry["witness"] == {"degree": wrong_from}
+
+
+def test_whittaker_vector_outside_h_is_the_witness(tmp_path, monkeypatch):
+    """Negative control: as many vectors as dim F_n H in every degree, but
+    one of degree 3 is replaced by the unit vector at its free column.  The
+    other vectors vanish at that column, so the unit vector lies in
+    Wh(F_3 Q) = F_3 H only if it is the vector it replaced; it is not."""
+    bad = 3
+
+    def one_moved(qb, vectors):
+        f = next(f for f, v in vectors.items()
+                 if f >= qb.dim_f(bad - 1) and len(v) > 1)
+        assert f < qb.dim_f(bad)
+        return {**vectors, f: {f: 1}}
+
+    entry = whittaker_entry(tmp_path, monkeypatch, one_moved)
+    assert entry["witness"] == {"degree": bad}
 
 
 def test_ell_independence_failure_witness_is_first_failing_degree(monkeypatch):
@@ -489,6 +512,24 @@ def test_center_below_casimir_degree_exits_2(capsys):
     assert err.startswith("error: ") and not err.startswith("error: internal")
     assert err.count("\n") == 1
     assert "4" in err and "3" in err
+
+
+def test_center_below_casimir_degree_exits_2_before_any_check(
+        tmp_path, monkeypatch, capsys):
+    """On sl4 [2,1,1] at degree 8, `center:3` is below the Kazhdan degree 4
+    of the Casimir image: the job exits 2 before `theorem` runs, and writes
+    no report."""
+    called = []
+    monkeypatch.setattr(whittaker, "verify_theorem", called.append)
+    out = tmp_path / "r.json"
+    assert main(["run", "--algebra", "sl4", "--nilpotent", "[2,1,1]",
+                 "--max-degree", "8", "--checks", "theorem,center:3",
+                 "--out", str(out), "--quiet"]) == 2
+    assert called == []
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: the center check needs degree >= 4, the Kazhdan degree of "
+        "the Casimir image; got 3\n")
 
 
 def test_center_outside_h_witness_is_casimir_degree(tmp_path, monkeypatch):

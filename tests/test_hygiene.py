@@ -29,11 +29,13 @@ Elimination stays behind the linear-algebra layer: outside
 in `SparseMatrix`, `Subspace`, `Echelon`, `solve` and the kernels, no
 module names `rref_sparse` or `rref_dense`, nor the row-step helpers
 `lincomb`, `_clear` and `_normalize`: no other module steps rows itself.
-Within `walg.whittaker` only `HBasis.subspace_at` (every canonical F_n H,
-from the certified forms) and `whittaker_vectors` build a `Subspace`, by
-calling `Subspace` or one of its class methods, `embedded`, `kernel` or
-`sum_and_intersection`: one elimination gives every F_d H by truncation
-(`linalg.kernel_vectors`), so no other function eliminates a prefix again.
+Within `walg.whittaker` only `_representatives` (every canonical F_n H,
+from the certified forms, for the representatives the reports print)
+builds a `Subspace`, by calling `Subspace` or one of its class methods, or
+`kernel`: one elimination gives every F_d H and every Wh(F_d Q) by
+truncation (`linalg.kernel_vectors`), so no other function eliminates a
+prefix again, and the `whittaker` check reads the Whittaker vectors off
+the certificate's echelon instead of spanning them.
 Likewise only `_h_basis` (the certificate), `n_ell_generators`,
 `_representatives` and `ell_comparison` build an `Echelon`: the
 certificate chooses the generators and certifies every form on one.
@@ -371,8 +373,8 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
 
 # the calls that build a Subspace, and the functions of a module that may
 # make them
-SUBSPACE_BUILDERS = ("Subspace", "embedded", "kernel", "sum_and_intersection")
-SUBSPACE_HOMES = {"whittaker.py": ("HBasis.subspace_at", "whittaker_vectors")}
+SUBSPACE_BUILDERS = ("Subspace", "kernel")
+SUBSPACE_HOMES = {"whittaker.py": ("_representatives",)}
 # likewise for an Echelon: one per certificate, span test or read-off
 ECHELON_HOMES = {"whittaker.py": ("_h_basis", "n_ell_generators",
                                   "_representatives", "ell_comparison")}
@@ -411,7 +413,7 @@ def test_finds_subspace_builds():
               "ZERO = Subspace(0, [])\n"
               "class HBasis:\n"
               "    def subspace_at(self, n):\n"
-              "        return Subspace.from_sparse(n, []).embedded(n + 1)\n"
+              "        return Subspace.from_sparse(n, kernel(M).rows)\n"
               "    def dim_f(self, n) -> 'Subspace':\n"
               "        return self.subspace_at(n).dim\n"
               "def _h_basis(mats, spaces: 'List[Subspace]'):\n"

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from walg import backend
 from walg.errors import AmbientMismatch
 from walg.linalg import (SparseMatrix, Subspace, kernel, kernel_vectors, rank,
-                         rank_of_rows, solve, solve_columns,
-                         sum_and_intersection, unit_vec)
+                         rank_of_rows, solve, solve_columns, unit_vec)
 
 from conftest import sl2_algebra
 
@@ -60,30 +59,40 @@ def test_rank_examples():
     assert rank(SparseMatrix.from_rows([[1, 2], [2, 4]])) == 1
 
 
+def sum_dim_and_meet(P, R):
+    """For U = Ker P and V = Ker R: (dim (U + V), one rank of their
+    canonical rows; U intersected with V, the kernel of P stacked on R)."""
+    meet = kernel(P.stack(R))
+    return rank_of_rows(kernel(P).rows + kernel(R).rows, P.cols), meet
+
+
 def test_sum_intersection_equal_spaces():
-    U = Subspace(3, [[1, 1, 0], [0, 0, 1]])
-    S, T = sum_and_intersection(U, U)
-    assert S == U and T == U
+    P = SparseMatrix.from_rows([[1, -1, 0]])
+    U = kernel(P)
+    assert U == Subspace(3, [[1, 1, 0], [0, 0, 1]])
+    S, T = sum_dim_and_meet(P, P)
+    assert S == U.dim and T == U
 
 
 def test_sum_intersection_complementary_lines():
-    U = Subspace(2, [[1, 0]])
-    V = Subspace(2, [[0, 1]])
-    S, T = sum_and_intersection(U, V)
-    assert S.dim == 2 and T.dim == 0
+    U = SparseMatrix.from_rows([[0, 1]])   # the line of [1, 0]
+    V = SparseMatrix.from_rows([[1, 0]])   # the line of [0, 1]
+    S, T = sum_dim_and_meet(U, V)
+    assert S == 2 and T.dim == 0
 
 
 def test_sum_intersection_two_planes():
-    U = Subspace(3, [[1, 0, 0], [0, 1, 0]])
-    V = Subspace(3, [[0, 1, 0], [0, 0, 1]])
-    S, T = sum_and_intersection(U, V)
-    assert S.dim == 3 and T.dim == 1
+    U = SparseMatrix.from_rows([[0, 0, 1]])   # [1, 0, 0] and [0, 1, 0]
+    V = SparseMatrix.from_rows([[1, 0, 0]])   # [0, 1, 0] and [0, 0, 1]
+    S, T = sum_dim_and_meet(U, V)
+    assert S == 3 and T.dim == 1
     assert T.contains([0, 1, 0])
 
 
 def test_sum_intersection_ambient_mismatch():
     with pytest.raises(AmbientMismatch):
-        sum_and_intersection(Subspace(2, [[1, 0]]), Subspace(3, [[1, 0, 0]]))
+        sum_dim_and_meet(SparseMatrix.from_rows([[1, 0]]),
+                         SparseMatrix.from_rows([[1, 0, 0]]))
 
 
 def test_subspace_equality_is_canonical():
@@ -164,12 +173,17 @@ def test_solve_verified_or_inconsistent(n, data):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 4), st.data())
 def test_modular_dimension_law(n, data):
-    vecs1 = [[data.draw(small_fraction) for _ in range(n)] for _ in range(2)]
-    vecs2 = [[data.draw(small_fraction) for _ in range(n)] for _ in range(2)]
-    U, V = Subspace(n, vecs1), Subspace(n, vecs2)
-    S, T = sum_and_intersection(U, V)
-    assert S.dim + T.dim == U.dim + V.dim
-    assert S.contains_subspace(U) and S.contains_subspace(V)
+    """The intersection as a stacked kernel and the sum's dimension as a
+    rank obey the modular law."""
+    rows1 = [[data.draw(small_fraction) for _ in range(n)] for _ in range(2)]
+    rows2 = [[data.draw(small_fraction) for _ in range(n)] for _ in range(2)]
+    P, R = SparseMatrix.from_rows(rows1), SparseMatrix.from_rows(rows2)
+    U, V = kernel(P), kernel(R)
+    S, T = sum_dim_and_meet(P, R)
+    assert S + T.dim == U.dim + V.dim
+    total = Subspace.from_sparse(n, U.rows + V.rows)
+    assert total.dim == S
+    assert total.contains_subspace(U) and total.contains_subspace(V)
     assert U.contains_subspace(T) and V.contains_subspace(T)
 
 
@@ -421,13 +435,3 @@ def test_solve_columns_examples():
     assert solve_columns(M, [[1, 2], [1, 0], [0, 0], [3, 6]]) == [
         (F(1), F(0)), None, (F(0), F(0)), (F(3), F(0))]
     assert solve_columns(M, []) == []
-
-
-def test_embedded_subspace_keeps_its_rows():
-    U = Subspace(3, [[1, 2, 0], [0, 1, 1]])
-    V = U.embedded(5)
-    assert V == Subspace(5, [[1, 2, 0, 0, 0], [0, 1, 1, 0, 0]])
-    assert (V.ambient_dim, V.pivots, V.rows) == (5, U.pivots, U.rows)
-    assert U.embedded(3) == U
-    with pytest.raises(AmbientMismatch):
-        U.embedded(2)

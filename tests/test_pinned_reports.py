@@ -5,12 +5,15 @@ Runs the benchmark's jobs in-process, with the arguments
 report without `timing` (the recipe of `perfbench/run.report_digest`)
 with `perfbench/digests.json`.  Only reads files under perfbench/.
 
-The jobs of `PINNED_HERE` are pinned in this file.  All but the last build
+The jobs of `PINNED_HERE` are pinned in this file.  The first four build
 an H basis with n_max <= top, the largest slice degree, where `h_basis`
-reads every degree off the exact kernel.  The last is the `theorem` and
+reads every degree off the exact kernel.  The fifth is the `theorem` and
 `poisson` path of the `conj-sl4-22` workload on the builtin coordinates of
 sl4 [2,2], above top: the monomial basis, its commutators, the invariant
-lifts and the reduced bracket.
+lifts and the reduced bracket.  The last two run the `structure`,
+`decomposition` and `whittaker` checks, which no bench workload runs:
+the graded basis of Ker ad f, the sum a^perp = [n_ell, e] + Ker ad f, and
+the Whittaker vectors read off the certificate.
 """
 
 import hashlib
@@ -82,6 +85,15 @@ PINNED_HERE = [
      ["--algebra", "sl4", "--nilpotent", "[2,2]", "--ell", "lagrangian-auto",
       "--max-degree", "6", "--checks", "theorem,poisson"],
      "f549508a09ea7cab281c2659d21cba09a4c259e92015843192980faef092e5d0"),
+    ("sl4 [2,1,1] lagrangian-auto, deg 4, structure to whittaker",
+     ["--algebra", "sl4", "--nilpotent", "[2,1,1]", "--ell",
+      "lagrangian-auto", "--max-degree", "4", "--checks",
+      "structure,decomposition,whittaker"],
+     "08ff1dcaa96db8f14ea3ddead5a209fe24bae335dc91ebf610d85275238621a2"),
+    ("sl3 regular, deg 6, structure to whittaker",
+     ["--algebra", "sl3", "--nilpotent", "regular", "--max-degree", "6",
+      "--checks", "structure,decomposition,whittaker"],
+     "2fed88d848d2b4a1cf7e12541d7c03f2e1063d296ad65612926a7c5a5c179359"),
 ]
 
 
