@@ -27,15 +27,14 @@ from its suffix, and chooses the generators up to t.  Each form is
 certified as it is built: independent in the echelon, in H (by the exact
 kernel up to t, above t killed by ad x for every generator x of n_ell,
 through the columns of the monomials they touch, `AdColumns`), and in
-each degree k as many as the kernel's dimension for k <= t and as
-dim C[S]_k above t, an upper bound for dim gr_k H by transversality (one
-rank, `SliceContext.is_transversal`; see `h_basis`).  So the exact kernel
-only sets how far up t reaches: to top, the largest slice degree, where
-that rank holds and n_max is above it, and otherwise, or where a clause
-fails at t = top (the lowest such degree is named), to n_max.  Products in H are rewritten on the
-monomials, g_b g_a -> g_a g_b + [g_b, g_a], with each commutator formed
-once in Q (`backend.word_map`), and the checks multiply in H that way
-only.  The canonical prefix-stable representatives the reports print are
+each degree k as many as dim C[S]_k: the exact kernel's dimension for
+k <= t, and above t an upper bound for dim gr_k H by transversality (one
+rank, `SliceContext.is_transversal`; see `h_basis`).  t is the largest
+slice degree, or n_max if that is lower; a failed clause, or a failed
+rank, is a `TheoremFailure` at its degree.  Products in H are rewritten
+on the monomials, g_b g_a -> g_a g_b + [g_b, g_a], with each commutator
+formed once in Q (`backend.word_map`), and the checks multiply in H that
+way only.  The canonical prefix-stable representatives the reports print are
 built on first use, by `_representatives`, from the canonical F_n H of the
 certified forms: the one place a canonical F_n H is built.  Every other
 span question about H is a count or a read-off on the certificate's
@@ -299,7 +298,7 @@ class HBasis:
     """
 
     __slots__ = ("sctx", "n_max", "qb", "forms", "words", "degrees",
-                 "gr_dims", "uncertified", "_echelon", "_canonical",
+                 "gr_dims", "_echelon", "_canonical",
                  "_relations", "_cache")
 
     def __init__(self, sctx, n_max, qb, forms, degrees, echelon, words):
@@ -310,7 +309,6 @@ class HBasis:
         self.words = words                # generator monomial of each form
         self.degrees = degrees            # degree at which each entered
         self.gr_dims = [degrees.count(n) for n in range(n_max + 1)]
-        self.uncertified = None           # where the certificate at t = top failed
         self._echelon = echelon           # Echelon of the forms' coordinates
         # (representatives, each form on them, each of them on the words)
         self._canonical = None
@@ -482,14 +480,6 @@ def n_ell_generators(sctx: SliceContext) -> List[Vector]:
             if echelon.extend({j: c for j, c in enumerate(v) if c})]
 
 
-class _Uncertified(Exception):
-    """The ordered generator monomials failed the certificate at `degree`."""
-
-    def __init__(self, degree: int, reason: str):
-        super().__init__(f"{reason} at degree {degree}")
-        self.degree = degree
-
-
 def h_basis(n_max: int, sctx: SliceContext) -> HBasis:
     """F_n H for n <= n_max, by the PBW theorem for finite W-algebras
     (Premet): the ordered monomials in generators of H are a basis.
@@ -498,17 +488,18 @@ def h_basis(n_max: int, sctx: SliceContext) -> HBasis:
     ad-matrices of the generators of n_ell (`n_ell_generators`) on F_t Q,
     one elimination that gives each F_d H, d <= t, as the span of the
     kernel vectors of the free columns of F_d Q (`kernel_vectors`), so that
-    dim F_d H is a count of them.  Going up the degrees d <= n_max, it
-    forms each ordered monomial of degree d in the generators so far once,
-    by `q_product` from its suffix, chooses the generators of degree d <= t
-    among those vectors, and decides every clause at d before d + 1, so a
-    failure names the lowest failing degree.  The clauses certify that the
-    forms span F_n H: they are independent in one echelon, in H (up to t
-    the echelon spans no more than the exact kernel; above t killed by ad x
+    dim F_d H is a count of them; it compares these dimensions with those
+    of C[S] first.  Going up the degrees d <= n_max, it forms each ordered
+    monomial of degree d in the generators so far once, by `q_product`
+    from its suffix, chooses the generators of degree d <= t among those
+    vectors, and decides every clause at d before d + 1, so a failure
+    names the lowest failing degree.  The clauses certify that the forms
+    span F_n H: they are independent in one echelon, in H (up to t the
+    echelon spans no more than the exact kernel; above t killed by ad x
     for every generator x, `AdColumns.kills`, through the columns of the
-    monomials they touch), and in each degree k there are dim gr_k H of
-    them, read off the exact kernel, for k <= t, and dim C[S]_k for k > t,
-    an upper bound for dim gr_k H by transversality:
+    monomials they touch), and in each degree k there are dim C[S]_k of
+    them: dim gr_k H, read off the exact kernel, for k <= t, and for
+    k > t an upper bound for dim gr_k H by transversality:
 
     The symbol of ad x on gr Q = C[chi + a^perp], x in n_ell, is the
     derivation D_x (`ReductionData.derivation`).  Each D_x(y_p) is a
@@ -524,44 +515,18 @@ def h_basis(n_max: int, sctx: SliceContext) -> HBasis:
     and by induction on the polynomial degree f = 0.  So restriction to S
     embeds gr_k H in C[S]_k.
 
-    t is top, the largest slice degree, when n_max > top and the context
-    is transversal (a failed rank is a failed clause at degree top + 1),
-    and n_max otherwise.  Where a clause fails at t = top the builder runs
-    again at t = n_max, on the same `AdColumns`, and `uncertified` names
-    the degree.
-
-    At t = n_max nothing is bounded from above, and no clause fails while
-    the theorem holds: let gr H be a polynomial ring, of the dimensions of
-    C[S].  The generators of degree d are rows of F_d H outside the span
-    of the ordered monomials in those of lower degree, which span
-    F_{d-1} H, so they form a minimal homogeneous system of generators of
-    gr H.  In a polynomial ring such a system is algebraically independent
-    (graded Nakayama: it has as many elements as the Krull dimension), so
-    the symbols of the ordered monomials, products in the domain gr H, are
-    independent, and each form is a product in H.  A failed clause there
-    is a failure of the theorem, or a bug: `TheoremFailure` at its degree,
-    or `verify_theorem`'s at the first degree where the kernel's graded
-    dimensions differ from those of C[S].
+    t is top, the largest slice degree, or n_max if that is lower.  Above
+    top the bound needs the rank: where it falls short, no basis is built,
+    and the theorem fails at top + 1.  A clause that fails is a failure of
+    the theorem, of transversality, or a bug, and no second route is
+    taken: it is a `TheoremFailure` that names the clause and its degree.
     """
-    qb = QDegreeBasis(sctx, n_max)
-    actions = _ad_columns(sctx)
     top = max(sctx.slice_data.degrees, default=0)
-    try:
-        if n_max > top and not sctx.is_transversal():
-            raise _Uncertified(top + 1, "no transversality rank for the bound")
-        return _h_basis(qb, actions, min(top, n_max))
-    except _Uncertified as exc:
-        hb = _h_basis(qb, actions, n_max)
-        hb.uncertified = exc.degree
-        return hb
-
-
-def kernel_h_basis(n_max: int, sctx: SliceContext) -> HBasis:
-    """F_n H for n <= n_max, the builder of `h_basis` at t = n_max: the
-    basis it falls back to, and its oracle, certified against the exact
-    kernel in every degree: the spans of its forms of degree <= n are the
-    exact kernels on F_n Q."""
-    return _h_basis(QDegreeBasis(sctx, n_max), _ad_columns(sctx), n_max)
+    if n_max > top and not sctx.is_transversal():
+        raise TheoremFailure("no transversality rank for the bound at degree "
+                             f"{top + 1}", degree=top + 1)
+    return _h_basis(QDegreeBasis(sctx, n_max), _ad_columns(sctx),
+                    min(top, n_max))
 
 
 def _ad_columns(sctx: SliceContext) -> List[AdColumns]:
@@ -627,61 +592,64 @@ def _word_form(basis, word_forms: backend.MonomialMap, word) -> UEAElement:
 
 def _h_basis(qb: QDegreeBasis, actions: Sequence[AdColumns], t: int) -> HBasis:
     """The ordered monomials in generators chosen in the kernel on F_t Q,
-    certified degree by degree as `h_basis` says: `_Uncertified` at the
-    lowest failing degree for t < n_max, `TheoremFailure` for t = n_max.
+    certified degree by degree as `h_basis` says: `TheoremFailure` at the
+    lowest failing degree, naming the clause.
 
-    At degree d the forms of degree d in the generators so far join the
-    echelon (above t once killed by every ad x), then each kernel vector of
-    degree d outside its span, a new generator g (the word g is last in
-    degree d): those of lower degree lie in its span already.  Above t the
-    count is known, and checked, before any form is built.
+    The kernel's graded dimensions are those of C[S] up to t, or the
+    theorem fails at the first degree where they differ; so every count
+    has dim C[S]_d as its bound.  At degree d the forms of degree d in the
+    generators so far join the echelon (above t once killed by every
+    ad x), then each kernel vector of degree d outside its span, a new
+    generator g (the word g is last in degree d): those of lower degree
+    lie in its span already.  Above t the count is known, and checked,
+    before any form is built.
     """
     sctx, basis = qb.sctx, qb.sctx.basis
     mats = [ad_action_matrix(a, qb, t) for a in actions]
     vectors = kernel_vectors(mats, qb.dim_f(t))
     by_degree = [[v for f, v in vectors.items()
                   if qb.dim_f(d - 1) <= f < qb.dim_f(d)] for d in range(t + 1)]
-    dims = [len(vs) for vs in by_degree]
+    bounds = sctx.hilbert_slice(qb.n)
+    failure = _dimension_failure([len(vs) for vs in by_degree], bounds)
+    if failure:
+        raise failure
     gens: List[UEAElement] = []
     gen_degrees: List[int] = []
     word_forms = _word_forms(basis, gens)
     echelon = Echelon()
     words, degrees, forms = [], [], []
 
-    def count_clause(d, count, bound):
-        if count != bound:
-            raise _Uncertified(d, f"{count} ordered monomials "
-                                  f"against the bound {bound}")
+    def fail(d, reason):
+        return TheoremFailure(f"{reason} at degree {d}", degree=d)
 
-    try:
-        for d, bound in enumerate(dims + sctx.hilbert_slice(qb.n)[t + 1:]):
-            products = poisson.monomials_of_degree(gen_degrees, d)
-            if d > t:
-                count_clause(d, len(products), bound)
-            for word in products:
-                form = _word_form(basis, word_forms, word)
-                if d > t and not all(a.kills(form.terms) for a in actions):
-                    raise _Uncertified(d, "an ordered monomial outside H")
-                if not echelon.extend(qb.sparse_coords(form, upto=d)):
-                    raise _Uncertified(d, "dependent ordered monomials")
-                words.append(word)
-                forms.append(form)
-            if d <= t:
-                for v in by_degree[d]:
-                    if echelon.extend(v):
-                        words.append(((len(gens), 1),))
-                        gens.append(qb.element(v))
-                        gen_degrees.append(d)
-                        forms.append(_word_form(basis, word_forms, words[-1]))
-                if len(echelon.rows) > sum(dims[:d + 1]):
-                    raise _Uncertified(d, "an ordered monomial outside H")
-                count_clause(d, len(words) - len(degrees), bound)
-            degrees += [d] * (len(words) - len(degrees))
-    except _Uncertified as exc:
-        if t < qb.n:
-            raise
-        raise (_dimension_failure(dims, sctx.hilbert_slice(t)) or
-               TheoremFailure(str(exc), degree=exc.degree)) from None
+    def count_clause(d, count):
+        if count != bounds[d]:
+            raise fail(d, f"{count} ordered monomials against the bound "
+                          f"{bounds[d]}")
+
+    for d in range(qb.n + 1):
+        products = poisson.monomials_of_degree(gen_degrees, d)
+        if d > t:
+            count_clause(d, len(products))
+        for word in products:
+            form = _word_form(basis, word_forms, word)
+            if d > t and not all(a.kills(form.terms) for a in actions):
+                raise fail(d, "an ordered monomial outside H")
+            if not echelon.extend(qb.sparse_coords(form, upto=d)):
+                raise fail(d, "dependent ordered monomials")
+            words.append(word)
+            forms.append(form)
+        if d <= t:
+            for v in by_degree[d]:
+                if echelon.extend(v):
+                    words.append(((len(gens), 1),))
+                    gens.append(qb.element(v))
+                    gen_degrees.append(d)
+                    forms.append(_word_form(basis, word_forms, words[-1]))
+            if len(echelon.rows) > sum(bounds[:d + 1]):
+                raise fail(d, "an ordered monomial outside H")
+            count_clause(d, len(words) - len(degrees))
+        degrees += [d] * (len(words) - len(degrees))
     return HBasis(sctx, qb.n, qb, forms, degrees, echelon, words)
 
 

@@ -550,8 +550,9 @@ def test_a_failing_h_basis_is_built_once_per_degree(monkeypatch):
     """With only the first generator of n_ell, h_basis fails the theorem at
     degree 1.  The case keeps that failure: every check that needs H gets
     it again, with its message and degree, from one build on the case's
-    context (the second context is the Lagrangian one of
-    `ell-independence`)."""
+    context.  The second build is on the Lagrangian context of
+    `ell-independence`, which is built first there and fails at degree 2:
+    that entry carries its failure."""
     first = whittaker.n_ell_generators
     monkeypatch.setattr(whittaker, "n_ell_generators",
                         lambda sctx: first(sctx)[:1])
@@ -570,14 +571,41 @@ def test_a_failing_h_basis_is_built_once_per_degree(monkeypatch):
     failed = {entry["name"]: entry for entry in report["checks"]
               if entry["status"] == "fail"}
     assert set(failed) == set(config["checks"])
-    for name in ("theorem", "cohomology", "center", "ell-independence"):
+    for name in ("theorem", "cohomology", "center"):
         assert failed[name]["details"] == {
             "error": "TheoremFailure",
             "message": "dim gr_1 H = 1 != 0 = dim C[S]_1"}, name
         assert failed[name]["witness"] == {"degree": 1}, name
+    assert failed["ell-independence"]["details"] == {
+        "error": "TheoremFailure",
+        "message": "dim gr_2 H = 2 != 1 = dim C[S]_2"}
+    assert failed["ell-independence"]["witness"] == {"degree": 2}
     # the same report as when every check builds the basis itself
     monkeypatch.setattr(cli.Case, "hb_at",
                         lambda self, n: recorded(n, self.sctx))
     built.clear()
     assert strip_timing(run(JobConfig(**config))) == report
-    assert len([1 for _, sctx in built if sctx is built[0][1]]) == 4
+    # ell-independence fails on its Lagrangian context before it builds on
+    # the case's
+    assert len([1 for _, sctx in built if sctx is built[0][1]]) == 3
+
+
+def test_a_dropped_n_ell_generator_fails_every_check_of_h(monkeypatch):
+    """With only the first generator of n_ell, the Lagrangian context's
+    kernel is too large from degree 2 on.  No check that reads H passes on
+    it: each carries the theorem's failure at degree 2.  A basis that went
+    on past the failed clause passed `center`, and failed `poisson` as a
+    bug with no degree."""
+    first = whittaker.n_ell_generators
+    monkeypatch.setattr(whittaker, "n_ell_generators",
+                        lambda sctx: first(sctx)[:1])
+    checks = ["theorem", "poisson", "whittaker", "center"]
+    report = run(JobConfig(algebra="sl3", nilpotent="minimal",
+                           ell="lagrangian-auto", max_degree=6, checks=checks))
+    assert [entry["name"] for entry in report["checks"]
+            if entry["status"] == "fail"] == checks
+    for entry in report["checks"]:
+        assert entry["details"] == {
+            "error": "TheoremFailure",
+            "message": "dim gr_2 H = 2 != 1 = dim C[S]_2"}, entry["name"]
+        assert entry["witness"] == {"degree": 2}, entry["name"]

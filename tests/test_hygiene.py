@@ -39,6 +39,10 @@ the certificate's echelon instead of spanning them.
 Likewise only `_h_basis` (the certificate), `n_ell_generators`,
 `_representatives` and `ell_comparison` build an `Echelon`: the
 certificate chooses the generators and certifies every form on one.
+And only `_h_basis` and `whittaker_vectors` call `kernel_vectors`: H_ell
+is built by one route, the certificate, which runs its elimination once,
+and the Whittaker vectors are the other side of the `whittaker` check, so
+no third function takes a joint kernel.
 """
 
 import ast
@@ -378,6 +382,8 @@ SUBSPACE_HOMES = {"whittaker.py": ("_representatives",)}
 # likewise for an Echelon: one per certificate, span test or read-off
 ECHELON_HOMES = {"whittaker.py": ("_h_basis", "n_ell_generators",
                                   "_representatives", "ell_comparison")}
+# and for the one elimination of a joint kernel (`kernel_vectors`)
+KERNEL_HOMES = {"whittaker.py": ("_h_basis", "whittaker_vectors")}
 
 
 def builds(source, builders):
@@ -439,6 +445,19 @@ def test_finds_echelon_builds():
         ("HBasis._echelon_of", 6), ("_h_basis", 8), ("_h_basis", 9)]
 
 
+def test_finds_kernel_vectors_calls():
+    source = ("from walg.linalg import kernel_vectors\n"
+              "def h_basis(n_max, sctx):\n"
+              "    return _h_basis(qb, kernel_vectors(mats, n_max))\n"
+              "class HBasis:\n"
+              "    def dim_f(self, n):\n"
+              "        return len(linalg.kernel_vectors(self.mats, n))\n"
+              "def _h_basis(qb, vectors):\n"
+              "    return HBasis(qb, vectors)\n")
+    assert sorted(builds(source, ("kernel_vectors",)),
+                  key=lambda b: b[1]) == [("h_basis", 3), ("HBasis.dim_f", 6)]
+
+
 @pytest.mark.parametrize("module", sorted(SUBSPACE_HOMES))
 def test_subspaces_built_only_in_their_homes(module):
     source = (SRC / module).read_text(encoding="utf-8")
@@ -451,3 +470,10 @@ def test_echelons_built_only_in_their_homes(module):
     source = (SRC / module).read_text(encoding="utf-8")
     owners = {owner for owner, _ in builds(source, ("Echelon",))}
     assert owners == set(ECHELON_HOMES[module])
+
+
+@pytest.mark.parametrize("module", sorted(KERNEL_HOMES))
+def test_kernel_vectors_called_only_in_their_homes(module):
+    source = (SRC / module).read_text(encoding="utf-8")
+    owners = {owner for owner, _ in builds(source, ("kernel_vectors",))}
+    assert owners == set(KERNEL_HOMES[module])

@@ -37,6 +37,25 @@ def dense_coords(qb, u, upto=None):
     return tuple(row)
 
 
+def kernel_h_basis(n_max, sctx):
+    """F_n H for n <= n_max, by the builder of `h_basis` at t = n_max: the
+    oracle certified against the exact kernel in every degree, so that the
+    span of its forms of degree <= n is the exact kernel on F_n Q.
+
+    At t = n_max nothing is bounded from above, and no clause fails while
+    the theorem holds: let gr H be a polynomial ring, of the dimensions of
+    C[S].  The generators of degree d are rows of F_d H outside the span
+    of the ordered monomials in those of lower degree, which span
+    F_{d-1} H, so they form a minimal homogeneous system of generators of
+    gr H.  In a polynomial ring such a system is algebraically independent
+    (graded Nakayama: it has as many elements as the Krull dimension), so
+    the symbols of the ordered monomials, products in the domain gr H, are
+    independent, and each form is a product in H.  A failed clause there
+    is a failure of the theorem, or a bug.
+    """
+    return W._h_basis(W.QDegreeBasis(sctx, n_max), W._ad_columns(sctx), n_max)
+
+
 def test_q_canonical_examples(sl2_ctx):
     B = sl2_ctx.basis
     e, h, f = (B.generator(k) for k in range(3))
@@ -776,7 +795,7 @@ def test_h_basis_tries_only_new_or_changed_rows(monkeypatch, request,
 
     monkeypatch.setattr(W, "_representatives", recorded)
     calls = counting(monkeypatch, linalg.Echelon, "extend")
-    for route in (W.h_basis, W.kernel_h_basis):
+    for route in (W.h_basis, kernel_h_basis):
         echelons.clear()
         calls.clear()
         hb = route(10, sctx)
@@ -809,7 +828,6 @@ def test_h_basis_tries_each_kernel_vector_once(monkeypatch, request, ctx_name,
 
     monkeypatch.setattr(W, "_h_basis", recorded)
     hb = W.h_basis(n_max, sctx)
-    assert hb.uncertified is None
     (t, extensions), = runs
     products = [w for w in hb.words if sum(e for _, e in w) != 1]
     assert t == top
@@ -826,7 +844,6 @@ def test_h_basis_forms_each_word_once(monkeypatch, request, ctx_name, n_max):
     sctx = request.getfixturevalue(ctx_name)
     calls = counting(monkeypatch, W, "_word_form")
     hb = W.h_basis(n_max, sctx)
-    assert hb.uncertified is None
     assert len(calls) == len(hb.words)
 
 
@@ -878,7 +895,7 @@ def _routes(request, built):
     sctx = request.getfixturevalue(ctx_name)
     other = sctx if target is None else request.getfixturevalue(target)
     if (ctx_name, n) not in built:
-        built[(ctx_name, n)] = W.h_basis(n, sctx), W.kernel_h_basis(n, sctx)
+        built[(ctx_name, n)] = W.h_basis(n, sctx), kernel_h_basis(n, sctx)
     return (sctx, other) + built[(ctx_name, n)]
 
 
@@ -934,8 +951,7 @@ def test_pbw_route_matches_kernel_route(routes):
     monomial bases of the same F_n H: the exact kernels, built here."""
     sctx, _, hb, kb = routes
     assert max(sctx.slice_data.degrees) < hb.n_max
-    assert hb.words is not None and hb.uncertified is None
-    assert kb.words is not None and kb.uncertified is None
+    assert hb.words is not None and kb.words is not None
     kernels = exact_kernels(sctx, hb.n_max)
     assert kb.gr_dims == hb.gr_dims == graded_dims(kernels)
     assert (hb.elements, hb.degrees) == (kb.elements, kb.degrees)
@@ -953,13 +969,13 @@ def test_kernel_route_up_to_the_top_degree(monkeypatch, sl4_211):
     degrees = kernel_degrees(monkeypatch)
     for n in (top - 1, top):
         degrees.clear()
-        hb, kb = W.h_basis(n, sl4_211), W.kernel_h_basis(n, sl4_211)
+        hb, kb = W.h_basis(n, sl4_211), kernel_h_basis(n, sl4_211)
         assert degrees == [n, n]
-        assert hb.uncertified is None and hb.words is not None
+        assert hb.words is not None
         assert (hb.elements, hb.degrees, hb.words) == \
             (kb.elements, kb.degrees, kb.words)
     degrees.clear()
-    assert W.h_basis(top + 1, sl4_211).uncertified is None
+    W.h_basis(top + 1, sl4_211)
     assert degrees == [top]
 
 
@@ -1056,10 +1072,10 @@ def assert_theorem_entry_fails(tmp_path, args, degree):
 def test_certificate_fails_without_the_top_generator(monkeypatch, tmp_path,
                                                      sl3_min_lag):
     """Negative control: without the degree-4 generator the ordered
-    monomials fall short of the exact kernel at degree 4, at t = top and
-    again at t = n_max, where nothing is bounded from above: the theorem
-    fails at degree 4.  The fault: an echelon that refuses the kernel
-    vectors of degree 4, so that no generator is chosen there."""
+    monomials fall short of the exact kernel at degree 4, t = top: the
+    theorem fails at degree 4, on the one builder run.  The fault: an
+    echelon that refuses the kernel vectors of degree 4, so that no
+    generator is chosen there."""
     qb = W.QDegreeBasis(sl3_min_lag, 7)
     assert max(sl3_min_lag.slice_data.degrees) == 4
     true_kernel, true_extend = W.kernel_vectors, linalg.Echelon.extend
@@ -1080,8 +1096,8 @@ def test_certificate_fails_without_the_top_generator(monkeypatch, tmp_path,
     with pytest.raises(TheoremFailure, match="against the bound") as exc:
         W.h_basis(7, sl3_min_lag)
     assert exc.value.degree == 4
-    assert degrees == [4, 7]
-    assert len(top_vectors) == 2 + 2     # dim gr_4 H at t = 4, at t = 7
+    assert degrees == [4]
+    assert len(top_vectors) == 2         # dim gr_4 H
     assert_theorem_entry_fails(
         tmp_path, ["--ell", "lagrangian-auto", "--max-degree", "7"], 4)
 
@@ -1098,7 +1114,7 @@ def test_killed_clause_runs_only_above_top(monkeypatch, sl3_min_lag):
     assert (above, n_gens) == (34, 2)
     assert len(kills) == above * n_gens
     kills.clear()
-    W.kernel_h_basis(6, sl3_min_lag)
+    kernel_h_basis(6, sl3_min_lag)
     assert kills == []
 
 
@@ -1115,7 +1131,7 @@ def test_ad_entry_above_its_weight_raises(monkeypatch, sl3_min_zero):
         return (den, {**ints, mono: den}) if m == mono else (den, ints)
 
     monkeypatch.setattr(W.AdColumns, "_image", raised)
-    for route in (W.h_basis, W.kernel_h_basis):
+    for route in (W.h_basis, kernel_h_basis):
         with pytest.raises(WalgError, match="takes degree 3 to degree 3"):
             route(6, sl3_min_zero)
 
@@ -1187,21 +1203,11 @@ def test_transversality_rank_holds(request, ctx_name):
     assert sctx.is_transversal()
 
 
-def assert_kernel_route(hb, sctx):
-    """hb is the oracle's basis: words, elements, subspaces and table."""
-    kb = W.kernel_h_basis(hb.n_max, sctx)
-    assert (hb.words, hb.elements, hb.degrees, hb.gr_dims) == \
-        (kb.words, kb.elements, kb.degrees, kb.gr_dims)
-    for n in range(hb.n_max + 1):
-        assert span_at(hb, n) == span_at(kb, n)
-    assert hb.multiplication_table() == kb.multiplication_table()
-
-
 def test_certificate_fails_without_transversality(monkeypatch, sl3):
     """Negative control: with one n_ell row of the transversality matrix
-    replaced by another the rank falls short, so the bound is not proved
-    and h_basis takes the exact kernel up to n_max, uncertified at
-    top + 1.  The context is built here: the rank is kept on it once
+    replaced by another the rank falls short, so the bound above top is
+    not proved: the theorem fails at top + 1, naming the rank, and no
+    builder runs.  The context is built here: the rank is kept on it once
     computed."""
     e, h, f = highest_root_triple(3)
     sctx = build_context(sl3, e, "lagrangian-auto", h=h, f=f)
@@ -1214,23 +1220,24 @@ def test_certificate_fails_without_transversality(monkeypatch, sl3):
     monkeypatch.setattr(type(sctx), "transversality_rows", repeated)
     assert not sctx.is_transversal()
     degrees = kernel_degrees(monkeypatch)
-    hb = W.h_basis(7, sctx)
-    assert degrees == [7]
-    assert hb.uncertified == max(sctx.slice_data.degrees) + 1 == 5
-    assert_kernel_route(hb, sctx)
+    with pytest.raises(TheoremFailure, match="no transversality rank") as exc:
+        W.h_basis(7, sctx)
+    assert exc.value.degree == max(sctx.slice_data.degrees) + 1 == 5
+    assert degrees == []
 
 
-def test_a_failed_count_recovers_at_n_max(monkeypatch, sl3_min_lag):
+def test_a_failed_count_is_a_theorem_failure(monkeypatch, sl3_min_lag):
     """Negative control: a slice series one short at degree top + 1 fails
-    the count there at t = top.  The builder at t = n_max bounds nothing by
-    the series, so h_basis returns the oracle's basis, uncertified at
-    top + 1, and builds no ad column twice on the way."""
+    the count there, before any form of that degree is built: the theorem
+    fails at top + 1, on the one builder run, and no ad column is built
+    twice on the way."""
     top = max(sl3_min_lag.slice_data.degrees)
     true_series = type(sl3_min_lag).hilbert_slice
 
     def short(ctx, n):
         series = list(true_series(ctx, n))
-        series[top + 1] -= 1
+        if n > top:
+            series[top + 1] -= 1
         return series
 
     monkeypatch.setattr(type(sl3_min_lag), "hilbert_slice", short)
@@ -1243,26 +1250,25 @@ def test_a_failed_count_recovers_at_n_max(monkeypatch, sl3_min_lag):
 
     monkeypatch.setattr(W.AdColumns, "_image", recorded)
     degrees = kernel_degrees(monkeypatch)
-    hb = W.h_basis(7, sl3_min_lag)
-    assert degrees == [top, 7]
-    assert hb.uncertified == top + 1
+    with pytest.raises(TheoremFailure, match="against the bound") as exc:
+        W.h_basis(7, sl3_min_lag)
+    assert exc.value.degree == top + 1
+    assert degrees == [top]
     assert len(built) == len(set(built)) > 0
-    assert_kernel_route(hb, sl3_min_lag)
 
 
 def test_certificate_fails_on_a_form_outside_h(monkeypatch, tmp_path,
                                               sl3_min_lag):
     """Negative control: a word form of degree top + 1 moved off H by a
-    monomial of its degree is not killed at t = top; at t = n_max the
-    moved form leaves a row of the exact kernel outside the span of the
-    words, and the theorem fails at that degree."""
+    monomial of its degree is not killed by ad x at t = top, and the
+    theorem fails at that degree, on the one builder run."""
     top = max(sl3_min_lag.slice_data.degrees)
     good = W.h_basis(7, sl3_min_lag)
     word = next(w for w, d in zip(good.words, good.degrees) if d == top + 1)
     mono = good.qb.monomials[good.qb.dim_f(top)]  # the first of degree top + 1
     bad = good.forms[good.words.index(word)] + UEAElement(
         sl3_min_lag.basis, {mono: F(1)})
-    assert not W.kernel_h_basis(7, sl3_min_lag).contains(bad, top + 1)
+    assert not kernel_h_basis(7, sl3_min_lag).contains(bad, top + 1)
     true_form = W._word_form
 
     def moved(basis, word_forms, w):
@@ -1271,10 +1277,10 @@ def test_certificate_fails_on_a_form_outside_h(monkeypatch, tmp_path,
 
     monkeypatch.setattr(W, "_word_form", moved)
     degrees = kernel_degrees(monkeypatch)
-    with pytest.raises(TheoremFailure) as exc:
+    with pytest.raises(TheoremFailure, match="outside H") as exc:
         W.h_basis(7, sl3_min_lag)
     assert exc.value.degree == top + 1
-    assert degrees == [top, 7]
+    assert degrees == [top]
     assert_theorem_entry_fails(
         tmp_path, ["--ell", "lagrangian-auto", "--max-degree", "7"], top + 1)
 
@@ -1299,7 +1305,7 @@ def test_ad_columns_only_where_forms_touch(monkeypatch, request, ctx_name, n,
 
     monkeypatch.setattr(W.AdColumns, "_image", recorded)
     hb = W.h_basis(n, sctx)
-    assert hb.words is not None and hb.uncertified is None
+    assert hb.words is not None
     assert len(built) == len(set(built))
     touched = {m for form in hb.forms for m in form.terms}
     degree = sctx.basis.monomial_degree
