@@ -386,10 +386,9 @@ def chi(L: LieAlgebra, triple: Sl2Triple) -> CharacterChi:
 class SymplecticData:
     """omega(x,y) = chi([x,y]) on g(-1), an isotropic ell, and ell^perp."""
 
-    __slots__ = ("gm1_basis", "omega", "ell", "ell_perp")
+    __slots__ = ("omega", "ell", "ell_perp")
 
-    def __init__(self, gm1_basis, omega, ell: Subspace, ell_perp: Subspace):
-        self.gm1_basis = gm1_basis
+    def __init__(self, omega, ell: Subspace, ell_perp: Subspace):
         self.omega = omega
         self.ell = ell
         self.ell_perp = ell_perp
@@ -428,7 +427,7 @@ def symplectic_data(L: LieAlgebra, triple: Sl2Triple, grading: GradedDecompositi
         raise DegenerateOmega("dim ell + dim ell^perp != dim g(-1)")
     if not ell_perp.contains_subspace(ell):
         raise NotIsotropic("ell not contained in its omega-annihilator")
-    return SymplecticData(basis, omega, ell, ell_perp)
+    return SymplecticData(omega, ell, ell_perp)
 
 
 def lagrangian_auto(L: LieAlgebra, grading: GradedDecomposition,
@@ -499,28 +498,19 @@ def ker_ad_f(L: LieAlgebra, triple: Sl2Triple) -> Subspace:
     return kernel(L.ad_sparse(triple.f))
 
 
-class DecompositionReport:
-    __slots__ = ("dim_a_perp", "dim_bracket_ne", "dim_kerf", "dim_n",
-                 "dim_g0", "dim_gm1", "ok")
-
-    def __init__(self, **kw):
-        for k in self.__slots__:
-            setattr(self, k, kw[k])
-
-    def as_dict(self):
-        return {k: getattr(self, k) for k in self.__slots__}
-
-
 def decomposition_check(L: LieAlgebra, triple: Sl2Triple, grading: GradedDecomposition,
-                        pair: NilpotentPair) -> DecompositionReport:
-    """Exact check of a^{perp_g} = [n_ell, e] (+) Ker ad f.
+                        pair: NilpotentPair, kerf: Subspace) -> Dict[str, object]:
+    """Exact check of a^{perp_g} = [n_ell, e] (+) Ker ad f, with kerf the
+    context's `ker_ad_f`.
 
     Verifies zero intersection, full sum, the dimension law
     dim a^{perp_g} = dim n_ell + dim g(0) + dim g(-1), and injectivity of
     x -> [x, e] on n_ell.  Every clause is a rank or an evaluation: a^perp
     is the kernel of the Killing rows of a, the sum lies in it iff those
     rows kill its spanning vectors, and by the modular law the intersection
-    has dimension dim [n_ell, e] + dim Ker ad f - dim of the sum.
+    has dimension dim [n_ell, e] + dim Ker ad f - dim of the sum.  Returns
+    the dimensions and "ok": True; a failed clause raises
+    `DecompositionFailure` with the dimensions alone as its witness.
     """
     K = L._killing
     kappa_a = SparseMatrix.from_rows(
@@ -529,24 +519,23 @@ def decomposition_check(L: LieAlgebra, triple: Sl2Triple, grading: GradedDecompo
     dim_a_perp = L.dim - rank(kappa_a)
     images = [L.bracket(v, triple.e) for v, _ in pair.n_graded]
     image_rows = [{j: c for j, c in enumerate(w) if c} for w in images]
-    kerf = ker_ad_f(L, triple)
     dim_bracket_ne = rank_of_rows(image_rows, L.dim)
     dim_sum = rank_of_rows(image_rows + list(kerf.rows), L.dim)
     in_a_perp = not any(any(kappa_a.apply(w)) for w in images + list(kerf.basis))
     dim_g0 = grading.piece(0).dim
     dim_gm1 = grading.piece(-1).dim
-    report = DecompositionReport(
-        dim_a_perp=dim_a_perp, dim_bracket_ne=dim_bracket_ne, dim_kerf=kerf.dim,
-        dim_n=pair.n_ell.dim, dim_g0=dim_g0, dim_gm1=dim_gm1, ok=True)
+    dims = {"dim_a_perp": dim_a_perp, "dim_bracket_ne": dim_bracket_ne,
+            "dim_kerf": kerf.dim, "dim_n": pair.n_ell.dim, "dim_g0": dim_g0,
+            "dim_gm1": dim_gm1}
     if dim_bracket_ne + kerf.dim != dim_sum:
-        raise DecompositionFailure("[n_ell,e] meets Ker ad f", report.as_dict())
+        raise DecompositionFailure("[n_ell,e] meets Ker ad f", dims)
     if not in_a_perp or dim_sum != dim_a_perp:
-        raise DecompositionFailure("[n_ell,e] + Ker ad f != a^perp", report.as_dict())
+        raise DecompositionFailure("[n_ell,e] + Ker ad f != a^perp", dims)
     if dim_a_perp != pair.n_ell.dim + dim_g0 + dim_gm1:
-        raise DecompositionFailure("dimension law fails", report.as_dict())
+        raise DecompositionFailure("dimension law fails", dims)
     if dim_bracket_ne != pair.n_ell.dim:
-        raise DecompositionFailure("x -> [x,e] not injective on n_ell", report.as_dict())
-    return report
+        raise DecompositionFailure("x -> [x,e] not injective on n_ell", dims)
+    return {**dims, "ok": True}
 
 
 def structure_checks(L: LieAlgebra, triple: Sl2Triple, grading: GradedDecomposition,

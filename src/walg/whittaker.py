@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from walg import backend, poisson
 from walg.context import SliceContext
@@ -695,20 +695,6 @@ def nu_map(a: UEAElement, sctx: SliceContext, n: int) -> KazhdanPolynomial:
     return sctx.slice_data.restrict(sym)
 
 
-class TheoremReport:
-    """`nus[i]` is nu of the i-th basis element at its own degree; `table`
-    maps each in-range basis pair (i, j) to the sparse row of elem_i elem_j
-    on the basis (`HBasis.multiplication_table`), which only the report
-    writer spells out densely."""
-
-    __slots__ = ("n_max", "gr_dims", "slice_dims", "injective", "mult_pairs",
-                 "nus", "table", "ok")
-
-    def __init__(self, **kw):
-        for k in self.__slots__:
-            setattr(self, k, kw[k])
-
-
 def _dimension_failure(gr_dims, slice_dims) -> Optional[TheoremFailure]:
     """The failure at the first n with dim gr_n H != dim C[S]_n, if any."""
     for n, (a, b) in enumerate(zip(gr_dims, slice_dims)):
@@ -736,34 +722,31 @@ def _multiplicative(x: Dict, ks, nu_ints, i: int, j: int) -> bool:
                  (den_i * den_j, poisson.poly_mul(ints_i, ints_j)))
 
 
-def verify_theorem(hb: HBasis) -> TheoremReport:
+def verify_theorem(hb: HBasis) -> Tuple[List[KazhdanPolynomial], Dict]:
     """Degreewise check that nu: gr H -> C[S] is an algebra isomorphism.
 
     For every n <= hb.n_max, in the context of hb: dim gr_n H equals the
     slice Hilbert dimension and nu is injective on gr_n H; nu is
-    multiplicative on all basis pairs with product degree in range.  The
-    products are the table of `HBasis.multiplication_table`, kept as the
-    report's `table`; nu of each basis element is taken once, at its
-    degree, and kept as `nus`.  A product e_i e_j = sum x_k e_k of degree
-    d has nu sum x_k nu(e_k) over the representatives of degree d: the
-    others have no degree-d terms or a zero coefficient.
+    multiplicative on all basis pairs with product degree in range.
+    Returns (nus, table): nus[i] is nu of the i-th basis element, taken
+    once at its degree, and table is `HBasis.multiplication_table`, sparse
+    rows that only the report writer spells out densely.  A product
+    e_i e_j = sum x_k e_k of degree d has nu sum x_k nu(e_k) over the
+    representatives of degree d: the others have no degree-d terms or a
+    zero coefficient.
     """
-    n_max, sctx, gr_dims = hb.n_max, hb.sctx, hb.gr_dims
-    slice_dims = sctx.hilbert_slice(n_max)
-    failure = _dimension_failure(gr_dims, slice_dims)
+    n_max, sctx = hb.n_max, hb.sctx
+    failure = _dimension_failure(hb.gr_dims, sctx.hilbert_slice(n_max))
     if failure:
         raise failure
     nus = [nu_map(a, sctx, d) for a, d in zip(hb.elements, hb.degrees)]
-    injective = []
     sdegs = sctx.slice_data.degrees
     for n in range(n_max + 1):
         idxs = [i for i, d in enumerate(hb.degrees) if d == n]
         mindex = {m: k for k, m in enumerate(poisson.monomials_of_degree(sdegs, n))}
         entries = {(r, mindex[m]): c for r, i in enumerate(idxs)
                    for m, c in nus[i].terms.items()}
-        ok = rank(SparseMatrix(len(idxs), len(mindex), entries)) == len(idxs)
-        injective.append(ok)
-        if not ok:
+        if rank(SparseMatrix(len(idxs), len(mindex), entries)) != len(idxs):
             raise TheoremFailure(f"nu not injective on gr_{n} H", degree=n)
     table = hb.multiplication_table()
     nu_ints = [backend.int_form(nu.terms) for nu in nus]
@@ -773,9 +756,7 @@ def verify_theorem(hb: HBasis) -> TheoremReport:
                                nu_ints, i, j):
             raise TheoremFailure(
                 f"nu not multiplicative on basis pair ({i},{j})", degree=d)
-    return TheoremReport(n_max=n_max, gr_dims=gr_dims, slice_dims=slice_dims,
-                         injective=injective, mult_pairs=len(table),
-                         nus=nus, table=table, ok=True)
+    return nus, table
 
 
 def gr_commutator_vs_poisson(a: UEAElement, b: UEAElement, hb: HBasis) -> bool:
@@ -879,23 +860,6 @@ def whittaker_vectors(qb: QDegreeBasis) -> Dict[int, Dict[int, QQ]]:
     return kernel_vectors(mats, len(qb.monomials))
 
 
-class CohomologyReport:
-    """Dimensions of H^i(n_ell, gr Q) per (cohomological index, Kazhdan degree)."""
-
-    __slots__ = ("i_max", "n_max", "dims")
-
-    def __init__(self, i_max, n_max, dims):
-        self.i_max = i_max
-        self.n_max = n_max
-        self.dims = dims
-
-    def dim(self, i: int, n: int) -> int:
-        return self.dims.get((i, n), 0)
-
-    def row(self, i: int) -> List[int]:
-        return [self.dim(i, n) for n in range(self.n_max + 1)]
-
-
 def ce_blocks(i_max: int, n_max: int, sctx: SliceContext):
     """Graded blocks of the truncated Chevalley-Eilenberg complex.
 
@@ -978,36 +942,29 @@ def ce_blocks(i_max: int, n_max: int, sctx: SliceContext):
     return blocks
 
 
-def ce_cohomology(i_max: int, n_max: int, sctx: SliceContext) -> CohomologyReport:
-    """Chevalley-Eilenberg cohomology of n_ell with coefficients in gr Q.
+def ce_cohomology(i_max: int, n_max: int, sctx: SliceContext) -> List[List[int]]:
+    """Chevalley-Eilenberg cohomology of n_ell with coefficients in gr Q:
+    dims[i][n] = dim H^i(n_ell, gr Q) in Kazhdan degree n, for i <= i_max
+    and n <= n_max.
 
     The truncation at Kazhdan degree n_max makes every graded block
     finite-dimensional; kernel and image ranks are exact.
     """
-    blocks = ce_blocks(i_max, n_max, sctx)
-    dims = {}
-    for n, (bases, diffs) in blocks.items():
+    dims: List[List[int]] = [[] for _ in range(i_max + 1)]
+    for n, (bases, diffs) in ce_blocks(i_max, n_max, sctx).items():
         ranks = [rank(d) for d in diffs]
         for i in range(i_max + 1):
-            dims[(i, n)] = len(bases[i]) - ranks[i] - (ranks[i - 1] if i else 0)
-    return CohomologyReport(i_max, n_max, dims)
+            dims[i].append(len(bases[i]) - ranks[i] - (ranks[i - 1] if i else 0))
+    return dims
 
 
-class CenterReport:
-    __slots__ = ("canonical_form", "degree", "nu_image", "ok")
-
-    def __init__(self, canonical_form, degree, nu_image, ok):
-        self.canonical_form = canonical_form
-        self.degree = degree
-        self.nu_image = nu_image
-        self.ok = ok
-
-
-def center_injects(hb: HBasis) -> CenterReport:
+def center_injects(hb: HBasis) -> Dict[str, object]:
     """The Casimir image (`SliceContext.casimir_image`) lies in H (of the
     basis hb), is nonconstant, with nonzero nu-image.  A degree hb.n_max
     below the image's Kazhdan degree is a DegreeOverflow; `walg run`
-    rejects it as bad input before any check runs.
+    rejects it as bad input before any check runs.  Returns
+    {"canonical_form", "degree", "nu_image"}: the image and its nu as
+    strings, and its Kazhdan degree.
     """
     sctx = hb.sctx
     img = sctx.casimir_image()
@@ -1025,21 +982,10 @@ def center_injects(hb: HBasis) -> CenterReport:
     nu = nu_map(img, sctx, deg)
     if nu.is_zero():
         raise CenterCheckFailure("Casimir image has zero nu-image", deg)
-    return CenterReport(str(img), deg, str(nu), True)
+    return {"canonical_form": str(img), "degree": deg, "nu_image": str(nu)}
 
 
-class ComparisonReport:
-    __slots__ = ("n_max", "dims1", "dims2", "bijective", "mult_pairs", "ok")
-
-    def __init__(self, **kw):
-        for k in self.__slots__:
-            setattr(self, k, kw[k])
-
-    def as_dict(self):
-        return {k: getattr(self, k) for k in self.__slots__}
-
-
-def ell_comparison(hb1: HBasis, hb2: HBasis) -> ComparisonReport:
+def ell_comparison(hb1: HBasis, hb2: HBasis) -> Dict[str, object]:
     """The natural map H_{ell1} -> H_{ell2} for ell1 inside ell2, on the
     bases hb1 and hb2, of one degree n_max.
 
@@ -1055,6 +1001,9 @@ def ell_comparison(hb1: HBasis, hb2: HBasis) -> ComparisonReport:
     f_i f_j = sum_k x_k f_k (`HBasis.form_products`, by rewriting) is
     sum_k x_k image_k, summed over the images' integer forms; it must
     equal the product of the images in Q_{ell2}, taken by left action.
+    Returns {"n_max", "dims1", "dims2", "bijective", "mult_pairs", "ok"};
+    a failed clause raises, so "bijective" is True in every degree and
+    "ok" is True.
     """
     sctx1, sctx2, n_max = hb1.sctx, hb2.sctx, hb1.n_max
     if hb2.n_max != n_max:
@@ -1088,6 +1037,6 @@ def ell_comparison(hb1: HBasis, hb2: HBasis) -> ComparisonReport:
             raise ComparisonFailure(
                 f"map fails to intertwine products on pair ({i},{j})")
         mult_pairs += 1
-    return ComparisonReport(n_max=n_max, dims1=hb1.gr_dims, dims2=hb2.gr_dims,
-                            bijective=[True] * (n_max + 1),
-                            mult_pairs=mult_pairs, ok=True)
+    return {"n_max": n_max, "dims1": hb1.gr_dims, "dims2": hb2.gr_dims,
+            "bijective": [True] * (n_max + 1), "mult_pairs": mult_pairs,
+            "ok": True}

@@ -89,8 +89,9 @@ def test_c02_decomposition():
         t0 = time.perf_counter()
         for name, sctx in all_case_contexts():
             rep = decomposition_check(sctx.lie, sctx.triple, sctx.grading,
-                                      sctx.pair)
-            assert rep.dim_a_perp == rep.dim_n + rep.dim_g0 + rep.dim_gm1, name
+                                      sctx.pair, sctx.kerf)
+            assert rep["dim_a_perp"] == \
+                rep["dim_n"] + rep["dim_g0"] + rep["dim_gm1"], name
         elapsed = time.perf_counter() - t0
         assert elapsed < 10, f"decomposition checks took {elapsed:.1f}s"
 
@@ -129,9 +130,8 @@ def test_c04_theorem_algebra_clause(sl2_hb, sl3_hb_zero, sl3_hb_lag,
                                     sl3_hb_principal):
     with criterion(4, "nu degreewise injective and multiplicative"):
         for hb in (sl2_hb, sl3_hb_zero, sl3_hb_lag, sl3_hb_principal):
-            rep = W.verify_theorem(hb)
-            assert rep.ok and all(rep.injective)
-            assert rep.mult_pairs > 0
+            _, table = W.verify_theorem(hb)  # a failed clause raises
+            assert len(table) > 0
 
 
 def test_c05_theorem_poisson_clause(sl2_ctx, sl2_hb, sl3_min_lag, sl3_hb_lag):
@@ -154,9 +154,9 @@ def test_c05_theorem_poisson_clause(sl2_ctx, sl2_hb, sl3_min_lag, sl3_hb_lag):
 def test_c06_ell_independence(sl3_hb_zero, sl3_hb_lag, sl3_hb_lag2):
     with criterion(6, "H_0 -> H_ell bijective for both sl3 Lagrangians"):
         for hb in (sl3_hb_lag, sl3_hb_lag2):
-            rep = W.ell_comparison(sl3_hb_zero, hb)
-            assert rep.ok and rep.mult_pairs > 0
-            assert rep.dims1 == rep.dims2 == SL3_MIN_DIMS_6
+            rep = W.ell_comparison(sl3_hb_zero, hb)  # a failed clause raises
+            assert rep["mult_pairs"] > 0
+            assert rep["dims1"] == rep["dims2"] == SL3_MIN_DIMS_6
 
 
 def test_c07_cohomology(sl2_ctx, sl2_hb, sl3_min_zero, sl3_hb_zero,
@@ -164,11 +164,11 @@ def test_c07_cohomology(sl2_ctx, sl2_hb, sl3_min_zero, sl3_hb_zero,
     with criterion(7, "H^0 = C[S], H^1 = 0, gr H^0(Q) = H^0(gr Q), n <= 6"):
         for sctx, hb in ((sl2_ctx, sl2_hb), (sl3_min_zero, sl3_hb_zero),
                          (sl3_min_lag, sl3_hb_lag)):
-            rep = W.ce_cohomology(1, 6, sctx)
+            h0, h1 = W.ce_cohomology(1, 6, sctx)
             slice_dims = brute_hilbert(sctx.slice_data.degrees, 6)
-            assert rep.row(0) == slice_dims
-            assert rep.row(1) == [0] * 7
-            assert hb.gr_dims[:7] == rep.row(0)
+            assert h0 == slice_dims
+            assert h1 == [0] * 7
+            assert hb.gr_dims[:7] == h0
 
 
 def test_c08_whittaker_identification(sl2_hb, sl3_hb_lag, sl3_hb_lag2):
@@ -183,8 +183,7 @@ def test_c09_center_injects(sl2_ctx, sl2_hb, sl3_hb_zero, sl3_hb_lag,
                             sl3_hb_principal):
     with criterion(9, "Casimir image in H, nonconstant, nonzero nu-image"):
         for hb in (sl2_hb, sl3_hb_zero, sl3_hb_lag, sl3_hb_principal):
-            rep = W.center_injects(hb)
-            assert rep.ok
+            W.center_injects(hb)  # a failed clause raises
         # sl2: kappa(e,f) q(Omega) is exactly 2e - h + h^2/2, nu-image 2t
         B = sl2_ctx.basis
         img = W.q_canonical_form(casimir(B), sl2_ctx)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from walg import cli, whittaker
+from walg import cli, liealg, whittaker
 from walg.cli import CHECK_NAMES, JobConfig, main, render_report, run
 from walg.errors import ConfigError, TheoremFailure
 
@@ -474,6 +474,24 @@ def test_ell_independence_failure_witness_is_first_failing_degree(monkeypatch):
                  "--checks", "ell-independence", "--quiet"]) == 1
 
 
+def test_decomposition_failure_witness_is_the_dimensions(monkeypatch):
+    """Negative control: with every rank in `decomposition_check` one short,
+    [n_ell, e] + Ker ad f misses a^perp.  The entry's witness is the
+    dimensions the check read, without the "ok" of a passing entry."""
+    true_rank = liealg.rank_of_rows
+    monkeypatch.setattr(liealg, "rank_of_rows",
+                        lambda rows, ncols: true_rank(rows, ncols) - 1)
+    config = JobConfig(algebra="sl3", nilpotent="minimal", max_degree=2,
+                       checks=["decomposition"])
+    (entry,) = run(config)["checks"]
+    assert entry == {
+        "name": "decomposition", "status": "fail",
+        "details": {"error": "DecompositionFailure",
+                    "message": "[n_ell,e] + Ker ad f != a^perp"},
+        "witness": {"dim_a_perp": 7, "dim_bracket_ne": 2, "dim_kerf": 4,
+                    "dim_n": 3, "dim_g0": 2, "dim_gm1": 2}}
+
+
 SL3_DIVIDE_BY_ZERO = "1/0," + ",".join(["0"] * 7)
 SL2_FILE = {"labels": ["e", "h", "f"],
             "brackets": [{"i": 0, "j": 1, "value": [[0, "-2"]]},
@@ -550,9 +568,9 @@ def test_a_failing_h_basis_is_built_once_per_degree(monkeypatch):
     """With only the first generator of n_ell, h_basis fails the theorem at
     degree 1.  The case keeps that failure: every check that needs H gets
     it again, with its message and degree, from one build on the case's
-    context.  The second build is on the Lagrangian context of
-    `ell-independence`, which is built first there and fails at degree 2:
-    that entry carries its failure."""
+    context.  `ell-independence` asks for the case's basis before it
+    builds the other context's, so it carries the same failure and no
+    second basis is built."""
     first = whittaker.n_ell_generators
     monkeypatch.setattr(whittaker, "n_ell_generators",
                         lambda sctx: first(sctx)[:1])
@@ -566,28 +584,22 @@ def test_a_failing_h_basis_is_built_once_per_degree(monkeypatch):
     config = dict(algebra="sl3", nilpotent="minimal", max_degree=6,
                   checks=["theorem", "cohomology", "center", "ell-independence"])
     report = strip_timing(run(JobConfig(**config)))
-    case_builds = [n for n, sctx in built if sctx is built[0][1]]
-    assert case_builds == [6] and len(built) == 2
+    assert [n for n, _ in built] == [6]
     failed = {entry["name"]: entry for entry in report["checks"]
               if entry["status"] == "fail"}
     assert set(failed) == set(config["checks"])
-    for name in ("theorem", "cohomology", "center"):
+    for name in config["checks"]:
         assert failed[name]["details"] == {
             "error": "TheoremFailure",
             "message": "dim gr_1 H = 1 != 0 = dim C[S]_1"}, name
         assert failed[name]["witness"] == {"degree": 1}, name
-    assert failed["ell-independence"]["details"] == {
-        "error": "TheoremFailure",
-        "message": "dim gr_2 H = 2 != 1 = dim C[S]_2"}
-    assert failed["ell-independence"]["witness"] == {"degree": 2}
-    # the same report as when every check builds the basis itself
+    # the same report as when every check builds the basis itself, each on
+    # the case's context
     monkeypatch.setattr(cli.Case, "hb_at",
                         lambda self, n: recorded(n, self.sctx))
     built.clear()
     assert strip_timing(run(JobConfig(**config))) == report
-    # ell-independence fails on its Lagrangian context before it builds on
-    # the case's
-    assert len([1 for _, sctx in built if sctx is built[0][1]]) == 3
+    assert len(built) == 4 and all(sctx is built[0][1] for _, sctx in built)
 
 
 def test_a_dropped_n_ell_generator_fails_every_check_of_h(monkeypatch):

@@ -6,6 +6,9 @@ the module, including inside string annotations such as `-> "SparseMatrix"`.
 A function, class or method counts as referenced when its name occurs as a
 whole word in src/, tests/ or perfbench/ outside its own def line; the
 search is textual because perfbench calls into walg from code strings.
+Every `__slots__` entry of a class is read, as an attribute `.name` that
+is loaded (not only assigned), somewhere in src/, tests/ or perfbench/: a
+field that is only ever written is dead weight.
 Arithmetic is exact (Fraction and int), so a float or complex literal, or
 a read of the name `float`, is an error.  PBW straightening runs on
 integer numerators, so the straightening functions of `walg.backend` may
@@ -158,6 +161,53 @@ def test_no_unreferenced_definitions():
     searched = {p: p.read_text(encoding="utf-8") for p in SEARCHED}
     checked = {p: searched[p] for p in MODULES}
     assert unreferenced_definitions(checked, searched) == []
+
+
+def slot_entries(source):
+    """(class, entry) of every entry of a class's `__slots__`."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in item.targets):
+                    for elt in item.value.elts:
+                        yield node.name, elt.value
+
+
+def unread_slots(checked, searched):
+    """`Class.entry` for every `__slots__` entry in the `checked` sources
+    that no `searched` source loads as an attribute; an assignment, an
+    augmented one included, or a name in a string is not a read.
+
+    Both map a path to its text, and `searched` includes `checked`."""
+    reads = {n.attr for text in searched.values() for n in ast.walk(ast.parse(text))
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted(f"{cls}.{entry}" for text in checked.values()
+                  for cls, entry in slot_entries(text) if entry not in reads)
+
+
+def test_finds_unread_slots():
+    lib = ("class A:\n"
+           "    __slots__ = ('read', 'written', 'counted', 'elsewhere')\n"
+           "    def __init__(self):\n"
+           "        self.read = self.written = self.elsewhere = 1\n"
+           "        self.counted = 0\n"
+           "    def step(self):\n"
+           "        self.counted += 1\n"
+           "        return self.read\n"
+           "class B:\n"
+           "    __slots__ = ['only_named']\n")
+    sources = {"lib.py": lib,
+               "run.py": "x = A().elsewhere\nnote = 'b.only_named'\n"}
+    assert unread_slots({"lib.py": lib}, sources) == [
+        "A.counted", "A.written", "B.only_named"]
+
+
+def test_no_unread_slots():
+    searched = {p: p.read_text(encoding="utf-8") for p in SEARCHED}
+    checked = {p: searched[p] for p in MODULES}
+    assert unread_slots(checked, searched) == []
 
 
 def inexact_uses(source):

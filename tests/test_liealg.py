@@ -1,5 +1,6 @@
 """Lie algebra layer: construction, triples, gradings, slice data."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walg import liealg
-from walg.errors import (DegenerateKillingForm, JacobiViolation, NotIsotropic,
-                         NotInsideGm1, NotNilpotent, WalgError)
+from walg.errors import (DecompositionFailure, DegenerateKillingForm,
+                         JacobiViolation, NotIsotropic, NotInsideGm1,
+                         NotNilpotent, WalgError)
 from walg.liealg import (LieAlgebra, Sl2Triple, ad_h_grading, chi,
                          complete_sl2_triple, decomposition_check,
                          highest_root_triple, ker_ad_f, lagrangian_auto,
@@ -334,24 +336,51 @@ def test_ker_ad_f_principal_is_rank(sl3_principal):
 
 def test_decomposition_sl2(sl2_ctx):
     rep = decomposition_check(sl2_ctx.lie, sl2_ctx.triple, sl2_ctx.grading,
-                              sl2_ctx.pair)
-    assert rep.dim_a_perp == 2
-    assert rep.dim_bracket_ne == 1 and rep.dim_kerf == 1
+                              sl2_ctx.pair, sl2_ctx.kerf)
+    assert rep["dim_a_perp"] == 2
+    assert rep["dim_bracket_ne"] == 1 and rep["dim_kerf"] == 1
 
 
 @pytest.mark.parametrize("fixture", ["sl3_min_zero", "sl3_min_lag",
                                      "sl3_min_lag2", "sl3_principal", "sl4_211"])
 def test_decomposition_cases(fixture, request):
     sctx = request.getfixturevalue(fixture)
-    rep = decomposition_check(sctx.lie, sctx.triple, sctx.grading, sctx.pair)
-    assert rep.dim_a_perp == rep.dim_n + rep.dim_g0 + rep.dim_gm1
-    assert rep.dim_a_perp == rep.dim_bracket_ne + rep.dim_kerf
+    rep = decomposition_check(sctx.lie, sctx.triple, sctx.grading, sctx.pair,
+                              sctx.kerf)
+    assert rep["dim_a_perp"] == rep["dim_n"] + rep["dim_g0"] + rep["dim_gm1"]
+    assert rep["dim_a_perp"] == rep["dim_bracket_ne"] + rep["dim_kerf"]
 
 
 def test_decomposition_sl3_lagrangian_dims(sl3_min_lag):
     rep = decomposition_check(sl3_min_lag.lie, sl3_min_lag.triple,
-                              sl3_min_lag.grading, sl3_min_lag.pair)
-    assert (rep.dim_a_perp, rep.dim_bracket_ne, rep.dim_kerf) == (6, 2, 4)
+                              sl3_min_lag.grading, sl3_min_lag.pair,
+                              sl3_min_lag.kerf)
+    assert (rep["dim_a_perp"], rep["dim_bracket_ne"], rep["dim_kerf"]) == \
+        (6, 2, 4)
+
+
+@pytest.mark.parametrize("change, message, dim_kerf", [
+    ("add an image", "[n_ell,e] meets Ker ad f", 5),
+    ("drop a vector", "[n_ell,e] + Ker ad f != a^perp", 3),
+])
+def test_decomposition_rejects_a_wrong_kerf(sl3_min_lag, change, message,
+                                            dim_kerf):
+    """Negative control: in place of Ker ad f, a space that meets [n_ell, e]
+    (Ker ad f plus [x, e] for the first x of n_ell) or one too small (its
+    last basis vector dropped).  The witness is the dimensions alone."""
+    sctx = sl3_min_lag
+    L, kerf = sctx.lie, sctx.kerf
+    if change == "add an image":
+        x = sctx.pair.n_graded[0][0]
+        vectors = list(kerf.basis) + [L.bracket(x, sctx.triple.e)]
+    else:
+        vectors = list(kerf.basis)[:-1]
+    with pytest.raises(DecompositionFailure, match=re.escape(message)) as err:
+        decomposition_check(L, sctx.triple, sctx.grading, sctx.pair,
+                            Subspace(L.dim, vectors))
+    assert err.value.dims == {"dim_a_perp": 6, "dim_bracket_ne": 2,
+                              "dim_kerf": dim_kerf, "dim_n": 2, "dim_g0": 2,
+                              "dim_gm1": 2}
 
 
 @pytest.mark.parametrize("fixture", ["sl2_ctx", "sl3_min_zero", "sl3_min_lag",

@@ -185,9 +185,8 @@ def test_nu_map_examples(sl2_ctx, sl2_hb):
 
 
 def test_verify_theorem_small(sl2_hb):
-    rep = W.verify_theorem(sl2_hb)
-    assert rep.ok and all(rep.injective)
-    assert rep.gr_dims == rep.slice_dims
+    W.verify_theorem(sl2_hb)  # a failed clause raises
+    assert sl2_hb.gr_dims == sl2_hb.sctx.hilbert_slice(sl2_hb.n_max)
 
 
 def test_gr_commutator_vs_poisson_sl2(sl2_hb):
@@ -219,19 +218,19 @@ def test_whittaker_needs_lagrangian(sl3_min_zero):
 
 
 def test_ce_cohomology_sl2(sl2_ctx, sl2_hb):
-    rep = W.ce_cohomology(1, 6, sl2_ctx)
-    assert rep.row(0) == [1, 0, 0, 0, 1, 0, 0]
-    assert rep.row(1) == [0] * 7
-    assert rep.dim(0, 0) == 1
-    assert rep.row(0) == sl2_hb.gr_dims[:7]
+    h0, h1 = W.ce_cohomology(1, 6, sl2_ctx)
+    assert h0 == [1, 0, 0, 0, 1, 0, 0]
+    assert h1 == [0] * 7
+    assert h0[0] == 1
+    assert h0 == sl2_hb.gr_dims[:7]
 
 
 def test_ce_cohomology_sl3(sl3_min_zero, sl3_min_lag, sl3_hb_zero, sl3_hb_lag):
     for sctx, hb in ((sl3_min_zero, sl3_hb_zero), (sl3_min_lag, sl3_hb_lag)):
-        rep = W.ce_cohomology(1, 6, sctx)
-        assert rep.row(0) == sctx.hilbert_slice(6)
-        assert rep.row(1) == [0] * 7
-        assert rep.row(0) == hb.gr_dims
+        h0, h1 = W.ce_cohomology(1, 6, sctx)
+        assert h0 == sctx.hilbert_slice(6)
+        assert h1 == [0] * 7
+        assert h0 == hb.gr_dims
 
 
 @pytest.mark.parametrize("ctx_name", ["sl3_min_zero", "sl4_211", "sl4_regular"])
@@ -339,21 +338,19 @@ def test_ce_blocks_form_each_derivation_once(monkeypatch, sl4_211):
 @pytest.mark.parametrize("ctx_name,n_max", [("sl4_regular", 6), ("sl4_211", 4)])
 def test_ce_cohomology_vanishes_beyond_h0(request, ctx_name, n_max):
     sctx = request.getfixturevalue(ctx_name)
-    rep = W.ce_cohomology(3, n_max, sctx)
-    assert rep.row(0) == sctx.hilbert_slice(n_max)
+    dims = W.ce_cohomology(3, n_max, sctx)
+    assert dims[0] == sctx.hilbert_slice(n_max)
     for i in (1, 2, 3):
-        assert rep.row(i) == [0] * (n_max + 1), i
+        assert dims[i] == [0] * (n_max + 1), i
 
 
 def test_center_injects(sl2_hb, sl3_hb_lag, sl3_hb_principal):
-    rep = W.center_injects(sl2_hb)
-    assert rep.degree == 4
-    assert rep.canonical_form == "-1/4*h + 1/2*e + 1/8*h^2"
-    assert rep.nu_image == "1/2*t1"
-    rep3 = W.center_injects(sl3_hb_lag)
-    assert rep3.ok and rep3.degree == 4
-    repp = W.center_injects(sl3_hb_principal)
-    assert repp.ok and repp.degree == 4
+    assert W.center_injects(sl2_hb) == {
+        "canonical_form": "-1/4*h + 1/2*e + 1/8*h^2", "degree": 4,
+        "nu_image": "1/2*t1"}
+    # a failed clause raises
+    assert W.center_injects(sl3_hb_lag)["degree"] == 4
+    assert W.center_injects(sl3_hb_principal)["degree"] == 4
 
 
 def test_ideal_kills_h_representatives(sl3_min_lag, sl3_hb_lag):
@@ -375,8 +372,7 @@ def test_ideal_kills_h_representatives(sl3_min_lag, sl3_hb_lag):
 
 
 def test_ell_comparison_identity(sl3_hb_lag):
-    rep = W.ell_comparison(sl3_hb_lag, sl3_hb_lag)
-    assert rep.ok
+    W.ell_comparison(sl3_hb_lag, sl3_hb_lag)  # a failed clause raises
 
 
 def test_ell_comparison_rejects_non_nested(sl3_min_lag, sl3_min_lag2):
@@ -393,15 +389,16 @@ def test_ell_comparison_needs_bases_of_one_degree(sl3_min_zero, sl3_min_lag,
         with pytest.raises(WalgError,
                            match=f"degrees {hb1.n_max} and {hb2.n_max}"):
             W.ell_comparison(hb1, hb2)
-    assert W.ell_comparison(low_zero, low_lag).ok
+    W.ell_comparison(low_zero, low_lag)  # a failed clause raises
 
 
 def test_ell_comparison_zero_into_lagrangians(sl3_hb_zero, sl3_hb_lag,
                                               sl3_hb_lag2):
+    # a failed clause raises
     rep1 = W.ell_comparison(sl3_hb_zero, sl3_hb_lag)
     rep2 = W.ell_comparison(sl3_hb_zero, sl3_hb_lag2)
-    assert rep1.ok and rep2.ok
-    assert rep1.dims1 == rep1.dims2 == rep2.dims2 == [1, 0, 1, 2, 2, 2, 5]
+    assert rep1["dims1"] == rep1["dims2"] == rep2["dims2"] == \
+        [1, 0, 1, 2, 2, 2, 5]
 
 
 def test_ell_comparison_detects_a_map_that_breaks_products(
@@ -492,9 +489,10 @@ def test_nested_ell_chain_sl4(sl4, sl4_211):
     hb1 = W.h_basis(4, ctx1)
     hbL = W.h_basis(4, ctxL)
     assert hb0.gr_dims == hb1.gr_dims == hbL.gr_dims == [1, 0, 4, 4, 11]
-    assert W.ell_comparison(hb0, hb1).ok
-    assert W.ell_comparison(hb1, hbL).ok
-    assert W.ell_comparison(hb0, hbL).ok
+    # a failed clause raises
+    W.ell_comparison(hb0, hb1)
+    W.ell_comparison(hb1, hbL)
+    W.ell_comparison(hb0, hbL)
 
 
 # -- read-off from the echelon against the elimination it replaces ---------
@@ -701,9 +699,8 @@ def test_one_generator_is_not_enough(monkeypatch, tmp_path, sl3_min_zero):
 
 def test_theorem_table_is_multiplication_table(sl3_hb_lag, sl2_hb):
     for hb in (sl3_hb_lag, sl2_hb):
-        rep = W.verify_theorem(hb)
-        assert rep.table == hb.multiplication_table()
-        assert rep.mult_pairs == len(rep.table)
+        _, table = W.verify_theorem(hb)
+        assert table == hb.multiplication_table()
 
 
 def test_degree_beyond_range_overflows(sl2_ctx):
@@ -753,11 +750,11 @@ def test_one_read_off_per_product(monkeypatch, sl3_hb_zero, sl3_hb_lag):
         hb.commutators()
         assert hb.words is not None and hb.elements
     calls.clear()
-    rep = W.verify_theorem(sl3_hb_lag)
-    assert calls == [] and rep.mult_pairs > 0
+    _, table = W.verify_theorem(sl3_hb_lag)
+    assert calls == [] and len(table) > 0
     # one membership check per transported form, and none per product
     cmp = W.ell_comparison(sl3_hb_zero, sl3_hb_lag)
-    assert len(calls) == len(sl3_hb_zero.forms) > 0 < cmp.mult_pairs
+    assert len(calls) == len(sl3_hb_zero.forms) > 0 < cmp["mult_pairs"]
 
 
 def counting(monkeypatch, owner, name):
@@ -1010,7 +1007,7 @@ def test_rewriting_table_matches_left_action(all_routes):
 def test_ell_comparison_either_route(routes):
     _, other, hb, kb = routes
     hb2 = W.h_basis(hb.n_max, other)
-    reports = [W.ell_comparison(hb1, hb2).as_dict() for hb1 in (hb, kb)]
+    reports = [W.ell_comparison(hb1, hb2) for hb1 in (hb, kb)]
     assert reports[0] == reports[1]
     assert reports[0]["mult_pairs"] == len(list(hb.product_pairs()))
 
