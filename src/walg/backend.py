@@ -16,7 +16,7 @@ Data layout (shared with the rest of the package):
   is an int when it is a whole number, so on an integral basis every
   straightening step is integer arithmetic.
 * caches    -- plain dicts memoizing the straightening of generator times
-  monomial, one per PBW basis and direction.
+  monomial, one per PBW basis.
 
 `MonomialMap` extends a map given on generators to monomials, building
 each image once, from its suffix, as an integer form (den, ints) from
@@ -85,32 +85,6 @@ def gen_times_mono(g, mono, bracket, cache):
     return out
 
 
-def mono_times_gen(mono, g, bracket, cache):
-    """Straighten mono * x_g (right multiplication by a generator)."""
-    if not mono:
-        return {((g, 1),): _ONE}
-    hit = cache.get((mono, g))
-    if hit is not None:
-        return hit
-    j, e = mono[-1]
-    if g > j:
-        out = {mono + ((g, 1),): _ONE}
-    elif g == j:
-        out = {mono[:-1] + ((g, e + 1),): _ONE}
-    else:
-        head = mono[:-1] + ((j, e - 1),) if e > 1 else mono[:-1]
-        out = {}
-        for n1, c1 in mono_times_gen(head, g, bracket, cache).items():
-            for n2, c2 in mono_times_gen(n1, j, bracket, cache).items():
-                _acc(out, n2, c1 * c2)
-        for k, c in bracket.get((g, j), ()):
-            # [x_j, x_g] = -[x_g, x_j]
-            for n1, c1 in mono_times_gen(head, k, bracket, cache).items():
-                _acc(out, n1, -c * c1)
-    cache[(mono, g)] = out
-    return out
-
-
 def _gen_times_terms(g, terms, bracket, cache):
     out = {}
     get = out.get
@@ -125,14 +99,6 @@ def _gen_times_terms(g, terms, bracket, cache):
                     out[n] = v
                 else:
                     del out[n]
-    return out
-
-
-def _terms_times_gen(terms, g, bracket, cache):
-    out = {}
-    for mono, c in terms.items():
-        for n, c1 in mono_times_gen(mono, g, bracket, cache).items():
-            _acc(out, n, c * c1)
     return out
 
 
@@ -227,7 +193,8 @@ def mul_terms(t1, t2, bracket, cache):
     The map x_g s -> x_g (s t2) applied to t1: each generator straightens
     onto the product of its suffix with t2, so straightening proceeds
     left-to-right through the concatenated word, and a suffix shared by
-    monomials of t1 is straightened once.
+    monomials of t1 is straightened once.  The tests cross-check it
+    against right-to-left straightening (`tests/reference.py`).
     """
     def step(g, img):
         return img[0], _gen_times_terms(g, img[1], bracket, cache)
@@ -305,23 +272,6 @@ def word_map(base, relations, cache):
         return scale, {m: v for m, v in out.items() if v}
 
     return MonomialMap(step, base)
-
-
-def mul_terms_rl(t1, t2, bracket, cache):
-    """PBW product reducing right-to-left; cross-check for `mul_terms`."""
-    out = {}
-    for mono, c in t2.items():
-        if not mono:
-            for n, c1 in t1.items():
-                _acc(out, n, c * c1)
-            continue
-        acc = t1
-        for idx, exp in mono:
-            for _ in range(exp):
-                acc = _terms_times_gen(acc, idx, bracket, cache)
-        for n, c1 in acc.items():
-            _acc(out, n, c * c1)
-    return out
 
 
 # ---------------------------------------------------------------------------

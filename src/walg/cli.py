@@ -110,7 +110,10 @@ class Case:
         e, h, f = triple_vectors
         ell = config.ell
         if ell == "file":
-            ell_vectors = _parse_vectors(extras.get("ell", []), self.lie.dim,
+            if "ell" not in extras:
+                raise ConfigError("--ell file needs an algebra file with an "
+                                  "'ell' entry")
+            ell_vectors = _parse_vectors(extras["ell"], self.lie.dim,
                                          "ell of the algebra file")
             self.sctx = build_context(self.lie, e, ell_vectors, h=h, f=f)
         elif ell in ("zero", "lagrangian-auto"):
@@ -180,9 +183,7 @@ class Case:
 
 
 def check_structure(case: Case):
-    sctx = case.sctx
-    flags = liealg.structure_checks(case.lie, sctx.triple, sctx.grading,
-                                    sctx.pair, sctx.chi)
+    flags = liealg.structure_checks(case.lie, case.sctx.grading)
     bad = [k for k, v in flags.items() if not v]
     return (not bad, {"flags": flags},
             {"failed": bad} if bad else None)

@@ -18,7 +18,7 @@ from walg.pbw import PBWBasis, UEAElement, casimir
 
 class SliceContext:
     __slots__ = ("lie", "triple", "grading", "chi", "symp", "pair", "kerf",
-                 "kerf_graded", "basis", "full_chart", "comp_chart",
+                 "kerf_graded", "basis", "comp_chart",
                  "slice_data", "reduction", "_transversal", "_casimir")
 
     def __init__(self, lie: LieAlgebra, triple: Sl2Triple,
@@ -34,7 +34,6 @@ class SliceContext:
         self.kerf = liealg.ker_ad_f(lie, triple)
         self.kerf_graded = self._graded_kerf()
         self.basis = PBWBasis.adapted(lie, self.grading, self.pair, self.chi)
-        self.full_chart = poisson.full_chart(self.basis)
         self.comp_chart = poisson.complement_chart(self.basis)
         self.slice_data = poisson.SliceData(self.basis, self.kerf_graded,
                                             self.chi.kappa_ef)

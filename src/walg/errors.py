@@ -64,10 +64,6 @@ class DecompositionFailure(WalgError):
 
 # -- enveloping algebra / filtration ----------------------------------------
 
-class DegreeTooLow(WalgError):
-    """Requested symbol degree is below the element's filtration degree."""
-
-
 class DegreeOverflow(WalgError):
     """Operation needs data beyond the computed degree range."""
 

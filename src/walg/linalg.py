@@ -52,10 +52,6 @@ def exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def unit_vec(dim: int, k: int) -> Vector:
-    return tuple(QQ(1) if i == k else QQ(0) for i in range(dim))
-
-
 def scale_vec(c, v: Vector) -> Vector:
     c = QQ(c)
     return tuple(c * a for a in v)

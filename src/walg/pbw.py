@@ -7,10 +7,9 @@ that order, canonical forms in the quotient module Q_ell are obtained by
 chopping trailing a-factors (see walg.whittaker).
 
 Monomial/term layout is shared with walg.backend; straightening products
-are memoized per basis, and the product and the change of basis
-(`convert_element`) are both a `backend.MonomialMap`.  `GradedTerms`
-holds what an element shares with its symbol, a polynomial of
-walg.poisson: sums, Kazhdan degrees and the printed form.
+are memoized per basis, and the product is a `backend.MonomialMap`.
+`GradedTerms` holds what an element shares with its symbol, a polynomial
+of walg.poisson: sums, Kazhdan degrees and the printed form.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from walg import backend
-from walg.errors import DegreeTooLow, WalgError
+from walg.errors import WalgError
 from walg.liealg import (CharacterChi, GradedDecomposition, LieAlgebra,
                          NilpotentPair)
 from walg.linalg import QQ, Echelon, SparseMatrix, Vector, exact, vec
@@ -32,7 +31,7 @@ class PBWBasis:
 
     __slots__ = ("lie", "vectors", "weights", "degrees", "labels",
                  "n_complement", "bracket", "chi_vals", "_inverse",
-                 "_cache_left", "_cache_right", "charts")
+                 "_cache_left", "charts")
 
     def __init__(self, lie: LieAlgebra, graded_vectors: Sequence[Tuple[Vector, int]],
                  n_complement: int, chi_fn: CharacterChi):
@@ -54,7 +53,6 @@ class PBWBasis:
         self.bracket = self._structure_constants()
         self.chi_vals = tuple(exact(chi_fn(v)) for v in self.vectors)
         self._cache_left: dict = {}
-        self._cache_right: dict = {}
         # polynomial charts on these generators, by kind (see walg.poisson)
         self.charts: dict = {}
 
@@ -230,10 +228,6 @@ class GradedTerms:
 
     # -- Kazhdan grading ------------------------------------------------------
 
-    def monomial_degree(self, m: Monomial) -> int:
-        degrees = self._space().degrees
-        return sum(e * degrees[i] for i, e in m)
-
     def kazhdan_degree(self) -> Optional[int]:
         """Max of i + 2j over terms; None (bottom) for the zero element."""
         if not self.terms:
@@ -245,9 +239,6 @@ class GradedTerms:
         degrees = self._space().degrees
         return {m: c for m, c in self.terms.items()
                 if sum(e * degrees[i] for i, e in m) == n}
-
-    def is_homogeneous(self) -> bool:
-        return len(set(map(self.monomial_degree, self.terms))) <= 1
 
     def __str__(self):
         if not self.terms:
@@ -300,21 +291,6 @@ class UEAElement(GradedTerms):
         return (isinstance(other, UEAElement) and self.basis is other.basis
                 and self.terms == other.terms)
 
-    def symbol_terms(self, n: int) -> Terms:
-        """Terms of Kazhdan degree exactly n (the image in gr_n Ug)."""
-        deg = self.kazhdan_degree()
-        if deg is not None and deg > n:
-            raise DegreeTooLow(f"element has degree {deg} > {n}")
-        return self.homogeneous_terms(n)
-
-
-def pbw_multiply_rl(u: UEAElement, v: UEAElement) -> UEAElement:
-    """Product straightened right-to-left; confluence cross-check."""
-    u._check(v)
-    b = u.basis
-    out = backend.mul_terms_rl(u.terms, v.terms, b.bracket, b._cache_right)
-    return UEAElement(b, out)
-
 
 def commutator(u: UEAElement, v: UEAElement) -> UEAElement:
     """uv - vu; drops two Kazhdan degrees."""
@@ -340,23 +316,3 @@ def casimir(basis: PBWBasis) -> UEAElement:
         if not commutator(omega, basis.generator(k)).is_zero():
             raise WalgError("Casimir fails to be central")
     return omega
-
-
-def convert_element(u: UEAElement, target: PBWBasis) -> UEAElement:
-    """Rewrite u over another PBW basis of the same ambient algebra.
-
-    The algebra map fixed by the generator images over `target`: a
-    monomial's image is that of its first generator times that of its
-    suffix, each built once per call (`backend.MonomialMap`).
-    """
-    if u.basis.lie is not target.lie:
-        raise WalgError("conversion requires the same underlying algebra")
-    images = [backend.int_form(target.element_from_ambient(v).terms)
-              for v in u.basis.vectors]
-    bracket, cache = target.bracket, target._cache_left
-
-    def step(g, img):
-        den, ints = images[g]
-        return den * img[0], backend.mul_terms(ints, img[1], bracket, cache)
-
-    return UEAElement(target, backend.MonomialMap(step, {(): 1})(u.terms))

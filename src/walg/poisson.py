@@ -43,7 +43,7 @@ from walg import backend
 from walg.errors import (ChartMismatch, LiftFailure, NotNilpotentCoadjoint,
                          WalgError)
 from walg.linalg import QQ, SparseMatrix, Vector, solve_columns, vec
-from walg.pbw import GradedTerms, Monomial, PBWBasis, Terms, UEAElement
+from walg.pbw import GradedTerms, Monomial, PBWBasis, Terms
 
 ZERO = QQ(0)
 ONE = QQ(1)
@@ -226,11 +226,6 @@ class Substitution:
         return backend.combine([(c, self._memo.image(m)) for m, c in terms.items()])
 
 
-def symbol(u: UEAElement, n: int, chart: Chart) -> KazhdanPolynomial:
-    """Image of u in gr_n, as a commutative polynomial on the full chart."""
-    return KazhdanPolynomial(chart, u.symbol_terms(n))
-
-
 # ---------------------------------------------------------------------------
 # monomial enumeration and Hilbert series
 # ---------------------------------------------------------------------------
@@ -341,12 +336,11 @@ class SliceData:
     substitution they define.
     """
 
-    __slots__ = ("kerf_graded", "degrees", "chart", "nu_images", "nu", "basis")
+    __slots__ = ("degrees", "chart", "nu_images", "nu", "basis")
 
     def __init__(self, basis: PBWBasis, kerf_graded: Sequence[Tuple[Vector, int]],
                  kappa_ef: QQ):
         self.basis = basis
-        self.kerf_graded = tuple(kerf_graded)
         self.degrees = tuple(2 - w for _, w in kerf_graded)
         self.chart = Chart("slice", [f"t{k + 1}" for k in range(len(self.degrees))],
                            self.degrees)
@@ -373,24 +367,23 @@ class SliceData:
 
 
 class CoadjointFlow:
-    """exp(t ad* x) for nilpotent x, stored as exact sparse Taylor layers.
+    """exp(t ad* x) for nilpotent x, kept as the pullback of the coordinates.
 
-    `_layers[k]` holds the entries (row, col) -> value of (ad x)^k / k! on
-    the adapted basis; the pullback of the coordinate function y_p under
-    the time-t flow is sum_k (-t)^k sum_q (ad x)^k / k! [q, p] y_q.
-    `_pullback` substitutes that for each complement y_p, with the
-    a-coordinates replaced by their chi-values, into the complement chart
-    plus one variable t of degree 0, the last.
+    The Taylor layers (ad x)^k / k! on the adapted basis are exact and
+    sparse, entries (row, col) -> value; the pullback of the coordinate
+    function y_p under the time-t flow is
+    sum_k (-t)^k sum_q (ad x)^k / k! [q, p] y_q.  `_pullback` substitutes
+    that for each complement y_p, with the a-coordinates replaced by their
+    chi-values, into the complement chart plus one variable t of degree 0,
+    the last.
     """
 
-    __slots__ = ("basis", "x", "_layers", "_pullback")
+    __slots__ = ("_pullback",)
 
     def __init__(self, basis: PBWBasis, x: Sequence):
         d = basis.lie.dim
-        self.basis = basis
-        self.x = vec(x, d)
         A = SparseMatrix(d, d, {(k, p): c for p, col in
-                                enumerate(basis.ad_coords(self.x))
+                                enumerate(basis.ad_coords(vec(x, d)))
                                 for k, c in col.items()})
         powers = A.nilpotent_powers()
         if powers is None:
@@ -400,12 +393,11 @@ class CoadjointFlow:
         for k, P in enumerate(powers, 1):
             fact *= k
             layers.append({rc: v / fact for rc, v in P.entries.items()})
-        self._layers = tuple(layers)
         comp = complement_chart(basis)
         nc = basis.n_complement
         chart = Chart("flow", comp.labels + ("t",), comp.degrees + (0,))
         terms: List[Terms] = [{} for _ in range(nc)]
-        for k, layer in enumerate(self._layers):
+        for k, layer in enumerate(layers):
             t_k = ((nc, k),) if k else ()
             for (q, p), v in layer.items():
                 if p >= nc:
@@ -419,33 +411,6 @@ class CoadjointFlow:
                 terms[p][m] = terms[p].get(m, ZERO) + v
         self._pullback = Substitution(
             comp, [KazhdanPolynomial(chart, t) for t in terms], chart)
-
-    @property
-    def layers(self) -> Tuple[Tuple[Tuple[QQ, ...], ...], ...]:
-        """The Taylor layers (ad x)^k / k! as dense matrices."""
-        d = self.basis.lie.dim
-        return tuple(tuple(tuple(layer.get((r, c), ZERO) for c in range(d))
-                           for r in range(d)) for layer in self._layers)
-
-    def matrix_at(self, t) -> Tuple[Tuple[QQ, ...], ...]:
-        """exp(t ad x) as an exact matrix."""
-        t = QQ(t)
-        d = self.basis.lie.dim
-        out = [[ZERO] * d for _ in range(d)]
-        power = ONE
-        for layer in self._layers:
-            for (r, c), v in layer.items():
-                out[r][c] += power * v
-            power *= t
-        return tuple(tuple(row) for row in out)
-
-    def point_at(self, row: Sequence, t) -> Vector:
-        """Image of a covector (coordinate row <xi, v_q>) under exp(t ad* x)."""
-        d = self.basis.lie.dim
-        M = self.matrix_at(-QQ(t))
-        row = vec(row, d)
-        return tuple(sum((row[p] * M[p][q] for p in range(d) if row[p]), ZERO)
-                     for q in range(d))
 
     def pullback_formal(self, F: KazhdanPolynomial) -> Dict[int, KazhdanPolynomial]:
         """F composed with the time-t flow, collected by powers of t.

@@ -60,11 +60,6 @@ from walg.poisson import KazhdanPolynomial
 ONE = QQ(1)
 
 
-def q_canonical_form(u: UEAElement, sctx: SliceContext) -> UEAElement:
-    """Image of u in Q_ell as its canonical complement-monomial form."""
-    return UEAElement(sctx.basis, sctx.basis.chi_reduce(u.terms))
-
-
 # ---------------------------------------------------------------------------
 # The left action on Q.
 #
@@ -759,35 +754,14 @@ def verify_theorem(hb: HBasis) -> Tuple[List[KazhdanPolynomial], Dict]:
     return nus, table
 
 
-def gr_commutator_vs_poisson(a: UEAElement, b: UEAElement, hb: HBasis) -> bool:
-    """Compare nu(gr[a,b]) with the reduced slice bracket of the symbols.
-
-    The two sides come from independent pipelines: PBW commutator followed
-    by nu versus invariant lift / Lie-Poisson / restriction.  The tests'
-    oracle for `gr_commutators_vs_poisson`, with its products in Q.
-    """
-    sctx = hb.sctx
-    if not sctx.is_lagrangian:
-        raise WalgError("the reduced bracket needs a Lagrangian ell")
-    da = a.kazhdan_degree() or 0
-    db = b.kazhdan_degree() or 0
-    if da + db > hb.n_max:
-        raise DegreeOverflow("commutator degree outside computed range")
-    comm = q_product(a, b, sctx) - q_product(b, a, sctx)
-    cd = comm.kazhdan_degree()
-    if cd is not None and cd > da + db - 2:
-        raise WalgError("commutator violates the filtration degree law")
-    lhs = nu_map(comm, sctx, da + db - 2)
-    rhs = poisson.slice_poisson_bracket(nu_map(a, sctx, da), nu_map(b, sctx, db),
-                                        sctx.reduction)
-    return lhs == rhs
-
-
 def gr_commutators_vs_poisson(hb: HBasis, pairs):
     """(i, j, agrees) over the (i, j) in `pairs`, in their order, with
-    agrees what `gr_commutator_vs_poisson` says of the representatives e_i
-    and e_j, raising what it raises at the same pair: each object formed
-    once, and no product formed in Q.
+    agrees whether nu(gr[e_i, e_j]) is the reduced slice bracket
+    {nu gr e_i, nu gr e_j} of the representatives e_i and e_j, raising at
+    the same pair what the tests' per-pair reference raises (it is in
+    `tests/reference.py`, with both products in Q and the bracket by
+    `poisson.slice_poisson_bracket`): each object formed once, and no
+    product formed in Q.
 
     Both products come lazily, in pair order, from the rewriting on the
     representatives' word expressions (`HBasis._word_products`, one map

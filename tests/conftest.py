@@ -7,8 +7,11 @@ import pytest
 from walg.liealg import (LieAlgebra, highest_root_triple, make_sln,
                          partition_triple, sln_matrix_to_coords)
 from walg.context import build_context
-from walg.linalg import Subspace, unit_vec
+from walg.linalg import Subspace
+from walg.poisson import KazhdanPolynomial
 from walg.whittaker import h_basis, whittaker_vectors
+
+from reference import unit_vec
 
 
 def sl2_algebra():
@@ -36,6 +39,14 @@ def whittaker_spans(qb):
     return [Subspace.from_sparse(qb.dim_f(n), [v for f, v in vectors.items()
                                                if f < qb.dim_f(n)])
             for n in range(qb.n + 1)]
+
+
+def pullback_at(flow, F, t):
+    """F pulled back by the time-t flow: sum_k t^k (pullback of F)_k over
+    the powers of t of `CoadjointFlow.pullback_formal`, as a polynomial on
+    the chart of F."""
+    return sum((t ** k * G for k, G in flow.pullback_formal(F).items()),
+               KazhdanPolynomial.zero(F.chart))
 
 
 @pytest.fixture(scope="session")

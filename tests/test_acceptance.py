@@ -18,11 +18,12 @@ from walg import poisson, whittaker as W
 from walg.context import build_context
 from walg.liealg import (decomposition_check, highest_root_triple, make_sln,
                          partition_triple, structure_checks)
-from walg.linalg import unit_vec
-from walg.pbw import casimir, pbw_multiply_rl
+from walg.pbw import casimir
 from walg.poisson import KazhdanPolynomial as KP
 from walg.whittaker import h_basis
-from conftest import sl2_algebra, span_at, whittaker_spans
+from conftest import pullback_at, sl2_algebra, span_at, whittaker_spans
+from reference import (gr_commutator_vs_poisson, pbw_multiply_rl,
+                       q_canonical_form, unit_vec)
 
 
 @contextmanager
@@ -77,8 +78,7 @@ def test_c01_structural_validation():
     with criterion(1, "structural validation on sl2, sl3, sl4"):
         t0 = time.perf_counter()
         for name, sctx in all_case_contexts():
-            flags = structure_checks(sctx.lie, sctx.triple, sctx.grading,
-                                     sctx.pair, sctx.chi)
+            flags = structure_checks(sctx.lie, sctx.grading)
             assert all(flags.values()), (name, flags)
         elapsed = time.perf_counter() - t0
         assert elapsed < 10, f"structural validation took {elapsed:.1f}s"
@@ -146,7 +146,7 @@ def test_c05_theorem_poisson_clause(sl2_ctx, sl2_hb, sl3_min_lag, sl3_hb_lag):
                         continue
                     if hb.degrees[i] + hb.degrees[j] > hb.n_max:
                         continue
-                    assert W.gr_commutator_vs_poisson(a, hb.elements[j], hb)
+                    assert gr_commutator_vs_poisson(a, hb.elements[j], hb)
                     pairs += 1
             assert pairs > 0
 
@@ -186,7 +186,7 @@ def test_c09_center_injects(sl2_ctx, sl2_hb, sl3_hb_zero, sl3_hb_lag,
             W.center_injects(hb)  # a failed clause raises
         # sl2: kappa(e,f) q(Omega) is exactly 2e - h + h^2/2, nu-image 2t
         B = sl2_ctx.basis
-        img = W.q_canonical_form(casimir(B), sl2_ctx)
+        img = q_canonical_form(casimir(B), sl2_ctx)
         scaled = sl2_ctx.chi.kappa_ef * img
         e, h = B.generator(0), B.generator(1)
         assert scaled == 2 * e - h + F(1, 2) * (h * h)
@@ -242,17 +242,16 @@ def test_c10_engine_properties(sl3_min_lag):
             assert poisson.slice_poisson_bracket(a, b, sl3_min_lag.reduction) \
                 == poisson.slice_poisson_bracket(a, b, sl3_min_lag.reduction,
                                                  twist=twist)
-        # flow identities at random rational times
+        # flow identities at random rational times, on the coordinates
         B3 = sl3_min_lag.basis
-        d = B3.lie.dim
+        coords = [KP.variable(comp, p) for p in range(B3.n_complement)]
         for x, _ in sl3_min_lag.pair.n_graded:
             fl = poisson.CoadjointFlow(B3, x)
             for _ in range(5):
                 t = F(rng.randint(-8, 8), rng.randint(1, 6))
                 s = F(rng.randint(-8, 8), rng.randint(1, 6))
-                Mt, Ms, Mts = fl.matrix_at(t), fl.matrix_at(s), fl.matrix_at(t + s)
-                prod = tuple(tuple(sum(Mt[r][k] * Ms[k][c] for k in range(d))
-                                   for c in range(d)) for r in range(d))
-                assert prod == Mts
+                for y in coords:
+                    assert pullback_at(fl, pullback_at(fl, y, s), t) == \
+                        pullback_at(fl, y, t + s)
         elapsed = time.perf_counter() - t0
         assert elapsed < 120, f"engine properties took {elapsed:.1f}s"

@@ -505,8 +505,12 @@ SL2_FILE = {"labels": ["e", "h", "f"],
     (["--nilpotent", SL3_DIVIDE_BY_ZERO], None),
     ([], {"nilpotent": ["x", 0, 0]}),
     (["--ell", "file"], {"nilpotent": ["1", "0", "0"], "ell": [["1/0", 0, 0]]}),
+    # `--ell file` needs the file's "ell" entry; it is not ell = 0
+    (["--nilpotent", "minimal", "--ell", "file"], None),
+    (["--ell", "file"], {"nilpotent": ["1", "0", "0"]}),
 ], ids=["ell-not-a-number", "ell-divide-by-zero", "nilpotent-divide-by-zero",
-        "file-nilpotent-not-a-number", "file-ell-divide-by-zero"])
+        "file-nilpotent-not-a-number", "file-ell-divide-by-zero",
+        "ell-file-with-builtin-algebra", "ell-file-without-ell-entry"])
 def test_main_malformed_coordinates_exit_2(tmp_path, capsys, args, doc):
     algebra = "sl3"
     if doc is not None:

@@ -3,9 +3,13 @@ definitions, and no floating-point arithmetic.
 
 Stdlib only.  An imported name counts as used when it is read anywhere in
 the module, including inside string annotations such as `-> "SparseMatrix"`.
-A function, class or method counts as referenced when its name occurs as a
-whole word in src/, tests/ or perfbench/ outside its own def line; the
-search is textual because perfbench calls into walg from code strings.
+src/walg holds only what `walg run` and the benchmark run: a function,
+class or method counts as referenced when code in src/ or perfbench/
+refers to it, by a name, an attribute, an import or a word of a string
+that is not a docstring (perfbench resolves walg's names from strings, in
+code it runs and in the names its tracer wraps).  A mention in a docstring
+or a use in tests/ is not a reference: the second routes the tests check
+against live in tests/reference.py.
 Every `__slots__` entry of a class is read, as an attribute `.name` that
 is loaded (not only assigned), somewhere in src/, tests/ or perfbench/: a
 field that is only ever written is dead weight.
@@ -53,7 +57,6 @@ import os
 import re
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -63,6 +66,8 @@ SRC = ROOT / "src" / "walg"
 MODULES = sorted(SRC.glob("*.py"))
 SEARCHED = sorted(p for d in ("src", "tests", "perfbench")
                   for p in (ROOT / d).rglob("*.py"))
+RUN_SOURCES = sorted(p for d in ("src", "perfbench")
+                     for p in (ROOT / d).rglob("*.py"))
 WORD = re.compile(r"\w+")
 
 
@@ -131,34 +136,68 @@ def definitions(source):
             yield node.name, node.lineno
 
 
+def docstrings(tree):
+    """The ids of the docstring nodes of the module, classes and functions."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+            and isinstance(node.body[0].value.value, str)}
+
+
+def references(source):
+    """Every name the source refers to: a name, an attribute, each part of
+    an imported name, and every word of a string that is not a
+    docstring."""
+    tree = ast.parse(source)
+    skip = docstrings(tree)
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            for alias in n.names:
+                yield from alias.name.split(".")
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                and id(n) not in skip:
+            yield from WORD.findall(n.value)
+
+
 def unreferenced_definitions(checked, searched):
-    """Names defined in the `checked` sources that occur as a whole word in
-    the `searched` sources only on their own def lines.
+    """Names defined in the `checked` sources that no `searched` source
+    refers to (`references`).
 
     Both map a path to its text, and `searched` includes `checked`.
     """
-    counts = Counter(w for text in searched.values() for w in WORD.findall(text))
-    on_def_lines = Counter()
-    for text in checked.values():
-        lines = text.splitlines()
-        for name, line in definitions(text):
-            on_def_lines[name] += WORD.findall(lines[line - 1]).count(name)
-    return sorted(name for name, k in on_def_lines.items() if counts[name] == k)
+    referenced = {name for text in searched.values()
+                  for name in references(text)}
+    return sorted({name for text in checked.values()
+                   for name, _ in definitions(text) if name not in referenced})
 
 
 def test_finds_unreferenced_definitions():
-    lib = ("class A:\n"
+    lib = ('"""Module docstring naming mentioned."""\n'
+           "import os.path\n"
+           "class A:\n"
            "    def used(self): return 1\n"
            "    def unused(self): return used\n"
            "    def __init__(self): pass\n"
            "def helper(): return A\n"
-           "def dead(): pass\n")
-    sources = {"lib.py": lib, "run.py": 'CODE = "lib.helper()"\n'}
-    assert unreferenced_definitions({"lib.py": lib}, sources) == ["dead", "unused"]
+           "def dead(): pass\n"
+           "def mentioned():\n"
+           '    """Calls dead."""\n'
+           "def path(): return os\n"
+           "def wrapped(): pass\n")
+    sources = {"lib.py": lib,
+               "run.py": 'CODE = "lib.helper()"\nNAMES = ("wrapped",)\n'}
+    assert unreferenced_definitions({"lib.py": lib}, sources) == [
+        "dead", "mentioned", "unused"]
 
 
 def test_no_unreferenced_definitions():
-    searched = {p: p.read_text(encoding="utf-8") for p in SEARCHED}
+    searched = {p: p.read_text(encoding="utf-8") for p in RUN_SOURCES}
     checked = {p: searched[p] for p in MODULES}
     assert unreferenced_definitions(checked, searched) == []
 
@@ -238,8 +277,8 @@ def test_exact_arithmetic_only(path):
     assert list(inexact_uses(path.read_text(encoding="utf-8"))) == []
 
 
-STRAIGHTENING = ("gen_times_mono", "mono_times_gen", "_gen_times_terms",
-                 "_terms_times_gen", "mul_terms", "gen_times_word")
+STRAIGHTENING = ("gen_times_mono", "_gen_times_terms", "mul_terms",
+                 "gen_times_word")
 ECHELON_ELIMINATION = ("Echelon.reduce", "Echelon._reduce", "Echelon.extend",
                        "_eliminate")
 # module -> its integer-form kernels: the memoized monomial map, the left

@@ -17,9 +17,10 @@ from walg.liealg import (LieAlgebra, Sl2Triple, ad_h_grading, chi,
                          make_nilpotent_pair, make_sln, partition_triple,
                          sln_basis_matrices, sln_matrix_to_coords,
                          structure_checks, symplectic_data)
-from walg.linalg import SparseMatrix, Subspace, unit_vec, vec
+from walg.linalg import SparseMatrix, Subspace, vec
 
 from conftest import sl2_algebra
+from reference import unit_vec
 
 
 def test_sl2_table_valid():
@@ -149,8 +150,15 @@ def test_sln_rejects_small_n():
         make_sln(1)
 
 
+def killing_matrix(L):
+    """kappa(x_i, x_j) on the basis, by `LieAlgebra.killing` of unit
+    vectors."""
+    units = [unit_vec(L.dim, i) for i in range(L.dim)]
+    return [[L.killing(x, y) for y in units] for x in units]
+
+
 def test_killing_sl2_values():
-    K = sl2_algebra().killing_matrix()
+    K = killing_matrix(sl2_algebra())
     assert K[0][2] == 4 and K[1][1] == 8
     assert K[0][0] == 0 and K[2][2] == 0 and K[0][1] == 0
 
@@ -158,7 +166,7 @@ def test_killing_sl2_values():
 def test_killing_sl3_is_six_times_trace():
     """kappa = 2n tr(xy) on the matrix realization of sl_n."""
     L = make_sln(3)
-    K = L.killing_matrix()
+    K = killing_matrix(L)
     labels, mats = sln_basis_matrices(3)
 
     def tr_prod(A, B):
@@ -387,8 +395,7 @@ def test_decomposition_rejects_a_wrong_kerf(sl3_min_lag, change, message,
                                      "sl3_principal", "sl4_211"])
 def test_structure_checks_pass(fixture, request):
     sctx = request.getfixturevalue(fixture)
-    flags = structure_checks(sctx.lie, sctx.triple, sctx.grading, sctx.pair,
-                             sctx.chi)
+    flags = structure_checks(sctx.lie, sctx.grading)
     assert all(flags.values()), flags
 
 
