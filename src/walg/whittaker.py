@@ -8,9 +8,13 @@ action: the ideal is a left ideal, so q(g w) = q(g q(w)) for a generator
 g, and a monomial acts by one generator step after its suffix, every
 intermediate kept in canonical Q form: `_left_action` is the
 `backend.MonomialMap` whose step is one generator step followed by
-`chi_reduce`.  The ad-action matrices, the natural maps between the
-Q_ell and the products formed in Q (the generators' commutators, and the
-cross-check of `ell_comparison`) all run on that one map.
+`chi_reduce`.  The natural maps between the Q_ell and the products formed
+in Q (the forms of the ordered monomials and the generators'
+commutators) all run on that one map.  The ad-action columns take no
+product in Q: ad x is a derivation and I_ell a left ideal, so the column
+of x_g s is q([x, x_g] s) + q(x_g q([x, s])), two generator steps on the
+column of its suffix (`AdColumns`); the CE derivations D_x are built the
+same way on the symbol side (`SymbolDerivation`).
 
 H_ell is the joint kernel on F_n Q of the ad-action matrices of vectors
 that generate n_ell, those independent modulo [n_ell, n_ell].  The
@@ -36,7 +40,9 @@ on the monomials, g_b g_a -> g_a g_b + [g_b, g_a], with each commutator
 formed once in Q (`backend.word_map`), and the checks multiply in H that
 way only.  The canonical prefix-stable representatives the reports print are
 built on first use, by `_representatives`, from the canonical F_n H of the
-certified forms: the one place a canonical F_n H is built.  Every other
+certified forms: the one place a canonical F_n H is built.  The
+`ell-independence` check multiplies the images of the natural map by
+rewriting in the target H too, on their coordinates.  Every other
 span question about H is a count or a read-off on the certificate's
 echelon: the `whittaker` check counts the Whittaker vectors of each degree
 (`whittaker_vectors`) against dim F_n H and reads each one off it.
@@ -57,8 +63,6 @@ from walg.linalg import (QQ, Echelon, SparseMatrix, Subspace, Vector, _equals,
 from walg.pbw import UEAElement
 from walg.poisson import KazhdanPolynomial
 
-ONE = QQ(1)
-
 
 # ---------------------------------------------------------------------------
 # The left action on Q.
@@ -66,8 +70,8 @@ ONE = QQ(1)
 # I_ell is a left ideal, so q(g w) = q(g q(w)) for every generator g: a PBW
 # monomial m = g s (g its first factor) acts on Q by one generator step
 # after its suffix s.  `_left_action` is the `backend.MonomialMap` of
-# m -> q(m base) for one `base`: one right factor of the products in H, one
-# matrix or one transport pass.  A step multiplies integer numerators, and
+# m -> q(m base) for one `base`: one right factor of the products formed in
+# Q, or one transport pass.  A step multiplies integer numerators, and
 # only the result is divided, once.
 # ---------------------------------------------------------------------------
 
@@ -186,22 +190,24 @@ class AdColumns:
     """The columns v -> q([x, v~]) of ad x on PBW monomials, each built once,
     on first use (`column`), as an integer form (den, ints).
 
-    The column of v is q(x v), one step, minus q(v x), the left action of v
-    on x (`right`); F_n Q is closed under suffixes, so that memo takes one
-    step per column too.  Every column is checked against the filtration
-    law as it is built: x of ad h weight `weight` maps F_k Q into
-    F_{k+weight} Q.
+    ad x is a derivation, so for a monomial x_g s (x_g its first factor)
+    [x, x_g s] = [x, x_g] s + x_g [x, s], and I_ell is a left ideal, so
+    q(x_g [x, s]) = q(x_g q([x, s])): the column of x_g s is one step of
+    the linear form [x, x_g] (`PBWBasis.ad_coords`) on s plus one step of
+    x_g on the column of s, from the same memo.  F_n Q is closed under
+    suffixes, so no column reaches outside it.  Every column is checked
+    against the filtration law as it is built: x of ad h weight `weight`
+    maps F_k Q into F_{k+weight} Q.
     """
 
-    __slots__ = ("x", "basis", "weight", "den", "gens", "right", "memo",
-                 "degrees")
+    __slots__ = ("x", "basis", "weight", "brackets", "memo", "degrees")
 
     def __init__(self, x: Sequence, sctx: SliceContext, weight: int):
         basis = sctx.basis
-        xe = basis.element_from_ambient(x).terms
         self.x, self.basis, self.weight = x, basis, weight
-        self.den, self.gens = _linear(xe)
-        self.right = _left_action(basis, _generator_steps(basis), xe)
+        # [x, x_g] of each generator, as a step (den, ((k, c), ...))
+        self.brackets = [_linear({((k, 1),): c for k, c in col.items()})
+                         for col in basis.ad_coords(x)]
         self.memo: Dict = {}
         self.degrees: Dict = {}           # monomial -> Kazhdan degree
 
@@ -225,11 +231,20 @@ class AdColumns:
         return d
 
     def _image(self, mono) -> tuple:
+        if not mono:
+            return 1, {}
+        g, e = mono[0]
+        suffix = ((g, e - 1),) + mono[1:] if e > 1 else mono[1:]
+        den, gens = self.brackets[g]
+        parts = []
+        if gens:
+            parts.append((1, (den, _step(self.basis, gens, {suffix: 1}))))
+        s_den, s_ints = self.column(suffix)
+        if s_ints:
+            parts.append((1, (s_den, _step(self.basis, ((g, 1),), s_ints))))
         # a step on a basis with a non-integral chi value or structure
         # constant can return Fractions, so the sum is put in lowest terms
-        return backend.lowest_form(backend.combine(
-            [(1, (self.den, _step(self.basis, self.gens, {mono: 1}))),
-             (-1, self.right.image(mono))]))
+        return backend.lowest_form(backend.combine(parts))
 
     def kills(self, terms: Dict) -> bool:
         """Whether ad x kills the element with term dict `terms`: one sum of
@@ -834,6 +849,51 @@ def whittaker_vectors(qb: QDegreeBasis) -> Dict[int, Dict[int, QQ]]:
     return kernel_vectors(mats, len(qb.monomials))
 
 
+class SymbolDerivation:
+    """D_x, the symbol of ad x, on the monomials of gr Q = C[chi + a^perp],
+    each image built once, on first use (`image`), as integer numerators
+    over the one denominator `den` of the images D_x(y_p)
+    (`ReductionData.derivation_images`).
+
+    D_x is a derivation, so D_x(y_g s) = D_x(y_g) s + y_g D_x(s) for a
+    monomial y_g s (y_g its first variable): D_x(y_g), a constant plus a
+    linear form, times the monomial s, plus D_x(s), from the same memo,
+    times y_g.
+    """
+
+    __slots__ = ("den", "images", "memo")
+
+    def __init__(self, red: poisson.ReductionData, x: Sequence):
+        images = red.derivation_images(x)
+        self.den, ints = backend.int_form({
+            (p, m): c for p, img in enumerate(images)
+            for m, c in img.terms.items()})
+        self.images: List[Dict] = [{} for _ in images]
+        for (p, m), v in ints.items():
+            self.images[p][m] = v
+        self.memo: Dict = {}
+
+    def image(self, mono) -> Dict:
+        """The numerators of D_x(mono) over `den`, no zero among them."""
+        out = self.memo.get(mono)
+        if out is None:
+            out = self.memo[mono] = self._image(mono)
+        return out
+
+    def _image(self, mono) -> Dict:
+        out: Dict = {}
+        if not mono:
+            return out
+        g, e = mono[0]
+        suffix = ((g, e - 1),) + mono[1:] if e > 1 else mono[1:]
+        for m, c in self.images[g].items():
+            backend._acc(out, poisson.mono_mul(m, suffix), c)
+        var = ((g, 1),)
+        for m, c in self.image(suffix).items():
+            backend._acc(out, poisson.mono_mul(var, m), c)
+        return out
+
+
 def ce_blocks(i_max: int, n_max: int, sctx: SliceContext):
     """Graded blocks of the truncated Chevalley-Eilenberg complex.
 
@@ -846,7 +906,10 @@ def ce_blocks(i_max: int, n_max: int, sctx: SliceContext):
     where xi^x ^ xi^S = (-1)^{T.index(x)} xi^T, and dxi^s =
     -sum_{a<b} c^s_ab xi^a ^ xi^b puts, for s at position k of S and a, b
     not in rest = S - {s}, (-1)^{T.index(a) + T.index(b) + k} c^s_ab at
-    T = sorted(rest + (a, b)).
+    T = sorted(rest + (a, b)).  Each D_x(m) is formed once, by the Leibniz
+    rule D_x(y_g s) = D_x(y_g) s + y_g D_x(s) on integer numerators over
+    one denominator per x, from the memo of its suffix
+    (`SymbolDerivation`), and divided once.
     """
     gens = sctx.pair.n_graded
     nn = len(gens)
@@ -873,7 +936,8 @@ def ce_blocks(i_max: int, n_max: int, sctx: SliceContext):
     for mono in poisson.enumerate_monomials(chart.degrees, n_max):
         monos.setdefault(sctx.basis.monomial_degree(mono), []).append(mono)
     subsets = [list(combinations(range(nn), i)) for i in range(i_max + 2)]
-    deriv: Dict = {}  # (x, m) -> terms of D_x(m)
+    derivations = [SymbolDerivation(sctx.reduction, x) for x, _ in gens]
+    deriv: Dict = {}  # (x, m) -> terms of D_x(m), divided once
 
     def column(S, mono):
         """The (T, monomial, coefficient) terms of d(xi^S (x) mono)."""
@@ -884,8 +948,8 @@ def ce_blocks(i_max: int, n_max: int, sctx: SliceContext):
             sign = (-1) ** T.index(x)
             acted = deriv.get((x, mono))
             if acted is None:
-                acted = deriv[(x, mono)] = sctx.reduction.derivation(
-                    gens[x][0], KazhdanPolynomial(chart, {mono: ONE})).terms
+                d = derivations[x]
+                acted = deriv[(x, mono)] = backend._divide(d.image(mono), d.den)
             for m2, c2 in acted.items():
                 yield T, m2, sign * c2
         for k, s in enumerate(S):
@@ -934,9 +998,11 @@ def ce_cohomology(i_max: int, n_max: int, sctx: SliceContext) -> List[List[int]]
 
 def center_injects(hb: HBasis) -> Dict[str, object]:
     """The Casimir image (`SliceContext.casimir_image`) lies in H (of the
-    basis hb), is nonconstant, with nonzero nu-image.  A degree hb.n_max
-    below the image's Kazhdan degree is a DegreeOverflow; `walg run`
-    rejects it as bad input before any check runs.  Returns
+    basis hb), is nonconstant, with nonzero nu-image.  Its ad n_ell
+    invariance is checked by its two products with each x in Q, a route
+    independent of the Leibniz columns of `AdColumns` that certify H.  A
+    degree hb.n_max below the image's Kazhdan degree is a DegreeOverflow;
+    `walg run` rejects it as bad input before any check runs.  Returns
     {"canonical_form", "degree", "nu_image"}: the image and its nu as
     strings, and its Kazhdan degree.
     """
@@ -963,18 +1029,21 @@ def ell_comparison(hb1: HBasis, hb2: HBasis) -> Dict[str, object]:
     """The natural map H_{ell1} -> H_{ell2} for ell1 inside ell2, on the
     bases hb1 and hb2, of one degree n_max.
 
-    The forms of hb1 are transported in one pass (`q_transport`).  The
-    images of F_n H_{ell1} are a prefix of the images, so each image is
-    checked at its own degree d: it lies in F_d Q, and its coordinates on
-    the forms of hb2 are read off once, which shows that it lies in
-    F_d H_{ell2}.  Those forms are independent, so the image is
-    independent of the images before it iff its coordinates extend their
-    echelon; the first that does not names the first degree where
-    injectivity fails.  With equal graded dimensions the map is then
-    bijective in every degree.  The map is linear, so the image of
-    f_i f_j = sum_k x_k f_k (`HBasis.form_products`, by rewriting) is
-    sum_k x_k image_k, summed over the images' integer forms; it must
-    equal the product of the images in Q_{ell2}, taken by left action.
+    The forms of hb1 are transported in one pass (`q_transport`), the one
+    left action on Q the check takes.  The images of F_n H_{ell1} are a
+    prefix of the images, so each image is checked at its own degree d: it
+    lies in F_d Q, and its coordinates on the forms of hb2 are read off
+    once, which shows that it lies in F_d H_{ell2}.  Those forms are
+    independent, so the image is independent of the images before it iff
+    its coordinates extend their echelon; the first that does not names the
+    first degree where injectivity fails.  With equal graded dimensions the
+    map is then bijective in every degree.  The map is linear, so the image
+    of f_i f_j = sum_k x_k f_k (`HBasis.form_products`, by rewriting in
+    H_{ell1}) is sum_k x_k X_k, summed over the integer forms of the
+    images' coordinates X_k on the forms of hb2; it must equal the product
+    of the images, taken on those coordinates by rewriting in H_{ell2}
+    (`HBasis._word_products`).  No product is formed in Q but the
+    commutators of the generators of each basis.
     Returns {"n_max", "dims1", "dims2", "bijective", "mult_pairs", "ok"};
     a failed clause raises, so "bijective" is True in every degree and
     "ok" is True.
@@ -988,10 +1057,9 @@ def ell_comparison(hb1: HBasis, hb2: HBasis) -> Dict[str, object]:
         n = next(n for n in range(n_max + 1) if hb1.dim_f(n) != hb2.dim_f(n))
         raise ComparisonFailure(
             f"dim F_{n}H differs: {hb1.dim_f(n)} vs {hb2.dim_f(n)}", degree=n)
-    images = q_transport(hb1.forms, sctx1, sctx2)
-    image_ints = []
+    images = []                           # each image over the words of hb2
     echelon = Echelon()
-    for img, d in zip(images, hb1.degrees):
+    for img, d in zip(q_transport(hb1.forms, sctx1, sctx2), hb1.degrees):
         # the filtration first: `coordinates` needs img inside F_d Q
         if (img.kazhdan_degree() or 0) > d:
             raise ComparisonFailure("map does not respect the filtration",
@@ -1001,13 +1069,14 @@ def ell_comparison(hb1: HBasis, hb2: HBasis) -> Dict[str, object]:
             raise ComparisonFailure("image not in H_{ell2}", degree=d)
         if not echelon.extend(x):
             raise ComparisonFailure("map not injective on F_n H", degree=d)
-        image_ints.append(backend.int_form(img.terms))
+        images.append({hb2.words[k]: c for k, c in x.items()})
+    image_ints = [backend.int_form(img) for img in images]
     mult_pairs = 0
     for (i, j, x), (_, _, rhs) in zip(
             hb1.form_products(hb1.product_pairs()),
-            _products(hb1.product_pairs(), images, sctx2)):
+            hb2._word_products(hb1.product_pairs(), images, images)):
         lhs = backend.combine([(c, image_ints[k]) for k, c in x.items()])
-        if not _equals(lhs, rhs.terms):
+        if not _equals(lhs, rhs):
             raise ComparisonFailure(
                 f"map fails to intertwine products on pair ({i},{j})")
         mult_pairs += 1

@@ -12,6 +12,10 @@ next to the run-path function it checks:
   left ideal, by chopping trailing a-factors (`PBWBasis.chi_reduce`), and
   checks the left action on Q behind `whittaker.q_product`, the ad
   matrices and the products of H;
+- `TwoSidedColumns` takes the column of ad x on a monomial m whole, as
+  q(x m) - q(m x), with the right action of m on x that it needs, and
+  checks `whittaker.AdColumns`, which builds each column by the Leibniz
+  rule from the column of its suffix;
 - `convert_element` rewrites an element over another PBW basis by
   multiplying generator images, and, reduced by `q_canonical_form`,
   checks `whittaker.q_transport`, the natural map of the
@@ -114,6 +118,26 @@ def convert_element(u, target):
                 acc = acc * images[idx]
         out = out + acc
     return out
+
+
+class TwoSidedColumns:
+    """The column q([x, m]) of ad x on a monomial m of Q as q(x m) minus
+    q(m x), each taken whole: x by one step, and m by the left action on
+    x, the one right multiplication on Q.  Checks `whittaker.AdColumns`,
+    which builds each column by the Leibniz rule from its suffix's."""
+
+    def __init__(self, x, sctx):
+        basis = sctx.basis
+        xe = basis.element_from_ambient(x).terms
+        self.basis = basis
+        self.den, self.gens = W._linear(xe)
+        self.right = W._left_action(basis, W._generator_steps(basis), xe)
+
+    def column(self, mono):
+        """q(x m) - q(m x) as an integer form in lowest terms."""
+        return backend.lowest_form(backend.combine(
+            [(1, (self.den, W._step(self.basis, self.gens, {mono: 1}))),
+             (-1, self.right.image(mono))]))
 
 
 def gr_commutator_vs_poisson(a, b, hb):

@@ -24,13 +24,21 @@ integer forms, and for the elimination of the one incremental echelon
 `walg.linalg`); only `Echelon.coordinates`, which hands out rational
 coordinates, may.  And for the kernels on integer forms (den, ints): the
 memoized images and the sum of `backend.MonomialMap`, the one map behind
-the PBW product, the left action on Q in `walg.whittaker` and the ad
-columns built on it (`AdColumns`), the forms of the ordered monomials in
+the PBW product, the left action on Q in `walg.whittaker`, the ad columns
+(`AdColumns`, each built by the Leibniz rule from its suffix's with the
+generator step of the left action), the integer Leibniz derivation of the
+CE complex (`SymbolDerivation`), the forms of the ordered monomials in
 the generators of H, the products of H by
 rewriting (`backend.word_map`), the basis change and
 `poisson.Substitution`, together with the steps and the call of the last
 two, and `backend.combine`, the sum over one common scale; they leave the
 integers only through `_divide`.
+Within `walg.whittaker` only `q_product`, `q_transport`, `_word_forms`
+and `_products` call `_left_action`: a product in Q is formed only for a
+product of two given elements, for the natural map, for the forms of the
+ordered monomials and for the commutators of the generators of H; the ad
+columns take no right multiplication, and every other product of H is
+rewritten in its generators.
 Elimination stays behind the linear-algebra layer: outside
 `walg.backend`, which holds the kernel, and `walg.linalg`, which wraps it
 in `SparseMatrix`, `Subspace`, `Echelon`, `solve` and the kernels, no
@@ -282,8 +290,9 @@ STRAIGHTENING = ("gen_times_mono", "_gen_times_terms", "mul_terms",
 ECHELON_ELIMINATION = ("Echelon.reduce", "Echelon._reduce", "Echelon.extend",
                        "_eliminate")
 # module -> its integer-form kernels: the memoized monomial map, the left
-# action on Q and the ad columns built on it (with their lowest-terms
-# form), the forms of the generator monomials of H, the multiplicativity
+# action on Q, the Leibniz ad columns built with its generator step (with
+# their lowest-terms form) and the Leibniz derivation of the CE complex,
+# the forms of the generator monomials of H, the multiplicativity
 # cross-check of nu and the one-pass poisson check (the sum of nu over the
 # representatives, and the comparison both make), the product of H by
 # rewriting and the substitution built on the map, the bracket on
@@ -291,7 +300,10 @@ ECHELON_ELIMINATION = ("Echelon.reduce", "Echelon._reduce", "Echelon.extend",
 # lift), and the sum over a common scale behind the map
 INTEGER_FORM_KERNELS = {
     "whittaker.py": ("_linear", "_step", "_left_action", "_word_forms",
-                     "AdColumns.column", "AdColumns._image", "AdColumns.kills",
+                     "AdColumns.__init__", "AdColumns.column",
+                     "AdColumns._image", "AdColumns.kills",
+                     "SymbolDerivation.__init__", "SymbolDerivation.image",
+                     "SymbolDerivation._image",
                      "_same", "_multiplicative", "gr_commutators_vs_poisson"),
     "poisson.py": ("Substitution.__call__", "Substitution.form", "gradient",
                    "add_product", "poly_mul", "lift_gradient",
@@ -566,3 +578,28 @@ def test_kernel_vectors_called_only_in_their_homes(module):
     source = (SRC / module).read_text(encoding="utf-8")
     owners = {owner for owner, _ in builds(source, ("kernel_vectors",))}
     assert owners == set(KERNEL_HOMES[module])
+
+
+# the functions of a module that may build a left action on Q
+LEFT_ACTION_HOMES = {"whittaker.py": ("q_product", "q_transport", "_word_forms",
+                                      "_products")}
+
+
+def test_finds_left_action_calls():
+    source = ("def q_product(a, b, sctx):\n"
+              "    return _left_action(basis, steps, b.terms)(a.terms)\n"
+              "class AdColumns:\n"
+              "    def __init__(self, x, sctx):\n"
+              "        self.right = _left_action(basis, steps, xe)\n"
+              "def ell_comparison(hb1, hb2):\n"
+              "    act = W._left_action(basis, steps, images[j].terms)\n"
+              "    return _left_action\n")
+    assert sorted(builds(source, ("_left_action",)), key=lambda b: b[1]) == [
+        ("q_product", 2), ("AdColumns.__init__", 5), ("ell_comparison", 7)]
+
+
+@pytest.mark.parametrize("module", sorted(LEFT_ACTION_HOMES))
+def test_left_action_called_only_in_its_homes(module):
+    source = (SRC / module).read_text(encoding="utf-8")
+    owners = {owner for owner, _ in builds(source, ("_left_action",))}
+    assert owners == set(LEFT_ACTION_HOMES[module])

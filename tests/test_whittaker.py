@@ -19,8 +19,8 @@ from walg.pbw import UEAElement, casimir
 from walg.poisson import KazhdanPolynomial
 
 from conftest import span_at, whittaker_spans
-from reference import (convert_element, gr_commutator_vs_poisson,
-                       q_canonical_form)
+from reference import (TwoSidedColumns, convert_element,
+                       gr_commutator_vs_poisson, q_canonical_form)
 
 def kp_var(chart, i, c=1):
     return KazhdanPolynomial.variable(chart, i, c)
@@ -324,17 +324,57 @@ def test_ce_blocks_match_reference(request, ctx_name, n_max):
 
 
 def test_ce_blocks_form_each_derivation_once(monkeypatch, sl4_211):
-    calls = {}
-    derivation = poisson.ReductionData.derivation
+    """Each D_x(m), x in n_ell, is formed once: the Leibniz memo builds
+    the image of every monomial the blocks touch, and of its suffixes, one
+    time each, and `ReductionData.derivation` is not called."""
+    built = {}
+    image = W.SymbolDerivation._image
 
-    def counted(self, x, F):
-        key = (tuple(x), tuple(F.terms.items()))
-        calls[key] = calls.get(key, 0) + 1
-        return derivation(self, x, F)
+    def counted(self, mono):
+        key = (id(self), mono)
+        built[key] = built.get(key, 0) + 1
+        return image(self, mono)
 
-    monkeypatch.setattr(poisson.ReductionData, "derivation", counted)
-    W.ce_blocks(2, 5, sl4_211)
-    assert calls and max(calls.values()) == 1
+    monkeypatch.setattr(W.SymbolDerivation, "_image", counted)
+    calls = counting(monkeypatch, poisson.ReductionData, "derivation")
+    blocks = W.ce_blocks(2, 5, sl4_211)
+    assert built and max(built.values()) == 1
+    assert calls == []
+    touched = {mono for bases, _ in blocks.values() for basis in bases[:3]
+               for _, mono in basis}
+    assert touched <= {mono for _, mono in built}
+
+
+CE_DERIVATION_CASES = ["sl3_min_zero", "sl3_min_lag", "sl4_211", "sl4_22_conj"]
+
+
+@pytest.mark.parametrize("ctx_name", CE_DERIVATION_CASES)
+def test_symbol_derivation_matches_gradient_route(request, ctx_name):
+    """The integer Leibniz D_x(m) of `ce_blocks` against
+    `ReductionData.derivation` (the gradient of m against the images
+    D_x(y_p)), for every generator x of n_ell and every monomial the
+    blocks touch, suffixes included, in the degrees `ce_blocks` reads."""
+    sctx = request.getfixturevalue(ctx_name)
+    red, chart = sctx.reduction, sctx.comp_chart
+    n_max = 6
+    derivations = []
+    true_init = W.SymbolDerivation.__init__
+
+    def recorded(self, red, x):
+        true_init(self, red, x)
+        derivations.append((x, self))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(W.SymbolDerivation, "__init__", recorded)
+        W.ce_blocks(1, n_max, sctx)
+    assert len(derivations) == len(sctx.pair.n_graded)
+    for x, d in derivations:
+        assert type(d.den) is int and d.den > 0
+        assert d.memo
+        for mono, ints in d.memo.items():
+            assert all(type(c) is int and c for c in ints.values())
+            want = red.derivation(x, KazhdanPolynomial(chart, {mono: F(1)}))
+            assert backend._divide(ints, d.den) == want.terms, mono
 
 
 @pytest.mark.parametrize("ctx_name,n_max", [("sl4_regular", 6), ("sl4_211", 4)])
@@ -412,6 +452,23 @@ def test_ell_comparison_detects_a_map_that_breaks_products(
         2 * img for img in true_transport(els, s1, s2)])
     with pytest.raises(ComparisonFailure,
                        match=r"fails to intertwine products on pair \(0,0\)"):
+        W.ell_comparison(sl3_hb_zero, sl3_hb_lag)
+
+
+def test_ell_comparison_detects_a_wrong_relation_in_the_target(
+        monkeypatch, sl3_hb_zero, sl3_hb_lag):
+    """Negative control for the relations of H_{ell2}: the products of the
+    images are rewritten in H_{ell2}, so one coefficient of one nonzero
+    commutator of hb2 off by 1 breaks the product clause, with the images
+    and the source untouched."""
+    relations = dict(sl3_hb_lag.commutators())
+    pair, comm = next((p, c) for p, c in relations.items() if c)
+    word = next(iter(comm))
+    relations[pair] = {**comm, word: comm[word] + 1}
+    monkeypatch.setattr(sl3_hb_lag, "_relations", relations)
+    monkeypatch.setattr(sl3_hb_lag, "_cache", {})
+    with pytest.raises(ComparisonFailure,
+                       match="fails to intertwine products"):
         W.ell_comparison(sl3_hb_zero, sl3_hb_lag)
 
 
@@ -854,17 +911,18 @@ def test_h_basis_stacks_one_ad_block_per_generator(monkeypatch, sl4_regular):
 
 def test_one_left_action_per_right_factor(monkeypatch, sl3_hb_zero,
                                           sl3_hb_lag):
-    """No product of H is formed in Q: only the right side of
-    `ell_comparison`, in Q_{ell2}, takes left actions, one per right
-    factor."""
+    """No product of H is formed in Q: once the commutators of both bases
+    are built, the checks multiply by rewriting, and `ell_comparison`
+    takes exactly one left action, the transport."""
     for hb in (sl3_hb_zero, sl3_hb_lag):
         hb.commutators()
     calls = counting(monkeypatch, W, "_left_action")
     W.verify_theorem(sl3_hb_lag)
     sl3_hb_lag.multiplication_table()
     assert calls == []
+    transports = counting(monkeypatch, W, "q_transport")
     W.ell_comparison(sl3_hb_zero, sl3_hb_lag)
-    assert len(calls) == 1 + len({j for _, j in sl3_hb_zero.product_pairs()})
+    assert len(calls) == len(transports) == 1
 
 
 # -- h_basis against the exact kernel up to n_max (kernel_h_basis) ----------
@@ -1291,8 +1349,9 @@ def test_ad_columns_only_where_forms_touch(monkeypatch, request, ctx_name, n,
                                            saves):
     """At t = top every column of F_top Q is built once, for the
     kernel there, and above F_top only the columns of the monomials some
-    form touches, each once; none is built twice.  On sl3 regular the forms
-    touch every monomial, so no column is saved there."""
+    form touches and of their suffixes (a column is built by the Leibniz
+    rule from its suffix's), each once; none is built twice.  On sl3
+    regular the forms touch every monomial, so no column is saved there."""
     sctx = request.getfixturevalue(ctx_name)
     top = max(sctx.slice_data.degrees)
     true_image = W.AdColumns._image
@@ -1302,14 +1361,21 @@ def test_ad_columns_only_where_forms_touch(monkeypatch, request, ctx_name, n,
         built.append((id(self), mono))
         return true_image(self, mono)
 
+    def suffixes(m):
+        while m:
+            g, e = m[0]
+            m = ((g, e - 1),) + m[1:] if e > 1 else m[1:]
+            yield m
+
     monkeypatch.setattr(W.AdColumns, "_image", recorded)
     hb = W.h_basis(n, sctx)
     assert hb.words is not None
     assert len(built) == len(set(built))
     touched = {m for form in hb.forms for m in form.terms}
+    needed = touched | {s for m in touched for s in suffixes(m)}
     degree = sctx.basis.monomial_degree
     above = {m for _, m in built if degree(m) > top}
-    assert above == {m for m in touched if degree(m) > top}
+    assert above == {m for m in needed if degree(m) > top}
     r = len(W.n_ell_generators(sctx))
     assert len(built) == r * (hb.qb.dim_f(top) + len(above))
     assert (len(built) < r * len(hb.qb.monomials)) == saves
@@ -1499,6 +1565,29 @@ def test_one_integer_form_per_ad_column(terms):
                                  for c, den, v, q in terms])
     assert backend.lowest_form(fractions) == \
         backend.int_form(backend._value(fractions))
+
+
+COLUMN_CASES = [("sl3_min_zero", 10), ("sl3_min_lag", 10), ("sl4_211", 7),
+                ("sl4_22_conj", 8)]
+
+
+@pytest.mark.parametrize("ctx_name,n", COLUMN_CASES,
+                         ids=[c[0] for c in COLUMN_CASES])
+def test_leibniz_columns_match_two_sided_columns(request, ctx_name, n):
+    """The column of ad x on every monomial of F_n Q, by the Leibniz rule
+    from its suffix's (`AdColumns`), against q(x m) - q(m x) taken whole
+    (`reference.TwoSidedColumns`), for every basis vector x of n_ell.  The
+    benchmark's conjugate has half-integer structure constants and a chi
+    value of 1/2, so there the steps return Fractions and the columns take
+    the Fraction path of `backend.lowest_form`."""
+    sctx = request.getfixturevalue(ctx_name)
+    qb = W.QDegreeBasis(sctx, n)
+    if ctx_name == "sl4_22_conj":
+        assert F(1, 2) in sctx.basis.chi_vals
+    for x, w in sctx.pair.n_graded:
+        leibniz, two_sided = W.AdColumns(x, sctx, w), TwoSidedColumns(x, sctx)
+        for mono in qb.monomials:
+            assert leibniz.column(mono) == two_sided.column(mono), mono
 
 
 # -- the left action on Q against the Ug route -------------------------------
