@@ -61,14 +61,14 @@ class SliceContext:
         """Vectors over the complement coordinates y_p: the constant part
         A_x of the derivation D_x, x over the basis `pair.n_graded` of
         n_ell (A_x[p] the constant term of D_x(y_p), read off
-        `ReductionData.derivation_images`), then the directions of the
-        slice (the k-th has entry the coefficient of t_k in nu(y_p), read
-        off `SliceData.nu_images`)."""
+        `ReductionData.derivation(x)` scaled by its den, the same rank),
+        then the directions of the slice (the k-th has entry the
+        coefficient of t_k in nu(y_p), read off `SliceData.nu_images`)."""
         rows = []
         for x, _ in self.pair.n_graded:
-            images = self.reduction.derivation_images(x)
-            rows.append({p: img.terms[()] for p, img in enumerate(images)
-                         if () in img.terms})
+            images = self.reduction.derivation(x).images
+            rows.append({p: img[()] for p, img in enumerate(images)
+                         if () in img})
         for k in range(len(self.slice_data.degrees)):
             t_k = ((k, 1),)
             rows.append({p: img.terms[t_k] for p, img in
@@ -104,7 +104,7 @@ class SliceContext:
         return poisson.series_expand(self.comp_chart.degrees, n_max)
 
     def hilbert_slice(self, n_max: int) -> List[int]:
-        return poisson.slice_hilbert_series(self.slice_data, n_max)
+        return poisson.series_expand(self.slice_data.degrees, n_max)
 
 
 def build_context(lie: LieAlgebra, e: Sequence, ell: Optional[object] = None,

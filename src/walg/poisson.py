@@ -21,9 +21,14 @@ isomorphism on invariants, so the lift is the substitution
 F -> F(T_1, ..., T_r) of the lifts of the r slice coordinates, found once,
 by one linear solve per slice degree.  For many pairs the bracket is taken
 on chi + a^perp itself, where a lift has no a-variables: the gradient of
-each lift and its Hamiltonian field are formed once (`lift_gradient`,
-`hamiltonian_field`), and each pair costs one sum of products
-(`restricted_bracket`, with the argument that it is the same bracket).
+each lift and its Hamiltonian field are formed once (`hamiltonian_field`),
+and each pair costs one sum of products (`restricted_bracket`, with the
+argument that it is the same bracket).
+
+The symbol of ad x on gr Q_ell = C[chi + a^perp] is one `SymbolDerivation`
+D_x per object x (`ReductionData.derivation`), read by the invariant lifts
+(x in m), the CE complex and the transversality rank (x in n_ell), and the
+Hamiltonian field (x a complement generator).
 
 Both maps between charts are algebra maps, `nu` (complement chart -> slice
 chart) and the lift (slice chart -> complement chart), and so is the
@@ -37,6 +42,7 @@ identity.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from walg import backend
@@ -270,11 +276,6 @@ def series_expand(degrees: Sequence[int], n_max: int) -> List[int]:
     return coeff
 
 
-def slice_hilbert_series(slice_data: "SliceData", n_max: int) -> List[int]:
-    """Graded dimensions of C[S] up to n_max."""
-    return series_expand(slice_data.degrees, n_max)
-
-
 # ---------------------------------------------------------------------------
 # Lie-Poisson bracket on the full chart
 # ---------------------------------------------------------------------------
@@ -475,28 +476,23 @@ def slice_poisson_bracket(F1: KazhdanPolynomial, F2: KazhdanPolynomial,
     return red.slice_data.restrict(restrict_to_chi_plus_a_perp(br, basis))
 
 
-def lift_gradient(F: KazhdanPolynomial, red: "ReductionData") -> Tuple[int, List[Terms]]:
-    """(den, [d_p G]): the partials of the invariant lift G of F (with its
-    restrict-back check, `invariant_lift`) over the complement chart, on
-    integer numerators over the one denominator den."""
-    den, ints = backend.int_form(invariant_lift(F, red).terms)
-    return den, gradient(ints, len(red.comp_chart))
-
-
 def hamiltonian_field(grad: Tuple[int, List[Terms]],
                       red: "ReductionData") -> Tuple[int, List[Terms]]:
-    """(den, [sum_q Lambda_pq d_q G]) for grad = `lift_gradient`: the
-    second factor of the bracket above, on integer numerators."""
+    """(den, [D_{v_p} G]) over the complement generators v_p, for grad =
+    (den_G, [d_q G]) of a lift G: D_{v_p} G = sum_q d_q G D_{v_p}(y_q), the
+    second factor of the bracket below, over one common denominator."""
     den, parts = grad
-    tensor_den, rows = red.poisson_tensor()
+    derivations = [red.derivation(v) for v in red.basis.vectors[:len(parts)]]
+    scale = lcm(*(d.den for d in derivations))
     field = []
-    for row in rows:
+    for d in derivations:
         out: Terms = {}
-        for q, lam in row:
-            if parts[q]:
-                add_product(out, parts[q], lam)
-        field.append(out)
-    return den * tensor_den, field
+        for part, img in zip(parts, d.images):
+            if part and img:
+                add_product(out, part, img)
+        k = scale // d.den
+        field.append({m: k * v for m, v in out.items()} if k != 1 else out)
+    return den * scale, field
 
 
 def restricted_bracket(grad: Tuple[int, List[Terms]],
@@ -513,10 +509,10 @@ def restricted_bracket(grad: Tuple[int, List[Terms]],
     has one, so
         {G1, G2}|  =  sum_{p<q} (d_p G1 d_q G2 - d_q G1 d_p G2) Lambda_pq
                    =  sum_p d_p G1 * sum_q Lambda_pq d_q G2
-    with Lambda_pq = chi_reduce([x_p, x_q]) = -Lambda_qp
-    (`ReductionData.poisson_tensor`).  The inner sum, the Hamiltonian
-    field of G2, is formed once per G2, and everything runs on integer
-    numerators over one denominator per polynomial.
+    with Lambda_pq = chi_reduce([v_p, v_q]) = D_{v_p}(y_q) = -Lambda_qp.
+    The inner sum, the Hamiltonian field of G2 (`hamiltonian_field`), is
+    formed once per G2, and everything runs on integer numerators over one
+    denominator per polynomial.
     """
     (d1, parts), (d2, vs) = grad, field
     out: Terms = {}
@@ -524,6 +520,57 @@ def restricted_bracket(grad: Tuple[int, List[Terms]],
         if part and v:
             add_product(out, part, v)
     return d1 * d2, out
+
+
+class SymbolDerivation:
+    """D_x, the symbol of ad x on gr Q = C[chi + a^perp], on integer
+    numerators over the one denominator `den`.
+
+    `images[p]` is D_x(y_p) = [x, v_p] mod (a - chi), a constant plus a
+    linear form, read off `PBWBasis.ad_coords` and the chi-values.  D_x is
+    a derivation, so D_x(y_g s) = D_x(y_g) s + y_g D_x(s) for a monomial
+    y_g s (y_g its first variable): `image` builds the image of each
+    monomial once per memo, from its suffix's.  A memo belongs to one pass
+    of a consumer (the CE blocks, the lift systems), so a job keeps no
+    image that nothing reads again.
+    """
+
+    __slots__ = ("den", "images")
+
+    def __init__(self, basis: PBWBasis, x: Sequence):
+        nc = basis.n_complement
+        terms: Dict = {}
+        for p, col in enumerate(basis.ad_coords(x)[:nc]):
+            for q, c in col.items():
+                if q < nc:
+                    terms[(p, ((q, 1),))] = c
+                elif basis.chi_vals[q]:
+                    backend._acc(terms, (p, ()), c * basis.chi_vals[q])
+        self.den, ints = backend.int_form(terms)
+        self.images: List[Terms] = [{} for _ in range(nc)]
+        for (p, m), v in ints.items():
+            self.images[p][m] = v
+
+    def image(self, mono: Monomial, memo: Dict[Monomial, Terms]) -> Terms:
+        """The numerators of D_x(mono) over `den`, no zero among them, kept
+        in `memo` with those of its suffixes."""
+        out = memo.get(mono)
+        if out is None:
+            out = memo[mono] = self._image(mono, memo)
+        return out
+
+    def _image(self, mono: Monomial, memo: Dict[Monomial, Terms]) -> Terms:
+        out: Terms = {}
+        if not mono:
+            return out
+        g, e = mono[0]
+        suffix = ((g, e - 1),) + mono[1:] if e > 1 else mono[1:]
+        for m, c in self.images[g].items():
+            backend._acc(out, mono_mul(m, suffix), c)
+        var = ((g, 1),)
+        for m, c in self.image(suffix, memo).items():
+            backend._acc(out, mono_mul(var, m), c)
+        return out
 
 
 class ReductionData:
@@ -534,8 +581,7 @@ class ReductionData:
     """
 
     __slots__ = ("basis", "comp_chart", "slice_data", "m_graded",
-                 "is_lagrangian", "_lifts", "_lift_map", "_deriv_images",
-                 "_tensor")
+                 "is_lagrangian", "_lifts", "_lift_map", "_derivations")
 
     def __init__(self, basis: PBWBasis, slice_data: SliceData,
                  m_graded: Sequence[Tuple[Vector, int]], is_lagrangian: bool):
@@ -546,29 +592,7 @@ class ReductionData:
         self.is_lagrangian = is_lagrangian
         self._lifts: Optional[List[KazhdanPolynomial]] = None
         self._lift_map: Optional[Substitution] = None
-        self._deriv_images: Dict[int, Tuple[Sequence, List[KazhdanPolynomial]]] = {}
-        self._tensor: Optional[Tuple[int, List[List[Tuple[int, Terms]]]]] = None
-
-    def poisson_tensor(self) -> Tuple[int, List[List[Tuple[int, Terms]]]]:
-        """(den, rows), built once: rows[p] lists the (q, ints) with
-        Lambda_pq = chi_reduce([x_p, x_q]) = ints / den nonzero, p and q over
-        the complement chart; the Lie-Poisson bivector on chi + a^perp,
-        antisymmetric, on integer numerators over one denominator."""
-        if self._tensor is None:
-            basis = self.basis
-            nc = basis.n_complement
-            den, ints = backend.int_form({
-                (p, q, m): c for (p, q), entry in basis.bracket.items() if q < nc
-                for m, c in basis.chi_reduce({((k, 1),): c for k, c in entry}).items()})
-            lams: Dict[Tuple[int, int], Terms] = {}
-            for (p, q, m), v in ints.items():
-                lams.setdefault((p, q), {})[m] = v
-            rows: List[List[Tuple[int, Terms]]] = [[] for _ in range(nc)]
-            for (p, q), lam in lams.items():
-                rows[p].append((q, lam))
-                rows[q].append((p, {m: -v for m, v in lam.items()}))
-            self._tensor = den, rows
-        return self._tensor
+        self._derivations: Dict[int, Tuple[Sequence, SymbolDerivation]] = {}
 
     def coordinate_lifts(self) -> List[KazhdanPolynomial]:
         """The invariant lifts T_k of the slice coordinates t_k, computed once.
@@ -586,6 +610,7 @@ class ReductionData:
             return self._lifts
         comp = self.comp_chart
         slice_degs = self.slice_data.degrees
+        derivations = [(self.derivation(x), {}) for x, _ in self.m_graded]
         solutions: Dict[int, Tuple[List[Monomial], Optional[Vector]]] = {}
         for n in dict.fromkeys(slice_degs):
             monos = monomials_of_degree(comp.degrees, n)
@@ -595,12 +620,13 @@ class ReductionData:
                 for _, w in self.m_graded]
             entries: Dict[Tuple[int, int], QQ] = {}
             for j, mono in enumerate(monos):
-                poly = KazhdanPolynomial(comp, {mono: ONE})
-                images = [self.slice_data.restrict(poly)] + [
-                    self.derivation(x, poly) for x, _ in self.m_graded]
+                # invariance rows scaled by den: their right-hand side is 0
+                images = [self.slice_data.restrict(
+                    KazhdanPolynomial(comp, {mono: ONE})).terms] + [
+                    d.image(mono, memo) for d, memo in derivations]
                 offset = 0
                 for index, image in zip(indices, images):
-                    for m2, c2 in image.terms.items():
+                    for m2, c2 in image.items():
                         entries[(offset + index[m2], j)] = c2
                     offset += len(index)
             rows = sum(map(len, indices))
@@ -632,32 +658,11 @@ class ReductionData:
                                           self.coordinate_lifts(), self.comp_chart)
         return self._lift_map
 
-    def derivation_images(self, x: Sequence) -> List[KazhdanPolynomial]:
-        """Images D_x(y_p) = ([x, v_p] mod (a - chi)) for complement p,
-        memoized by the object x: a lookup hashes no Fraction, and the entry
-        keeps x alive, so no other object takes its id."""
-        hit = self._deriv_images.get(id(x))
+    def derivation(self, x: Sequence) -> SymbolDerivation:
+        """D_x, the symbol of ad x on C[chi + a^perp], built once per object
+        x: a lookup hashes no Fraction, and the entry keeps x alive, so no
+        other object takes its id."""
+        hit = self._derivations.get(id(x))
         if hit is None:
-            basis = self.basis
-            nc = basis.n_complement
-            images = []
-            for col in basis.ad_coords(x)[:nc]:
-                terms: Terms = {}
-                const = ZERO
-                for q, c in col.items():
-                    if q < nc:
-                        terms[((q, 1),)] = c
-                    else:
-                        const += c * basis.chi_vals[q]
-                images.append(KazhdanPolynomial(self.comp_chart, terms) + const)
-            hit = self._deriv_images[id(x)] = (x, images)
+            hit = self._derivations[id(x)] = (x, SymbolDerivation(self.basis, x))
         return hit[1]
-
-    def derivation(self, x: Sequence, F: KazhdanPolynomial) -> KazhdanPolynomial:
-        """The infinitesimal action of x on C[chi + a^perp] (a derivation)."""
-        images = self.derivation_images(x)
-        out: Terms = {}
-        for part, img in zip(gradient(F.terms, len(F.chart)), images):
-            if part and img.terms:
-                add_product(out, part, img.terms)
-        return KazhdanPolynomial(self.comp_chart, out)

@@ -14,7 +14,7 @@ commutators) all run on that one map.  The ad-action columns take no
 product in Q: ad x is a derivation and I_ell a left ideal, so the column
 of x_g s is q([x, x_g] s) + q(x_g q([x, s])), two generator steps on the
 column of its suffix (`AdColumns`); the CE derivations D_x are built the
-same way on the symbol side (`SymbolDerivation`).
+same way on the symbol side (`poisson.SymbolDerivation`).
 
 H_ell is the joint kernel on F_n Q of the ad-action matrices of vectors
 that generate n_ell, those independent modulo [n_ell, n_ell].  The
@@ -786,11 +786,11 @@ def gr_commutators_vs_poisson(hb: HBasis, pairs):
     F_{d-2} H iff no coordinate of degree > d - 2 is nonzero, and then
     nu(gr_{d-2} x) is sum x_k nu(e_k) over those of degree d - 2.  Each
     representative's nu (shared with that sum), invariant lift (with the
-    restrict-back check) and its partials, and Hamiltonian field are taken
-    once.  The bracket is formed on chi + a^perp
-    (`poisson.restricted_bracket`, where the argument that it is the
-    bracket of `slice_poisson_bracket` is written) and restricted to the
-    slice by `nu` on its integer form.
+    restrict-back check) and its partials, and Hamiltonian field (its
+    D_{v_p}, `poisson.hamiltonian_field`) are taken once.  The bracket is
+    formed on chi + a^perp (`poisson.restricted_bracket`, where the
+    argument that it is the bracket of `slice_poisson_bracket` is written)
+    and restricted to the slice by `nu` on its integer form.
     """
     pairs = list(pairs)
     if not pairs:
@@ -811,7 +811,8 @@ def gr_commutators_vs_poisson(hb: HBasis, pairs):
 
     @cache
     def grad(k):
-        return poisson.lift_gradient(nu(k)[0], red)
+        den, ints = backend.int_form(poisson.invariant_lift(nu(k)[0], red).terms)
+        return den, poisson.gradient(ints, len(red.comp_chart))
 
     @cache
     def field(k):
@@ -849,51 +850,6 @@ def whittaker_vectors(qb: QDegreeBasis) -> Dict[int, Dict[int, QQ]]:
     return kernel_vectors(mats, len(qb.monomials))
 
 
-class SymbolDerivation:
-    """D_x, the symbol of ad x, on the monomials of gr Q = C[chi + a^perp],
-    each image built once, on first use (`image`), as integer numerators
-    over the one denominator `den` of the images D_x(y_p)
-    (`ReductionData.derivation_images`).
-
-    D_x is a derivation, so D_x(y_g s) = D_x(y_g) s + y_g D_x(s) for a
-    monomial y_g s (y_g its first variable): D_x(y_g), a constant plus a
-    linear form, times the monomial s, plus D_x(s), from the same memo,
-    times y_g.
-    """
-
-    __slots__ = ("den", "images", "memo")
-
-    def __init__(self, red: poisson.ReductionData, x: Sequence):
-        images = red.derivation_images(x)
-        self.den, ints = backend.int_form({
-            (p, m): c for p, img in enumerate(images)
-            for m, c in img.terms.items()})
-        self.images: List[Dict] = [{} for _ in images]
-        for (p, m), v in ints.items():
-            self.images[p][m] = v
-        self.memo: Dict = {}
-
-    def image(self, mono) -> Dict:
-        """The numerators of D_x(mono) over `den`, no zero among them."""
-        out = self.memo.get(mono)
-        if out is None:
-            out = self.memo[mono] = self._image(mono)
-        return out
-
-    def _image(self, mono) -> Dict:
-        out: Dict = {}
-        if not mono:
-            return out
-        g, e = mono[0]
-        suffix = ((g, e - 1),) + mono[1:] if e > 1 else mono[1:]
-        for m, c in self.images[g].items():
-            backend._acc(out, poisson.mono_mul(m, suffix), c)
-        var = ((g, 1),)
-        for m, c in self.image(suffix).items():
-            backend._acc(out, poisson.mono_mul(var, m), c)
-        return out
-
-
 def ce_blocks(i_max: int, n_max: int, sctx: SliceContext):
     """Graded blocks of the truncated Chevalley-Eilenberg complex.
 
@@ -908,14 +864,15 @@ def ce_blocks(i_max: int, n_max: int, sctx: SliceContext):
     not in rest = S - {s}, (-1)^{T.index(a) + T.index(b) + k} c^s_ab at
     T = sorted(rest + (a, b)).  Each D_x(m) is formed once, by the Leibniz
     rule D_x(y_g s) = D_x(y_g) s + y_g D_x(s) on integer numerators over
-    one denominator per x, from the memo of its suffix
-    (`SymbolDerivation`), and divided once.
+    one denominator per x, from the image of its suffix in this call's
+    memo (the context's `poisson.SymbolDerivation` of x,
+    `ReductionData.derivation`), and divided once.  The monomials of each
+    degree are a slice of `QDegreeBasis(sctx, n_max)`.
     """
     gens = sctx.pair.n_graded
     nn = len(gens)
     if i_max > nn:
         raise WalgError("cohomological index exceeds dim n_ell")
-    chart = sctx.comp_chart
 
     # dual[s] lists the (a, b, c^s_ab), a < b, of the brackets in n_ell, all
     # read off one elimination
@@ -931,12 +888,14 @@ def ce_blocks(i_max: int, n_max: int, sctx: SliceContext):
                 dual[s].append((a, b, c))
 
     # n_ell has negative weights, so a cochain of degree n needs monomials
-    # of degree <= n; grouping keeps the (degree, monomial) enumeration order
-    monos: Dict[int, list] = {}
-    for mono in poisson.enumerate_monomials(chart.degrees, n_max):
-        monos.setdefault(sctx.basis.monomial_degree(mono), []).append(mono)
+    # of degree <= n
+    qb = QDegreeBasis(sctx, n_max)
+
+    def of_degree(d):
+        return qb.monomials[qb.dim_f(d - 1):qb.dim_f(d)]
+
     subsets = [list(combinations(range(nn), i)) for i in range(i_max + 2)]
-    derivations = [SymbolDerivation(sctx.reduction, x) for x, _ in gens]
+    derivations = [(sctx.reduction.derivation(x), {}) for x, _ in gens]
     deriv: Dict = {}  # (x, m) -> terms of D_x(m), divided once
 
     def column(S, mono):
@@ -948,8 +907,9 @@ def ce_blocks(i_max: int, n_max: int, sctx: SliceContext):
             sign = (-1) ** T.index(x)
             acted = deriv.get((x, mono))
             if acted is None:
-                d = derivations[x]
-                acted = deriv[(x, mono)] = backend._divide(d.image(mono), d.den)
+                d, memo = derivations[x]
+                acted = deriv[(x, mono)] = backend._divide(d.image(mono, memo),
+                                                           d.den)
             for m2, c2 in acted.items():
                 yield T, m2, sign * c2
         for k, s in enumerate(S):
@@ -962,7 +922,7 @@ def ce_blocks(i_max: int, n_max: int, sctx: SliceContext):
     blocks = {}
     for n in range(n_max + 1):
         bases = [[(S, mono) for S in Ss
-                  for mono in monos.get(n + sum(gens[s][1] for s in S), ())]
+                  for mono in of_degree(n + sum(gens[s][1] for s in S))]
                  for Ss in subsets]
         diffs = []
         for dom, cod in zip(bases, bases[1:]):

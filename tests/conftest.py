@@ -49,6 +49,15 @@ def pullback_at(flow, F, t):
                KazhdanPolynomial.zero(F.chart))
 
 
+def add_one_unit(red, x):
+    """Negative control: add one unit to the numerator of the first
+    coefficient of the first nonzero image D_x(y_p) of the derivation of x
+    that `red` keeps."""
+    d = red.derivation(x)
+    img = next(img for img in d.images if img)
+    img[next(iter(img))] += 1
+
+
 @pytest.fixture(scope="session")
 def sl2():
     return sl2_algebra()

@@ -20,6 +20,13 @@ next to the run-path function it checks:
   multiplying generator images, and, reduced by `q_canonical_form`,
   checks `whittaker.q_transport`, the natural map of the
   `ell-independence` check;
+- `derivation` applies D_x, the symbol of ad x on C[chi + a^perp], to a
+  polynomial as the sum of its partials times the images D_x(y_p), taken
+  as `Fraction` polynomials from the ad x columns, and checks
+  `poisson.SymbolDerivation`, which builds the image of each monomial on
+  integer numerators by the Leibniz rule from its suffix's, for the CE
+  complex, the invariant lifts, the transversality rank and the
+  Hamiltonian field;
 - `gr_commutator_vs_poisson` compares nu(gr[a, b]) with the reduced
   bracket of the symbols one pair at a time, with both products in Q and
   the bracket by `poisson.slice_poisson_bracket`, and checks
@@ -138,6 +145,40 @@ class TwoSidedColumns:
         return backend.lowest_form(backend.combine(
             [(1, (self.den, W._step(self.basis, self.gens, {mono: 1}))),
              (-1, self.right.image(mono))]))
+
+
+# the Fraction images D_x(y_p), one list per (PBW basis, vector x)
+_SYMBOL_IMAGES = {}
+
+
+def symbol_images(basis, x):
+    """[D_x(y_p)] over the complement p as Fraction term dicts:
+    D_x(y_p) = [x, v_p] with each a-coordinate replaced by its chi-value."""
+    key = (basis, tuple(x))
+    images = _SYMBOL_IMAGES.get(key)
+    if images is None:
+        nc = basis.n_complement
+        images = _SYMBOL_IMAGES[key] = []
+        for col in basis.ad_coords(x)[:nc]:
+            terms = {}
+            for q, c in col.items():
+                if q < nc:
+                    terms[((q, 1),)] = c
+                else:
+                    terms[()] = terms.get((), 0) + c * basis.chi_vals[q]
+            images.append(terms)
+    return images
+
+
+def derivation(red, x, F):
+    """D_x(F) on the complement chart by the gradient route:
+    sum_p d_p F * D_x(y_p)."""
+    images = symbol_images(red.basis, x)
+    out = {}
+    for part, img in zip(poisson.gradient(F.terms, len(F.chart)), images):
+        if part:
+            poisson.add_product(out, part, img)
+    return poisson.KazhdanPolynomial(red.comp_chart, out)
 
 
 def gr_commutator_vs_poisson(a, b, hb):

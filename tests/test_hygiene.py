@@ -26,19 +26,26 @@ coordinates, may.  And for the kernels on integer forms (den, ints): the
 memoized images and the sum of `backend.MonomialMap`, the one map behind
 the PBW product, the left action on Q in `walg.whittaker`, the ad columns
 (`AdColumns`, each built by the Leibniz rule from its suffix's with the
-generator step of the left action), the integer Leibniz derivation of the
-CE complex (`SymbolDerivation`), the forms of the ordered monomials in
-the generators of H, the products of H by
+generator step of the left action), the forms of the ordered monomials
+in the generators of H, the products of H by
 rewriting (`backend.word_map`), the basis change and
 `poisson.Substitution`, together with the steps and the call of the last
-two, and `backend.combine`, the sum over one common scale; they leave the
-integers only through `_divide`.
+two, the symbol derivation `poisson.SymbolDerivation` (the images
+D_x(y_p), which the transversality rank and the Hamiltonian field read,
+and the Leibniz images of monomials, which the CE complex and the
+invariant lifts read), the gradient and Hamiltonian field of a lift and
+the bracket on chi + a^perp, and
+`backend.combine`, the sum over one common scale; they leave the integers
+only through `_divide`.
 Within `walg.whittaker` only `q_product`, `q_transport`, `_word_forms`
 and `_products` call `_left_action`: a product in Q is formed only for a
 product of two given elements, for the natural map, for the forms of the
 ordered monomials and for the commutators of the generators of H; the ad
 columns take no right multiplication, and every other product of H is
 rewritten in its generators.
+In all of src/walg only `ReductionData.derivation` builds a
+`SymbolDerivation`: D_x is one object per x, kept by the context, so no
+consumer builds a second D_x or a second memo of its images.
 Elimination stays behind the linear-algebra layer: outside
 `walg.backend`, which holds the kernel, and `walg.linalg`, which wraps it
 in `SparseMatrix`, `Subspace`, `Echelon`, `solve` and the kernels, no
@@ -291,24 +298,22 @@ ECHELON_ELIMINATION = ("Echelon.reduce", "Echelon._reduce", "Echelon.extend",
                        "_eliminate")
 # module -> its integer-form kernels: the memoized monomial map, the left
 # action on Q, the Leibniz ad columns built with its generator step (with
-# their lowest-terms form) and the Leibniz derivation of the CE complex,
-# the forms of the generator monomials of H, the multiplicativity
-# cross-check of nu and the one-pass poisson check (the sum of nu over the
-# representatives, and the comparison both make), the product of H by
-# rewriting and the substitution built on the map, the bracket on
-# chi + a^perp (the gradient, the bivector and the Hamiltonian field of a
-# lift), and the sum over a common scale behind the map
+# their lowest-terms form), the forms of the generator monomials of H, the
+# multiplicativity cross-check of nu and the one-pass poisson check (the
+# sum of nu over the representatives, and the comparison both make), the
+# product of H by rewriting and the substitution built on the map, the
+# symbol derivation D_x with its Leibniz images, the bracket on chi + a^perp
+# (the gradient and the Hamiltonian field of a lift), and the sum over a
+# common scale behind the map
 INTEGER_FORM_KERNELS = {
     "whittaker.py": ("_linear", "_step", "_left_action", "_word_forms",
                      "AdColumns.__init__", "AdColumns.column",
                      "AdColumns._image", "AdColumns.kills",
-                     "SymbolDerivation.__init__", "SymbolDerivation.image",
-                     "SymbolDerivation._image",
                      "_same", "_multiplicative", "gr_commutators_vs_poisson"),
     "poisson.py": ("Substitution.__call__", "Substitution.form", "gradient",
-                   "add_product", "poly_mul", "lift_gradient",
-                   "hamiltonian_field", "restricted_bracket",
-                   "ReductionData.poisson_tensor"),
+                   "add_product", "poly_mul", "SymbolDerivation.__init__",
+                   "SymbolDerivation.image", "SymbolDerivation._image",
+                   "hamiltonian_field", "restricted_bracket"),
     "backend.py": ("combine", "_value", "MonomialMap.image",
                    "MonomialMap.__call__", "word_map", "lowest_form"),
 }
@@ -603,3 +608,25 @@ def test_left_action_called_only_in_its_homes(module):
     source = (SRC / module).read_text(encoding="utf-8")
     owners = {owner for owner, _ in builds(source, ("_left_action",))}
     assert owners == set(LEFT_ACTION_HOMES[module])
+
+
+# the only function in src/walg that may build a `SymbolDerivation`
+DERIVATION_HOMES = {("poisson.py", "ReductionData.derivation")}
+
+
+def test_finds_symbol_derivation_builds():
+    source = ("class ReductionData:\n"
+              "    def derivation(self, x):\n"
+              "        return SymbolDerivation(self.basis, x)\n"
+              "def ce_blocks(i_max, n_max, sctx):\n"
+              "    d = poisson.SymbolDerivation(sctx.basis, x)\n"
+              "    return d.image(mono), SymbolDerivation._image(d, mono)\n")
+    assert sorted(builds(source, ("SymbolDerivation",)), key=lambda b: b[1]) == [
+        ("ReductionData.derivation", 3), ("ce_blocks", 5), ("ce_blocks", 6)]
+
+
+def test_symbol_derivation_built_only_in_its_home():
+    owners = {(path.name, owner) for path in MODULES
+              for owner, _ in builds(path.read_text(encoding="utf-8"),
+                                     ("SymbolDerivation",))}
+    assert owners == DERIVATION_HOMES

@@ -8,12 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walg import backend, cli
 from walg import poisson as P
 from walg import whittaker as W
+from walg.context import build_context
 from walg.errors import ChartMismatch, LiftFailure, WalgError
+from walg.liealg import make_sln, partition_triple
 from walg.linalg import SparseMatrix, Subspace, _equals, rank_of_rows, solve
 
-from conftest import pullback_at
+from conftest import add_one_unit, pullback_at
+from reference import derivation
 
 
 def var(chart, i, c=1):
@@ -367,7 +371,7 @@ def test_invariant_lift_leading_term(sl3_min_lag):
     lift = P.invariant_lift(t1, red)
     assert sctx.slice_data.restrict(lift) == t1
     for x, _ in sctx.pair.a_graded:
-        assert red.derivation(x, lift).is_zero()
+        assert derivation(red, x, lift).is_zero()
 
 
 def test_invariant_lift_needs_lagrangian(sl3_min_zero):
@@ -466,7 +470,7 @@ def per_degree_lift(F, red):
             index = {m: i for i, m in enumerate(target)}
             block = [dict() for _ in target]
             for j, mono in enumerate(monos):
-                image = red.derivation(x, P.KazhdanPolynomial(comp, {mono: 1}))
+                image = derivation(red, x, P.KazhdanPolynomial(comp, {mono: 1}))
                 for m2, c2 in image.terms.items():
                     block[index[m2]][j] = c2
             rows.extend(block)
@@ -540,29 +544,67 @@ def test_corrupted_coordinate_lift_raises(sl3_min_lag, monkeypatch):
 
 
 def test_coordinate_lifts_certified_by_flows(sl3_min_lag, monkeypatch):
-    """With the invariance rows dropped, the solve still restricts to t_k,
-    but the flow pullback rejects the non-invariant solution."""
+    """With the invariance rows dropped (every image D_x(m) of an
+    m-generator read as zero), the solve still restricts to t_k, but the
+    flow pullback rejects the non-invariant solution."""
     red = sl3_min_lag.reduction
     fresh = P.ReductionData(red.basis, red.slice_data, red.m_graded,
                             red.is_lagrangian)
-    monkeypatch.setattr(P.ReductionData, "derivation",
-                        lambda self, x, G: P.KazhdanPolynomial.zero(self.comp_chart))
+    monkeypatch.setattr(P.SymbolDerivation, "image",
+                        lambda self, mono, memo: {})
     with pytest.raises(LiftFailure, match="not flow-invariant"):
         fresh.coordinate_lifts()
 
 
-def test_derivation_images_memoized_by_generator(sl3_min_lag):
-    """The images of a generator are built once and kept for that object;
-    an equal vector given as another object gets equal images."""
+@pytest.mark.parametrize("n, partition", [(3, [2, 1]), (4, [2, 2]),
+                                          (4, [2, 1, 1])])
+def test_coordinate_lifts_fail_on_a_wrong_derivation(n, partition):
+    """Negative control: one unit added to one coefficient of one image
+    D_x(y_p) of an m-generator x, each in turn, makes `coordinate_lifts`
+    raise: the system has no solution, or its solution is not invariant
+    under the flows, which do not read D_x."""
+    e, h, f = partition_triple(n, partition)
+    red = build_context(make_sln(n), e, "lagrangian-auto", h=h, f=f).reduction
+    assert red.is_lagrangian and red.m_graded
+    for x, _ in red.m_graded:
+        fresh = P.ReductionData(red.basis, red.slice_data, red.m_graded,
+                                red.is_lagrangian)
+        add_one_unit(fresh, x)
+        with pytest.raises(LiftFailure,
+                           match="not flow-invariant|no invariant lift"):
+            fresh.coordinate_lifts()
+
+
+def test_poisson_check_fails_on_a_wrong_field():
+    """Negative control: one unit added to the first nonzero image
+    D_{v_1}(y_p) of the complement generator v_1, which only the
+    Hamiltonian field reads, fails the `poisson` check of sl3 minimal
+    (Lagrangian, degree 6) at the pair (2, 3); the other side of each
+    pair, nu of the commutator in H, does not read it."""
+    case = cli.Case(cli.JobConfig("sl3", "minimal", "lagrangian-auto", 6,
+                                  ["poisson"]))
+    add_one_unit(case.sctx.reduction, case.sctx.basis.vectors[1])
+    ok, details, witness = cli.check_poisson(case)
+    assert not ok and witness == {"pair": [2, 3]}
+    assert details == {"pairs_checked": 6}
+
+
+def test_derivation_memoized_by_generator(sl3_min_lag):
+    """One `SymbolDerivation` per object x: built once and kept for that
+    object; an equal vector given as another object gets another
+    derivation with equal images."""
     red = sl3_min_lag.reduction
     fresh = P.ReductionData(red.basis, red.slice_data, red.m_graded,
                             red.is_lagrangian)
     x = red.m_graded[0][0]
-    images = fresh.derivation_images(x)
-    assert fresh.derivation_images(x) is images
-    assert fresh.derivation_images(list(x)) == images
-    other = red.m_graded[1][0]
-    assert fresh.derivation_images(other) != images
+    d = fresh.derivation(x)
+    assert isinstance(d, P.SymbolDerivation)
+    assert fresh.derivation(x) is d
+    twin = fresh.derivation(list(x))
+    assert twin is not d
+    assert (twin.den, twin.images) == (d.den, d.images)
+    other = fresh.derivation(red.m_graded[1][0])
+    assert (other.den, other.images) != (d.den, d.images)
 
 
 def substitute_reference(G, images, target):
@@ -674,7 +716,7 @@ def per_coordinate_lifts(red):
         blocks = [(P.monomials_of_degree(slice_degs, n),
                    lambda G: red.slice_data.restrict(G))]
         blocks += [(P.monomials_of_degree(comp.degrees, n + w),
-                    lambda G, x=x: red.derivation(x, G)) for x, w in red.m_graded]
+                    lambda G, x=x: derivation(red, x, G)) for x, w in red.m_graded]
         entries, rhs, offset = {}, [], 0
         for target, image_of in blocks:
             index = {m: i for i, m in enumerate(target)}
@@ -694,53 +736,66 @@ def per_coordinate_lifts(red):
 def test_coordinate_lifts_match_per_coordinate_solves(request, name):
     """One system per slice degree, all the right-hand sides of a degree
     eliminated together, gives the lifts of one solve per coordinate; each
-    derivation image is formed once per (degree, monomial, m-generator)."""
+    m-generator has one `SymbolDerivation`, and one pass builds the image
+    D_x(m) of each monomial once: every monomial of every slice degree,
+    and the suffixes they reach, each one time however many t_k share the
+    degree."""
     sctx = request.getfixturevalue(name)
     red = sctx.reduction
     fresh = P.ReductionData(red.basis, red.slice_data, red.m_graded,
                             red.is_lagrangian)
-    calls = []
-    derivation = P.ReductionData.derivation
+    built = {}
+    image = P.SymbolDerivation._image
 
-    def counted(self, x, G):
-        if self is fresh:
-            calls.append((G.kazhdan_degree(), tuple(G.terms), id(x)))
-        return derivation(self, x, G)
+    def counted(self, mono, memo):
+        built[(id(self), mono)] = built.get((id(self), mono), 0) + 1
+        return image(self, mono, memo)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(P.ReductionData, "derivation", counted)
+        mp.setattr(P.SymbolDerivation, "_image", counted)
         lifts = fresh.coordinate_lifts()
     assert lifts == per_coordinate_lifts(red)
-    degrees = set(sctx.slice_data.degrees)
+    derivations = [fresh.derivation(x) for x, _ in red.m_graded]
+    assert len({id(d) for d in derivations}) == len(red.m_graded)
+    assert {key[0] for key in built} <= {id(d) for d in derivations}
+    assert max(built.values(), default=1) == 1
     comp_degrees = sctx.comp_chart.degrees
-    assert len(calls) == len(set(calls)) == len(red.m_graded) * sum(
-        len(P.monomials_of_degree(comp_degrees, n)) for n in degrees)
-    if len(degrees) < len(sctx.slice_data.degrees):
-        assert len(calls) < len(red.m_graded) * sum(
-            len(P.monomials_of_degree(comp_degrees, n))
-            for n in sctx.slice_data.degrees)
+    assert {(id(d), mono) for d in derivations
+            for n in set(sctx.slice_data.degrees)
+            for mono in P.monomials_of_degree(comp_degrees, n)} <= set(built)
 
 
 @pytest.mark.parametrize("name", ["sl2_ctx", "sl3_min_lag", "sl3_min_conj",
                                   "sl4_22_conj"])
 def test_restricted_bracket_is_the_reduced_bracket(request, name):
     """The bracket on chi + a^perp from the gradient of one lift and the
-    Hamiltonian field of the other is `lie_poisson_bracket` of their
-    extensions, restricted to chi + a^perp; on integer numerators over one
-    denominator throughout.  Restricted to the slice it is
+    Hamiltonian field of the other, the D_{v_p} G2 over the complement
+    generators v_p (against the gradient route of `reference.derivation`),
+    is `lie_poisson_bracket` of their extensions, restricted to
+    chi + a^perp; on integer numerators over one denominator throughout.  Restricted to the slice it is
     `slice_poisson_bracket`, with or without a twist."""
     sctx = request.getfixturevalue(name)
     red, sd = sctx.reduction, sctx.slice_data
     rng = random.Random(23)
     cases = [random_slice_polynomial(sd.chart, rng, 6) for _ in range(6)]
+    nc = red.basis.n_complement
+
+    def lift_gradient(F):
+        den, ints = backend.int_form(P.invariant_lift(F, red).terms)
+        return den, P.gradient(ints, nc)
+
     for F1, F2 in zip(cases, cases[1:] + [P.KazhdanPolynomial.constant(sd.chart, 3)]):
-        grad = P.lift_gradient(F1, red)
-        field = P.hamiltonian_field(P.lift_gradient(F2, red), red)
+        grad = lift_gradient(F1)
+        field = P.hamiltonian_field(lift_gradient(F2), red)
         den, ints = P.restricted_bracket(grad, field)
         for d, parts in (grad, field, (den, [ints])):
             assert type(d) is int and d > 0
             assert all(type(c) is int for part in parts for c in part.values())
         G1, G2 = P.invariant_lift(F1, red), P.invariant_lift(F2, red)
+        field_den, vs = field
+        assert len(vs) == nc
+        for v, part in zip(red.basis.vectors, vs):
+            assert _equals((field_den, part), derivation(red, v, G2).terms)
         full = P.lie_poisson_bracket(P.extend_to_full(G1, red.basis),
                                      P.extend_to_full(G2, red.basis), red.basis)
         on_complement = P.restrict_to_chi_plus_a_perp(full, red.basis)

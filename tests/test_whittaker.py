@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walg import backend, linalg, poisson, whittaker as W
+from walg import backend, cli, linalg, poisson, whittaker as W
 from walg.context import build_context
 from walg.cli import main
 from walg.errors import (ComparisonFailure, DegreeOverflow, TheoremFailure,
@@ -18,8 +18,8 @@ from walg.linalg import SparseMatrix, Subspace, kernel, rank, solve
 from walg.pbw import UEAElement, casimir
 from walg.poisson import KazhdanPolynomial
 
-from conftest import span_at, whittaker_spans
-from reference import (TwoSidedColumns, convert_element,
+from conftest import add_one_unit, span_at, whittaker_spans
+from reference import (TwoSidedColumns, convert_element, derivation,
                        gr_commutator_vs_poisson, q_canonical_form)
 
 def kp_var(chart, i, c=1):
@@ -284,7 +284,7 @@ def ce_blocks_reference(i_max, n_max, sctx):
                 T, sign = insert_sign(x, S)
                 if T is None:
                     continue
-                for m2, c2 in red.derivation(gens[x][0], poly).terms.items():
+                for m2, c2 in derivation(red, gens[x][0], poly).terms.items():
                     backend._acc(entries, (cod_index[(T, m2)], j), sign * c2)
             for T in combinations(range(nn), i + 1):
                 for l in range(i + 1):
@@ -324,22 +324,24 @@ def test_ce_blocks_match_reference(request, ctx_name, n_max):
 
 
 def test_ce_blocks_form_each_derivation_once(monkeypatch, sl4_211):
-    """Each D_x(m), x in n_ell, is formed once: the Leibniz memo builds
+    """Each D_x(m), x in n_ell, is formed once: the context keeps one
+    `SymbolDerivation` per generator, and the call's Leibniz memo builds
     the image of every monomial the blocks touch, and of its suffixes, one
-    time each, and `ReductionData.derivation` is not called."""
+    time each."""
+    red = sl4_211.reduction
     built = {}
-    image = W.SymbolDerivation._image
+    image = poisson.SymbolDerivation._image
 
-    def counted(self, mono):
+    def counted(self, mono, memo):
         key = (id(self), mono)
         built[key] = built.get(key, 0) + 1
-        return image(self, mono)
+        return image(self, mono, memo)
 
-    monkeypatch.setattr(W.SymbolDerivation, "_image", counted)
-    calls = counting(monkeypatch, poisson.ReductionData, "derivation")
+    monkeypatch.setattr(poisson.SymbolDerivation, "_image", counted)
     blocks = W.ce_blocks(2, 5, sl4_211)
     assert built and max(built.values()) == 1
-    assert calls == []
+    derivations = [red.derivation(x) for x, _ in sl4_211.pair.n_graded]
+    assert {key[0] for key in built} == {id(d) for d in derivations}
     touched = {mono for bases, _ in blocks.values() for basis in bases[:3]
                for _, mono in basis}
     assert touched <= {mono for _, mono in built}
@@ -350,31 +352,46 @@ CE_DERIVATION_CASES = ["sl3_min_zero", "sl3_min_lag", "sl4_211", "sl4_22_conj"]
 
 @pytest.mark.parametrize("ctx_name", CE_DERIVATION_CASES)
 def test_symbol_derivation_matches_gradient_route(request, ctx_name):
-    """The integer Leibniz D_x(m) of `ce_blocks` against
-    `ReductionData.derivation` (the gradient of m against the images
-    D_x(y_p)), for every generator x of n_ell and every monomial the
-    blocks touch, suffixes included, in the degrees `ce_blocks` reads."""
+    """The integer Leibniz D_x(m) of `poisson.SymbolDerivation` against the
+    gradient route (`reference.derivation`, the gradient of m against the
+    images D_x(y_p)), for every x the run path derives by: the generators
+    of n_ell (the CE complex, the transversality rank), of a (the
+    invariant lifts) and the complement generators (the Hamiltonian
+    field), and for every monomial up to degree 6; the memo holds integer
+    numerators, no zero among them, for every monomial and suffix."""
     sctx = request.getfixturevalue(ctx_name)
-    red, chart = sctx.reduction, sctx.comp_chart
-    n_max = 6
-    derivations = []
-    true_init = W.SymbolDerivation.__init__
-
-    def recorded(self, red, x):
-        true_init(self, red, x)
-        derivations.append((x, self))
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(W.SymbolDerivation, "__init__", recorded)
-        W.ce_blocks(1, n_max, sctx)
-    assert len(derivations) == len(sctx.pair.n_graded)
-    for x, d in derivations:
+    red = sctx.reduction
+    chart = sctx.comp_chart
+    basis = sctx.basis
+    monos = poisson.enumerate_monomials(chart.degrees, 6)
+    xs = ([x for x, _ in sctx.pair.n_graded] + [x for x, _ in sctx.pair.a_graded]
+          + list(basis.vectors[:basis.n_complement]))
+    for x in xs:
+        d = red.derivation(x)
+        assert red.derivation(x) is d
         assert type(d.den) is int and d.den > 0
-        assert d.memo
-        for mono, ints in d.memo.items():
+        memo = {}
+        for mono in monos:
+            want = derivation(red, x, KazhdanPolynomial(chart, {mono: F(1)}))
+            assert backend._divide(d.image(mono, memo), d.den) == want.terms, mono
+        assert set(memo) == set(monos)
+        for ints in memo.values():
             assert all(type(c) is int and c for c in ints.values())
-            want = red.derivation(x, KazhdanPolynomial(chart, {mono: F(1)}))
-            assert backend._divide(ints, d.den) == want.terms, mono
+
+
+@pytest.mark.parametrize("algebra, nilpotent", [("sl3", "minimal"),
+                                                ("sl4", "[2,1,1]")])
+def test_cohomology_check_fails_on_a_wrong_derivation(algebra, nilpotent):
+    """Negative control: one unit added to one coefficient of one image
+    D_x(y_p), x the first generator of n_ell (ell zero, degree 6), fails
+    the `cohomology` check at its first clause: H^0 of the complex no
+    longer matches the slice Hilbert series, an oracle that does not read
+    D_x."""
+    case = cli.Case(cli.JobConfig(algebra, nilpotent, "zero", 6,
+                                  ["cohomology"]))
+    add_one_unit(case.sctx.reduction, case.sctx.pair.n_graded[0][0])
+    ok, _, witness = cli.check_cohomology(case)
+    assert not ok and witness == {"clause": "h0 != slice Hilbert series"}
 
 
 @pytest.mark.parametrize("ctx_name,n_max", [("sl4_regular", 6), ("sl4_211", 4)])
